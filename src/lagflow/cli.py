@@ -218,6 +218,10 @@ def _cmd_run(args) -> int:
         factor = 1.0
         if resolved["normalize"]:
             curve, factor = normalize(curve)
+        state = make_state(curve)
+        config = FlowConfig(**resolved["flow"])
+        stop = StopConditions(**resolved["stop"])
+        recording = RecordingConfig(**resolved["recording"])
     except (ConfigError, CurveError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
@@ -226,15 +230,9 @@ def _cmd_run(args) -> int:
     blob = json.dumps(resolved, sort_keys=True).encode()
     run_id = f"{resolved['scenario']['name']}-r{resolved['resolution']}-{hashlib.sha256(blob).hexdigest()[:10]}"
     run_dir = os.path.join(out_root, run_id)
-    snap_dir = os.path.join(run_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t0 = time.monotonic()
-    state = make_state(curve)
-    config = FlowConfig(**resolved["flow"])
-    stop = StopConditions(**resolved["stop"])
-    recording = RecordingConfig(**resolved["recording"])
     status = 0
     error_note = None
     trajectory = None
@@ -245,8 +243,13 @@ def _cmd_run(args) -> int:
     except IntegrationError as exc:
         status = 3
         error_note = str(exc)
+    except CurveError as exc:
+        # raised before the first step: the curve does not fit the config
+        print(f"bad config: {exc}", file=sys.stderr)
+        return 1
     finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
+    os.makedirs(os.path.join(run_dir, "snapshots"), exist_ok=True)
     manifest = {
         "scenario": raw.get("scenario", {}),
         "config": resolved,

@@ -46,16 +46,22 @@ import numpy as np
 
 from .geometry import (
     CurveConfigError,
+    CurveError,
+    CurveTerms,
     FrameData,
     OriginContactError,
     PlaneCurve,
     antipodal_defect,
     antipodal_symmetrize,
-    component_slices,
     compute_frame,
+    curve_terms,
     enclosed_area,
-    normal_projection,
+    min_spacing,
+    position_terms,
     resample,
+    stable_step,
+    symmetrize_points,
+    velocity_terms,
 )
 from .lagrangian import NonMonotoneError, lagrangian_angle, monotone_data
 
@@ -247,7 +253,11 @@ class Trajectory:
 
 
 def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
-    """Initial flow state; the c-constant is computed here and frozen."""
+    """Initial flow state; the c-constant is computed here and frozen.
+
+    A degenerate curve (coincident nodes, vanishing speed) raises
+    DegenerateCurveError; a curve without a c-constant gets nan.
+    """
     try:
         c = monotone_data(curve, compute_frame(curve)).constant_c
     except (NonMonotoneError, OriginContactError, CurveConfigError):
@@ -257,84 +267,44 @@ def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
 
 def velocity(curve: PlaneCurve, frame: FrameData) -> np.ndarray:
     """kappa*n - x_perp/|x|^2 per node, shape (N, 2)."""
-    r2 = np.einsum("ij,ij->i", curve.points, curve.points)
-    guard = (1e-10 * max(curve.diameter, 1e-300)) ** 2
-    if r2.min() <= guard:
-        raise OriginContactError(
-            f"node at distance {math.sqrt(r2.min()):.3e} from the origin; "
-            "velocity is singular there"
-        )
-    xperp = normal_projection(curve, frame)
-    return frame.curvature[:, None] * frame.normal - xperp / r2[:, None]
-
-
-def _min_spacing(curve: PlaneCurve, frame: FrameData) -> float:
-    if curve.closed:
-        return float(frame.weight.min())
-    spacings = []
-    for sl in component_slices(curve):
-        seg = curve.points[sl]
-        if len(seg) >= 2:
-            spacings.append(np.linalg.norm(np.diff(seg, axis=0), axis=1).min())
-    if not spacings:
-        raise CurveConfigError("open curve has no differentiable component")
-    return float(min(spacings))
+    return velocity_terms(curve.points, frame, curve.diameter)[2]
 
 
 def stability_dt(
     curve: PlaneCurve, frame: FrameData, vel: np.ndarray, safety: float
 ) -> float:
     """Largest explicit step the current geometry supports."""
-    h = _min_spacing(curve, frame)
-    # safety <= 0.375 keeps the h^2 term inside the stencil stability limit
-    caps = [h * h]
-    r2 = np.einsum("ij,ij->i", curve.points, curve.points)
-    dots = np.abs(np.einsum("ij,ij->i", curve.points, frame.normal))
-    dmax = dots.max()
-    if dmax > 0.0:
-        caps.append(h * r2.min() / (2.0 * dmax))
-    vmax = float(np.linalg.norm(vel, axis=1).max())
-    if vmax > 0.0:
-        caps.append(h / (2.0 * vmax))
-    return safety * min(caps)
+    h = min_spacing(curve.points, curve.closed, frame)
+    r2, dots = position_terms(curve.points, frame)
+    return stable_step(h, r2, dots, vel, safety)
 
 
 def _advance(
-    state: FlowState,
-    frame: FrameData,
-    vel: np.ndarray,
-    dt: float,
-    config: FlowConfig,
-) -> FlowState:
-    pts = state.curve.points
-    if config.scheme == "euler":
+    pts: np.ndarray, closed: bool, vel: np.ndarray, dt: float, scheme: str, last
+) -> np.ndarray:
+    """Nodes after one step of ``scheme`` from ``pts`` with velocity ``vel``.
+    ``last()`` gives the pre-step state for the IntegrationError raised on
+    non-finite values."""
+    if scheme == "euler":
         new_pts = pts + dt * vel
     else:  # heun
         pred = pts + dt * vel
-        if not np.all(np.isfinite(pred)):
-            raise IntegrationError(
-                f"non-finite predictor at t={state.t:.6g}", last_state=state
-            )
-        mid = PlaneCurve(pred, closed=state.curve.closed)
-        vel2 = velocity(mid, compute_frame(mid))
+        if not np.isfinite(pred).all():
+            st = last()
+            raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
+        vel2 = curve_terms(pred, closed).velocity
         new_pts = pts + 0.5 * dt * (vel + vel2)
-    if not np.all(np.isfinite(new_pts)):
-        raise IntegrationError(
-            f"non-finite node positions at t={state.t:.6g}", last_state=state
-        )
-    return FlowState(
-        curve=PlaneCurve(new_pts, closed=state.curve.closed),
-        t=state.t + dt,
-        initial_constant=state.initial_constant,
-        step_index=state.step_index + 1,
-    )
+    if not np.isfinite(new_pts).all():
+        st = last()
+        raise IntegrationError(f"non-finite node positions at t={st.t:.6g}", last_state=st)
+    return new_pts
 
 
 def step(state: FlowState, config: FlowConfig, max_dt: float | None = None) -> FlowState:
     """One explicit step at the stability-limited size (capped by max_dt)."""
-    frame = compute_frame(state.curve)
-    vel = velocity(state.curve, frame)
-    dt = stability_dt(state.curve, frame, vel, config.safety)
+    curve = state.curve
+    terms = curve_terms(curve.points, curve.closed)
+    dt = terms.stable_dt(config.safety)
     if max_dt is not None:
         dt = min(dt, max_dt)
     if dt < config.dt_min:
@@ -342,7 +312,13 @@ def step(state: FlowState, config: FlowConfig, max_dt: float | None = None) -> F
             f"stable step {dt:.3e} below floor {config.dt_min:.3e}",
             last_state=state,
         )
-    return _advance(state, frame, vel, dt, config)
+    new_pts = _advance(curve.points, curve.closed, terms.velocity, dt, config.scheme, lambda: state)
+    return FlowState(
+        curve=PlaneCurve(new_pts, closed=curve.closed),
+        t=state.t + dt,
+        initial_constant=state.initial_constant,
+        step_index=state.step_index + 1,
+    )
 
 
 def _gaussian_density_origin(points: np.ndarray, weight: np.ndarray, tau: float) -> float:
@@ -353,9 +329,10 @@ def _gaussian_density_origin(points: np.ndarray, weight: np.ndarray, tau: float)
 
 
 def _diagnostics_row(
-    state: FlowState, frame: FrameData, dt_auto: float
+    state: FlowState, terms: CurveTerms, dt_auto: float
 ) -> dict[str, float]:
     curve = state.curve
+    frame = terms.frame
     nan = float("nan")
     row = {
         "t": state.t,
@@ -364,8 +341,8 @@ def _diagnostics_row(
         "liouville_integral": nan,
         "maslov_integral": nan,
         "monotone_defect": nan,
-        "max_curvature": float(np.abs(frame.curvature).max()),
-        "min_radius": float(np.linalg.norm(curve.points, axis=1).min()),
+        "max_curvature": terms.max_curvature(),
+        "min_radius": terms.min_radius(),
         "gaussian_density_origin": nan,
         "angle_min": nan,
         "angle_max": nan,
@@ -377,7 +354,7 @@ def _diagnostics_row(
     except OriginContactError:
         angle = None
     if curve.closed:
-        row["area"] = enclosed_area(curve)
+        row["area"] = terms.area()
         if angle is not None:
             try:
                 md = monotone_data(curve, frame, angle)
@@ -404,6 +381,40 @@ def _diagnostics_row(
             curve.points, frame.weight, tau
         )
     return row
+
+
+class _StepClock:
+    """The stepping clock shared by evolve and radial_evolve: a uniform
+    snapshot grid that steps land on exactly, and an optional end time."""
+
+    def __init__(self, t0: float, snapshot_dt: float, t_end: float | None):
+        self.snapshot_dt = snapshot_dt
+        self.t_end = t_end
+        self.next_grid = t0 + snapshot_dt
+        self.grid_tol = 1e-9 * snapshot_dt
+
+    def on_grid(self, t: float) -> bool:
+        """Whether t is the next grid point; if so the grid moves on."""
+        if abs(t - self.next_grid) <= self.grid_tol:
+            self.next_grid += self.snapshot_dt
+            return True
+        return False
+
+    def at_end(self, t: float) -> bool:
+        return self.t_end is not None and t >= self.t_end - 1e-12 * max(1.0, abs(self.t_end))
+
+    def shorten(self, t: float, dt: float) -> float:
+        """dt cut to land exactly on the next grid point or on t_end."""
+        gap = self.next_grid - t
+        if gap <= self.grid_tol:
+            # missed the grid point by a rounding hair without detection
+            self.next_grid += self.snapshot_dt
+            gap = self.next_grid - t
+        if gap <= dt * (1.0 + 1e-9):
+            dt = gap
+        if self.t_end is not None and self.t_end - t < dt:
+            dt = self.t_end - t
+        return dt
 
 
 def _auto_snapshot_dt(state: FlowState, stop: StopConditions) -> float:
@@ -458,26 +469,35 @@ def evolve(
 
     Returns the recorded trajectory and a report.  Records land exactly on
     the uniform snapshot grid (the step is shortened to hit it); the final
-    state is always recorded.  Numerical failure (non-finite values, step
-    budget) raises IntegrationError instead of returning.
+    state is always recorded.  Numerical failure (non-finite values, the
+    step budget, a curve check failing mid-run) raises IntegrationError
+    instead of returning.  Its ``last_state`` is the state the failure was
+    found at, or for non-finite values the state before the failed step.
+
+    The loop carries the nodes as one raw (N, 2) array.  PlaneCurve and
+    FlowState objects are built only for records, at the stop and for
+    errors.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
     recording = recording or RecordingConfig()
 
     curve = state.curve
+    closed = curve.closed
+    n = curve.node_count
     enforce = config.enforce_antipodal
     if enforce is None:
         enforce = (
-            curve.closed
-            and curve.node_count % 2 == 0
+            closed
+            and n % 2 == 0
             and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
         )
-    elif enforce and curve.node_count % 2 != 0:
+    elif enforce and n % 2 != 0:
         raise CurveConfigError("antipodal enforcement needs an even node count")
     if enforce:
+        curve = antipodal_symmetrize(curve)
         state = FlowState(
-            curve=antipodal_symmetrize(curve),
+            curve=curve,
             t=state.t,
             initial_constant=state.initial_constant,
             step_index=state.step_index,
@@ -487,34 +507,42 @@ def evolve(
     if snapshot_dt <= 0.0:
         raise CurveConfigError("snapshot_dt must be positive")
 
-    diam0 = state.curve.diameter
-    area0 = abs(enclosed_area(state.curve)) if state.curve.closed else float("nan")
-    contact_radius = config.origin_contact_factor * diam0
+    area0 = abs(enclosed_area(curve)) if closed else float("nan")
+    contact_radius = config.origin_contact_factor * curve.diameter
+    c0 = state.initial_constant
+    redistribute_every = config.redistribute_every if closed else 0
 
     states: list[FlowState] = []
     columns: dict[str, list[float]] = {k: [] for k in DIAGNOSTIC_COLUMNS}
     last_recorded_min_r = float("inf")
-    next_grid = state.t + snapshot_dt
-    grid_tol = 1e-9 * snapshot_dt
+    clock = _StepClock(state.t, snapshot_dt, stop.t_end)
+    pts, t, index = curve.points, state.t, state.step_index
 
-    def record(st: FlowState, frame: FrameData, dt_auto: float) -> None:
+    def state_at() -> FlowState:
+        return FlowState(
+            curve=PlaneCurve(pts, closed=closed), t=t, initial_constant=c0, step_index=index
+        )
+
+    def record(terms: CurveTerms, dt_auto: float) -> None:
         nonlocal last_recorded_min_r
-        row = _diagnostics_row(st, frame, dt_auto)
+        st = state_at()
+        row = _diagnostics_row(st, terms, dt_auto)
         for k in DIAGNOSTIC_COLUMNS:
             columns[k].append(row[k])
         states.append(st)
         last_recorded_min_r = row["min_radius"]
 
-    def finish(st, frame, dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
-        if not states or states[-1].t != st.t:
-            record(st, frame, dt_auto)
+    def finish(terms, dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
+        if not states or states[-1].t != t:
+            record(terms, dt_auto)
+        st = states[-1]
         traj = Trajectory(
             states=states,
             diagnostics={k: np.asarray(v) for k, v in columns.items()},
             initial_constant=state.initial_constant,
         )
         radii = np.linalg.norm(st.curve.points, axis=1)
-        max_k = float(np.abs(frame.curvature).max())
+        max_k = terms.max_curvature()
         if trigger is None:
             report = SingularityReport(
                 detected=False,
@@ -544,7 +572,7 @@ def evolve(
             if cap >= st.t:
                 t_high = min(t_high, cap)
         if trigger == "curvature_blowup":
-            i = int(np.abs(frame.curvature).argmax())
+            i = int(np.abs(terms.frame.curvature).argmax())
             point = st.curve.points[i].copy()
         else:
             i = int(radii.argmin())
@@ -564,80 +592,54 @@ def evolve(
         )
         return traj, report
 
-    current = state
-    while True:
-        frame = compute_frame(current.curve)
-        vel = velocity(current.curve, frame)
-        dt_auto = stability_dt(current.curve, frame, vel, config.safety)
-        radii = np.linalg.norm(current.curve.points, axis=1)
-        min_r = float(radii.min())
+    try:
+        while True:
+            terms = curve_terms(pts, closed)
+            dt_auto = terms.stable_dt(config.safety)
+            min_r = terms.min_radius()
 
-        # --- recording at the current state -----------------------------
-        on_grid = abs(current.t - next_grid) <= grid_tol
-        is_first = not states
-        tail_hit = (
-            current.curve.closed
-            and min_r <= recording.tail_factor * last_recorded_min_r
-            and not math.isnan(area0)
-            and abs(enclosed_area(current.curve)) < recording.area_switch * area0
-        )
-        if is_first or on_grid or tail_hit:
-            record(current, frame, dt_auto)
-            if on_grid:
-                next_grid += snapshot_dt
-
-        # --- stop checks (before stepping) -------------------------------
-        h = _min_spacing(current.curve, frame)
-        if current.curve.closed and min_r < contact_radius:
-            return finish(current, frame, dt_auto, "origin_contact")
-        if float(np.abs(frame.curvature).max()) * h > config.curvature_blowup_product:
-            return finish(current, frame, dt_auto, "curvature_blowup")
-        if dt_auto < config.dt_min:
-            return finish(current, frame, dt_auto, "step_underflow")
-        if stop.t_end is not None and current.t >= stop.t_end - 1e-12 * max(
-            1.0, abs(stop.t_end)
-        ):
-            return finish(current, frame, dt_auto, None)
-        if current.step_index - state.step_index >= config.max_steps:
-            raise IntegrationError(
-                f"step budget {config.max_steps} exhausted at t={current.t:.6g}",
-                last_state=current,
+            # --- recording at the current state -------------------------
+            on_grid = clock.on_grid(t)
+            tail_hit = (
+                closed
+                and min_r <= recording.tail_factor * last_recorded_min_r
+                and not math.isnan(area0)
+                and abs(terms.area()) < recording.area_switch * area0
             )
+            if not states or on_grid or tail_hit:
+                record(terms, dt_auto)
 
-        # --- one step, shortened to land on the grid / t_end exactly ----
-        dt = dt_auto
-        gap = next_grid - current.t
-        if gap <= grid_tol:
-            # missed the grid point by a rounding hair without detection
-            next_grid += snapshot_dt
-            gap = next_grid - current.t
-        if gap <= dt * (1.0 + 1e-9):
-            dt = gap
-        if stop.t_end is not None and stop.t_end - current.t < dt:
-            dt = stop.t_end - current.t
-        current = _advance(current, frame, vel, dt, config)
+            # --- stop checks (before stepping) ---------------------------
+            if closed and min_r < contact_radius:
+                return finish(terms, dt_auto, "origin_contact")
+            if terms.max_curvature() * terms.spacing > config.curvature_blowup_product:
+                return finish(terms, dt_auto, "curvature_blowup")
+            if dt_auto < config.dt_min:
+                return finish(terms, dt_auto, "step_underflow")
+            if clock.at_end(t):
+                return finish(terms, dt_auto, None)
+            if index - state.step_index >= config.max_steps:
+                raise IntegrationError(
+                    f"step budget {config.max_steps} exhausted at t={t:.6g}",
+                    last_state=state_at(),
+                )
 
-        if enforce:
-            current = FlowState(
-                curve=antipodal_symmetrize(current.curve),
-                t=current.t,
-                initial_constant=current.initial_constant,
-                step_index=current.step_index,
-            )
-        if (
-            config.redistribute_every > 0
-            and current.curve.closed
-            and current.step_index % config.redistribute_every == 0
-        ):
-            redistributed = resample(current.curve, current.curve.node_count)
+            # --- one step, shortened to land on the grid / t_end --------
+            dt = clock.shorten(t, dt_auto)
+            pts = _advance(pts, closed, terms.velocity, dt, config.scheme, state_at)
+            t = t + dt
+            index += 1
             if enforce:
-                redistributed = antipodal_symmetrize(redistributed)
-            current = FlowState(
-                curve=redistributed,
-                t=current.t,
-                initial_constant=current.initial_constant,
-                step_index=current.step_index,
-            )
+                pts = symmetrize_points(pts)
+            if redistribute_every > 0 and index % redistribute_every == 0:
+                # through the public resample, which validates its output
+                pts = resample(PlaneCurve(pts, closed=True), n).points
+                if enforce:
+                    pts = symmetrize_points(pts)
+    except CurveError as exc:
+        raise IntegrationError(
+            f"{type(exc).__name__} at t={t:.6g}: {exc}", last_state=state_at()
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +760,11 @@ def radial_evolve(
     times: list[float] = []
     profiles: list[RadialProfile] = []
     rates: list[np.ndarray] = []
-    next_grid = t + snapshot_dt
-    grid_tol = 1e-9 * snapshot_dt
+    clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
     for _ in range(max_steps):
         rhs = radial_rhs(r)
-        if not times or abs(t - next_grid) <= grid_tol:
-            if times:
-                next_grid += snapshot_dt
+        if not times or clock.on_grid(t):
             times.append(t)
             profiles.append(RadialProfile(r, t))
             rates.append(rhs.copy())
@@ -776,16 +775,9 @@ def radial_evolve(
         if dt < dt_min:
             trigger = "step_underflow"
             break
-        if t_end is not None and t >= t_end - 1e-12 * max(1.0, abs(t_end)):
+        if clock.at_end(t):
             break
-        gap = next_grid - t
-        if gap <= grid_tol:
-            next_grid += snapshot_dt
-            gap = next_grid - t
-        if gap <= dt * (1.0 + 1e-9):
-            dt = gap
-        if t_end is not None and t_end - t < dt:
-            dt = t_end - t
+        dt = clock.shorten(t, dt)
         r = r + dt * rhs
         if not np.all(np.isfinite(r)):
             raise IntegrationError(f"non-finite radial profile at t={t:.6g}")

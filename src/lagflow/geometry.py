@@ -19,9 +19,16 @@ Open polylines serve as analysis fixtures (truncated lines and cones) and
 as window-clipped arcs of rescaled flows.  They may contain far-field
 jumps separating disjoint pieces; such curves are split into components
 at large spacing gaps and differentiated per component.
+
+Everything a flow step needs from the geometry of its curve (degeneracy
+check, diameter, frame, |x|^2, <x, n>, the velocity and the stable step)
+is computed once per step by :func:`curve_terms` on a raw (N, 2) array.
+The public functions below run on the same kernel, so each quantity has
+one definition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +40,20 @@ __all__ = [
     "OriginContactError",
     "PlaneCurve",
     "FrameData",
+    "CurveTerms",
     "component_slices",
     "compute_frame",
+    "curve_terms",
+    "min_spacing",
     "normal_projection",
+    "position_terms",
+    "stable_step",
+    "velocity_terms",
     "enclosed_area",
     "resample",
     "antipodal_defect",
     "antipodal_symmetrize",
+    "symmetrize_points",
 ]
 
 # Node pairs closer than this fraction of the diameter make differentiation
@@ -49,6 +63,9 @@ DEGENERACY_FACTOR = 1e-12
 # treated as a jump between disjoint components, not as curve.
 GAP_FACTOR = 8.0
 MIN_NODES = 16
+# Nodes closer to the origin than this fraction of the diameter make the
+# position term of the flow velocity singular.
+ORIGIN_GUARD_FACTOR = 1e-10
 
 
 class CurveError(ValueError):
@@ -99,8 +116,7 @@ class PlaneCurve:
     @property
     def diameter(self) -> float:
         """Extent of the curve, 2 * max distance from the node centroid."""
-        center = self.points.mean(axis=0)
-        return 2.0 * float(np.linalg.norm(self.points - center, axis=1).max())
+        return _diameter(self.points)
 
     @property
     def is_counterclockwise(self) -> bool:
@@ -129,24 +145,26 @@ def _polygon_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def _chords(pts: np.ndarray, closed: bool) -> np.ndarray:
-    d = np.diff(pts, axis=0)
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    # bit-identical to np.linalg.norm(v, axis=1) ** 2 before its sqrt
+    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+
+
+def _diameter(pts: np.ndarray) -> float:
+    # the same sum and divide as pts.mean(axis=0), without its overhead
+    d = pts - np.add.reduce(pts, axis=0) / len(pts)
+    return 2.0 * math.sqrt(float(_squared_norms(d).max()))
+
+
+def _open_chords(pts: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(np.diff(pts, axis=0), axis=1)
+
+
+def _component_slices(pts: np.ndarray, closed: bool) -> list[slice]:
+    n = len(pts)
     if closed:
-        d = np.vstack([d, pts[:1] - pts[-1:]])
-    return np.linalg.norm(d, axis=1)
-
-
-def component_slices(curve: PlaneCurve) -> list[slice]:
-    """Contiguous pieces of the polyline.
-
-    A closed curve is one cyclic component.  An open curve is split at
-    chords exceeding GAP_FACTOR times the median chord (far-field jumps in
-    multi-line fixtures, or clipping gaps).
-    """
-    n = curve.node_count
-    if curve.closed:
         return [slice(0, n)]
-    ch = _chords(curve.points, closed=False)
+    ch = _open_chords(pts)
     med = float(np.median(ch))
     if med == 0.0:
         raise DegenerateCurveError("polyline has zero median spacing")
@@ -156,41 +174,218 @@ def component_slices(curve: PlaneCurve) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
-def _check_degeneracy(curve: PlaneCurve) -> None:
-    ch = _chords(curve.points, curve.closed)
-    if curve.closed:
-        min_ch = ch.min()
-    else:
-        # jumps in open fixtures are legitimate; only within-component
-        # spacings count
-        min_ch = min(
-            (
-                _chords(curve.points[sl], closed=False).min()
-                for sl in component_slices(curve)
-                if sl.stop - sl.start >= 2
-            ),
-            default=np.inf,
-        )
-    if min_ch < DEGENERACY_FACTOR * max(curve.diameter, 1e-300):
+def component_slices(curve: PlaneCurve) -> list[slice]:
+    """Contiguous pieces of the polyline.
+
+    A closed curve is one cyclic component.  An open curve is split at
+    chords exceeding GAP_FACTOR times the median chord (far-field jumps in
+    multi-line fixtures, or clipping gaps).
+    """
+    return _component_slices(curve.points, curve.closed)
+
+
+def _min_chord(chords: np.ndarray) -> float:
+    return math.sqrt(float(_squared_norms(chords).min()))
+
+
+def _check_spacing(min_chord: float, diameter: float) -> None:
+    if min_chord < DEGENERACY_FACTOR * max(diameter, 1e-300):
         raise DegenerateCurveError(
-            f"minimum node spacing {min_ch:.3e} is below "
+            f"minimum node spacing {min_chord:.3e} is below "
             f"{DEGENERACY_FACTOR:g} x diameter"
         )
 
 
-def _periodic_d1(f: np.ndarray, h: float) -> np.ndarray:
-    return (
-        8.0 * (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0))
-        - (np.roll(f, -2, axis=0) - np.roll(f, 2, axis=0))
-    ) / (12.0 * h)
+def _check_open_spacing(pts: np.ndarray, slices: list[slice], diameter: float) -> None:
+    # jumps in open fixtures are legitimate; only within-component
+    # spacings count
+    min_chord = min(
+        (
+            _open_chords(pts[sl]).min()
+            for sl in slices
+            if sl.stop - sl.start >= 2
+        ),
+        default=np.inf,
+    )
+    _check_spacing(min_chord, diameter)
 
 
-def _periodic_d2(f: np.ndarray, h: float) -> np.ndarray:
-    return (
-        16.0 * (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0))
-        - (np.roll(f, -2, axis=0) + np.roll(f, 2, axis=0))
-        - 30.0 * f
+# ---------------------------------------------------------------------------
+# the closed-curve kernel
+#
+# The 4th-order periodic stencils read the nodes through one array padded
+# by two nodes at each end, p[i + 2] = gamma_i, so a shifted copy is a
+# slice.  Every expression keeps the operation order of the np.roll form
+#   d1 = (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h)
+#   d2 = (16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / (12 h h)
+# so both forms agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _pad(pts: np.ndarray) -> np.ndarray:
+    return np.concatenate((pts[-2:], pts, pts[:2]))
+
+
+def _checked_closed_d1(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Degeneracy check and first derivative of a closed curve; returns the
+    padded nodes, d1 and the index spacing h."""
+    n = len(pts)
+    p = _pad(pts)
+    _check_spacing(_min_chord(p[3 : n + 3] - p[2 : n + 2]), diameter)
+    h = 2.0 * np.pi / n
+    d1 = (8.0 * (p[3 : n + 3] - p[1 : n + 1]) - (p[4:] - p[:n])) / (12.0 * h)
+    return p, d1, h
+
+
+def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, FrameData]:
+    p, d1, h = _checked_closed_d1(pts, diameter)
+    n = len(pts)
+    d2 = (
+        16.0 * (p[3 : n + 3] + p[1 : n + 1]) - (p[4:] + p[:n]) - 30.0 * pts
     ) / (12.0 * h * h)
+    speed = np.sqrt(_squared_norms(d1))
+    if speed.min() <= 0.0:
+        raise DegenerateCurveError("vanishing parametric speed")
+    tangent = d1 / speed[:, None]
+    return d1, h, _frame_data(tangent, d1, d2, speed, speed * h)
+
+
+def _open_frame(pts: np.ndarray, slices: list[slice], diameter: float) -> FrameData:
+    _check_open_spacing(pts, slices, diameter)
+    n = len(pts)
+    tangent = np.zeros_like(pts)
+    d1 = np.zeros_like(pts)
+    d2 = np.zeros_like(pts)
+    speed = np.zeros(n)
+    weight = np.zeros(n)
+    for sl in slices:
+        seg = pts[sl]
+        if sl.stop - sl.start < 2:
+            raise DegenerateCurveError("single-node component in open curve")
+        g1 = np.gradient(seg, axis=0)
+        g2 = np.gradient(g1, axis=0)
+        sp = np.linalg.norm(g1, axis=1)
+        if sp.min() <= 0.0:
+            raise DegenerateCurveError("vanishing parametric speed")
+        d1[sl], d2[sl], speed[sl] = g1, g2, sp
+        tangent[sl] = g1 / sp[:, None]
+        ch = _open_chords(seg)
+        w = np.zeros(len(seg))
+        w[:-1] += 0.5 * ch
+        w[1:] += 0.5 * ch
+        weight[sl] = w
+    return _frame_data(tangent, d1, d2, speed, weight)
+
+
+def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    curvature = cross / speed**3
+    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
+
+
+def _normal_dots(pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    # <x, n> per node, bit-identical to einsum("ij,ij->i", pts, normal)
+    return pts[:, 0] * normal[:, 0] + pts[:, 1] * normal[:, 1]
+
+
+def position_terms(pts: np.ndarray, frame: FrameData) -> tuple[np.ndarray, np.ndarray]:
+    """|x|^2 and <x, n> per node."""
+    return _squared_norms(pts), _normal_dots(pts, frame.normal)
+
+
+def velocity_terms(
+    pts: np.ndarray, frame: FrameData, diameter: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|x|^2, <x, n> and the flow velocity kappa*n - <x,n> n / |x|^2 per
+    node.  Raises OriginContactError when a node is within
+    ORIGIN_GUARD_FACTOR x diameter of the origin."""
+    r2, dots = position_terms(pts, frame)
+    r2_min = r2.min()
+    guard = (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2
+    if r2_min <= guard:
+        raise OriginContactError(
+            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
+            "velocity is singular there"
+        )
+    xperp = dots[:, None] * frame.normal
+    vel = frame.curvature[:, None] * frame.normal - xperp / r2[:, None]
+    return r2, dots, vel
+
+
+def stable_step(
+    h: float, r2: np.ndarray, dots: np.ndarray, vel: np.ndarray, safety: float
+) -> float:
+    """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|)), with
+    h the smallest arclength spacing."""
+    # safety <= 0.375 keeps the h^2 term inside the stencil stability limit
+    caps = [h * h]
+    dmax = np.abs(dots).max()
+    if dmax > 0.0:
+        caps.append(h * r2.min() / (2.0 * dmax))
+    vmax = math.sqrt(float(_squared_norms(vel).max()))
+    if vmax > 0.0:
+        caps.append(h / (2.0 * vmax))
+    return safety * min(caps)
+
+
+def min_spacing(pts: np.ndarray, closed: bool, frame: FrameData) -> float:
+    """Smallest arclength spacing: the smallest weight on a closed curve,
+    the smallest within-component chord on an open one."""
+    if closed:
+        return float(frame.weight.min())
+    spacings = []
+    for sl in _component_slices(pts, closed):
+        seg = pts[sl]
+        if len(seg) >= 2:
+            spacings.append(_open_chords(seg).min())
+    if not spacings:
+        raise CurveConfigError("open curve has no differentiable component")
+    return float(min(spacings))
+
+
+class CurveTerms:
+    """The geometry of one curve as a flow step needs it, each quantity
+    computed once: frame, smallest arclength spacing, |x|^2
+    (``r2``), <x, n> (``dots``) and the flow velocity.  The stable step,
+    min |x|, max |kappa| and the enclosed area are derived on request.
+    Build it with :func:`curve_terms`."""
+
+    __slots__ = (
+        "points", "closed", "frame", "spacing", "r2", "dots", "velocity", "_d1", "_h",
+    )
+
+    def stable_dt(self, safety: float) -> float:
+        return stable_step(self.spacing, self.r2, self.dots, self.velocity, safety)
+
+    def min_radius(self) -> float:
+        return math.sqrt(float(self.r2.min()))
+
+    def max_curvature(self) -> float:
+        return float(np.abs(self.frame.curvature).max())
+
+    def area(self) -> float:
+        if not self.closed:
+            raise CurveConfigError("enclosed area requires a closed curve")
+        return _closed_area(self.points, self._d1, self._h)
+
+
+def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
+    """Per-step geometry of the curve through ``points`` (an (N, 2) float64
+    array, not copied).  Raises DegenerateCurveError on coincident nodes or
+    vanishing speed and OriginContactError on a node at the origin, in
+    that order, as compute_frame followed by the flow velocity would."""
+    terms = CurveTerms()
+    terms.points = points
+    terms.closed = closed
+    diameter = _diameter(points)
+    if closed:
+        terms._d1, terms._h, terms.frame = _closed_frame(points, diameter)
+    else:
+        terms.frame = _open_frame(points, _component_slices(points, False), diameter)
+    terms.r2, terms.dots, terms.velocity = velocity_terms(points, terms.frame, diameter)
+    terms.spacing = min_spacing(points, closed, terms.frame)
+    return terms
 
 
 def compute_frame(curve: PlaneCurve) -> FrameData:
@@ -201,50 +396,19 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     ``np.gradient`` (one-sided at component ends) and weighted by chord
     trapezoids, which is exact on the straight-line fixtures.
     """
-    _check_degeneracy(curve)
     pts = curve.points
-    n = curve.node_count
     if curve.closed:
-        h = 2.0 * np.pi / n
-        d1 = _periodic_d1(pts, h)
-        d2 = _periodic_d2(pts, h)
-        speed = np.linalg.norm(d1, axis=1)
-        if speed.min() <= 0.0:
-            raise DegenerateCurveError("vanishing parametric speed")
-        tangent = d1 / speed[:, None]
-        weight = speed * h
-    else:
-        tangent = np.zeros_like(pts)
-        d1 = np.zeros_like(pts)
-        d2 = np.zeros_like(pts)
-        speed = np.zeros(n)
-        weight = np.zeros(n)
-        for sl in component_slices(curve):
-            seg = pts[sl]
-            if sl.stop - sl.start < 2:
-                raise DegenerateCurveError("single-node component in open curve")
-            g1 = np.gradient(seg, axis=0)
-            g2 = np.gradient(g1, axis=0)
-            sp = np.linalg.norm(g1, axis=1)
-            if sp.min() <= 0.0:
-                raise DegenerateCurveError("vanishing parametric speed")
-            d1[sl], d2[sl], speed[sl] = g1, g2, sp
-            tangent[sl] = g1 / sp[:, None]
-            ch = np.linalg.norm(np.diff(seg, axis=0), axis=1)
-            w = np.zeros(len(seg))
-            w[:-1] += 0.5 * ch
-            w[1:] += 0.5 * ch
-            weight[sl] = w
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    curvature = cross / speed**3
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
+        return _closed_frame(pts, curve.diameter)[2]
+    return _open_frame(pts, component_slices(curve), curve.diameter)
 
 
 def normal_projection(curve: PlaneCurve, frame: FrameData) -> np.ndarray:
     """Normal component of the position vector, <x, n> n, per node."""
-    dots = np.einsum("ij,ij->i", curve.points, frame.normal)
-    return dots[:, None] * frame.normal
+    return _normal_dots(curve.points, frame.normal)[:, None] * frame.normal
+
+
+def _closed_area(pts: np.ndarray, d1: np.ndarray, h: float) -> float:
+    return 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
 
 
 def enclosed_area(curve: PlaneCurve) -> float:
@@ -256,11 +420,9 @@ def enclosed_area(curve: PlaneCurve) -> float:
     """
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
-    _check_degeneracy(curve)
     pts = curve.points
-    h = 2.0 * np.pi / curve.node_count
-    d1 = _periodic_d1(pts, h)
-    return 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
+    _, d1, h = _checked_closed_d1(pts, curve.diameter)
+    return _closed_area(pts, d1, h)
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +440,47 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class _PeriodicSpline:
-    """Natural periodic cubic through points on the unit index grid."""
+    """Natural periodic cubic through points on the unit index grid.
+
+    Segment j is a_j + t (b_j + t (c_j + t d_j)) for t in [0, 1].  The
+    speed |b + t (2c + t 3 d)| is evaluated component-wise, with the
+    operation order of the vector form, on coefficient columns gathered
+    once per segment set.
+    """
 
     def __init__(self, pts: np.ndarray):
         n = len(pts)
-        rhs = 6.0 * (np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0))
+        p = np.concatenate((pts[-1:], pts, pts[:1]))
+        nxt = p[2:]
+        self.chord = nxt - pts
+        rhs = 6.0 * (nxt - 2.0 * pts + p[:-2])
         eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / n)
         m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=n, axis=0)
-        nxt = np.roll(pts, -1, axis=0)
-        mn = np.roll(m, -1, axis=0)
+        mn = np.concatenate((m[1:], m[:1]))
         self.a = pts
-        self.b = (nxt - pts) - m / 3.0 - mn / 6.0
+        self.b = self.chord - m / 3.0 - mn / 6.0
         self.c = m / 2.0
         self.d = (mn - m) / 6.0
         self.n = n
 
-    def eval(self, j: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        t = tau[..., None]
-        return self.a[j] + t * (self.b[j] + t * (self.c[j] + t * self.d[j]))
+    def columns(self, j: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """x and y columns of b, 2c and d for the segments j (all when None),
+        shaped (len(j), 1) so they broadcast against (len(j), k) parameters."""
+        b, c2, d = self.b, 2.0 * self.c, self.d
+        if j is not None:
+            b, c2, d = b[j], c2[j], d[j]
+        return tuple(v[:, k : k + 1] for v in (b, c2, d) for k in (0, 1))
 
-    def speed(self, j: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        t = tau[..., None]
-        der = self.b[j] + t * (2.0 * self.c[j] + t * 3.0 * self.d[j])
-        return np.linalg.norm(der, axis=-1)
+    @staticmethod
+    def speed(cols: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
+        bx, by, c2x, c2y, dx, dy = cols
+        t3 = t * 3.0
+        ex = bx + t * (c2x + t3 * dx)
+        ey = by + t * (c2y + t3 * dy)
+        return np.sqrt(ex * ex + ey * ey)
 
     def segment_lengths(self) -> np.ndarray:
-        jj = np.arange(self.n)[:, None]
-        tt = np.broadcast_to(_GL_NODES, (self.n, 8))
-        return self.speed(jj, tt) @ _GL_WEIGHTS
+        return self.speed(self.columns(), _GL_NODES[None, :]) @ _GL_WEIGHTS
 
 
 def resample(curve: PlaneCurve, target_count: int) -> PlaneCurve:
@@ -322,21 +497,24 @@ def resample(curve: PlaneCurve, target_count: int) -> PlaneCurve:
         raise CurveConfigError("resampling is defined for closed curves")
     if target_count < MIN_NODES:
         raise CurveConfigError(f"target_count must be at least {MIN_NODES}")
-    _check_degeneracy(curve)
     spl = _PeriodicSpline(curve.points)
+    _check_spacing(_min_chord(spl.chord), curve.diameter)
     seg = spl.segment_lengths()
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     targets = np.arange(target_count) * (total / target_count)
     j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, spl.n - 1)
-    tau = (targets - cum[j]) / seg[j]
-    jj = j[:, None]
+    cols = spl.columns(j)
+    tau_cols = tuple(v[:, 0] for v in cols)
+    base = cum[j]
+    tau = (targets - base) / seg[j]
     for _ in range(4):
         nodes = tau[:, None] * _GL_NODES[None, :]
-        partial = (spl.speed(jj, nodes) @ _GL_WEIGHTS) * tau
-        tau = tau - (cum[j] + partial - targets) / spl.speed(j, tau)
+        partial = (spl.speed(cols, nodes) @ _GL_WEIGHTS) * tau
+        tau = tau - (base + partial - targets) / spl.speed(tau_cols, tau)
         tau = np.clip(tau, -0.25, 1.25)
-    return PlaneCurve(spl.eval(j, tau), closed=True)
+    t = tau[:, None]
+    return PlaneCurve(spl.a[j] + t * (spl.b[j] + t * (spl.c[j] + t * spl.d[j])), closed=True)
 
 
 def antipodal_defect(curve: PlaneCurve) -> float:
@@ -352,10 +530,21 @@ def antipodal_defect(curve: PlaneCurve) -> float:
     return float(np.linalg.norm(s, axis=1).max())
 
 
+def symmetrize_points(pts: np.ndarray) -> np.ndarray:
+    """0.5 (gamma_i - gamma_{i + N/2}) per node, for an even node count:
+    the nearest node set with exact antipodal symmetry, as a new array."""
+    m = len(pts) // 2
+    out = np.empty_like(pts)
+    # both halves are subtracted explicitly so that a zero difference
+    # stays +0.0, as in the rolled form
+    np.subtract(pts[:m], pts[m:], out=out[:m])
+    np.subtract(pts[m:], pts[:m], out=out[m:])
+    out *= 0.5
+    return out
+
+
 def antipodal_symmetrize(curve: PlaneCurve) -> PlaneCurve:
     """Project onto exact antipodal symmetry, node i paired with i + N/2."""
-    n = curve.node_count
-    if n % 2 != 0:
+    if curve.node_count % 2 != 0:
         raise CurveConfigError("antipodal projection needs an even node count")
-    pts = 0.5 * (curve.points - np.roll(curve.points, n // 2, axis=0))
-    return PlaneCurve(pts, closed=curve.closed)
+    return PlaneCurve(symmetrize_points(curve.points), closed=curve.closed)

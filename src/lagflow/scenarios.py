@@ -115,7 +115,7 @@ SCENARIOS: dict[str, Scenario] = {
         params={"a": 3.0},
         builder=ellipse_curve,
         closed=True,
-        notes="semi-minor fixed at 2; pinches onto a line pair at the origin",
+        notes="semi-minor fixed at 2; shrinks to a point at the origin at t ~ c/2",
     ),
     "slag_cone": Scenario(
         name="slag_cone",

@@ -202,6 +202,40 @@ class TestCustomScenario:
         assert first.node_count == 64
         assert t0 == 0.0
 
+    def test_degenerate_snapshot_is_bad_config(self, tmp_path, capsys):
+        # two nodes 1e-14 apart: the initial curve cannot be differentiated
+        u = 2 * np.pi * np.arange(64) / 64
+        pts = np.column_stack([np.cos(u), np.sin(u)])
+        pts[1] = pts[0] + np.array([0.0, 1e-14])
+        snap = tmp_path / "seed.json"
+        write_snapshot(str(snap), PlaneCurve(pts), 0.0)
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "custom", "params": {"path": str(snap)}},
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config:")
+        assert "node spacing" in err
+
+    def test_curve_check_failing_in_the_loop_exits_3(self, tmp_path):
+        # a node on the origin passes make_state (c is just undefined) but
+        # fails the velocity's origin guard on the first step
+        u = 2 * np.pi * np.arange(64) / 64
+        pts = np.column_stack([1.0 + np.cos(u), np.sin(u)])
+        snap = tmp_path / "seed.json"
+        write_snapshot(str(snap), PlaneCurve(pts), 0.0)
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "custom", "params": {"path": str(snap)}},
+            stop={"t_end": 0.01},
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        manifest = load_manifest(run_dir)
+        assert manifest["exit_status"] == 3
+        assert manifest["error"].startswith("OriginContactError at t=0:")
+
     def test_missing_path_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", scenario={"name": "custom", "params": {}}

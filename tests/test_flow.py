@@ -13,6 +13,7 @@ import pytest
 from lagflow.flow import (
     FlowConfig,
     FlowState,
+    IntegrationError,
     RadialProfile,
     RecordingConfig,
     StepUnderflowError,
@@ -31,7 +32,9 @@ from lagflow.flow import (
 from lagflow.geometry import (
     PlaneCurve,
     antipodal_defect,
+    antipodal_symmetrize,
     compute_frame,
+    resample,
 )
 from lagflow.scenarios import circle_curve, ellipse_curve, line_pair_curve, x_cone_curve
 
@@ -193,6 +196,42 @@ class TestEvolve:
         assert rho == pytest.approx(math.sqrt(4.0 - 4.0 * 0.125), abs=2e-3)
         with pytest.raises(TrajectoryRangeError):
             traj.curve_at(0.5)
+
+
+class TestLoopSemantics:
+    """evolve is the public step plus antipodal reprojection and the
+    redistribution cadence, nothing more: its state after the step budget
+    equals a replay through step() bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_budget_state_equals_public_step_replay(self, scheme):
+        start = make_state(ellipse_curve(64, a=3.0))
+        config = FlowConfig(scheme=scheme, max_steps=200)
+        with pytest.raises(IntegrationError, match="step budget 200") as info:
+            evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
+        last = info.value.last_state
+
+        st = FlowState(
+            antipodal_symmetrize(start.curve), start.t, start.initial_constant, 0
+        )
+        for k in range(1, 201):
+            st = step(st, config)
+            curve = antipodal_symmetrize(st.curve)
+            if k % config.redistribute_every == 0:
+                curve = antipodal_symmetrize(resample(curve, curve.node_count))
+            st = FlowState(curve, st.t, st.initial_constant, st.step_index)
+        assert last.step_index == st.step_index == 200
+        assert last.t == st.t
+        assert np.array_equal(last.curve.points, st.curve.points)
+
+    def test_curve_error_in_the_loop_becomes_integration_error(self):
+        # a node on the origin fails the velocity's origin guard at t = 0
+        u = 2 * np.pi * np.arange(64) / 64
+        st = make_state(PlaneCurve(np.column_stack([1.0 + np.cos(u), np.sin(u)])))
+        with pytest.raises(IntegrationError, match="OriginContactError") as info:
+            evolve(st, stop=StopConditions(t_end=0.01))
+        assert info.value.last_state.t == 0.0
+        assert np.array_equal(info.value.last_state.curve.points, st.curve.points)
 
 
 class TestSingularTimeEstimate:

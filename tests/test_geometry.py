@@ -152,6 +152,59 @@ class TestFrame:
         assert np.allclose(proj, c.points, atol=1e-10)
 
 
+def _rolled_d1(f, h):
+    # the np.roll form of the 4th-order periodic first difference, kept
+    # here as an oracle for the padded-slice stencil
+    return (
+        8.0 * (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0))
+        - (np.roll(f, -2, axis=0) - np.roll(f, 2, axis=0))
+    ) / (12.0 * h)
+
+
+def _rolled_d2(f, h):
+    return (
+        16.0 * (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0))
+        - (np.roll(f, -2, axis=0) + np.roll(f, 2, axis=0))
+        - 30.0 * f
+    ) / (12.0 * h * h)
+
+
+def perturbed_star(n=200):
+    u = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.3 * np.cos(5 * u) + 0.05 * np.sin(11 * u + 0.4)
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([r * np.cos(u), r * np.sin(u)])
+    return PlaneCurve(pts + 1e-3 * rng.standard_normal(pts.shape))
+
+
+class TestStencilOracle:
+    """compute_frame and enclosed_area agree bit for bit with the rolled
+    stencils on closed curves."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [circle(96, rho=2.0), ellipse(128), perturbed_star()],
+        ids=["circle", "ellipse", "star"],
+    )
+    def test_frame_and_area_match_rolled_stencils(self, curve):
+        pts = curve.points
+        h = 2.0 * np.pi / curve.node_count
+        d1 = _rolled_d1(pts, h)
+        d2 = _rolled_d2(pts, h)
+        speed = np.linalg.norm(d1, axis=1)
+        tangent = d1 / speed[:, None]
+        curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+
+        frame = compute_frame(curve)
+        assert np.array_equal(frame.tangent, tangent)
+        normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+        assert np.array_equal(frame.normal, normal)
+        assert np.array_equal(frame.curvature, curvature)
+        assert np.array_equal(frame.weight, speed * h)
+        area = 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
+        assert enclosed_area(curve) == area
+
+
 class TestArea:
     def test_unit_circle(self):
         assert enclosed_area(circle(256)) == pytest.approx(np.pi, abs=1e-4)
