@@ -7,82 +7,5 @@ conserved/drained monotone quantities, detects finite-time
 singularities, and analyzes their tangent structure through Gaussian
 densities, parabolic rescalings, and cone decompositions.
 """
-from .geometry import (
-    CurveConfigError,
-    CurveError,
-    DegenerateCurveError,
-    FrameData,
-    OriginContactError,
-    PlaneCurve,
-    antipodal_defect,
-    antipodal_symmetrize,
-    component_slices,
-    compute_frame,
-    enclosed_area,
-    normal_projection,
-    resample,
-)
-from .lagrangian import (
-    AngleField,
-    MonotoneData,
-    NonMonotoneError,
-    lagrangian_angle,
-    monotone_data,
-    monotone_defect,
-    normalize,
-)
-from .flow import (
-    DIAGNOSTIC_COLUMNS,
-    FlowConfig,
-    FlowState,
-    IntegrationError,
-    RadialProfile,
-    RadialTrajectory,
-    RecordingConfig,
-    SingularityReport,
-    StepUnderflowError,
-    StopConditions,
-    TimeEstimate,
-    Trajectory,
-    TrajectoryRangeError,
-    estimate_singular_time,
-    evolve,
-    make_state,
-    radial_evolve,
-    radial_rhs,
-    radial_stability_dt,
-    stability_dt,
-    step,
-    velocity,
-)
-from .analysis import (
-    AngleSpectrum,
-    ConeComponent,
-    ConeDecomposition,
-    DensityRatio,
-    DensitySample,
-    MonotonicityReport,
-    QuadrantReport,
-    RescaledCurve,
-    angle_spectrum,
-    cone_decomposition,
-    gaussian_density,
-    local_density_ratio,
-    monotonicity_check,
-    normalized_rescaling,
-    polar_profile,
-    quadrant_monotonicity,
-    rescale_flow,
-)
-from .scenarios import (
-    SCENARIOS,
-    SEMI_MINOR,
-    build_scenario,
-    circle_curve,
-    ellipse_curve,
-    line_pair_curve,
-    scenario_table,
-    x_cone_curve,
-)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ Conventions that matter:
   line through the reference point has Gaussian density 1.
 * A plane point x0 embeds into C^2 as (x0, 0).  For the density integral
   the azimuthal direction then enters only through a Bessel factor,
-  evaluated here in its exponentially-scaled form for stability.
+  evaluated in its exponentially-scaled form for stability.
 * Angles are compared as exp(2i*theta): the two rays of one line carry
   theta values differing by pi, so only the doubled angle is a property
   of the line itself.
@@ -28,14 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import i0e
 
-from .flow import RadialProfile, Trajectory, TrajectoryRangeError
+from .flow import RadialProfile, SingularityReport, Trajectory, TrajectoryRangeError, radial_rhs
 from .geometry import (
+    GAP_FACTOR,
     CurveConfigError,
+    CurveError,
     PlaneCurve,
+    chord_weights,
     component_slices,
     compute_frame,
+    swept_gaussian_density,
 )
 from .lagrangian import lagrangian_angle
 
@@ -58,11 +61,9 @@ __all__ = [
     "QuadrantReport",
     "quadrant_monotonicity",
     "polar_profile",
+    "acceptance_checks",
+    "lemma_table",
 ]
-
-# chords longer than this multiple of the median are clip/jump gaps, not
-# curve (same convention as geometry.component_slices)
-GAP_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,8 @@ class DensitySample:
 
 
 def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample:
-    """Backward-heat-kernel mass of the swept surface.
-
-    Theta = (4 pi tau)^{-1} * (1/2) * integral over (s, alpha) of
-    exp(-|X - (x0,0)|^2 / (4 tau)) dH^2 with tau = T - t.  The alpha
-    integral is a modified Bessel function; with the scaled form the
-    exponent is -(|gamma| - |x0|)^2/(4 tau) and never overflows.
+    """Backward-heat-kernel mass of the swept surface at (x0, T), with
+    tau = T - t; see :func:`geometry.swept_gaussian_density`.
 
     Calibration: a static line through x0 gives 1, two transverse lines
     give 2, the circle of radius 2*sqrt(tau) about the origin gives
@@ -92,13 +89,7 @@ def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample
     if tau <= 0.0:
         raise ValueError(f"evaluation time t={t:.6g} must precede T={T:.6g}")
     p = np.asarray(x0, dtype=np.float64).reshape(2)
-    frame = compute_frame(curve)
-    pts = curve.points
-    r = np.linalg.norm(pts, axis=1)
-    p_norm2 = float(p @ p)
-    b = (pts @ p) / (2.0 * tau)
-    kernel = i0e(b) * np.exp(-(r * r + p_norm2) / (4.0 * tau) + np.abs(b))
-    value = float(np.sum(frame.weight * r * kernel) / (4.0 * tau))
+    value = swept_gaussian_density(curve.points, compute_frame(curve).weight, p, tau)
     return DensitySample(x0=p, T=float(T), t=float(t), value=value)
 
 
@@ -223,7 +214,6 @@ def _clip_to_window(pts: np.ndarray, closed: bool, window: float) -> tuple[np.nd
         return pts[:0], False
     # rotate so index 0 starts a kept run, then drop the rest; the splice
     # points become jump chords that component_slices recognizes
-    n = len(pts)
     starts = np.nonzero(keep & ~np.roll(keep, 1))[0]
     shift = int(starts[0]) if closed else 0
     rolled = np.roll(pts, -shift, axis=0)
@@ -328,19 +318,13 @@ class ConeDecomposition:
 
 
 def _arc_theta(pts: np.ndarray) -> np.ndarray:
-    # continuous angle lift along a raw open arc (no PlaneCurve ceremony)
+    # continuous angle lift along a raw open arc.  Not lagrangian_angle:
+    # a rescaled arc may pass through the origin, where that raises
+    # OriginContactError, and only the unnormalized tangent is needed here.
     g = np.gradient(pts, axis=0)
     z = pts[:, 0] + 1j * pts[:, 1]
     tz = g[:, 0] + 1j * g[:, 1]
     return np.unwrap(np.angle(z * tz))
-
-
-def _chord_weights(pts: np.ndarray) -> np.ndarray:
-    ch = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    w = np.zeros(len(pts))
-    w[:-1] += 0.5 * ch
-    w[1:] += 0.5 * ch
-    return w
 
 
 def _split_mask_runs(keep: np.ndarray, closed: bool) -> list[np.ndarray]:
@@ -384,19 +368,16 @@ def cone_decomposition(
     keep = rad <= 4.0 * R
     runs = _split_mask_runs(keep, curve.closed)
 
-    # split runs at jump chords (clip gaps and multi-component fixtures)
+    # split runs at jump chords (clip gaps and multi-component fixtures);
+    # unlike geometry.component_slices, the median chord is taken over all
+    # kept runs together, so a short run cannot set its own gap scale
     arcs: list[np.ndarray] = []
-    all_chords = []
-    for run in runs:
-        seg = pts[run]
-        if len(seg) >= 2:
-            all_chords.append(np.linalg.norm(np.diff(seg, axis=0), axis=1))
-    med = float(np.median(np.concatenate(all_chords))) if all_chords else 0.0
-    for run in runs:
+    chords = [np.linalg.norm(np.diff(pts[run], axis=0), axis=1) for run in runs]
+    joined = np.concatenate(chords) if chords else np.empty(0)
+    med = float(np.median(joined)) if len(joined) else 0.0
+    for run, ch in zip(runs, chords):
         if len(run) < 3:
             continue
-        seg = pts[run]
-        ch = np.linalg.norm(np.diff(seg, axis=0), axis=1)
         cuts = np.nonzero(ch > GAP_FACTOR * med)[0] if med > 0 else np.array([], int)
         for piece in np.split(run, cuts + 1):
             if len(piece) >= 3:
@@ -440,7 +421,7 @@ def cone_decomposition(
             w = frame.weight
         else:
             theta = _arc_theta(seg)
-            w = _chord_weights(seg)
+            w = chord_weights(seg)
         z = seg[:, 0] + 1j * seg[:, 1]
         zr = np.abs(z)
         safe = zr > 0
@@ -616,3 +597,116 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
     targets = 2.0 * np.pi * np.arange(n) / n
     shifted = phi[0] + (targets - phi[0]) % (2.0 * np.pi)
     return RadialProfile(spline(shifted), t)
+
+
+# ---------------------------------------------------------------------------
+# check tables: the acceptance block of a run manifest and the lemma table
+# ---------------------------------------------------------------------------
+
+
+def _drainage_check(diagnostics: dict[str, np.ndarray]) -> dict:
+    # worst recorded drift from the drainage law c - 2t; fails when no
+    # record has one (open curves, no c-constant)
+    defect = diagnostics["monotone_defect"]
+    finite = defect[np.isfinite(defect)]
+    worst = float(finite.max()) if len(finite) else float("nan")
+    return {"passed": bool(len(finite)) and worst < 1e-3, "value": worst}
+
+
+def acceptance_checks(trajectory: Trajectory, report: SingularityReport) -> dict[str, dict]:
+    """Self-checks of a finished run, one row {"passed", "value"} each.
+
+    Closed curves: the area law area(t) = area(0) - 4 pi t up to 90% of
+    the way to the bracketed singular time, and the drainage law.  Open
+    curves (stationary fixtures): the largest node displacement.
+    """
+    checks: dict[str, dict] = {}
+    states = trajectory.states
+    first, last = states[0], states[-1]
+    if first.curve.closed:
+        d = trajectory.diagnostics
+        t, area = d["t"], d["area"]
+        if report.detected:
+            horizon = t[0] + 0.9 * (0.5 * (report.t_low + report.t_high) - t[0])
+        else:
+            horizon = t[-1]
+        sel = t <= horizon
+        drift = np.abs(area[sel] - area[0] + 4.0 * np.pi * (t[sel] - t[0])) / abs(area[0])
+        worst_area = float(drift.max()) if sel.any() else 0.0
+        checks["area_law"] = {"passed": worst_area < 5e-3, "value": worst_area}
+        checks["monotone_defect"] = _drainage_check(d)
+    else:
+        moved = float(
+            np.max(np.linalg.norm(last.curve.points - first.curve.points, axis=1))
+        )
+        checks["stationary_displacement"] = {"passed": moved < 1e-10, "value": moved}
+    return checks
+
+
+def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str, dict]:
+    """The lemma checks of a run, one row {"passed", "value"} each; a
+    check with no data has value nan, and ``passed`` None when it does
+    not apply.
+
+    * ``monotone_defect``: the drainage law holds to 1e-3;
+    * ``radius_nonincreasing``: dr/dt <= 1e-6 on every resolvable polar
+      profile;
+    * ``quadrant_monotonicity``: the four-quadrant radius pattern;
+    * ``density_ratio_bound``: the local length ratio stays <= 1.55 at
+      eight probes fixed on the initial curve, in windows of radius
+      ``delta`` (default a quarter of the probe's distance to the origin).
+    """
+    results = {"monotone_defect": _drainage_check(trajectory.diagnostics)}
+
+    # polar profiles of the closed records whose radial dip the uniform
+    # angle grid still resolves (min r >= ~5 angular spacings x max r);
+    # the degenerate tail is skipped
+    resolved = 0
+    worst_rate = worst_q = -math.inf
+    ok_q = True
+    for st in trajectory.states:
+        if not st.curve.closed:
+            continue
+        try:
+            prof = polar_profile(st.curve)
+        except CurveError:
+            continue
+        h = 2.0 * np.pi / len(prof.r)
+        if prof.r.min() < 5.0 * h * prof.r.max():
+            continue
+        resolved += 1
+        worst_rate = max(worst_rate, float(radial_rhs(prof).max()))
+        rep = quadrant_monotonicity(prof)
+        ok_q = ok_q and rep.passed
+        worst_q = max(worst_q, rep.worst_violation)
+    results["radius_nonincreasing"] = {
+        "passed": bool(resolved) and worst_rate <= 1e-6,
+        "value": worst_rate if resolved else float("nan"),
+    }
+    results["quadrant_monotonicity"] = {
+        "passed": bool(resolved) and ok_q,
+        "value": worst_q if resolved else float("nan"),
+    }
+
+    # Fixed off-origin base points: the bound rules out singularities away
+    # from the origin, so the probes must stay put while the curve moves.
+    pts0 = trajectory.states[0].curve.points
+    probes = pts0[:: max(len(pts0) // 8, 1)][:8]
+    worst_ratio = 0.0
+    count = 0
+    for st in trajectory.states:
+        for probe in probes:
+            dist = float(np.linalg.norm(probe))
+            window = delta if delta is not None else 0.25 * dist
+            if window <= 0.0 or window > 0.5 * dist:
+                continue
+            ratio = local_density_ratio(st.curve, probe, window)
+            if ratio.under_resolved:
+                continue
+            worst_ratio = max(worst_ratio, ratio.value)
+            count += 1
+    results["density_ratio_bound"] = {
+        "passed": (worst_ratio <= 1.55) if count else None,
+        "value": worst_ratio if count else float("nan"),
+    }
+    return results

@@ -13,12 +13,14 @@ The output root is, in order of preference: ``--out``, the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -32,9 +34,8 @@ from .flow import (
     TrajectoryRangeError,
     evolve,
     make_state,
-    radial_rhs,
 )
-from .geometry import CurveConfigError, CurveError, PlaneCurve, resample
+from .geometry import CurveError, PlaneCurve, resample
 from .lagrangian import normalize
 from .runio import (
     file_sha256,
@@ -59,26 +60,24 @@ class ConfigError(Exception):
     """Malformed configuration; message names the offending field."""
 
 
-_FLOW_FIELDS = {
-    "safety": (float, int),
-    "scheme": (str,),
-    "redistribute_every": (int,),
-    "dt_min": (float, int),
-    "origin_contact_factor": (float, int),
-    "curvature_blowup_product": (float, int),
-    "enforce_antipodal": (bool, type(None)),
-    "max_steps": (int,),
-}
-_STOP_FIELDS = {"t_end": (float, int, type(None))}
-_RECORDING_FIELDS = {
-    "snapshot_dt": (float, int, type(None)),
-    "area_switch": (float, int),
-    "tail_factor": (float, int),
-}
 _TOP_FIELDS = ("scenario", "resolution", "normalize", "flow", "stop", "recording")
 
 
-def _take_section(raw: dict, key: str, fields: dict, defaults: dict) -> dict:
+def _accepted_types(hint) -> tuple[type, ...]:
+    # X | None accepts None, and float accepts int
+    out: list[type] = []
+    for t in typing.get_args(hint) or (hint,):
+        out.append(t)
+        if t is float:
+            out.append(int)
+    return tuple(out)
+
+
+def _take_section(raw: dict, key: str, cls) -> dict:
+    """The ``key`` section of the config, checked against the fields of
+    the dataclass ``cls`` and completed with their defaults."""
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: _accepted_types(hints[f.name]) for f in dataclasses.fields(cls)}
     section = raw.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{key}' must be an object")
@@ -88,7 +87,7 @@ def _take_section(raw: dict, key: str, fields: dict, defaults: dict) -> dict:
         if not isinstance(v, fields[k]) or isinstance(v, bool) and bool not in fields[k]:
             want = "/".join(t.__name__ for t in fields[k])
             raise ConfigError(f"'{key}.{k}' must be {want}, got {type(v).__name__}")
-    out = dict(defaults)
+    out = {f.name: f.default for f in dataclasses.fields(cls)}
     out.update(section)
     return out
 
@@ -127,11 +126,11 @@ def resolve_config(raw: dict) -> dict:
     norm = raw.get("normalize", False)
     if not isinstance(norm, bool):
         raise ConfigError("'normalize' must be true or false")
-    flow_cfg = _take_section(raw, "flow", _FLOW_FIELDS, _defaults_of(FlowConfig))
+    flow_cfg = _take_section(raw, "flow", FlowConfig)
     if flow_cfg["scheme"] not in ("euler", "heun"):
         raise ConfigError("'flow.scheme' must be 'euler' or 'heun'")
-    stop_cfg = _take_section(raw, "stop", _STOP_FIELDS, _defaults_of(StopConditions))
-    rec_cfg = _take_section(raw, "recording", _RECORDING_FIELDS, _defaults_of(RecordingConfig))
+    stop_cfg = _take_section(raw, "stop", StopConditions)
+    rec_cfg = _take_section(raw, "recording", RecordingConfig)
     return {
         "scenario": {"name": name, "params": {**known, **params}},
         "resolution": resolution,
@@ -140,10 +139,6 @@ def resolve_config(raw: dict) -> dict:
         "stop": stop_cfg,
         "recording": rec_cfg,
     }
-
-
-def _defaults_of(cls) -> dict:
-    return {f.name: f.default for f in cls.__dataclass_fields__.values()}
 
 
 def _build_curve(resolved: dict) -> PlaneCurve:
@@ -167,36 +162,6 @@ def _build_curve(resolved: dict) -> PlaneCurve:
             )
         return curve
     return build_scenario(scen["name"], resolution, scen["params"])
-
-
-def _acceptance_checks(trajectory: Trajectory, report, resolved: dict) -> dict:
-    checks: dict[str, dict] = {}
-    states = trajectory.states
-    first, last = states[0], states[-1]
-    if first.curve.closed:
-        d = trajectory.diagnostics
-        t, area = d["t"], d["area"]
-        if report.detected:
-            horizon = t[0] + 0.9 * (0.5 * (report.t_low + report.t_high) - t[0])
-        else:
-            horizon = t[-1]
-        sel = t <= horizon
-        drift = np.abs(area[sel] - area[0] + 4.0 * np.pi * (t[sel] - t[0])) / abs(area[0])
-        worst_area = float(drift.max()) if sel.any() else 0.0
-        checks["area_law"] = {"passed": worst_area < 5e-3, "value": worst_area}
-        defect = d["monotone_defect"]
-        finite = defect[np.isfinite(defect)]
-        worst_defect = float(finite.max()) if len(finite) else float("nan")
-        checks["monotone_defect"] = {
-            "passed": bool(len(finite)) and worst_defect < 1e-3,
-            "value": worst_defect,
-        }
-    else:
-        moved = float(
-            np.max(np.linalg.norm(last.curve.points - first.curve.points, axis=1))
-        )
-        checks["stationary_displacement"] = {"passed": moved < 1e-10, "value": moved}
-    return checks
 
 
 def _cmd_run(args) -> int:
@@ -284,7 +249,7 @@ def _cmd_run(args) -> int:
             "max_curvature_at_stop": report.max_curvature_at_stop,
             "min_radius_at_stop": report.min_radius_at_stop,
         }
-        manifest["acceptance"] = _acceptance_checks(trajectory, report, resolved)
+        manifest["acceptance"] = ana.acceptance_checks(trajectory, report)
     if error_note:
         manifest["error"] = error_note
     for rel in files:
@@ -300,17 +265,17 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _detected_time(manifest: dict) -> float:
+def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
+    """(T, x0) from --T and --x0, else from the run's detected singularity
+    (the midpoint of its bracket and its singular point, or the origin)."""
     sing = manifest.get("singularity") or {}
-    if not sing.get("detected"):
-        raise ConfigError("run has no detected singularity; pass --T explicitly")
-    return 0.5 * (float(sing["t_low"]) + float(sing["t_high"]))
-
-
-def _default_x0(manifest: dict) -> np.ndarray:
-    sing = manifest.get("singularity") or {}
-    pt = sing.get("singular_point")
-    return np.array([0.0, 0.0]) if pt is None else np.asarray(pt, dtype=np.float64)
+    T = args.T
+    if T is None:
+        if not sing.get("detected"):
+            raise ConfigError("run has no detected singularity; pass --T explicitly")
+        T = 0.5 * (float(sing["t_low"]) + float(sing["t_high"]))
+    pt = args.x0 or sing.get("singular_point")
+    return T, np.array([0.0, 0.0]) if pt is None else np.asarray(pt, dtype=np.float64)
 
 
 def _load_run(run_dir: str) -> tuple[dict, Trajectory]:
@@ -329,23 +294,14 @@ def _cmd_analyze(args) -> int:
     out_dir = os.path.join(args.run_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        if args.subcommand == "density":
-            return _analyze_density(args, manifest, trajectory, out_dir)
-        if args.subcommand == "rescale":
-            return _analyze_rescale(args, manifest, trajectory, out_dir)
-        if args.subcommand == "cones":
-            return _analyze_cones(args, manifest, trajectory, out_dir)
-        if args.subcommand == "spectrum":
-            return _analyze_spectrum(args, manifest, trajectory, out_dir)
-        return _analyze_lemmas(args, manifest, trajectory, out_dir)
+        return _ANALYSES[args.subcommand](args, manifest, trajectory, out_dir)
     except (TrajectoryRangeError, ConfigError, ValueError) as exc:
         print(f"analysis out of range: {exc}", file=sys.stderr)
         return 4
 
 
 def _analyze_density(args, manifest, trajectory, out_dir) -> int:
-    T = args.T if args.T is not None else _detected_time(manifest)
-    x0 = np.asarray(args.x0, dtype=np.float64) if args.x0 else _default_x0(manifest)
+    T, x0 = _reference_point(args, manifest)
     rep = ana.monotonicity_check(trajectory, x0, T, drift_tol=args.drift_tol)
     path = os.path.join(out_dir, "density.csv")
     with open(path, "w") as fh:
@@ -359,8 +315,7 @@ def _analyze_density(args, manifest, trajectory, out_dir) -> int:
 
 
 def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
-    T = args.T if args.T is not None else _detected_time(manifest)
-    x0 = np.asarray(args.x0, dtype=np.float64) if args.x0 else _default_x0(manifest)
+    T, x0 = _reference_point(args, manifest)
     views = ana.rescale_flow(trajectory, x0, T, args.sigma, args.s, window=args.window)
     for view in views:
         path = os.path.join(out_dir, f"rescaled_s{view.s:g}_sigma{view.sigma:g}.json")
@@ -370,8 +325,7 @@ def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
 
 
 def _analyze_cones(args, manifest, trajectory, out_dir) -> int:
-    T = args.T if args.T is not None else _detected_time(manifest)
-    x0 = np.asarray(args.x0, dtype=np.float64) if args.x0 else _default_x0(manifest)
+    T, x0 = _reference_point(args, manifest)
     for sigma in args.sigma:
         (view,) = ana.rescale_flow(
             trajectory, x0, T, [sigma], args.s, window=max(args.window, 4.0 * args.R)
@@ -400,77 +354,8 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
     return 0
 
 
-def _resolvable_profiles(trajectory: Trajectory):
-    """Polar profiles of recorded curves whose radial dip the uniform
-    angle grid can still resolve (min r not below ~5 angular spacings
-    times max r); the degenerate tail is skipped."""
-    out = []
-    for st in trajectory.states:
-        curve = st.curve
-        if not curve.closed:
-            continue
-        try:
-            prof = ana.polar_profile(curve)
-        except CurveError:
-            continue
-        r = prof.r
-        h = 2.0 * np.pi / len(r)
-        if r.min() >= 5.0 * h * r.max():
-            out.append((st.t, prof))
-    return out
-
-
 def _analyze_lemmas(args, manifest, trajectory, out_dir) -> int:
-    d = trajectory.diagnostics
-    results: dict[str, dict] = {}
-
-    defect = d["monotone_defect"]
-    finite = defect[np.isfinite(defect)]
-    worst = float(finite.max()) if len(finite) else float("nan")
-    results["monotone_defect"] = {"passed": bool(len(finite)) and worst < 1e-3, "value": worst}
-
-    profiles = _resolvable_profiles(trajectory)
-    worst_rate = -math.inf
-    for _, prof in profiles:
-        worst_rate = max(worst_rate, float(radial_rhs(prof).max()))
-    results["radius_nonincreasing"] = {
-        "passed": bool(profiles) and worst_rate <= 1e-6,
-        "value": worst_rate if profiles else float("nan"),
-    }
-
-    worst_q = -math.inf
-    ok_q = bool(profiles)
-    for _, prof in profiles:
-        rep = ana.quadrant_monotonicity(prof)
-        ok_q = ok_q and rep.passed
-        worst_q = max(worst_q, rep.worst_violation)
-    results["quadrant_monotonicity"] = {
-        "passed": ok_q,
-        "value": worst_q if profiles else float("nan"),
-    }
-
-    # Fixed off-origin base points: the bound rules out singularities away
-    # from the origin, so the probes must stay put while the curve moves.
-    pts0 = trajectory.states[0].curve.points
-    probes = pts0[:: max(len(pts0) // 8, 1)][:8]
-    worst_ratio = 0.0
-    count = 0
-    for st in trajectory.states:
-        for probe in probes:
-            dist = float(np.linalg.norm(probe))
-            delta = args.delta if args.delta is not None else 0.25 * dist
-            if delta <= 0.0 or delta > 0.5 * dist:
-                continue
-            ratio = ana.local_density_ratio(st.curve, probe, delta)
-            if ratio.under_resolved:
-                continue
-            worst_ratio = max(worst_ratio, ratio.value)
-            count += 1
-    results["density_ratio_bound"] = {
-        "passed": (worst_ratio <= 1.55) if count else None,
-        "value": worst_ratio if count else float("nan"),
-    }
-
+    results = ana.lemma_table(trajectory, args.delta)
     path = os.path.join(out_dir, "lemmas.json")
     with open(path, "w") as fh:
         json.dump(
@@ -487,6 +372,15 @@ def _analyze_lemmas(args, manifest, trajectory, out_dir) -> int:
         print(f"{k.ljust(width)}  {verdict}  ({v['value']:.3g})")
     print(f"lemma table -> {path}")
     return 0
+
+
+_ANALYSES = {
+    "density": _analyze_density,
+    "rescale": _analyze_rescale,
+    "cones": _analyze_cones,
+    "spectrum": _analyze_spectrum,
+    "lemmas": _analyze_lemmas,
+}
 
 
 def _cmd_scenarios(args) -> int:
@@ -530,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="post-process a finished run")
     p_an.add_argument("run_dir")
-    p_an.add_argument(
-        "subcommand",
-        choices=["density", "rescale", "cones", "spectrum", "lemmas"],
-    )
+    p_an.add_argument("subcommand", choices=list(_ANALYSES))
     p_an.add_argument("--x0", nargs=2, type=float, default=None, metavar=("X", "Y"))
     p_an.add_argument("--T", type=float, default=None, help="reference singular time")
     p_an.add_argument("--sigma", nargs="+", type=float, default=[4.0, 8.0, 16.0])

@@ -31,7 +31,9 @@ triggers, checked in priority order before every step:
                            there, and reaching it is the interesting event);
 * ``curvature_blowup``  -- max |kappa| * h exceeds 1, i.e. the curve bends
                            faster than the node spacing can represent;
-* ``step_underflow``    -- the stable step fell below ``dt_min``.
+* ``step_underflow``    -- the stable step fell below ``dt_min``; when the
+                           records give no singular-time bracket this is a
+                           lost integration (StepUnderflowError) instead.
 
 Diagnostics are sampled on a uniform time grid (plus a geometric cascade
 of extra records as the minimum radius collapses) and carried as plain
@@ -40,7 +42,7 @@ column arrays, one row per recorded state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +62,11 @@ from .geometry import (
     position_terms,
     resample,
     stable_step,
+    swept_gaussian_density,
     symmetrize_points,
     velocity_terms,
 )
-from .lagrangian import NonMonotoneError, lagrangian_angle, monotone_data
+from .lagrangian import NonMonotoneError, drainage_defect, lagrangian_angle, monotone_data
 
 __all__ = [
     "IntegrationError",
@@ -107,12 +110,14 @@ DIAGNOSTIC_COLUMNS = (
 # Node-level antipodal defect below this fraction of the diameter counts
 # as "the curve is symmetric" for auto-detection.
 ANTIPODAL_DETECT_TOL = 1e-9
+_ORIGIN = np.zeros(2)
 
 
 class IntegrationError(RuntimeError):
     """The integrator lost the curve (non-finite values, step budget).
 
-    ``last_state`` holds the most recent usable state when available.
+    ``last_state`` holds the most recent usable state when available (a
+    RadialProfile for errors of :func:`radial_evolve`).
     """
 
     def __init__(self, message: str, last_state: "FlowState | None" = None):
@@ -321,13 +326,6 @@ def step(state: FlowState, config: FlowConfig, max_dt: float | None = None) -> F
     )
 
 
-def _gaussian_density_origin(points: np.ndarray, weight: np.ndarray, tau: float) -> float:
-    # density of the swept surface at the space-time point (origin, t + tau);
-    # the azimuthal integral collapses because |X| is constant on each orbit.
-    r = np.linalg.norm(points, axis=1)
-    return float(np.sum(weight * r * np.exp(-(r * r) / (4.0 * tau))) / (4.0 * tau))
-
-
 def _diagnostics_row(
     state: FlowState, terms: CurveTerms, dt_auto: float
 ) -> dict[str, float]:
@@ -365,10 +363,7 @@ def _diagnostics_row(
                 row["maslov_integral"] = md.maslov_integral
                 c0 = state.initial_constant
                 if math.isfinite(c0):
-                    expected = (c0 - 2.0 * state.t) * md.maslov_integral
-                    row["monotone_defect"] = abs(
-                        md.liouville_integral - expected
-                    ) / abs(md.maslov_integral)
+                    row["monotone_defect"] = drainage_defect(md, c0, state.t)
     # reference time for the density column: the nominal drain time c/2
     # when one exists, a fixed lookahead otherwise
     c0 = state.initial_constant
@@ -377,8 +372,8 @@ def _diagnostics_row(
     else:
         tau = 0.25
     if tau > 0.0:
-        row["gaussian_density_origin"] = _gaussian_density_origin(
-            curve.points, frame.weight, tau
+        row["gaussian_density_origin"] = swept_gaussian_density(
+            curve.points, frame.weight, _ORIGIN, tau
         )
     return row
 
@@ -459,6 +454,24 @@ def estimate_singular_time(trajectory: Trajectory) -> TimeEstimate:
     return TimeEstimate(value=value, width=value - t_last + margin, conclusive=True)
 
 
+def _bracket_top(
+    fit: Trajectory, trigger: str, t: float, fallback_dt: float, underflow: str, last_state
+) -> float:
+    """Top of the singular-time bracket of a run stopped at t by
+    ``trigger``: the extrapolated vanishing time of the minimum radius, or
+    t + 50 fallback_dt when the fit is inconclusive.  An inconclusive step
+    underflow brackets nothing: it raises StepUnderflowError, with the
+    message ``underflow`` and ``last_state``."""
+    est = estimate_singular_time(fit)
+    if est.conclusive:
+        return est.value + est.width
+    if trigger == "step_underflow":
+        raise StepUnderflowError(
+            f"{underflow} at t={t:.6g}, with no singular-time bracket", last_state=last_state
+        )
+    return t + 50.0 * fallback_dt
+
+
 def evolve(
     state: FlowState,
     config: FlowConfig | None = None,
@@ -470,9 +483,10 @@ def evolve(
     Returns the recorded trajectory and a report.  Records land exactly on
     the uniform snapshot grid (the step is shortened to hit it); the final
     state is always recorded.  Numerical failure (non-finite values, the
-    step budget, a curve check failing mid-run) raises IntegrationError
-    instead of returning.  Its ``last_state`` is the state the failure was
-    found at, or for non-finite values the state before the failed step.
+    step budget, a curve check failing mid-run, a step underflow without a
+    singular-time bracket) raises IntegrationError instead of returning.
+    Its ``last_state`` is the state the failure was found at, or for
+    non-finite values the state before the failed step.
 
     The loop carries the nodes as one raw (N, 2) array.  PlaneCurve and
     FlowState objects are built only for records, at the stop and for
@@ -496,12 +510,7 @@ def evolve(
         raise CurveConfigError("antipodal enforcement needs an even node count")
     if enforce:
         curve = antipodal_symmetrize(curve)
-        state = FlowState(
-            curve=curve,
-            t=state.t,
-            initial_constant=state.initial_constant,
-            step_index=state.step_index,
-        )
+        state = replace(state, curve=curve)
 
     snapshot_dt = recording.snapshot_dt or _auto_snapshot_dt(state, stop)
     if snapshot_dt <= 0.0:
@@ -542,20 +551,19 @@ def evolve(
             initial_constant=state.initial_constant,
         )
         radii = np.linalg.norm(st.curve.points, axis=1)
-        max_k = terms.max_curvature()
+        report = SingularityReport(
+            detected=trigger is not None,
+            trigger=trigger,
+            t_low=st.t,
+            t_high=st.t,
+            singular_point=None,
+            max_curvature_at_stop=terms.max_curvature(),
+            min_radius_at_stop=float(radii.min()),
+        )
         if trigger is None:
-            report = SingularityReport(
-                detected=False,
-                trigger=None,
-                t_low=st.t,
-                t_high=st.t,
-                singular_point=None,
-                max_curvature_at_stop=max_k,
-                min_radius_at_stop=float(radii.min()),
-            )
             return traj, report
-        est = estimate_singular_time(traj)
-        t_high = est.value + est.width if est.conclusive else st.t + 50.0 * dt_auto
+        underflow = f"stable step {dt_auto:.3e} below floor {config.dt_min:.3e}"
+        t_high = _bracket_top(traj, trigger, st.t, dt_auto, underflow, st)
         if (
             st.curve.closed
             and math.isfinite(state.initial_constant)
@@ -581,16 +589,7 @@ def evolve(
                 point = 0.5 * (st.curve.points[i] + st.curve.points[(i + n // 2) % n])
             else:
                 point = st.curve.points[i].copy()
-        report = SingularityReport(
-            detected=True,
-            trigger=trigger,
-            t_low=st.t,
-            t_high=float(t_high),
-            singular_point=point,
-            max_curvature_at_stop=max_k,
-            min_radius_at_stop=float(radii.min()),
-        )
-        return traj, report
+        return traj, replace(report, t_high=float(t_high), singular_point=point)
 
     try:
         while True:
@@ -741,7 +740,8 @@ def radial_evolve(
 
     Stops at ``t_end``, or when min r drops below ``stop_radius`` (default
     0.5% of the initial diameter, matching the origin-contact trigger), or
-    on step underflow.  Records land exactly on the snapshot grid and
+    on step underflow, which raises StepUnderflowError when no singular
+    time can be bracketed.  Records land exactly on the snapshot grid and
     carry per-node dr/dt.
     """
     if not isinstance(profile, RadialProfile):
@@ -768,10 +768,10 @@ def radial_evolve(
             times.append(t)
             profiles.append(RadialProfile(r, t))
             rates.append(rhs.copy())
+        dt = radial_stability_dt(r, rhs, safety)
         if float(r.min()) < stop_radius:
             trigger = "origin_contact"
             break
-        dt = radial_stability_dt(r, rhs, safety)
         if dt < dt_min:
             trigger = "step_underflow"
             break
@@ -792,23 +792,16 @@ def radial_evolve(
     traj = RadialTrajectory(profiles=profiles, rates=rates)
 
     minima = np.array([float(p.r.min()) for p in profiles])
-    i_min = int(np.argmin(profiles[-1].r))
-    n = len(r)
-    angle = 2.0 * np.pi * i_min / n
-    near = profiles[-1].r[i_min] * np.array([math.cos(angle), math.sin(angle)])
-    far = profiles[-1].r[(i_min + n // 2) % n] * np.array(
-        [math.cos(angle + np.pi), math.sin(angle + np.pi)]
+    report = SingularityReport(
+        detected=trigger is not None,
+        trigger=trigger,
+        t_low=t,
+        t_high=t,
+        singular_point=None,
+        max_curvature_at_stop=float("nan"),
+        min_radius_at_stop=float(minima[-1]),
     )
     if trigger is None:
-        report = SingularityReport(
-            detected=False,
-            trigger=None,
-            t_low=t,
-            t_high=t,
-            singular_point=None,
-            max_curvature_at_stop=float("nan"),
-            min_radius_at_stop=float(minima[-1]),
-        )
         return traj, report
     # same square-root extrapolation as the parametric solver
     fit = Trajectory(
@@ -816,15 +809,13 @@ def radial_evolve(
         diagnostics={"t": np.array(times), "min_radius": minima},
         initial_constant=float("nan"),
     )
-    est = estimate_singular_time(fit)
-    t_high = est.value + est.width if est.conclusive else t + 50.0 * snapshot_dt
-    report = SingularityReport(
-        detected=True,
-        trigger=trigger,
-        t_low=t,
-        t_high=float(t_high),
-        singular_point=0.5 * (near + far),
-        max_curvature_at_stop=float("nan"),
-        min_radius_at_stop=float(minima[-1]),
+    underflow = f"stable radial step {dt:.3e} below floor {dt_min:.3e}"
+    t_high = _bracket_top(fit, trigger, t, snapshot_dt, underflow, profiles[-1])
+    i_min = int(np.argmin(profiles[-1].r))
+    n = len(r)
+    angle = 2.0 * np.pi * i_min / n
+    near = profiles[-1].r[i_min] * np.array([math.cos(angle), math.sin(angle)])
+    far = profiles[-1].r[(i_min + n // 2) % n] * np.array(
+        [math.cos(angle + np.pi), math.sin(angle + np.pi)]
     )
-    return traj, report
+    return traj, replace(report, t_high=float(t_high), singular_point=0.5 * (near + far))

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 __all__ = [
     "CurveError",
@@ -41,6 +42,7 @@ __all__ = [
     "PlaneCurve",
     "FrameData",
     "CurveTerms",
+    "chord_weights",
     "component_slices",
     "compute_frame",
     "curve_terms",
@@ -48,6 +50,7 @@ __all__ = [
     "normal_projection",
     "position_terms",
     "stable_step",
+    "swept_gaussian_density",
     "velocity_terms",
     "enclosed_area",
     "resample",
@@ -196,18 +199,13 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
         )
 
 
-def _check_open_spacing(pts: np.ndarray, slices: list[slice], diameter: float) -> None:
+def _open_min_chord(pts: np.ndarray, slices: list[slice]) -> float:
     # jumps in open fixtures are legitimate; only within-component
-    # spacings count
-    min_chord = min(
-        (
-            _open_chords(pts[sl]).min()
-            for sl in slices
-            if sl.stop - sl.start >= 2
-        ),
+    # spacings count (inf when no component has two nodes)
+    return min(
+        (_open_chords(pts[sl]).min() for sl in slices if sl.stop - sl.start >= 2),
         default=np.inf,
     )
-    _check_spacing(min_chord, diameter)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +249,7 @@ def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, 
 
 
 def _open_frame(pts: np.ndarray, slices: list[slice], diameter: float) -> FrameData:
-    _check_open_spacing(pts, slices, diameter)
+    _check_spacing(_open_min_chord(pts, slices), diameter)
     n = len(pts)
     tangent = np.zeros_like(pts)
     d1 = np.zeros_like(pts)
@@ -269,12 +267,18 @@ def _open_frame(pts: np.ndarray, slices: list[slice], diameter: float) -> FrameD
             raise DegenerateCurveError("vanishing parametric speed")
         d1[sl], d2[sl], speed[sl] = g1, g2, sp
         tangent[sl] = g1 / sp[:, None]
-        ch = _open_chords(seg)
-        w = np.zeros(len(seg))
-        w[:-1] += 0.5 * ch
-        w[1:] += 0.5 * ch
-        weight[sl] = w
+        weight[sl] = chord_weights(seg)
     return _frame_data(tangent, d1, d2, speed, weight)
+
+
+def chord_weights(pts: np.ndarray) -> np.ndarray:
+    """Arclength weight per node of one open polyline component: half of
+    each adjacent chord (trapezoids, exact on straight lines)."""
+    ch = _open_chords(pts)
+    w = np.zeros(len(pts))
+    w[:-1] += 0.5 * ch
+    w[1:] += 0.5 * ch
+    return w
 
 
 def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
@@ -334,14 +338,10 @@ def min_spacing(pts: np.ndarray, closed: bool, frame: FrameData) -> float:
     the smallest within-component chord on an open one."""
     if closed:
         return float(frame.weight.min())
-    spacings = []
-    for sl in _component_slices(pts, closed):
-        seg = pts[sl]
-        if len(seg) >= 2:
-            spacings.append(_open_chords(seg).min())
-    if not spacings:
+    h = _open_min_chord(pts, _component_slices(pts, closed))
+    if h == np.inf:
         raise CurveConfigError("open curve has no differentiable component")
-    return float(min(spacings))
+    return float(h)
 
 
 class CurveTerms:
@@ -400,6 +400,25 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     if curve.closed:
         return _closed_frame(pts, curve.diameter)[2]
     return _open_frame(pts, component_slices(curve), curve.diameter)
+
+
+def swept_gaussian_density(
+    points: np.ndarray, weight: np.ndarray, x0: np.ndarray, tau: float
+) -> float:
+    """Backward-heat-kernel mass, at the space-time point ((x0, 0), t + tau),
+    of the surface swept by the nodes ``points`` with arclength weights
+    ``weight``:
+
+        (4 pi tau)^{-1} (1/2) int exp(-|X - (x0, 0)|^2 / (4 tau)) dH^2.
+
+    The azimuthal integral is a modified Bessel function, taken in its
+    exponentially scaled form so the exponent -(|gamma| - |x0|)^2 / (4 tau)
+    never overflows.  At x0 = 0 the Bessel factor is exactly 1.
+    """
+    r = np.linalg.norm(points, axis=1)
+    b = (points @ x0) / (2.0 * tau)
+    kernel = i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+    return float(np.sum(weight * r * kernel) / (4.0 * tau))
 
 
 def normal_projection(curve: PlaneCurve, frame: FrameData) -> np.ndarray:

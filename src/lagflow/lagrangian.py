@@ -19,7 +19,7 @@ Two line integrals control the flow globally on closed curves:
 
 Their ratio c = liouville/maslov is a constant of the motion: along the
 flow, liouville(t) = (c - 2t) * maslov, so the liouville integral drains
-linearly and hits zero at t = c/2.  ``monotone_defect`` measures the
+linearly and hits zero at t = c/2.  ``drainage_defect`` measures the
 violation of that law and is the primary global accuracy gauge.
 """
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .geometry import (
     OriginContactError,
     PlaneCurve,
     component_slices,
+    compute_frame,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "lagrangian_angle",
     "MonotoneData",
     "monotone_data",
+    "drainage_defect",
     "monotone_defect",
     "normalize",
 ]
@@ -152,8 +154,6 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, float]:
     """
     if not curve.closed:
         raise CurveConfigError("normalization requires a closed curve")
-    from .geometry import compute_frame
-
     md = monotone_data(curve, compute_frame(curve))
     if not md.constant_c > 0.0:
         raise NonMonotoneError(
@@ -163,15 +163,16 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, float]:
     return PlaneCurve(curve.points * factor, closed=True), factor
 
 
-def monotone_defect(state) -> float:
-    """Relative drift from the linear drainage law at a flow state.
-
-    |liouville(t) - (c0 - 2t) * maslov(t)| / |maslov(t)| where c0 is the
-    c-constant stored at flow start.  Accepts any object with ``curve``,
-    ``t`` and ``initial_constant`` attributes.
-    """
-    from .geometry import compute_frame
-
-    md = monotone_data(state.curve, compute_frame(state.curve))
-    expected = (state.initial_constant - 2.0 * state.t) * md.maslov_integral
+def drainage_defect(md: MonotoneData, initial_constant: float, t: float) -> float:
+    """Relative drift of ``md``, taken at time t, from the linear drainage
+    law: |liouville - (c0 - 2t) * maslov| / |maslov| with c0 the
+    c-constant at flow start."""
+    expected = (initial_constant - 2.0 * t) * md.maslov_integral
     return abs(md.liouville_integral - expected) / abs(md.maslov_integral)
+
+
+def monotone_defect(state) -> float:
+    """:func:`drainage_defect` at a flow state.  Accepts any object with
+    ``curve``, ``t`` and ``initial_constant`` attributes."""
+    md = monotone_data(state.curve, compute_frame(state.curve))
+    return drainage_defect(md, state.initial_constant, state.t)

@@ -26,8 +26,11 @@ from lagflow.analysis import (
 from lagflow.flow import (
     FlowState,
     RadialProfile,
+    RecordingConfig,
     Trajectory,
     TrajectoryRangeError,
+    evolve,
+    make_state,
 )
 from lagflow.geometry import CurveConfigError, PlaneCurve
 from lagflow.scenarios import line_pair_curve, x_cone_curve
@@ -150,6 +153,17 @@ class TestGaussianDensityOracle:
             rho = math.sqrt(4.0 - 4.0 * t)
             smp = gaussian_density(circle(1024, rho=rho), (0.0, 0.0), T=1.0, t=t)
             assert smp.value == pytest.approx(2 * math.pi / math.e, rel=1e-6)
+
+    def test_flow_density_column_is_this_density_at_the_origin(self):
+        # the diagnostics column is Theta((0, 0), c0/2) of each record,
+        # bit for bit: one kernel serves both
+        st = make_state(circle(64, rho=1.5))
+        traj, _ = evolve(st, recording=RecordingConfig(snapshot_dt=0.1))
+        T = 0.5 * st.initial_constant
+        column = traj.diagnostics["gaussian_density_origin"]
+        for state, value in zip(traj.states, column):
+            if state.t < T:
+                assert value == gaussian_density(state.curve, (0.0, 0.0), T, state.t).value
 
     def test_far_point_sees_nothing(self):
         smp = gaussian_density(circle(256, rho=2.0), (40.0, 0.0), T=1.0, t=0.0)

@@ -3,6 +3,7 @@
 All runs here use deliberately tiny resolutions so the whole module stays
 fast; physical accuracy at these settings is checked elsewhere.
 """
+import dataclasses
 import json
 import math
 import os
@@ -11,10 +12,11 @@ import shutil
 import numpy as np
 import pytest
 
-from lagflow.cli import main
-from lagflow.flow import DIAGNOSTIC_COLUMNS
+from lagflow import analysis as ana
+from lagflow.cli import ConfigError, main, resolve_config
+from lagflow.flow import DIAGNOSTIC_COLUMNS, FlowConfig, RecordingConfig, StopConditions
 from lagflow.geometry import PlaneCurve
-from lagflow.runio import read_snapshot, write_snapshot
+from lagflow.runio import load_trajectory, read_snapshot, write_snapshot
 
 
 def write_config(path, **overrides):
@@ -90,6 +92,29 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.json", verbosity=3)
         assert main(["run", "--config", cfg]) == 1
         assert "verbosity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,field",
+        [
+            (section, f)
+            for section, cls in (
+                ("flow", FlowConfig),
+                ("stop", StopConditions),
+                ("recording", RecordingConfig),
+            )
+            for f in dataclasses.fields(cls)
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.name,
+    )
+    def test_section_schema(self, section, field):
+        # every config field accepts its default and names itself when
+        # given a value of the wrong type
+        base = {"scenario": {"name": "circle", "params": {}}}
+        resolved = resolve_config({**base, section: {field.name: field.default}})
+        assert resolved[section][field.name] == field.default
+        wrong = 1 if isinstance(field.default, str) else "x"
+        with pytest.raises(ConfigError, match=f"'{section}.{field.name}'"):
+            resolve_config({**base, section: {field.name: wrong}})
 
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -236,6 +261,17 @@ class TestCustomScenario:
         assert manifest["exit_status"] == 3
         assert manifest["error"].startswith("OriginContactError at t=0:")
 
+    def test_step_underflow_without_bracket_exits_3(self, tmp_path):
+        # the very first stable step is below the floor: there are no
+        # records to bracket a singular time from
+        cfg = write_config(tmp_path / "c.json", flow={"dt_min": 1.0})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        manifest = load_manifest(run_dir)
+        assert manifest["exit_status"] == 3
+        assert "below floor" in manifest["error"]
+        assert "no singular-time bracket" in manifest["error"]
+
     def test_missing_path_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", scenario={"name": "custom", "params": {}}
@@ -303,6 +339,36 @@ class TestAnalyze:
         assert doc["monotone_defect"]["passed"] is True
         assert doc["radius_nonincreasing"]["passed"] is True
         assert "monotone_defect" in out
+
+    def test_lemma_table_is_what_the_cli_writes(self, circle_run):
+        assert main(["analyze", str(circle_run), "lemmas"]) == 0
+        with open(os.path.join(circle_run, "analysis", "lemmas.json")) as fh:
+            doc = json.load(fh)
+        rows = ana.lemma_table(load_trajectory(str(circle_run)))
+        assert {
+            k: {"passed": v["passed"], "value": v["value"] if math.isfinite(v["value"]) else None}
+            for k, v in rows.items()
+        } == doc
+
+    def test_lemmas_on_open_cone(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "x_cone", "params": {}},
+            stop={"t_end": 0.01},
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        assert main(["analyze", str(run_dir), "lemmas"]) == 0
+        with open(os.path.join(run_dir, "analysis", "lemmas.json")) as fh:
+            doc = json.load(fh)
+        assert set(doc) == {
+            "monotone_defect",
+            "radius_nonincreasing",
+            "quadrant_monotonicity",
+            "density_ratio_bound",
+        }
+        # an open curve has no drainage law to check
+        assert doc["monotone_defect"] == {"passed": False, "value": None}
 
     def test_rescale_produces_views(self, circle_run):
         assert (

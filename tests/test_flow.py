@@ -233,6 +233,14 @@ class TestLoopSemantics:
         assert info.value.last_state.t == 0.0
         assert np.array_equal(info.value.last_state.curve.points, st.curve.points)
 
+    def test_underflow_without_bracket_raises(self):
+        # the first stable step is below the floor, so no record tail
+        # exists to bracket a singular time from
+        st = make_state(circle(64))
+        with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
+            evolve(st, FlowConfig(dt_min=1.0))
+        assert info.value.last_state.t == 0.0
+
 
 class TestSingularTimeEstimate:
     @staticmethod
@@ -296,6 +304,11 @@ class TestRadialTwin:
         # every recorded rate should be the exact circle rate -2/r
         for prof, rate in zip(traj.profiles, traj.rates):
             assert np.max(np.abs(rate + 2.0 / prof.r)) < 1e-9
+
+    def test_radial_underflow_without_bracket_raises(self):
+        with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
+            radial_evolve(RadialProfile(np.full(64, 2.0)), snapshot_dt=0.05, dt_min=1.0)
+        assert info.value.last_state.t == 0.0
 
     def test_radial_t_end(self):
         traj, report = radial_evolve(

@@ -1,0 +1,55 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+``geometry`` is the leaf that owns every shared kernel (frame, stencils,
+chord weights, the Gaussian density), ``lagrangian`` builds only on it,
+and the flow loop never reaches up into the analysis or the CLI.  A
+kernel that one of these layers needs therefore has exactly one home.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lagflow"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def lagflow_imports(module: str) -> set[str]:
+    """The lagflow modules that ``module`` imports, at any depth."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "lagflow":
+                parts = node.module.split(".")
+                found.update([parts[1]] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "lagflow" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_reader_sees_both_import_forms():
+    # cli uses "from . import analysis" and "from .flow import ..."
+    assert {"analysis", "flow", "runio"} <= lagflow_imports("cli")
+    for module in MODULES:
+        assert lagflow_imports(module) <= set(MODULES), module
+
+
+def test_geometry_is_a_leaf():
+    assert lagflow_imports("geometry") == set()
+
+
+def test_lagrangian_builds_on_geometry_only():
+    assert lagflow_imports("lagrangian") <= {"geometry"}
+
+
+@pytest.mark.parametrize("upper", ["analysis", "cli"])
+def test_flow_does_not_import_upward(upper):
+    assert upper not in lagflow_imports("flow")
