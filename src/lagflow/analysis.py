@@ -145,53 +145,63 @@ class DensityRatio:
     under_resolved: bool
 
 
-def _segment_clip_length(a: np.ndarray, b: np.ndarray, center: np.ndarray, delta: float) -> float:
-    # exact length of segment [a, b] inside the disk B_delta(center)
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # row-wise dot products through the same dot routine as ``x[i] @ y[i]``;
+    # an elementwise x0*y0 + x1*y1 can differ in the last bit
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _clip_lengths(
+    a: np.ndarray, b: np.ndarray, center: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact length of each segment [a_i, b_i] inside the disk
+    B_delta(center), and the squared segment lengths A_i.
+
+    Solves |a + u (b - a) - center|^2 = delta^2 for u and clips the root
+    interval to [0, 1]; zero-length, tangent and missing segments get 0.
+    """
     d = b - a
     f = a - center
-    A = float(d @ d)
-    if A == 0.0:
-        return 0.0
-    B = 2.0 * float(f @ d)
-    C = float(f @ f) - delta * delta
+    A = _row_dot(d, d)
+    B = 2.0 * _row_dot(f, d)
+    C = _row_dot(f, f) - delta * delta
     disc = B * B - 4.0 * A * C
-    if disc <= 0.0:
-        return 0.0
-    sq = math.sqrt(disc)
-    lo = max((-B - sq) / (2.0 * A), 0.0)
-    hi = min((-B + sq) / (2.0 * A), 1.0)
-    if hi <= lo:
-        return 0.0
-    return (hi - lo) * math.sqrt(A)
+    cut = (A != 0.0) & (disc > 0.0)
+    sq = np.sqrt(disc[cut])
+    two_a = 2.0 * A[cut]
+    lo = np.maximum((-B[cut] - sq) / two_a, 0.0)
+    hi = np.minimum((-B[cut] + sq) / two_a, 1.0)
+    lengths = np.zeros(len(A))
+    lengths[cut] = np.where(hi > lo, (hi - lo) * np.sqrt(A[cut]), 0.0)
+    return lengths, A
 
 
 def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     """Curve length inside the disk of radius delta about x0, over 2*delta.
 
-    Partial segments are clipped exactly.  The result is flagged
-    under-resolved when delta is not at least 5 local node spacings, the
-    scale below which a polyline stops resembling its curve.
+    Partial segments are clipped exactly, all in one array pass: the
+    segments of each component, then the closing chord of a closed curve
+    (never the jump chord between two components of an open one).  The
+    result is flagged under-resolved when delta is not at least 5 local
+    node spacings, the scale below which a polyline stops resembling its
+    curve.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     p = np.asarray(x0, dtype=np.float64).reshape(2)
     pts = curve.points
-    total = 0.0
-    touched: list[float] = []
-    for sl in component_slices(curve):
-        seg = pts[sl]
-        pairs = zip(seg[:-1], seg[1:])
-        for a, b in pairs:
-            ln = _segment_clip_length(a, b, p, delta)
-            if ln > 0.0:
-                total += ln
-                touched.append(float(np.linalg.norm(b - a)))
+    starts = [np.arange(sl.start, sl.stop - 1) for sl in component_slices(curve)]
     if curve.closed:
-        ln = _segment_clip_length(pts[-1], pts[0], p, delta)
-        if ln > 0.0:
-            total += ln
-            touched.append(float(np.linalg.norm(pts[0] - pts[-1])))
-    under = bool(touched) and delta <= 5.0 * float(np.median(touched))
+        starts.append(np.array([len(pts) - 1]))
+    idx = np.concatenate(starts)
+    lengths, A = _clip_lengths(pts[idx], pts[(idx + 1) % len(pts)], p, delta)
+    hit = lengths > 0.0
+    # left to right, as the segments run: np.sum adds pairwise and sum()
+    # compensates from Python 3.12 on, and both round differently
+    total = 0.0
+    for ln in lengths[hit].tolist():
+        total += ln
+    under = bool(hit.any()) and delta <= 5.0 * float(np.median(np.sqrt(A[hit])))
     return DensityRatio(value=total / (2.0 * delta), under_resolved=under)
 
 

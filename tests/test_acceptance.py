@@ -33,7 +33,6 @@ from lagflow.flow import (
     radial_rhs,
     step,
 )
-from lagflow.geometry import PlaneCurve, compute_frame
 from lagflow.runio import file_sha256, load_trajectory, read_snapshot
 from lagflow.scenarios import circle_curve, line_pair_curve, x_cone_curve
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from lagflow.analysis import (
+    DensityRatio,
+    _clip_lengths,
     angle_spectrum,
     cone_decomposition,
     gaussian_density,
@@ -25,14 +27,13 @@ from lagflow.analysis import (
 )
 from lagflow.flow import (
     FlowState,
-    RadialProfile,
     RecordingConfig,
     Trajectory,
     TrajectoryRangeError,
     evolve,
     make_state,
 )
-from lagflow.geometry import CurveConfigError, PlaneCurve
+from lagflow.geometry import CurveConfigError, PlaneCurve, component_slices
 from lagflow.scenarios import line_pair_curve, x_cone_curve
 
 
@@ -232,6 +233,128 @@ class TestLocalDensityRatio:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             local_density_ratio(circle(64), (0.0, 0.0), delta=0.0)
+
+
+def _segment_clip_length(a, b, center, delta):
+    # exact length of segment [a, b] inside B_delta(center), one segment
+    # at a time: the oracle for analysis._clip_lengths
+    d = b - a
+    f = a - center
+    A = float(d @ d)
+    if A == 0.0:
+        return 0.0
+    B = 2.0 * float(f @ d)
+    C = float(f @ f) - delta * delta
+    disc = B * B - 4.0 * A * C
+    if disc <= 0.0:
+        return 0.0
+    sq = math.sqrt(disc)
+    lo = max((-B - sq) / (2.0 * A), 0.0)
+    hi = min((-B + sq) / (2.0 * A), 1.0)
+    if hi <= lo:
+        return 0.0
+    return (hi - lo) * math.sqrt(A)
+
+
+def _looped_ratio(curve, x0, delta, count_jumps=False):
+    # local_density_ratio as a per-segment loop: each component's
+    # segments in order, then the closing chord if closed;
+    # count_jumps=True also clips the chords between open components
+    p = np.asarray(x0, dtype=np.float64).reshape(2)
+    pts = curve.points
+    slices = [slice(0, len(pts))] if count_jumps else component_slices(curve)
+    pairs = [(pts[i], pts[i + 1]) for sl in slices for i in range(sl.start, sl.stop - 1)]
+    if curve.closed:
+        pairs.append((pts[-1], pts[0]))
+    total = 0.0
+    touched = []
+    for a, b in pairs:
+        ln = _segment_clip_length(a, b, p, delta)
+        if ln > 0.0:
+            total += ln
+            touched.append(float(np.linalg.norm(b - a)))
+    under = bool(touched) and delta <= 5.0 * float(np.median(touched))
+    return DensityRatio(value=total / (2.0 * delta), under_resolved=under)
+
+
+class TestClipOracle:
+    """The array clip agrees bit for bit with the scalar per-segment clip,
+    and local_density_ratio with the loop it replaced."""
+
+    EDGE_CASES = {
+        "zero_length": ((0.3, 0.2), (0.3, 0.2)),
+        "tangent": ((-1.0, 1.0), (1.0, 1.0)),
+        "inside": ((0.1, 0.1), (0.2, -0.3)),
+        "outside": ((3.0, 3.0), (4.0, 5.0)),
+        "through": ((-2.0, 0.5), (2.0, 0.5)),
+        "enters": ((0.0, 0.0), (2.0, 0.0)),
+        "leaves_from_circle": ((1.0, 0.0), (-3.0, 0.0)),
+        "starts_on_circle_outward": ((1.0, 0.0), (2.0, 0.0)),
+        "ends_on_circle": ((0.0, 0.0), (0.0, -1.0)),
+    }
+
+    @staticmethod
+    def _assert_bit_equal(a, b, center, delta):
+        lengths, A = _clip_lengths(a, b, center, delta)
+        for i in range(len(a)):
+            assert lengths[i] == _segment_clip_length(a[i], b[i], center, delta)
+            assert A[i] == float((b[i] - a[i]) @ (b[i] - a[i]))
+
+    def test_edge_cases(self):
+        a = np.array([seg[0] for seg in self.EDGE_CASES.values()])
+        b = np.array([seg[1] for seg in self.EDGE_CASES.values()])
+        center = np.zeros(2)
+        self._assert_bit_equal(a, b, center, 1.0)
+        # the fixtures hit the branch they are named after
+        lengths, _ = _clip_lengths(a, b, center, 1.0)
+        got = dict(zip(self.EDGE_CASES, lengths.tolist()))
+        assert got["zero_length"] == got["tangent"] == got["outside"] == 0.0
+        assert got["starts_on_circle_outward"] == 0.0
+        assert got["inside"] == pytest.approx(math.hypot(0.1, 0.4))
+        assert got["through"] == pytest.approx(2.0 * math.sqrt(0.75))
+        assert got["enters"] == got["ends_on_circle"] == 1.0
+        assert got["leaves_from_circle"] == 2.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_segments(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-2.0, 2.0, size=(2000, 2))
+        b = a + rng.normal(scale=rng.choice([0.01, 0.3, 2.0]), size=(2000, 2))
+        center = rng.uniform(-1.0, 1.0, size=2)
+        self._assert_bit_equal(a, b, center, float(rng.uniform(0.05, 1.5)))
+
+    @pytest.mark.parametrize(
+        "curve",
+        [circle(96, rho=2.0), x_cone_curve(256), line_pair_curve(200, phi=0.1)],
+        ids=["circle", "x_cone", "line_pair"],
+    )
+    def test_ratio_matches_loop(self, curve):
+        rng = np.random.default_rng(7)
+        for x0 in rng.uniform(-3.0, 3.0, size=(40, 2)):
+            for delta in (0.05, 0.4, 2.0):
+                assert local_density_ratio(curve, x0, delta) == _looped_ratio(curve, x0, delta)
+
+
+class TestSegmentAssembly:
+    def test_open_components_skip_jump_chord(self):
+        # the x_cone's first line ends near (7.07, 7.07) and its second
+        # starts near (7.07, -7.07): the jump chord between them crosses
+        # this disk, both lines stay 5 away from it
+        curve = x_cone_curve(256)
+        x0, delta = (10.0 / math.sqrt(2.0), 0.0), 1.0
+        assert _looped_ratio(curve, x0, delta, count_jumps=True).value > 0.9
+        ratio = local_density_ratio(curve, x0, delta)
+        assert ratio == _looped_ratio(curve, x0, delta)
+        assert ratio.value == 0.0
+
+    def test_closed_curve_counts_wrap_chord(self):
+        curve = circle(64, rho=2.0)
+        pts = curve.points
+        x0 = 0.5 * (pts[-1] + pts[0])
+        delta = 0.25 * float(np.linalg.norm(pts[0] - pts[-1]))
+        ratio = local_density_ratio(curve, x0, delta)
+        assert ratio == _looped_ratio(curve, x0, delta)
+        assert ratio.value == pytest.approx(1.0)
 
 
 class TestRescaleFlow:
