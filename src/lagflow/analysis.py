@@ -31,13 +31,12 @@ from scipy.interpolate import CubicSpline
 
 from .flow import RadialProfile, SingularityReport, Trajectory, TrajectoryRangeError, radial_rhs
 from .geometry import (
-    GAP_FACTOR,
     CurveConfigError,
     CurveError,
     PlaneCurve,
     chord_weights,
-    component_slices,
     compute_frame,
+    curve_pieces,
     swept_gaussian_density,
 )
 from .lagrangian import lagrangian_angle
@@ -179,9 +178,9 @@ def _clip_lengths(
 def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     """Curve length inside the disk of radius delta about x0, over 2*delta.
 
-    Partial segments are clipped exactly, all in one array pass: the
-    segments of each component, then the closing chord of a closed curve
-    (never the jump chord between two components of an open one).  The
+    Partial segments are clipped exactly, all in one array pass: every
+    chord of a closed curve, closing chord last; the chords inside each
+    piece of an open one (never the jump chord between two pieces).  The
     result is flagged under-resolved when delta is not at least 5 local
     node spacings, the scale below which a polyline stops resembling its
     curve.
@@ -190,10 +189,10 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
         raise ValueError("delta must be positive")
     p = np.asarray(x0, dtype=np.float64).reshape(2)
     pts = curve.points
-    starts = [np.arange(sl.start, sl.stop - 1) for sl in component_slices(curve)]
     if curve.closed:
-        starts.append(np.array([len(pts) - 1]))
-    idx = np.concatenate(starts)
+        idx = np.arange(len(pts))
+    else:
+        idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
     lengths, A = _clip_lengths(pts[idx], pts[(idx + 1) % len(pts)], p, delta)
     hit = lengths > 0.0
     # left to right, as the segments run: np.sum adds pairwise and sum()
@@ -216,19 +215,13 @@ class RescaledCurve:
 
 
 def _clip_to_window(pts: np.ndarray, closed: bool, window: float) -> tuple[np.ndarray, bool]:
-    rad = np.linalg.norm(pts, axis=1)
-    keep = rad <= window
+    keep = np.linalg.norm(pts, axis=1) <= window
     if keep.all():
         return pts, closed
-    if not keep.any():
-        return pts[:0], False
-    # rotate so index 0 starts a kept run, then drop the rest; the splice
-    # points become jump chords that component_slices recognizes
-    starts = np.nonzero(keep & ~np.roll(keep, 1))[0]
-    shift = int(starts[0]) if closed else 0
-    rolled = np.roll(pts, -shift, axis=0)
-    keep_rolled = np.roll(keep, -shift)
-    return rolled[keep_rolled], False
+    # the pieces inside the window, in curve order, as one open polyline;
+    # where a splice chord is long, curve_pieces cuts the polyline there again
+    pieces = curve_pieces(pts, closed, keep)
+    return (pts[np.concatenate(pieces)] if pieces else pts[:0]), False
 
 
 def rescale_flow(
@@ -337,20 +330,45 @@ def _arc_theta(pts: np.ndarray) -> np.ndarray:
     return np.unwrap(np.angle(z * tz))
 
 
-def _split_mask_runs(keep: np.ndarray, closed: bool) -> list[np.ndarray]:
-    # contiguous index runs of True, cyclic when closed
-    n = len(keep)
-    idx = np.nonzero(keep)[0]
-    if len(idx) == 0:
-        return []
-    if keep.all():
-        return [np.arange(n)]
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    runs = np.split(idx, breaks + 1)
-    if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
-        runs[0] = np.concatenate([runs[-1], runs[0]])
-        runs.pop()
-    return runs
+def _moments(seg: np.ndarray, w: np.ndarray, theta: np.ndarray) -> tuple[float, complex, complex]:
+    # mass, direction moment sum w z^2/|z| and doubled-angle moment of a piece
+    z = seg[:, 0] + 1j * seg[:, 1]
+    zr = np.abs(z)
+    safe = zr > 0
+    dir_moment = complex(np.sum(w[safe] * z[safe] ** 2 / zr[safe]))
+    return float(w.sum()), dir_moment, complex(np.sum(w * np.exp(2j * theta)))
+
+
+def _cone_component(
+    mass: float, dir_moment: complex, ang_moment: complex, segs: list[np.ndarray], R: float
+) -> ConeComponent:
+    # one merged group; a zero direction moment (a closed curve, or rays
+    # that cancel) has no line direction and no residual
+    if abs(dir_moment) == 0:
+        direction = residual = float("nan")
+    else:
+        direction = 0.5 * math.atan2(dir_moment.imag, dir_moment.real) % math.pi
+        e = np.exp(-1j * direction)
+        worst = 0.0
+        for seg in segs:
+            z = seg[:, 0] + 1j * seg[:, 1]
+            worst = max(worst, float(np.abs((z * e).imag).max()))
+        residual = worst / (4.0 * R)
+    amag = abs(ang_moment)
+    if amag > 0 and mass > 0:
+        rho = min(amag / mass, 1.0)
+        spread = 0.5 * math.sqrt(max(-2.0 * math.log(max(rho, 1e-300)), 0.0))
+        mean_ang = ang_moment / amag
+    else:
+        spread = float("inf")
+        mean_ang = complex(float("nan"), float("nan"))
+    return ConeComponent(
+        direction=direction,
+        mean_doubled_angle=mean_ang,
+        angle_spread=spread,
+        mass=mass,
+        residual=residual,
+    )
 
 
 def cone_decomposition(
@@ -360,14 +378,15 @@ def cone_decomposition(
 ) -> ConeDecomposition:
     """Resolve a blown-up curve into lines through the origin.
 
-    The curve is clipped to B_{4R}; connected arcs (node adjacency) that
-    miss B_R are discarded; surviving arcs are cut at strict interior
-    minima of |x| inside B_R (where a strand passes the origin) so each
-    piece is a single approximate ray; pieces are then merged greedily by
-    line direction modulo pi (doubled-direction chord < ``merge_tol``).
-    Each component reports the arclength-weighted principal direction
-    through the origin, circular statistics of exp(2i*theta), total
-    length, and worst distance to the fitted line.
+    The curve is clipped to B_{4R} and cut into pieces by
+    :func:`geometry.curve_pieces`; pieces of fewer than 3 nodes, and
+    pieces that miss B_R, are discarded; the rest are cut at strict
+    interior minima of |x| inside B_R (where a strand passes the origin)
+    so each piece is a single approximate ray; pieces are then merged
+    greedily by line direction modulo pi (doubled-direction chord <
+    ``merge_tol``).  Each component reports the arclength-weighted
+    principal direction through the origin, circular statistics of
+    exp(2i*theta), total length, and worst distance to the fitted line.
 
     A closed curve that survives clipping whole (a rescaled circle) is a
     single component with nan direction.
@@ -376,137 +395,60 @@ def cone_decomposition(
     pts = curve.points
     rad = np.linalg.norm(pts, axis=1)
     keep = rad <= 4.0 * R
-    runs = _split_mask_runs(keep, curve.closed)
-
-    # split runs at jump chords (clip gaps and multi-component fixtures);
-    # unlike geometry.component_slices, the median chord is taken over all
-    # kept runs together, so a short run cannot set its own gap scale
-    arcs: list[np.ndarray] = []
-    chords = [np.linalg.norm(np.diff(pts[run], axis=0), axis=1) for run in runs]
-    joined = np.concatenate(chords) if chords else np.empty(0)
-    med = float(np.median(joined)) if len(joined) else 0.0
-    for run, ch in zip(runs, chords):
-        if len(run) < 3:
-            continue
-        cuts = np.nonzero(ch > GAP_FACTOR * med)[0] if med > 0 else np.array([], int)
-        for piece in np.split(run, cuts + 1):
-            if len(piece) >= 3:
-                arcs.append(piece)
-
-    fully_closed = curve.closed and keep.all() and len(arcs) == 1
-
-    # discard arcs that never enter B_R
-    arcs = [a for a in arcs if rad[a].min() <= R]
+    pieces = curve_pieces(pts, curve.closed, keep)
+    arcs = [a for a in pieces if len(a) >= 3 and rad[a].min() <= R]
     if not arcs:
         return ConeDecomposition(components=(), radius=float(R))
+    if curve.closed and keep.all() and len(pieces) == 1:
+        frame = compute_frame(curve)
+        theta = lagrangian_angle(curve, frame).theta
+        mass, _, ang = _moments(pts, frame.weight, theta)
+        comp = _cone_component(mass, 0j, ang, [], R)
+        return ConeDecomposition(components=(comp,), radius=float(R))
 
     # cut each arc at strict interior minima of |x| inside B_R
-    pieces: list[np.ndarray] = []
-    if fully_closed:
-        pieces = arcs
-    else:
-        for a in arcs:
-            rr = rad[a]
-            interior = np.arange(1, len(a) - 1)
-            is_min = (
-                (rr[interior] < rr[interior - 1])
-                & (rr[interior] < rr[interior + 1])
-                & (rr[interior] < R)
-            )
-            cuts = interior[is_min]
-            prev = 0
-            for c in cuts:
-                pieces.append(a[prev : c + 1])
-                prev = c
-            pieces.append(a[prev:])
-        pieces = [p for p in pieces if len(p) >= 3]
+    rays: list[np.ndarray] = []
+    for a in arcs:
+        rr = rad[a]
+        interior = np.arange(1, len(a) - 1)
+        is_min = (
+            (rr[interior] < rr[interior - 1])
+            & (rr[interior] < rr[interior + 1])
+            & (rr[interior] < R)
+        )
+        prev = 0
+        for c in interior[is_min]:
+            rays.append(a[prev : c + 1])
+            prev = c
+        rays.append(a[prev:])
 
-    # angle and direction moments per piece
     items = []
-    for p in pieces:
-        seg = pts[p]
-        if fully_closed:
-            frame = compute_frame(curve)
-            theta = lagrangian_angle(curve, frame).theta
-            w = frame.weight
-        else:
-            theta = _arc_theta(seg)
-            w = chord_weights(seg)
-        z = seg[:, 0] + 1j * seg[:, 1]
-        zr = np.abs(z)
-        safe = zr > 0
-        dir_moment = complex(np.sum(w[safe] * z[safe] ** 2 / zr[safe]))
-        ang_moment = complex(np.sum(w * np.exp(2j * theta)))
-        items.append(
-            {
-                "mass": float(w.sum()),
-                "dir": dir_moment,
-                "ang": ang_moment,
-                "nodes": seg,
-            }
-        )
+    for ray in rays:
+        if len(ray) >= 3:
+            seg = pts[ray]
+            items.append((*_moments(seg, chord_weights(seg), _arc_theta(seg)), seg))
 
-    # greedy merge by line direction mod pi, heaviest first
-    items.sort(key=lambda d: -d["mass"])
-    groups: list[dict] = []
-    for it in items:
-        placed = False
-        if not fully_closed and abs(it["dir"]) > 0:
-            u = it["dir"] / abs(it["dir"])
-            for g in groups:
-                if abs(g["dir"]) == 0:
-                    continue
-                v = g["dir"] / abs(g["dir"])
-                if abs(u - v) < merge_tol:
-                    g["mass"] += it["mass"]
-                    g["dir"] += it["dir"]
-                    g["ang"] += it["ang"]
-                    g["nodes"].append(it["nodes"])
-                    placed = True
-                    break
-        if not placed:
-            groups.append(
-                {
-                    "mass": it["mass"],
-                    "dir": it["dir"],
-                    "ang": it["ang"],
-                    "nodes": [it["nodes"]],
-                }
-            )
-
-    comps = []
-    for g in sorted(groups, key=lambda d: -d["mass"]):
-        if fully_closed or abs(g["dir"]) == 0:
-            direction = float("nan")
-            residual = float("nan")
+    # greedy merge by line direction mod pi, heaviest first; a group is
+    # [mass, direction moment, angle moment, node arrays]
+    items.sort(key=lambda it: -it[0])
+    groups: list[list] = []
+    for mass, dm, am, seg in items:
+        for g in groups:
+            if (
+                abs(dm) > 0
+                and abs(g[1]) != 0
+                and abs(dm / abs(dm) - g[1] / abs(g[1])) < merge_tol
+            ):
+                g[0] += mass
+                g[1] += dm
+                g[2] += am
+                g[3].append(seg)
+                break
         else:
-            phi = 0.5 * math.atan2(g["dir"].imag, g["dir"].real)
-            phi %= math.pi
-            direction = phi
-            e = np.exp(-1j * phi)
-            worst = 0.0
-            for seg in g["nodes"]:
-                z = seg[:, 0] + 1j * seg[:, 1]
-                worst = max(worst, float(np.abs((z * e).imag).max()))
-            residual = worst / (4.0 * R)
-        amag = abs(g["ang"])
-        if amag > 0 and g["mass"] > 0:
-            rho = min(amag / g["mass"], 1.0)
-            spread = 0.5 * math.sqrt(max(-2.0 * math.log(max(rho, 1e-300)), 0.0))
-            mean_ang = g["ang"] / amag
-        else:
-            spread = float("inf")
-            mean_ang = complex(float("nan"), float("nan"))
-        comps.append(
-            ConeComponent(
-                direction=direction,
-                mean_doubled_angle=mean_ang,
-                angle_spread=spread,
-                mass=g["mass"],
-                residual=residual,
-            )
-        )
-    return ConeDecomposition(components=tuple(comps), radius=float(R))
+            groups.append([mass, dm, am, [seg]])
+    groups.sort(key=lambda g: -g[0])
+    comps = tuple(_cone_component(*g, R) for g in groups)
+    return ConeDecomposition(components=comps, radius=float(R))
 
 
 @dataclass(frozen=True)
@@ -656,7 +598,7 @@ def acceptance_checks(trajectory: Trajectory, report: SingularityReport) -> dict
 def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str, dict]:
     """The lemma checks of a run, one row {"passed", "value"} each; a
     check with no data has value nan, and ``passed`` None when it does
-    not apply.
+    not apply (the first three on an open curve).
 
     * ``monotone_defect``: the drainage law holds to 1e-3;
     * ``radius_nonincreasing``: dr/dt <= 1e-6 on every resolvable polar
@@ -697,6 +639,10 @@ def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str,
         "passed": bool(resolved) and ok_q,
         "value": worst_q if resolved else float("nan"),
     }
+    if not trajectory.states[0].curve.closed:
+        # the drainage law and the polar profile exist on closed curves only
+        for row in results.values():
+            row["passed"] = None
 
     # Fixed off-origin base points: the bound rules out singularities away
     # from the origin, so the probes must stay put while the curve moves.

@@ -43,6 +43,7 @@ from .runio import (
     read_manifest,
     read_snapshot,
     snapshot_name,
+    write_csv,
     write_decomposition,
     write_diagnostics_csv,
     write_manifest,
@@ -304,10 +305,7 @@ def _analyze_density(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
     rep = ana.monotonicity_check(trajectory, x0, T, drift_tol=args.drift_tol)
     path = os.path.join(out_dir, "density.csv")
-    with open(path, "w") as fh:
-        fh.write("t,theta\n")
-        for t, v in zip(rep.times, rep.values):
-            fh.write(f"{t!r},{v!r}\n")
+    write_csv(path, ("t", "theta"), (rep.times, rep.values))
     verdict = "pass" if rep.passed else "FAIL"
     print(f"density series -> {path}")
     print(f"monotone within +{args.drift_tol:g}: {verdict} (max increase {rep.max_increase:.3g})")
@@ -346,10 +344,7 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
     curve = trajectory.curve_at(t)
     spec = ana.angle_spectrum(curve, bins=args.bins)
     path = os.path.join(out_dir, "spectrum.csv")
-    with open(path, "w") as fh:
-        fh.write("angle_lo,angle_hi,mass\n")
-        for lo, hi, m in zip(spec.edges[:-1], spec.edges[1:], spec.mass):
-            fh.write(f"{lo!r},{hi!r},{m!r}\n")
+    write_csv(path, ("angle_lo", "angle_hi", "mass"), (spec.edges[:-1], spec.edges[1:], spec.mass))
     print(f"spectrum ({spec.total:.6g} total mass) -> {path}")
     return 0
 

@@ -18,7 +18,8 @@ Sign conventions, fixed here and relied on by every other module:
 Open polylines serve as analysis fixtures (truncated lines and cones) and
 as window-clipped arcs of rescaled flows.  They may contain far-field
 jumps separating disjoint pieces; such curves are split into components
-at large spacing gaps and differentiated per component.
+at large spacing gaps (:func:`curve_pieces`, the one splitter every
+module uses) and differentiated per component.
 
 Everything a flow step needs from the geometry of its curve (degeneracy
 check, diameter, frame, |x|^2, <x, n>, the velocity and the stable step)
@@ -43,11 +44,10 @@ __all__ = [
     "FrameData",
     "CurveTerms",
     "chord_weights",
-    "component_slices",
     "compute_frame",
+    "curve_pieces",
     "curve_terms",
     "min_spacing",
-    "normal_projection",
     "position_terms",
     "stable_step",
     "swept_gaussian_density",
@@ -163,28 +163,44 @@ def _open_chords(pts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(pts, axis=0), axis=1)
 
 
-def _component_slices(pts: np.ndarray, closed: bool) -> list[slice]:
+def curve_pieces(
+    pts: np.ndarray, closed: bool, keep: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Node-index arrays of the contiguous pieces of a curve, in curve order.
+
+    The pieces are the runs of the mask ``keep`` (every node when None);
+    on a closed curve the run that wraps past node N-1 is one run and
+    comes last.  Each run is cut at chords longer than GAP_FACTOR times
+    the median chord inside the runs (far-field jumps in multi-line
+    fixtures, or clipping gaps); the closing chord of a closed curve is
+    never a jump.  Pieces of every length are returned.  Raises
+    DegenerateCurveError when that median chord is zero.
+    """
     n = len(pts)
-    if closed:
-        return [slice(0, n)]
-    ch = _open_chords(pts)
-    med = float(np.median(ch))
+    if keep is None or keep.all():
+        runs = [np.arange(n)]
+    else:
+        idx = np.flatnonzero(keep)
+        if len(idx) == 0:
+            return []
+        runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+        if closed and len(runs) > 1 and keep[0] and keep[-1]:
+            head = runs.pop(0)
+            runs[-1] = np.concatenate([runs[-1], head])
+    chords = [np.linalg.norm(np.diff(pts[run], axis=0), axis=1) for run in runs]
+    joined = np.concatenate(chords)
+    if len(joined) == 0:
+        return runs
+    med = float(np.median(joined))
     if med == 0.0:
         raise DegenerateCurveError("polyline has zero median spacing")
-    breaks = np.nonzero(ch > GAP_FACTOR * med)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [n]])
-    return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
-
-
-def component_slices(curve: PlaneCurve) -> list[slice]:
-    """Contiguous pieces of the polyline.
-
-    A closed curve is one cyclic component.  An open curve is split at
-    chords exceeding GAP_FACTOR times the median chord (far-field jumps in
-    multi-line fixtures, or clipping gaps).
-    """
-    return _component_slices(curve.points, curve.closed)
+    pieces = []
+    for run, ch in zip(runs, chords):
+        jump = ch > GAP_FACTOR * med
+        if closed:
+            jump[run[1:] == 0] = False  # the closing chord N-1 -> 0
+        pieces.extend(np.split(run, np.flatnonzero(jump) + 1))
+    return pieces
 
 
 def _min_chord(chords: np.ndarray) -> float:
@@ -199,11 +215,11 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
         )
 
 
-def _open_min_chord(pts: np.ndarray, slices: list[slice]) -> float:
+def _open_min_chord(pts: np.ndarray, pieces: list[np.ndarray]) -> float:
     # jumps in open fixtures are legitimate; only within-component
     # spacings count (inf when no component has two nodes)
     return min(
-        (_open_chords(pts[sl]).min() for sl in slices if sl.stop - sl.start >= 2),
+        (_open_chords(pts[p]).min() for p in pieces if len(p) >= 2),
         default=np.inf,
     )
 
@@ -248,26 +264,26 @@ def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, 
     return d1, h, _frame_data(tangent, d1, d2, speed, speed * h)
 
 
-def _open_frame(pts: np.ndarray, slices: list[slice], diameter: float) -> FrameData:
-    _check_spacing(_open_min_chord(pts, slices), diameter)
+def _open_frame(pts: np.ndarray, pieces: list[np.ndarray], diameter: float) -> FrameData:
+    _check_spacing(_open_min_chord(pts, pieces), diameter)
     n = len(pts)
     tangent = np.zeros_like(pts)
     d1 = np.zeros_like(pts)
     d2 = np.zeros_like(pts)
     speed = np.zeros(n)
     weight = np.zeros(n)
-    for sl in slices:
-        seg = pts[sl]
-        if sl.stop - sl.start < 2:
+    for p in pieces:
+        seg = pts[p]
+        if len(p) < 2:
             raise DegenerateCurveError("single-node component in open curve")
         g1 = np.gradient(seg, axis=0)
         g2 = np.gradient(g1, axis=0)
         sp = np.linalg.norm(g1, axis=1)
         if sp.min() <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
-        d1[sl], d2[sl], speed[sl] = g1, g2, sp
-        tangent[sl] = g1 / sp[:, None]
-        weight[sl] = chord_weights(seg)
+        d1[p], d2[p], speed[p] = g1, g2, sp
+        tangent[p] = g1 / sp[:, None]
+        weight[p] = chord_weights(seg)
     return _frame_data(tangent, d1, d2, speed, weight)
 
 
@@ -338,7 +354,11 @@ def min_spacing(pts: np.ndarray, closed: bool, frame: FrameData) -> float:
     the smallest within-component chord on an open one."""
     if closed:
         return float(frame.weight.min())
-    h = _open_min_chord(pts, _component_slices(pts, closed))
+    return _open_spacing(pts, curve_pieces(pts, False))
+
+
+def _open_spacing(pts: np.ndarray, pieces: list[np.ndarray]) -> float:
+    h = _open_min_chord(pts, pieces)
     if h == np.inf:
         raise CurveConfigError("open curve has no differentiable component")
     return float(h)
@@ -382,9 +402,10 @@ def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     if closed:
         terms._d1, terms._h, terms.frame = _closed_frame(points, diameter)
     else:
-        terms.frame = _open_frame(points, _component_slices(points, False), diameter)
+        pieces = curve_pieces(points, False)
+        terms.frame = _open_frame(points, pieces, diameter)
     terms.r2, terms.dots, terms.velocity = velocity_terms(points, terms.frame, diameter)
-    terms.spacing = min_spacing(points, closed, terms.frame)
+    terms.spacing = float(terms.frame.weight.min()) if closed else _open_spacing(points, pieces)
     return terms
 
 
@@ -399,7 +420,7 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     pts = curve.points
     if curve.closed:
         return _closed_frame(pts, curve.diameter)[2]
-    return _open_frame(pts, component_slices(curve), curve.diameter)
+    return _open_frame(pts, curve_pieces(pts, False), curve.diameter)
 
 
 def swept_gaussian_density(
@@ -419,11 +440,6 @@ def swept_gaussian_density(
     b = (points @ x0) / (2.0 * tau)
     kernel = i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
     return float(np.sum(weight * r * kernel) / (4.0 * tau))
-
-
-def normal_projection(curve: PlaneCurve, frame: FrameData) -> np.ndarray:
-    """Normal component of the position vector, <x, n> n, per node."""
-    return _normal_dots(curve.points, frame.normal)[:, None] * frame.normal
 
 
 def _closed_area(pts: np.ndarray, d1: np.ndarray, h: float) -> float:

@@ -33,8 +33,8 @@ from .geometry import (
     FrameData,
     OriginContactError,
     PlaneCurve,
-    component_slices,
     compute_frame,
+    curve_pieces,
 )
 
 __all__ = [
@@ -106,10 +106,9 @@ def lagrangian_angle(curve: PlaneCurve, frame: FrameData) -> AngleField:
         offset = theta[0] - (theta[0] % (2.0 * np.pi))
         return AngleField(theta=theta - offset, total_increment=total)
     theta = np.empty_like(ph)
-    for sl in component_slices(curve):
-        seg = np.unwrap(ph[sl])
-        seg = seg - (seg[0] - (seg[0] % (2.0 * np.pi)))
-        theta[sl] = seg
+    for piece in curve_pieces(curve.points, False):
+        seg = np.unwrap(ph[piece])
+        theta[piece] = seg - (seg[0] - (seg[0] % (2.0 * np.pi)))
     return AngleField(theta=theta, total_increment=float("nan"))
 
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import PlaneCurve
 __all__ = [
     "write_snapshot",
     "read_snapshot",
+    "write_csv",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
     "write_manifest",
@@ -52,14 +53,19 @@ def read_snapshot(path: str) -> tuple[PlaneCurve, float]:
     return PlaneCurve(pts, closed=bool(doc["closed"])), float(doc["t"])
 
 
-def write_diagnostics_csv(path: str, diagnostics: Mapping[str, np.ndarray]) -> None:
-    cols = [np.asarray(diagnostics[name], dtype=np.float64) for name in DIAGNOSTIC_COLUMNS]
-    n = len(cols[0])
-    lines = [",".join(DIAGNOSTIC_COLUMNS)]
-    for i in range(n):
+def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """A header line, then one row per index of the equal-length
+    ``columns``, each value written as repr(float(x))."""
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    lines = [",".join(header)]
+    for i in range(len(cols[0])):
         lines.append(",".join(repr(float(c[i])) for c in cols))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_diagnostics_csv(path: str, diagnostics: Mapping[str, np.ndarray]) -> None:
+    write_csv(path, DIAGNOSTIC_COLUMNS, [diagnostics[name] for name in DIAGNOSTIC_COLUMNS])
 
 
 def read_diagnostics_csv(path: str) -> dict[str, np.ndarray]:

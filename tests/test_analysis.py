@@ -33,7 +33,7 @@ from lagflow.flow import (
     evolve,
     make_state,
 )
-from lagflow.geometry import CurveConfigError, PlaneCurve, component_slices
+from lagflow.geometry import CurveConfigError, PlaneCurve, curve_pieces
 from lagflow.scenarios import line_pair_curve, x_cone_curve
 
 
@@ -262,8 +262,8 @@ def _looped_ratio(curve, x0, delta, count_jumps=False):
     # count_jumps=True also clips the chords between open components
     p = np.asarray(x0, dtype=np.float64).reshape(2)
     pts = curve.points
-    slices = [slice(0, len(pts))] if count_jumps else component_slices(curve)
-    pairs = [(pts[i], pts[i + 1]) for sl in slices for i in range(sl.start, sl.stop - 1)]
+    pieces = [np.arange(len(pts))] if count_jumps else curve_pieces(pts, curve.closed)
+    pairs = [(pts[i], pts[i + 1]) for piece in pieces for i in piece[:-1]]
     if curve.closed:
         pairs.append((pts[-1], pts[0]))
     total = 0.0

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagflow.geometry import (
+    GAP_FACTOR,
     CurveConfigError,
     DegenerateCurveError,
     PlaneCurve,
     antipodal_defect,
     antipodal_symmetrize,
-    component_slices,
     compute_frame,
+    curve_pieces,
     enclosed_area,
-    normal_projection,
     resample,
 )
 
@@ -97,16 +97,137 @@ class TestPlaneCurve:
 
 class TestComponents:
     def test_closed_curve_is_one_component(self):
-        assert component_slices(circle()) == [slice(0, 256)]
+        (piece,) = curve_pieces(circle().points, True)
+        assert np.array_equal(piece, np.arange(256))
 
     def test_open_polyline_splits_at_jumps(self):
         xs = np.linspace(-5, 5, 40)
         seg1 = np.column_stack([xs, np.ones_like(xs)])
         seg2 = np.column_stack([xs, -np.ones_like(xs)])
         curve = PlaneCurve(np.vstack([seg1, seg2]), closed=False)
-        slices = component_slices(curve)
-        assert len(slices) == 2
-        assert slices[0] == slice(0, 40) and slices[1] == slice(40, 80)
+        pieces = curve_pieces(curve.points, curve.closed)
+        assert len(pieces) == 2
+        assert np.array_equal(pieces[0], np.arange(0, 40))
+        assert np.array_equal(pieces[1], np.arange(40, 80))
+
+
+def _split_mask_runs(keep, closed):
+    # contiguous index runs of True, cyclic when closed: the splitter that
+    # cone_decomposition used before curve_pieces, kept as the oracle
+    n = len(keep)
+    idx = np.nonzero(keep)[0]
+    if len(idx) == 0:
+        return []
+    if keep.all():
+        return [np.arange(n)]
+    breaks = np.nonzero(np.diff(idx) > 1)[0]
+    runs = np.split(idx, breaks + 1)
+    if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
+        runs[0] = np.concatenate([runs[-1], runs[0]])
+        runs.pop()
+        # curve_pieces puts the wrapped run last, in curve order from the
+        # first run that starts inside the index range
+        runs.append(runs.pop(0))
+    return runs
+
+
+def _oracle_pieces(pts, closed, keep):
+    # the old jump split of those runs: the median chord over all runs
+    # together, every run cut at chords above GAP_FACTOR times it
+    runs = _split_mask_runs(keep, closed)
+    chords = [np.linalg.norm(np.diff(pts[run], axis=0), axis=1) for run in runs]
+    joined = np.concatenate(chords) if chords else np.empty(0)
+    med = float(np.median(joined)) if len(joined) else 0.0
+    pieces = []
+    for run, ch in zip(runs, chords):
+        cuts = np.nonzero(ch > GAP_FACTOR * med)[0] if med > 0 else np.array([], int)
+        pieces.extend(np.split(run, cuts + 1))
+    return pieces
+
+
+def _jittered_circle(n, rng, blocks=()):
+    # a closed curve whose node blocks [a, b) are moved far off, so the
+    # chords into and out of each block are jumps; blocks inside [1, n-1)
+    # leave the closing chord alone
+    u = 2 * np.pi * np.arange(n) / n
+    pts = np.column_stack([np.cos(u), np.sin(u)]) * (1.0 + 0.05 * rng.random((n, 1)))
+    for k, (a, b) in enumerate(blocks):
+        pts[a:b] += (3.0 * (k + 1), 0.0)
+    return pts
+
+
+class TestCurvePieces:
+    """curve_pieces agrees with the run split plus jump split it replaced
+    in cone_decomposition, and with geometry's old open-curve split."""
+
+    @staticmethod
+    def _assert_matches_oracle(pts, closed, keep):
+        got = curve_pieces(pts, closed, keep)
+        want = _oracle_pieces(pts, closed, keep)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        return got
+
+    def test_closed_mask_wrapping_past_node_zero(self):
+        pts = circle(64).points
+        keep = np.zeros(64, bool)
+        keep[:5] = keep[20:30] = keep[58:] = True
+        pieces = self._assert_matches_oracle(pts, True, keep)
+        assert np.array_equal(pieces[-1], np.r_[58:64, 0:5])
+        assert np.array_equal(pieces[0], np.arange(20, 30))
+        # on an open curve the same mask gives three runs in index order
+        assert len(self._assert_matches_oracle(pts, False, keep)) == 3
+
+    def test_one_node_excursion(self):
+        pts = circle(64).points
+        keep = np.ones(64, bool)
+        keep[10] = False
+        pieces = self._assert_matches_oracle(pts, False, keep)
+        assert [len(p) for p in pieces] == [10, 53]
+        (piece,) = self._assert_matches_oracle(pts, True, keep)
+        assert np.array_equal(piece, np.r_[11:64, 0:10])
+
+    def test_jump_chord_inside_a_run(self):
+        rng = np.random.default_rng(0)
+        pts = _jittered_circle(96, rng, blocks=[(40, 60)])
+        for closed in (False, True):
+            pieces = self._assert_matches_oracle(pts, closed, np.ones(96, bool))
+            assert [len(p) for p in pieces] == [40, 20, 36]
+            assert [len(p) for p in curve_pieces(pts, closed)] == [40, 20, 36]
+
+    def test_empty_mask(self):
+        pts = circle(32).points
+        for closed in (False, True):
+            assert curve_pieces(pts, closed, np.zeros(32, bool)) == []
+            self._assert_matches_oracle(pts, closed, np.zeros(32, bool))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(16, 160))
+            ends = np.sort(rng.choice(np.arange(1, n - 1), size=2 * int(rng.integers(0, 3)), replace=False))
+            pts = _jittered_circle(n, rng, ends.reshape(-1, 2))
+            keep = rng.random(n) < rng.choice([0.3, 0.7, 0.95, 1.0])
+            for closed in (False, True):
+                self._assert_matches_oracle(pts, closed, keep)
+
+    def test_closing_chord_is_never_a_jump(self):
+        # the run split that curve_pieces replaced cut a wrapped run at a
+        # long closing chord; on a closed curve that chord is curve
+        pts = circle(64).points.copy()
+        pts[32:] += (5.0, 0.0)
+        keep = np.ones(64, bool)
+        keep[10] = False
+        (piece,) = curve_pieces(pts, True, keep)[1:]
+        assert np.array_equal(piece, np.r_[32:64, 0:10])
+        assert len(curve_pieces(pts, False, keep)) == 3
+
+    def test_zero_median_chord_is_degenerate(self):
+        pts = np.repeat(circle(16).points, 3, axis=0)
+        with pytest.raises(DegenerateCurveError):
+            curve_pieces(pts, False)
 
 
 class TestFrame:
@@ -144,12 +265,6 @@ class TestFrame:
         curve = PlaneCurve(np.column_stack([xs, 0.5 * xs]), closed=False)
         fr = compute_frame(curve)
         assert np.max(np.abs(fr.curvature)) < 1e-12
-
-    def test_normal_projection_on_circle(self):
-        c = circle(128, rho=2.0)
-        proj = normal_projection(c, compute_frame(c))
-        # position is purely normal on an origin-centered circle
-        assert np.allclose(proj, c.points, atol=1e-10)
 
 
 def _rolled_d1(f, h):

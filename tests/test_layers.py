@@ -1,9 +1,10 @@
 """Import layering of the package, read from the source with ``ast``.
 
 ``geometry`` is the leaf that owns every shared kernel (frame, stencils,
-chord weights, the Gaussian density), ``lagrangian`` builds only on it,
-and the flow loop never reaches up into the analysis or the CLI.  A
-kernel that one of these layers needs therefore has exactly one home.
+chord weights, the curve-piece splitter, the Gaussian density),
+``lagrangian`` builds only on it, and the flow loop never reaches up
+into the analysis or the CLI.  A kernel that one of these layers needs
+therefore has exactly one home.
 """
 import ast
 import pathlib
@@ -53,3 +54,14 @@ def test_lagrangian_builds_on_geometry_only():
 @pytest.mark.parametrize("upper", ["analysis", "cli"])
 def test_flow_does_not_import_upward(upper):
     assert upper not in lagflow_imports("flow")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "geometry"])
+def test_only_geometry_splits_curves(module):
+    # GAP_FACTOR is the jump rule of geometry.curve_pieces; a module that
+    # reads it is cutting curves into pieces on its own
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "GAP_FACTOR" not in names
