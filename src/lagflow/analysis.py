@@ -388,8 +388,9 @@ def cone_decomposition(
     principal direction through the origin, circular statistics of
     exp(2i*theta), total length, and worst distance to the fitted line.
 
-    A closed curve that survives clipping whole (a rescaled circle) is a
-    single component with nan direction.
+    A closed curve that survives clipping whole and uncut (a rescaled
+    circle: one piece of all N nodes from node 0) is a single component
+    with nan direction.
     """
     curve = rescaled.curve if isinstance(rescaled, RescaledCurve) else rescaled
     pts = curve.points
@@ -399,7 +400,7 @@ def cone_decomposition(
     arcs = [a for a in pieces if len(a) >= 3 and rad[a].min() <= R]
     if not arcs:
         return ConeDecomposition(components=(), radius=float(R))
-    if curve.closed and keep.all() and len(pieces) == 1:
+    if curve.closed and len(pieces[0]) == len(pts) and pieces[0][0] == 0:
         frame = compute_frame(curve)
         theta = lagrangian_angle(curve, frame).theta
         mass, _, ang = _moments(pts, frame.weight, theta)

@@ -46,7 +46,7 @@ from .runio import (
     write_csv,
     write_decomposition,
     write_diagnostics_csv,
-    write_manifest,
+    write_json,
     write_snapshot,
     write_svg,
 )
@@ -239,24 +239,14 @@ def _cmd_run(args) -> int:
             [trajectory.states[0].curve, trajectory.states[-1].curve],
         )
         files["curve.svg"] = None
-        manifest["singularity"] = {
-            "detected": report.detected,
-            "trigger": report.trigger,
-            "t_low": report.t_low,
-            "t_high": report.t_high,
-            "singular_point": None
-            if report.singular_point is None
-            else [float(report.singular_point[0]), float(report.singular_point[1])],
-            "max_curvature_at_stop": report.max_curvature_at_stop,
-            "min_radius_at_stop": report.min_radius_at_stop,
-        }
+        manifest["singularity"] = dataclasses.asdict(report)
         manifest["acceptance"] = ana.acceptance_checks(trajectory, report)
     if error_note:
         manifest["error"] = error_note
     for rel in files:
         files[rel] = file_sha256(os.path.join(run_dir, rel))
     manifest["files"] = files
-    write_manifest(os.path.join(run_dir, "manifest.json"), manifest)
+    write_json(os.path.join(run_dir, "manifest.json"), manifest)
     print(run_dir)
     if report is not None and report.detected:
         print(
@@ -352,15 +342,7 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
 def _analyze_lemmas(args, manifest, trajectory, out_dir) -> int:
     results = ana.lemma_table(trajectory, args.delta)
     path = os.path.join(out_dir, "lemmas.json")
-    with open(path, "w") as fh:
-        json.dump(
-            {k: {"passed": v["passed"], "value": None if not math.isfinite(v["value"]) else v["value"]}
-             for k, v in results.items()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(path, results)
     width = max(len(k) for k in results)
     for k, v in results.items():
         verdict = "n/a " if v["passed"] is None else ("pass" if v["passed"] else "FAIL")

@@ -89,7 +89,6 @@ __all__ = [
     "RadialProfile",
     "RadialTrajectory",
     "radial_rhs",
-    "radial_stability_dt",
     "radial_evolve",
 ]
 
@@ -110,6 +109,9 @@ DIAGNOSTIC_COLUMNS = (
 # Node-level antipodal defect below this fraction of the diameter counts
 # as "the curve is symmetric" for auto-detection.
 ANTIPODAL_DETECT_TOL = 1e-9
+# Origin contact: the minimum radius fell below this times the initial
+# diameter (the default of both integrators).
+ORIGIN_CONTACT_FACTOR = 0.005
 _ORIGIN = np.zeros(2)
 
 
@@ -146,7 +148,7 @@ class FlowConfig:
     scheme: str = "euler"
     redistribute_every: int = 10
     dt_min: float = 1e-14
-    origin_contact_factor: float = 0.005
+    origin_contact_factor: float = ORIGIN_CONTACT_FACTOR
     curvature_blowup_product: float = 1.0
     enforce_antipodal: bool | None = None
     max_steps: int = 2_000_000
@@ -427,16 +429,17 @@ def _auto_snapshot_dt(state: FlowState, stop: StopConditions) -> float:
     return min(candidates)
 
 
-def estimate_singular_time(trajectory: Trajectory) -> TimeEstimate:
-    """Extrapolated vanishing time of the minimum radius.
+def estimate_singular_time(t, min_radius) -> TimeEstimate:
+    """Extrapolated vanishing time of the minimum radius, from the record
+    times ``t`` and the minimum radius at each record.
 
     Fits min_radius^2 against t over the trailing run of records where it
     decreases strictly (at most 12, at least 3) and returns the root of
     the linear fit, padded by the fit residual.  Inconclusive when the
     tail is too short or the fit does not point at a vanishing radius.
     """
-    t = np.asarray(trajectory.diagnostics["t"], dtype=float)
-    r = np.asarray(trajectory.diagnostics["min_radius"], dtype=float)
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(min_radius, dtype=float)
     k = len(r) - 1
     while k > 0 and r[k - 1] > r[k] and len(r) - k < 12:
         k -= 1
@@ -454,22 +457,53 @@ def estimate_singular_time(trajectory: Trajectory) -> TimeEstimate:
     return TimeEstimate(value=value, width=value - t_last + margin, conclusive=True)
 
 
-def _bracket_top(
-    fit: Trajectory, trigger: str, t: float, fallback_dt: float, underflow: str, last_state
-) -> float:
-    """Top of the singular-time bracket of a run stopped at t by
-    ``trigger``: the extrapolated vanishing time of the minimum radius, or
-    t + 50 fallback_dt when the fit is inconclusive.  An inconclusive step
-    underflow brackets nothing: it raises StepUnderflowError, with the
-    message ``underflow`` and ``last_state``."""
-    est = estimate_singular_time(fit)
-    if est.conclusive:
-        return est.value + est.width
-    if trigger == "step_underflow":
-        raise StepUnderflowError(
-            f"{underflow} at t={t:.6g}, with no singular-time bracket", last_state=last_state
-        )
-    return t + 50.0 * fallback_dt
+def _stop_report(
+    trigger: str | None,
+    times: np.ndarray,
+    min_radius: np.ndarray,
+    fallback_dt: float,
+    underflow: str,
+    last_state,
+    point: np.ndarray | None,
+    max_curvature: float,
+    cap: float | None = None,
+) -> SingularityReport:
+    """The report of a run whose last record (``times``, ``min_radius``)
+    is its stop; evolve and radial_evolve both end here.
+
+    Without a trigger the bracket is [t, t] at the last record time t.
+    With one, its top is the extrapolated vanishing time of the minimum
+    radius over the records, or t + 50 fallback_dt when that fit is
+    inconclusive, tightened to ``cap`` when the caller knows a hard bound
+    on the singular time that the run has not passed.  An inconclusive
+    step underflow brackets nothing: it raises StepUnderflowError, with
+    the message ``underflow`` and ``last_state``.  ``point`` is the
+    caller's singular point.
+    """
+    t = float(times[-1])
+    t_high = t
+    if trigger is not None:
+        est = estimate_singular_time(times, min_radius)
+        if est.conclusive:
+            t_high = est.value + est.width
+        elif trigger == "step_underflow":
+            raise StepUnderflowError(
+                f"{underflow} at t={t:.6g}, with no singular-time bracket", last_state=last_state
+            )
+        else:
+            t_high = t + 50.0 * fallback_dt
+        if cap is not None and cap >= t:
+            t_high = min(t_high, cap)
+        t_high = float(t_high)
+    return SingularityReport(
+        detected=trigger is not None,
+        trigger=trigger,
+        t_low=t,
+        t_high=t_high,
+        singular_point=point,
+        max_curvature_at_stop=max_curvature,
+        min_radius_at_stop=float(min_radius[-1]),
+    )
 
 
 def evolve(
@@ -544,52 +578,39 @@ def evolve(
     def finish(terms, dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
         if not states or states[-1].t != t:
             record(terms, dt_auto)
-        st = states[-1]
-        traj = Trajectory(
-            states=states,
-            diagnostics={k: np.asarray(v) for k, v in columns.items()},
-            initial_constant=state.initial_constant,
-        )
-        radii = np.linalg.norm(st.curve.points, axis=1)
-        report = SingularityReport(
-            detected=trigger is not None,
-            trigger=trigger,
-            t_low=st.t,
-            t_high=st.t,
-            singular_point=None,
-            max_curvature_at_stop=terms.max_curvature(),
-            min_radius_at_stop=float(radii.min()),
-        )
-        if trigger is None:
-            return traj, report
-        underflow = f"stable step {dt_auto:.3e} below floor {config.dt_min:.3e}"
-        t_high = _bracket_top(traj, trigger, st.t, dt_auto, underflow, st)
+        point = None
+        if trigger == "curvature_blowup":
+            point = pts[int(np.abs(terms.frame.curvature).argmax())].copy()
+        elif trigger is not None:
+            i = int(np.linalg.norm(pts, axis=1).argmin())
+            if closed and n % 2 == 0:
+                point = 0.5 * (pts[i] + pts[(i + n // 2) % n])
+            else:
+                point = pts[i].copy()
+        cap = None
         if (
-            st.curve.closed
-            and math.isfinite(state.initial_constant)
-            and state.initial_constant > 0.0
-            and columns["maslov_integral"]
-            and math.isfinite(columns["maslov_integral"][-1])
+            closed
+            and math.isfinite(c0)
+            and c0 > 0.0
             and abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3
         ):
             # The enclosed area of a once-winding monotone curve drains
             # linearly, 2*area = (c - 2t) * 4*pi, so the flow cannot outlive
-            # t = c/2; tighten the extrapolated bracket with that hard bound
-            # (unless discretization error already carried the run past it).
-            cap = 0.5 * state.initial_constant
-            if cap >= st.t:
-                t_high = min(t_high, cap)
-        if trigger == "curvature_blowup":
-            i = int(np.abs(terms.frame.curvature).argmax())
-            point = st.curve.points[i].copy()
-        else:
-            i = int(radii.argmin())
-            n = st.curve.node_count
-            if st.curve.closed and n % 2 == 0:
-                point = 0.5 * (st.curve.points[i] + st.curve.points[(i + n // 2) % n])
-            else:
-                point = st.curve.points[i].copy()
-        return traj, replace(report, t_high=float(t_high), singular_point=point)
+            # t = c/2; that hard bound tightens the extrapolated bracket.
+            cap = 0.5 * c0
+        diagnostics = {k: np.asarray(v) for k, v in columns.items()}
+        report = _stop_report(
+            trigger,
+            diagnostics["t"],
+            diagnostics["min_radius"],
+            dt_auto,
+            f"stable step {dt_auto:.3e} below floor {config.dt_min:.3e}",
+            states[-1],
+            point,
+            terms.max_curvature(),
+            cap,
+        )
+        return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c0), report
 
     try:
         while True:
@@ -682,11 +703,29 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
-def _radial_d1(r: np.ndarray) -> np.ndarray:
+def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
+    """dr/dt of the profile r and the largest stable explicit step, both
+    from one first difference r'."""
+    if r.min() <= 0.0:
+        raise OriginContactError("radial profile touched zero")
     h = 2.0 * np.pi / len(r)
-    return (
+    d1 = (
         8.0 * (np.roll(r, -1) - np.roll(r, 1)) - (np.roll(r, -2) - np.roll(r, 2))
     ) / (12.0 * h)
+    d2 = (
+        16.0 * (np.roll(r, -1) + np.roll(r, 1))
+        - (np.roll(r, -2) + np.roll(r, 2))
+        - 30.0 * r
+    ) / (12.0 * h * h)
+    rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
+    # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
+    # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
+    # parametric solver
+    caps = [h * h * float((r * r + d1 * d1).min())]
+    rate = float(np.abs(rhs).max())
+    if rate > 0.0:
+        caps.append(0.5 * float(r.min()) / rate)
+    return rhs, safety * min(caps)
 
 
 def radial_rhs(profile: RadialProfile | np.ndarray) -> np.ndarray:
@@ -702,29 +741,7 @@ def radial_rhs(profile: RadialProfile | np.ndarray) -> np.ndarray:
     curve — the cross-check used in the test suite.
     """
     r = profile.r if isinstance(profile, RadialProfile) else np.asarray(profile)
-    if r.min() <= 0.0:
-        raise OriginContactError("radial profile touched zero")
-    h = 2.0 * np.pi / len(r)
-    d1 = _radial_d1(r)
-    d2 = (
-        16.0 * (np.roll(r, -1) + np.roll(r, 1))
-        - (np.roll(r, -2) + np.roll(r, 2))
-        - 30.0 * r
-    ) / (12.0 * h * h)
-    return (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
-
-
-def radial_stability_dt(r: np.ndarray, rhs: np.ndarray, safety: float) -> float:
-    h = 2.0 * np.pi / len(r)
-    d1 = _radial_d1(r)
-    # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
-    # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
-    # parametric solver
-    caps = [h * h * float((r * r + d1 * d1).min())]
-    rate = float(np.abs(rhs).max())
-    if rate > 0.0:
-        caps.append(0.5 * float(r.min()) / rate)
-    return safety * min(caps)
+    return _radial_rate(r, 1.0)[0]
 
 
 def radial_evolve(
@@ -739,7 +756,7 @@ def radial_evolve(
     """Integrate the radial law with the same stepping contract as evolve.
 
     Stops at ``t_end``, or when min r drops below ``stop_radius`` (default
-    0.5% of the initial diameter, matching the origin-contact trigger), or
+    ORIGIN_CONTACT_FACTOR times the initial diameter, as in evolve), or
     on step underflow, which raises StepUnderflowError when no singular
     time can be bracketed.  Records land exactly on the snapshot grid and
     carry per-node dr/dt.
@@ -755,20 +772,17 @@ def radial_evolve(
     if snapshot_dt <= 0.0:
         raise CurveConfigError("snapshot_dt must be positive")
     if stop_radius is None:
-        stop_radius = 0.005 * 2.0 * float(r.max())
+        stop_radius = ORIGIN_CONTACT_FACTOR * 2.0 * float(r.max())
 
-    times: list[float] = []
     profiles: list[RadialProfile] = []
     rates: list[np.ndarray] = []
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
     for _ in range(max_steps):
-        rhs = radial_rhs(r)
-        if not times or clock.on_grid(t):
-            times.append(t)
+        rhs, dt = _radial_rate(r, safety)
+        if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
             rates.append(rhs.copy())
-        dt = radial_stability_dt(r, rhs, safety)
         if float(r.min()) < stop_radius:
             trigger = "origin_contact"
             break
@@ -785,37 +799,31 @@ def radial_evolve(
     else:
         raise IntegrationError(f"radial step budget exhausted at t={t:.6g}")
 
-    if times[-1] != t:
-        times.append(t)
+    if profiles[-1].t != t:
         profiles.append(RadialProfile(r, t))
         rates.append(radial_rhs(r))
     traj = RadialTrajectory(profiles=profiles, rates=rates)
-
+    last = profiles[-1]
     minima = np.array([float(p.r.min()) for p in profiles])
-    report = SingularityReport(
-        detected=trigger is not None,
-        trigger=trigger,
-        t_low=t,
-        t_high=t,
-        singular_point=None,
-        max_curvature_at_stop=float("nan"),
-        min_radius_at_stop=float(minima[-1]),
+    point = None
+    if trigger is not None:
+        # midpoint of the nearest node and its antipode
+        i_min = int(np.argmin(last.r))
+        n = len(r)
+        angle = 2.0 * np.pi * i_min / n
+        near = last.r[i_min] * np.array([math.cos(angle), math.sin(angle)])
+        far = last.r[(i_min + n // 2) % n] * np.array(
+            [math.cos(angle + np.pi), math.sin(angle + np.pi)]
+        )
+        point = 0.5 * (near + far)
+    report = _stop_report(
+        trigger,
+        traj.times,
+        minima,
+        snapshot_dt,
+        f"stable radial step {dt:.3e} below floor {dt_min:.3e}",
+        last,
+        point,
+        float("nan"),
     )
-    if trigger is None:
-        return traj, report
-    # same square-root extrapolation as the parametric solver
-    fit = Trajectory(
-        states=[],
-        diagnostics={"t": np.array(times), "min_radius": minima},
-        initial_constant=float("nan"),
-    )
-    underflow = f"stable radial step {dt:.3e} below floor {dt_min:.3e}"
-    t_high = _bracket_top(fit, trigger, t, snapshot_dt, underflow, profiles[-1])
-    i_min = int(np.argmin(profiles[-1].r))
-    n = len(r)
-    angle = 2.0 * np.pi * i_min / n
-    near = profiles[-1].r[i_min] * np.array([math.cos(angle), math.sin(angle)])
-    far = profiles[-1].r[(i_min + n // 2) % n] * np.array(
-        [math.cos(angle + np.pi), math.sin(angle + np.pi)]
-    )
-    return traj, replace(report, t_high=float(t_high), singular_point=0.5 * (near + far))
+    return traj, report

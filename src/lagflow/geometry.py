@@ -168,16 +168,17 @@ def curve_pieces(
 ) -> list[np.ndarray]:
     """Node-index arrays of the contiguous pieces of a curve, in curve order.
 
-    The pieces are the runs of the mask ``keep`` (every node when None);
-    on a closed curve the run that wraps past node N-1 is one run and
-    comes last.  Each run is cut at chords longer than GAP_FACTOR times
-    the median chord inside the runs (far-field jumps in multi-line
-    fixtures, or clipping gaps); the closing chord of a closed curve is
-    never a jump.  Pieces of every length are returned.  Raises
-    DegenerateCurveError when that median chord is zero.
+    The pieces are the runs of the mask ``keep`` (every node when None),
+    each cut at chords longer than GAP_FACTOR times the median chord
+    inside the runs (far-field jumps in multi-line fixtures, or clipping
+    gaps).  The closing chord of a closed curve is never a jump: the
+    piece that wraps past node N-1 is one piece and comes last.  Pieces
+    of every length are returned.  Raises DegenerateCurveError when that
+    median chord is zero.
     """
     n = len(pts)
-    if keep is None or keep.all():
+    whole = keep is None or keep.all()
+    if whole:
         runs = [np.arange(n)]
     else:
         idx = np.flatnonzero(keep)
@@ -200,6 +201,11 @@ def curve_pieces(
         if closed:
             jump[run[1:] == 0] = False  # the closing chord N-1 -> 0
         pieces.extend(np.split(run, np.flatnonzero(jump) + 1))
+    if closed and whole and len(pieces) > 1:
+        # the pieces before the first jump and after the last one meet
+        # across the closing chord: one wrapped piece, placed last
+        head = pieces.pop(0)
+        pieces[-1] = np.concatenate([pieces[-1], head])
     return pieces
 
 

@@ -25,7 +25,7 @@ __all__ = [
     "write_csv",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
-    "write_manifest",
+    "write_json",
     "read_manifest",
     "write_decomposition",
     "write_svg",
@@ -77,7 +77,6 @@ def read_diagnostics_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def _json_safe(obj):
-    # JSON has no nan/inf; map them to null so manifests stay portable
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -92,9 +91,11 @@ def _json_safe(obj):
     return obj
 
 
-def write_manifest(path: str, manifest: dict) -> None:
+def write_json(path: str, doc) -> None:
+    """``doc`` as JSON with sorted keys and indent 2, nan and inf written
+    as null (JSON has neither), and a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(_json_safe(manifest), fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -104,23 +105,17 @@ def read_manifest(path: str) -> dict:
 
 
 def write_decomposition(path: str, s: float, sigma: float, decomposition) -> None:
-    doc = {
-        "s": float(s),
-        "sigma": float(sigma),
-        "components": [
-            {
-                "direction": comp.direction,
-                "doubled_angle": [comp.mean_doubled_angle.real, comp.mean_doubled_angle.imag],
-                "spread": comp.angle_spread,
-                "mass": comp.mass,
-                "residual": comp.residual,
-            }
-            for comp in decomposition.components
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    components = [
+        {
+            "direction": comp.direction,
+            "doubled_angle": [comp.mean_doubled_angle.real, comp.mean_doubled_angle.imag],
+            "spread": comp.angle_spread,
+            "mass": comp.mass,
+            "residual": comp.residual,
+        }
+        for comp in decomposition.components
+    ]
+    write_json(path, {"s": float(s), "sigma": float(sigma), "components": components})
 
 
 def write_svg(path: str, curves: Iterable[PlaneCurve], half_extent: float | None = None) -> None:

@@ -98,7 +98,6 @@ class Scenario:
     name: str
     params: dict
     builder: Callable[..., PlaneCurve]
-    closed: bool
     notes: str
 
 
@@ -107,35 +106,30 @@ SCENARIOS: dict[str, Scenario] = {
         name="circle",
         params={"rho": 2.0},
         builder=circle_curve,
-        closed=True,
         notes="shrinks self-similarly to the origin; lifespan rho^2/4",
     ),
     "ellipse": Scenario(
         name="ellipse",
         params={"a": 3.0},
         builder=ellipse_curve,
-        closed=True,
         notes="semi-minor fixed at 2; shrinks to a point at the origin at t ~ c/2",
     ),
     "slag_cone": Scenario(
         name="slag_cone",
         params={"phi": 0.3, "truncation": 10.0},
         builder=line_pair_curve,
-        closed=False,
         notes="perpendicular lines through the origin; analysis fixture, stationary",
     ),
     "x_cone": Scenario(
         name="x_cone",
         params={"truncation": 10.0},
         builder=x_cone_curve,
-        closed=False,
         notes="line pair at pi/4 and 3pi/4; analysis fixture, stationary",
     ),
     "custom": Scenario(
         name="custom",
         params={"path": ""},
         builder=None,  # resolved by the CLI, which owns file I/O
-        closed=True,
         notes="initial curve loaded from a snapshot file",
     ),
 }

@@ -436,6 +436,25 @@ class TestConeDecomposition:
         assert math.isnan(comp.direction)
         assert comp.mass == pytest.approx(4 * math.pi, rel=1e-4)
 
+    def test_closed_curve_with_one_jump_is_one_arc(self):
+        # A closed V: out from near the origin along pi/6, a jump chord
+        # across the far ends, back in along 2*pi/3.  The closing chord
+        # joins the two tips, so the curve is one arc, cut at the tip into
+        # two rays, whichever node carries index 0.
+        u = np.linspace(0.05, 3.0, 60)
+        out = u[:, None] * [math.cos(math.pi / 6), math.sin(math.pi / 6)]
+        back = (u[::-1] + 0.025)[:, None] * [math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)]
+        pts = np.vstack([out, back])
+        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        length = chords.sum() - chords[59] + np.linalg.norm(pts[-1] - pts[0])
+        decs = [cone_decomposition(PlaneCurve(np.roll(pts, k, axis=0)), R=1.0) for k in (0, 7, 90)]
+        for dec in decs:
+            assert dec.components == decs[0].components
+        dirs = sorted(c.direction for c in decs[0].components)
+        assert dirs == pytest.approx([math.pi / 6, 2 * math.pi / 3], abs=0.01)
+        # every chord but the jump is mass, the closing chord included
+        assert sum(c.mass for c in decs[0].components) == pytest.approx(length, rel=1e-12)
+
     def test_curve_missing_core_gives_nothing(self):
         dec = cone_decomposition(circle(256, rho=2.0), R=1.0)
         assert dec.components == ()

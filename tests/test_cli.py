@@ -14,9 +14,15 @@ import pytest
 
 from lagflow import analysis as ana
 from lagflow.cli import ConfigError, main, resolve_config
-from lagflow.flow import DIAGNOSTIC_COLUMNS, FlowConfig, RecordingConfig, StopConditions
+from lagflow.flow import (
+    DIAGNOSTIC_COLUMNS,
+    FlowConfig,
+    RecordingConfig,
+    SingularityReport,
+    StopConditions,
+)
 from lagflow.geometry import PlaneCurve
-from lagflow.runio import load_trajectory, read_snapshot, write_snapshot
+from lagflow.runio import load_trajectory, read_snapshot, write_json, write_snapshot
 
 
 def write_config(path, **overrides):
@@ -140,6 +146,20 @@ class TestRunOutputs:
         snaps = sorted(os.listdir(os.path.join(circle_run, "snapshots")))
         assert len(snaps) >= 3
         assert snaps[0] == "snapshot_000000.json"
+
+    def test_singularity_block_has_every_report_field(self, circle_run):
+        sing = load_manifest(circle_run)["singularity"]
+        assert set(sing) == {f.name for f in dataclasses.fields(SingularityReport)}
+        assert len(sing["singular_point"]) == 2
+        assert sing["max_curvature_at_stop"] > 0.0
+
+    def test_json_writer_layout(self, tmp_path):
+        # sorted keys, indent 2, numpy values as plain JSON, nan/inf as null
+        path = tmp_path / "doc.json"
+        write_json(str(path), {"b": [np.float64("nan"), np.array([1.5, np.inf])], "a": np.int64(3)})
+        assert path.read_text() == (
+            '{\n  "a": 3,\n  "b": [\n    null,\n    [\n      1.5,\n      null\n    ]\n  ]\n}\n'
+        )
 
     def test_manifest_echoes_scenario_and_config(self, circle_run):
         manifest = load_manifest(circle_run)

@@ -18,7 +18,6 @@ from lagflow.flow import (
     RecordingConfig,
     StepUnderflowError,
     StopConditions,
-    Trajectory,
     TrajectoryRangeError,
     estimate_singular_time,
     evolve,
@@ -243,18 +242,10 @@ class TestLoopSemantics:
 
 
 class TestSingularTimeEstimate:
-    @staticmethod
-    def _traj(t, r):
-        return Trajectory(
-            states=[],
-            diagnostics={"t": np.asarray(t, float), "min_radius": np.asarray(r, float)},
-            initial_constant=float("nan"),
-        )
-
     def test_linear_radius_squared_recovers_root(self):
         t = np.linspace(0.0, 0.8, 9)
         r = np.sqrt(4.0 - 4.0 * t)  # vanishes at t = 1
-        est = estimate_singular_time(self._traj(t, r))
+        est = estimate_singular_time(t, r)
         assert est.conclusive
         assert est.value == pytest.approx(1.0, abs=1e-9)
         # width covers the gap from the last record to the root plus the
@@ -264,12 +255,12 @@ class TestSingularTimeEstimate:
     def test_growing_radius_is_inconclusive(self):
         t = np.linspace(0.0, 0.8, 9)
         r = 1.0 + t
-        est = estimate_singular_time(self._traj(t, r))
+        est = estimate_singular_time(t, r)
         assert not est.conclusive
         assert math.isinf(est.width)
 
     def test_short_tail_is_inconclusive(self):
-        est = estimate_singular_time(self._traj([0.0, 0.1], [2.0, 1.9]))
+        est = estimate_singular_time([0.0, 0.1], [2.0, 1.9])
         assert not est.conclusive
 
 

@@ -142,6 +142,10 @@ def _oracle_pieces(pts, closed, keep):
     for run, ch in zip(runs, chords):
         cuts = np.nonzero(ch > GAP_FACTOR * med)[0] if med > 0 else np.array([], int)
         pieces.extend(np.split(run, cuts + 1))
+    if closed and keep.all() and len(pieces) > 1:
+        # a whole closed curve cut at interior jumps: the first and the
+        # last piece meet across the closing chord, wrapped piece last
+        pieces.append(np.concatenate([pieces.pop(), pieces.pop(0)]))
     return pieces
 
 
@@ -191,10 +195,13 @@ class TestCurvePieces:
     def test_jump_chord_inside_a_run(self):
         rng = np.random.default_rng(0)
         pts = _jittered_circle(96, rng, blocks=[(40, 60)])
-        for closed in (False, True):
+        # open: three pieces; closed: the arcs before and after the block
+        # join across the closing chord into one wrapped piece, last
+        for closed, lengths in ((False, [40, 20, 36]), (True, [20, 76])):
             pieces = self._assert_matches_oracle(pts, closed, np.ones(96, bool))
-            assert [len(p) for p in pieces] == [40, 20, 36]
-            assert [len(p) for p in curve_pieces(pts, closed)] == [40, 20, 36]
+            assert [len(p) for p in pieces] == lengths
+            assert [len(p) for p in curve_pieces(pts, closed)] == lengths
+        assert np.array_equal(pieces[-1], np.r_[60:96, 0:40])
 
     def test_empty_mask(self):
         pts = circle(32).points

@@ -7,6 +7,7 @@ into the analysis or the CLI.  A kernel that one of these layers needs
 therefore has exactly one home.
 """
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -65,3 +66,11 @@ def test_only_geometry_splits_curves(module):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "GAP_FACTOR" not in names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_names_are_defined(module):
+    # a name left in __all__ after its definition was deleted breaks
+    # "from lagflow.<module> import *" only when someone tries it
+    mod = importlib.import_module(f"lagflow.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
