@@ -31,6 +31,7 @@ from scipy.interpolate import CubicSpline
 
 from .flow import RadialProfile, SingularityReport, Trajectory, TrajectoryRangeError, radial_rhs
 from .geometry import (
+    MIN_NODES,
     CurveConfigError,
     CurveError,
     PlaneCurve,
@@ -253,7 +254,7 @@ def rescale_flow(
             continue
         pts = sigma * (curve.points - p)
         clipped, closed = _clip_to_window(pts, curve.closed, window)
-        if len(clipped) < 16:
+        if len(clipped) < MIN_NODES:
             raise CurveConfigError(
                 f"window {window} leaves {len(clipped)} nodes at sigma={sigma:g}; "
                 "increase the window or the run resolution"
@@ -527,8 +528,8 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
     if not curve.closed:
         raise CurveConfigError("polar profile requires a closed curve")
     n = samples if samples is not None else curve.node_count
-    if n < 16:
-        raise CurveConfigError("need at least 16 samples")
+    if n < MIN_NODES:
+        raise CurveConfigError(f"need at least {MIN_NODES} samples")
     pts = curve.points
     phi = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
     r = np.linalg.norm(pts, axis=1)

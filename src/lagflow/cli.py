@@ -35,7 +35,7 @@ from .flow import (
     evolve,
     make_state,
 )
-from .geometry import CurveError, PlaneCurve, resample
+from .geometry import MIN_NODES, CurveError, PlaneCurve, resample
 from .lagrangian import normalize
 from .runio import (
     file_sha256,
@@ -122,8 +122,8 @@ def resolve_config(raw: dict) -> dict:
         if not isinstance(v, want) or isinstance(v, bool):
             raise ConfigError(f"'scenario.params.{k}' has the wrong type")
     resolution = raw.get("resolution", 256)
-    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 16:
-        raise ConfigError("'resolution' must be an integer >= 16")
+    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < MIN_NODES:
+        raise ConfigError(f"'resolution' must be an integer >= {MIN_NODES}")
     norm = raw.get("normalize", False)
     if not isinstance(norm, bool):
         raise ConfigError("'normalize' must be true or false")

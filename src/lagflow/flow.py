@@ -47,10 +47,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    MIN_NODES,
     CurveConfigError,
     CurveError,
     CurveTerms,
-    FrameData,
     OriginContactError,
     PlaneCurve,
     antipodal_defect,
@@ -58,13 +58,9 @@ from .geometry import (
     compute_frame,
     curve_terms,
     enclosed_area,
-    min_spacing,
-    position_terms,
     resample,
-    stable_step,
     swept_gaussian_density,
     symmetrize_points,
-    velocity_terms,
 )
 from .lagrangian import NonMonotoneError, drainage_defect, lagrangian_angle, monotone_data
 
@@ -272,18 +268,14 @@ def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
     return FlowState(curve=curve, t=float(t), initial_constant=c, step_index=0)
 
 
-def velocity(curve: PlaneCurve, frame: FrameData) -> np.ndarray:
-    """kappa*n - x_perp/|x|^2 per node, shape (N, 2)."""
-    return velocity_terms(curve.points, frame, curve.diameter)[2]
+def velocity(curve: PlaneCurve) -> np.ndarray:
+    """kappa*n - x_perp/|x|^2 per node, shape (N, 2), as the step uses it."""
+    return curve_terms(curve.points, curve.closed).velocity
 
 
-def stability_dt(
-    curve: PlaneCurve, frame: FrameData, vel: np.ndarray, safety: float
-) -> float:
+def stability_dt(curve: PlaneCurve, safety: float) -> float:
     """Largest explicit step the current geometry supports."""
-    h = min_spacing(curve.points, curve.closed, frame)
-    r2, dots = position_terms(curve.points, frame)
-    return stable_step(h, r2, dots, vel, safety)
+    return curve_terms(curve.points, curve.closed).stable_dt(safety)
 
 
 def _advance(
@@ -366,13 +358,10 @@ def _diagnostics_row(
                 c0 = state.initial_constant
                 if math.isfinite(c0):
                     row["monotone_defect"] = drainage_defect(md, c0, state.t)
-    # reference time for the density column: the nominal drain time c/2
-    # when one exists, a fixed lookahead otherwise
-    c0 = state.initial_constant
-    if curve.closed and math.isfinite(c0) and c0 > 0.0:
-        tau = 0.5 * c0 - state.t
-    else:
-        tau = 0.25
+    # reference time for the density column: the critical time c/2 when
+    # one exists, a fixed lookahead otherwise
+    critical = _critical_time(curve.closed, state.initial_constant)
+    tau = 0.25 if critical is None else critical - state.t
     if tau > 0.0:
         row["gaussian_density_origin"] = swept_gaussian_density(
             curve.points, frame.weight, _ORIGIN, tau
@@ -414,12 +403,28 @@ class _StepClock:
         return dt
 
 
+def _critical_time(closed: bool, c0: float) -> float | None:
+    """c/2 for a closed curve with finite c-constant c > 0, None otherwise.
+
+    The enclosed area of a once-winding monotone curve drains linearly,
+    2*area = (c - 2t) * 4*pi, so such a flow cannot outlive t = c/2.
+    """
+    if closed and math.isfinite(c0) and c0 > 0.0:
+        return 0.5 * c0
+    return None
+
+
 def _auto_snapshot_dt(state: FlowState, stop: StopConditions) -> float:
     candidates = []
-    c0 = state.initial_constant
-    if state.curve.closed and math.isfinite(c0) and c0 > 0.0:
-        candidates.append(0.5 * c0 / 50.0)
+    critical = _critical_time(state.curve.closed, state.initial_constant)
+    if critical is not None:
+        candidates.append(critical / 50.0)
     if stop.t_end is not None:
+        if stop.t_end <= state.t:
+            raise CurveConfigError(
+                f"stop.t_end {stop.t_end:g} is not after the start time {state.t:g}; "
+                "no recording interval fits"
+            )
         candidates.append((stop.t_end - state.t) / 40.0)
     if not candidates:
         raise CurveConfigError(
@@ -546,7 +551,9 @@ def evolve(
         curve = antipodal_symmetrize(curve)
         state = replace(state, curve=curve)
 
-    snapshot_dt = recording.snapshot_dt or _auto_snapshot_dt(state, stop)
+    snapshot_dt = recording.snapshot_dt
+    if snapshot_dt is None:
+        snapshot_dt = _auto_snapshot_dt(state, stop)
     if snapshot_dt <= 0.0:
         raise CurveConfigError("snapshot_dt must be positive")
 
@@ -587,17 +594,11 @@ def evolve(
                 point = 0.5 * (pts[i] + pts[(i + n // 2) % n])
             else:
                 point = pts[i].copy()
-        cap = None
-        if (
-            closed
-            and math.isfinite(c0)
-            and c0 > 0.0
-            and abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3
-        ):
-            # The enclosed area of a once-winding monotone curve drains
-            # linearly, 2*area = (c - 2t) * 4*pi, so the flow cannot outlive
-            # t = c/2; that hard bound tightens the extrapolated bracket.
-            cap = 0.5 * c0
+        # c/2 tightens the extrapolated bracket only on a once-winding
+        # curve (a nan Maslov integral drops it too)
+        cap = _critical_time(closed, c0)
+        if not abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3:
+            cap = None
         diagnostics = {k: np.asarray(v) for k, v in columns.items()}
         report = _stop_report(
             trigger,
@@ -682,8 +683,8 @@ class RadialProfile:
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)
-        if r.ndim != 1 or len(r) < 16:
-            raise CurveConfigError("radial profile needs at least 16 samples")
+        if r.ndim != 1 or len(r) < MIN_NODES:
+            raise CurveConfigError(f"radial profile needs at least {MIN_NODES} samples")
         if not np.all(np.isfinite(r)) or r.min() <= 0.0:
             raise CurveConfigError("radial profile must be positive and finite")
         r = r.copy()

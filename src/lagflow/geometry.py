@@ -47,11 +47,7 @@ __all__ = [
     "compute_frame",
     "curve_pieces",
     "curve_terms",
-    "min_spacing",
-    "position_terms",
-    "stable_step",
     "swept_gaussian_density",
-    "velocity_terms",
     "enclosed_area",
     "resample",
     "antipodal_defect",
@@ -121,12 +117,6 @@ class PlaneCurve:
         """Extent of the curve, 2 * max distance from the node centroid."""
         return _diameter(self.points)
 
-    @property
-    def is_counterclockwise(self) -> bool:
-        if not self.closed:
-            raise CurveConfigError("orientation is defined for closed curves only")
-        return _polygon_area(self.points) > 0.0
-
     def as_complex(self) -> np.ndarray:
         return self.points[:, 0] + 1j * self.points[:, 1]
 
@@ -140,12 +130,6 @@ class FrameData:
     normal: np.ndarray
     curvature: np.ndarray
     weight: np.ndarray
-
-
-def _polygon_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
@@ -221,15 +205,6 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
         )
 
 
-def _open_min_chord(pts: np.ndarray, pieces: list[np.ndarray]) -> float:
-    # jumps in open fixtures are legitimate; only within-component
-    # spacings count (inf when no component has two nodes)
-    return min(
-        (_open_chords(pts[p]).min() for p in pieces if len(p) >= 2),
-        default=np.inf,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the closed-curve kernel
 #
@@ -270,8 +245,15 @@ def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, 
     return d1, h, _frame_data(tangent, d1, d2, speed, speed * h)
 
 
-def _open_frame(pts: np.ndarray, pieces: list[np.ndarray], diameter: float) -> FrameData:
-    _check_spacing(_open_min_chord(pts, pieces), diameter)
+def _open_frame(
+    pts: np.ndarray, pieces: list[np.ndarray], diameter: float
+) -> tuple[float, FrameData]:
+    """Smallest within-piece chord and the frame of an open curve."""
+    # jumps in open fixtures are legitimate; only within-piece spacings count
+    min_chord = float(
+        min((_open_chords(pts[p]).min() for p in pieces if len(p) >= 2), default=np.inf)
+    )
+    _check_spacing(min_chord, diameter)
     n = len(pts)
     tangent = np.zeros_like(pts)
     d1 = np.zeros_like(pts)
@@ -290,7 +272,7 @@ def _open_frame(pts: np.ndarray, pieces: list[np.ndarray], diameter: float) -> F
         d1[p], d2[p], speed[p] = g1, g2, sp
         tangent[p] = g1 / sp[:, None]
         weight[p] = chord_weights(seg)
-    return _frame_data(tangent, d1, d2, speed, weight)
+    return min_chord, _frame_data(tangent, d1, d2, speed, weight)
 
 
 def chord_weights(pts: np.ndarray) -> np.ndarray:
@@ -310,79 +292,32 @@ def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
     return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
 
 
-def _normal_dots(pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    # <x, n> per node, bit-identical to einsum("ij,ij->i", pts, normal)
-    return pts[:, 0] * normal[:, 0] + pts[:, 1] * normal[:, 1]
-
-
-def position_terms(pts: np.ndarray, frame: FrameData) -> tuple[np.ndarray, np.ndarray]:
-    """|x|^2 and <x, n> per node."""
-    return _squared_norms(pts), _normal_dots(pts, frame.normal)
-
-
-def velocity_terms(
-    pts: np.ndarray, frame: FrameData, diameter: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|x|^2, <x, n> and the flow velocity kappa*n - <x,n> n / |x|^2 per
-    node.  Raises OriginContactError when a node is within
-    ORIGIN_GUARD_FACTOR x diameter of the origin."""
-    r2, dots = position_terms(pts, frame)
-    r2_min = r2.min()
-    guard = (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2
-    if r2_min <= guard:
-        raise OriginContactError(
-            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
-            "velocity is singular there"
-        )
-    xperp = dots[:, None] * frame.normal
-    vel = frame.curvature[:, None] * frame.normal - xperp / r2[:, None]
-    return r2, dots, vel
-
-
-def stable_step(
-    h: float, r2: np.ndarray, dots: np.ndarray, vel: np.ndarray, safety: float
-) -> float:
-    """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|)), with
-    h the smallest arclength spacing."""
-    # safety <= 0.375 keeps the h^2 term inside the stencil stability limit
-    caps = [h * h]
-    dmax = np.abs(dots).max()
-    if dmax > 0.0:
-        caps.append(h * r2.min() / (2.0 * dmax))
-    vmax = math.sqrt(float(_squared_norms(vel).max()))
-    if vmax > 0.0:
-        caps.append(h / (2.0 * vmax))
-    return safety * min(caps)
-
-
-def min_spacing(pts: np.ndarray, closed: bool, frame: FrameData) -> float:
-    """Smallest arclength spacing: the smallest weight on a closed curve,
-    the smallest within-component chord on an open one."""
-    if closed:
-        return float(frame.weight.min())
-    return _open_spacing(pts, curve_pieces(pts, False))
-
-
-def _open_spacing(pts: np.ndarray, pieces: list[np.ndarray]) -> float:
-    h = _open_min_chord(pts, pieces)
-    if h == np.inf:
-        raise CurveConfigError("open curve has no differentiable component")
-    return float(h)
-
-
 class CurveTerms:
     """The geometry of one curve as a flow step needs it, each quantity
-    computed once: frame, smallest arclength spacing, |x|^2
-    (``r2``), <x, n> (``dots``) and the flow velocity.  The stable step,
-    min |x|, max |kappa| and the enclosed area are derived on request.
-    Build it with :func:`curve_terms`."""
+    computed once: frame, smallest arclength spacing h (the smallest
+    weight on a closed curve, the smallest within-piece chord on an open
+    one), |x|^2 (``r2``), <x, n> (``dots``) and the flow velocity
+    kappa n - <x, n> n / |x|^2.  The stable step, min |x|, max |kappa| and
+    the enclosed area are derived on request.  Build it with
+    :func:`curve_terms`; it is the only code that computes the velocity
+    and the step cap of the flow."""
 
     __slots__ = (
         "points", "closed", "frame", "spacing", "r2", "dots", "velocity", "_d1", "_h",
     )
 
     def stable_dt(self, safety: float) -> float:
-        return stable_step(self.spacing, self.r2, self.dots, self.velocity, safety)
+        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
+        # safety <= 0.375 keeps the h^2 term inside the stencil stability limit
+        h = self.spacing
+        caps = [h * h]
+        dmax = np.abs(self.dots).max()
+        if dmax > 0.0:
+            caps.append(h * self.r2.min() / (2.0 * dmax))
+        vmax = math.sqrt(float(_squared_norms(self.velocity).max()))
+        if vmax > 0.0:
+            caps.append(h / (2.0 * vmax))
+        return safety * min(caps)
 
     def min_radius(self) -> float:
         return math.sqrt(float(self.r2.min()))
@@ -399,19 +334,31 @@ class CurveTerms:
 def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     """Per-step geometry of the curve through ``points`` (an (N, 2) float64
     array, not copied).  Raises DegenerateCurveError on coincident nodes or
-    vanishing speed and OriginContactError on a node at the origin, in
-    that order, as compute_frame followed by the flow velocity would."""
+    vanishing speed, then OriginContactError when a node is within
+    ORIGIN_GUARD_FACTOR x diameter of the origin, where the velocity is
+    singular."""
     terms = CurveTerms()
     terms.points = points
     terms.closed = closed
     diameter = _diameter(points)
     if closed:
-        terms._d1, terms._h, terms.frame = _closed_frame(points, diameter)
+        terms._d1, terms._h, frame = _closed_frame(points, diameter)
+        terms.spacing = float(frame.weight.min())
     else:
-        pieces = curve_pieces(points, False)
-        terms.frame = _open_frame(points, pieces, diameter)
-    terms.r2, terms.dots, terms.velocity = velocity_terms(points, terms.frame, diameter)
-    terms.spacing = float(terms.frame.weight.min()) if closed else _open_spacing(points, pieces)
+        terms.spacing, frame = _open_frame(points, curve_pieces(points, False), diameter)
+    terms.frame = frame
+    r2 = _squared_norms(points)
+    r2_min = r2.min()
+    if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
+        raise OriginContactError(
+            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
+            "velocity is singular there"
+        )
+    normal = frame.normal
+    # <x, n> per node, bit-identical to einsum("ij,ij->i", points, normal)
+    dots = points[:, 0] * normal[:, 0] + points[:, 1] * normal[:, 1]
+    terms.r2, terms.dots = r2, dots
+    terms.velocity = frame.curvature[:, None] * normal - (dots[:, None] * normal) / r2[:, None]
     return terms
 
 
@@ -426,7 +373,7 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     pts = curve.points
     if curve.closed:
         return _closed_frame(pts, curve.diameter)[2]
-    return _open_frame(pts, curve_pieces(pts, False), curve.diameter)
+    return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
 def swept_gaussian_density(

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    MIN_NODES,
     CurveConfigError,
     PlaneCurve,
     antipodal_symmetrize,
@@ -86,7 +87,7 @@ def _line_nodes(angle: float, half_width: float, count: int) -> np.ndarray:
     return u[:, None] * e[None, :]
 
 
-def _check_resolution(resolution: int, minimum: int = 16) -> None:
+def _check_resolution(resolution: int, minimum: int = MIN_NODES) -> None:
     if resolution < minimum:
         raise CurveConfigError(f"resolution must be at least {minimum}")
     if resolution % 2:

@@ -122,6 +122,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{section}.{field.name}'"):
             resolve_config({**base, section: {field.name: wrong}})
 
+    def test_zero_snapshot_dt_rejected(self, tmp_path, capsys):
+        # 0 is a value, not "unset": it must not fall back to the automatic grid
+        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": 0.0})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "snapshot_dt must be positive" in capsys.readouterr().err
+
+    def test_t_end_at_start_named_with_automatic_interval(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", stop={"t_end": 0.0})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "stop.t_end" in err
+        assert "snapshot_dt" not in err
+
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

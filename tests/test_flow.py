@@ -33,6 +33,8 @@ from lagflow.geometry import (
     antipodal_defect,
     antipodal_symmetrize,
     compute_frame,
+    curve_pieces,
+    curve_terms,
     resample,
 )
 from lagflow.scenarios import circle_curve, ellipse_curve, line_pair_curve, x_cone_curve
@@ -53,19 +55,19 @@ class TestVelocity:
         # kappa*n = (1/rho)*(-x/rho); the position term adds another
         # (1/rho)*(-x/rho), so v = -2x/rho^2 = -x/2 at rho = 2.
         c = circle(256, rho=2.0)
-        v = velocity(c, compute_frame(c))
+        v = velocity(c)
         assert np.max(np.abs(v - (-c.points / 2.0))) < 1e-7
 
     def test_lines_through_origin_are_stationary(self):
         c = line_pair_curve(128, phi=0.3)
-        v = velocity(c, compute_frame(c))
+        v = velocity(c)
         assert np.max(np.abs(v)) < 1e-12
 
     def test_ellipse_major_apex(self):
         # At (3, 0): kappa = a/b^2 = 3/4 pointing in -x, position term
         # (x.n)n/|x|^2 = (1/3, 0); total (-3/4 - 1/3, 0) = (-13/12, 0).
         c = ellipse(512)
-        v = velocity(c, compute_frame(c))
+        v = velocity(c)
         assert v[0, 0] == pytest.approx(-13.0 / 12.0, abs=1e-4)
         assert abs(v[0, 1]) < 1e-9
 
@@ -75,7 +77,7 @@ class TestVelocity:
         pts = np.column_stack([np.linspace(-1, 1, 65), np.zeros(65)])
         c = PlaneCurve(pts, closed=False)
         with pytest.raises(Exception):
-            velocity(c, compute_frame(c))
+            velocity(c)
 
 
 class TestStep:
@@ -108,10 +110,68 @@ class TestStep:
 
     def test_stability_cap_positive_and_modest(self):
         c = circle(256, rho=2.0)
-        frame = compute_frame(c)
-        dt = stability_dt(c, frame, velocity(c, frame), safety=0.2)
-        h = frame.weight.min()
+        dt = stability_dt(c, safety=0.2)
+        h = compute_frame(c).weight.min()
         assert 0.0 < dt <= 0.2 * h * h + 1e-15
+
+
+def step_caps(c):
+    """The three terms of the step cap, h^2, h min|x|^2 / (2 max|<x,n>|)
+    and h / (2 max|v|), assembled from the frame, with h the smallest
+    weight on a closed curve and the smallest within-piece chord on an
+    open one; a zero denominator makes its term inf."""
+    pts = c.points
+    frame = compute_frame(c)
+    if c.closed:
+        h = frame.weight.min()
+    else:
+        h = min(np.linalg.norm(np.diff(pts[p], axis=0), axis=1).min() for p in curve_pieces(pts, False))
+    r2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    dmax = np.abs(pts[:, 0] * frame.normal[:, 0] + pts[:, 1] * frame.normal[:, 1]).max()
+    vmax = np.linalg.norm(velocity(c), axis=1).max()
+    return [
+        h * h,
+        h * r2.min() / (2.0 * dmax) if dmax > 0.0 else math.inf,
+        h / (2.0 * vmax) if vmax > 0.0 else math.inf,
+    ]
+
+
+def wavy_star(n=64, m=8, eps=0.3):
+    u = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + eps * np.cos(m * u)
+    return PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]))
+
+
+# each curve with the index of the step-cap term that binds on it
+CAP_CURVES = {
+    "circle": (lambda: circle(256), 0),
+    "ellipse": (lambda: ellipse(512), 0),
+    "line_pair": (lambda: line_pair_curve(128, phi=0.3), 0),
+    "near_origin": (lambda: PlaneCurve(circle(256, rho=1.0).points + [1.05, 0.0]), 1),
+    "wavy_star": (wavy_star, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CAP_CURVES))
+class TestCurveTermsViews:
+    """velocity() and stability_dt() are views of geometry.curve_terms,
+    the one kernel a flow step reads them from."""
+
+    def test_velocity_is_the_kernel_velocity(self, name):
+        c = CAP_CURVES[name][0]()
+        assert np.array_equal(velocity(c), curve_terms(c.points, c.closed).velocity)
+
+    @pytest.mark.parametrize("safety", [0.2, 0.37])
+    def test_stability_dt_matches_step_cap(self, name, safety):
+        make, binding = CAP_CURVES[name]
+        c = make()
+        caps = step_caps(c)
+        assert caps.index(min(caps)) == binding
+        if not c.closed:
+            # an open pair of lines: the jump chord between the lines is
+            # no spacing, and the end weights are half a chord
+            assert len(curve_pieces(c.points, False)) == 2
+        assert stability_dt(c, safety) == safety * min(caps)
 
 
 class TestEvolve:
@@ -178,7 +238,7 @@ class TestEvolve:
         pts = np.column_stack([r * np.cos(u), r * np.sin(u)])
         a = make_state(PlaneCurve(pts))
         b = make_state(PlaneCurve(pts * np.array([1.0, -1.0])))
-        cfg = FlowConfig(redistribute_every=0, enforce_antipodal=False)
+        cfg = FlowConfig()
         for _ in range(50):
             a = step(a, cfg, max_dt=1e-4)
             b = step(b, cfg, max_dt=1e-4)
@@ -219,6 +279,25 @@ class TestLoopSemantics:
             if k % config.redistribute_every == 0:
                 curve = antipodal_symmetrize(resample(curve, curve.node_count))
             st = FlowState(curve, st.t, st.initial_constant, st.step_index)
+        assert last.step_index == st.step_index == 200
+        assert last.t == st.t
+        assert np.array_equal(last.curve.points, st.curve.points)
+
+    def test_plain_loop_equals_public_step_replay(self):
+        # without reprojection and redistribution, evolve on a curve with
+        # no antipodal symmetry is step() and nothing else
+        u = 2 * np.pi * np.arange(128) / 128
+        r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
+        start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
+        assert antipodal_defect(start.curve) > 0.1
+        config = FlowConfig(redistribute_every=0, enforce_antipodal=False, max_steps=200)
+        with pytest.raises(IntegrationError, match="step budget 200") as info:
+            evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
+        last = info.value.last_state
+
+        st = start
+        for _ in range(200):
+            st = step(st, config)
         assert last.step_index == st.step_index == 200
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)

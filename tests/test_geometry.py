@@ -73,11 +73,6 @@ class TestPlaneCurve:
         with pytest.raises(ValueError):
             pts[0, 0] = 99.0
 
-    def test_orientation(self):
-        assert circle().is_counterclockwise
-        cw = PlaneCurve(circle().points[::-1].copy())
-        assert not cw.is_counterclockwise
-
     def test_diameter_of_offset_circle(self):
         c = circle(rho=1.5, center=(4.0, -1.0))
         assert c.diameter == pytest.approx(3.0, rel=1e-12)

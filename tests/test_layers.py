@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lagflow"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lagflow"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -74,3 +75,21 @@ def test_public_names_are_defined(module):
     # "from lagflow.<module> import *" only when someone tries it
     mod = importlib.import_module(f"lagflow.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_tracer_patched_names_exist():
+    # perfbench's tracer looks these functions up with getattr; a name that
+    # is gone crashes every traced benchmark run instead of showing up as
+    # a missing metric
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOME_PATCHED" for t in node.targets)
+    ]
+    patched = ast.literal_eval(table)
+    assert patched
+    for module, names in patched.items():
+        mod = importlib.import_module(f"lagflow.{module}")
+        assert [name for name in names if not callable(getattr(mod, name, None))] == [], module
