@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Digests of the outputs that a bit-identical change must leave unchanged.
+
+Prints one line per output, ``name sha256``:
+
+* ``circle_run``   -- ``lagflow run`` on the circle of radius 2, N=256, to
+  origin contact;
+* ``ellipse_run``  -- ``lagflow run`` on the normalized a=3 ellipse, N=224;
+* ``heun_ladder``  -- ``evolve`` with the Heun scheme to t_end 0.9
+  (snapshot_dt 0.02) on the radius-2 circle at N = 32, 64, 128, 256, each
+  followed by ``radial_evolve`` on the constant profile at the same N;
+* ``x_cone``       -- ``lagflow run`` on the x_cone fixture, N=128, to
+  t_end 0.01;
+* ``analysis``     -- the ``analysis/`` directory after ``analyze`` density,
+  rescale, cones, spectrum and lemmas on a normalized a=3 ellipse run with
+  N=128 and snapshot_dt 0.001.
+
+A ``lagflow run`` digest covers the exit status, diagnostics.csv, every
+snapshot (name and bytes) and the manifest's singularity and acceptance
+blocks; the manifest's timestamps and wall time are left out.  The
+analysis digest covers each pass's exit status and every file of
+``analysis/`` (name and bytes).  Two checkouts are compared by running the
+script in each and diffing the output.
+
+Usage, from the repository root:
+    PYTHONPATH=src python scripts/output_digests.py
+    PYTHONPATH=src python scripts/output_digests.py --only x_cone
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from lagflow import cli
+from lagflow.flow import (
+    FlowConfig,
+    RadialProfile,
+    RecordingConfig,
+    StopConditions,
+    evolve,
+    make_state,
+    radial_evolve,
+)
+from lagflow.scenarios import circle_curve
+
+ANALYZE_PASSES = (
+    ("density", []),
+    ("rescale", ["--sigma", "4", "8", "16"]),
+    ("cones", ["--sigma", "4", "8", "16"]),
+    ("spectrum", []),
+    ("lemmas", []),
+)
+
+
+def _quiet_cli(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _hash_dir(h, path: str) -> None:
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            h.update(name.encode() + fh.read())
+
+
+def _run(work: str, config: dict) -> tuple[int, str | None]:
+    """``lagflow run`` on ``config``; returns its exit status and run directory."""
+    cfg = os.path.join(work, "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(config, fh)
+    out = os.path.join(work, "runs")
+    code = _quiet_cli(["run", "--config", cfg, "--out", out])
+    dirs = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    return code, os.path.join(out, dirs[0]) if len(dirs) == 1 else None
+
+
+def _run_digest(work: str, config: dict) -> str:
+    code, run_dir = _run(work, config)
+    h = hashlib.sha256(f"exit {code}".encode())
+    if run_dir is not None:
+        with open(os.path.join(run_dir, "diagnostics.csv"), "rb") as fh:
+            h.update(b"diagnostics.csv" + fh.read())
+        _hash_dir(h, os.path.join(run_dir, "snapshots"))
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        for key in ("singularity", "acceptance"):
+            h.update(json.dumps(manifest.get(key), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def circle_run(work: str) -> str:
+    return _run_digest(work, {"scenario": {"name": "circle", "params": {"rho": 2.0}}, "resolution": 256})
+
+
+def ellipse_run(work: str) -> str:
+    return _run_digest(
+        work, {"scenario": {"name": "ellipse", "params": {"a": 3.0}}, "resolution": 224, "normalize": True}
+    )
+
+
+def x_cone(work: str) -> str:
+    return _run_digest(
+        work, {"scenario": {"name": "x_cone", "params": {}}, "resolution": 128, "stop": {"t_end": 0.01}}
+    )
+
+
+def heun_ladder(work: str) -> str:
+    h = hashlib.sha256()
+    for n in (32, 64, 128, 256):
+        traj, _ = evolve(
+            make_state(circle_curve(n, rho=2.0)),
+            FlowConfig(scheme="heun"),
+            StopConditions(t_end=0.9),
+            RecordingConfig(snapshot_dt=0.02),
+        )
+        for name in sorted(traj.diagnostics):
+            h.update(name.encode() + np.ascontiguousarray(traj.diagnostics[name]).tobytes())
+        h.update(traj.states[-1].curve.points.tobytes())
+        rtraj, _ = radial_evolve(RadialProfile(np.full(n, 2.0)), t_end=0.9, snapshot_dt=0.02)
+        for profile, rate in zip(rtraj.profiles, rtraj.rates):
+            h.update(np.float64(profile.t).tobytes() + profile.r.tobytes() + rate.tobytes())
+    return h.hexdigest()
+
+
+def analysis(work: str) -> str:
+    code, run_dir = _run(
+        work,
+        {
+            "scenario": {"name": "ellipse", "params": {"a": 3.0}},
+            "resolution": 128,
+            "normalize": True,
+            "recording": {"snapshot_dt": 0.001},
+        },
+    )
+    h = hashlib.sha256(f"exit {code}".encode())
+    if run_dir is None:
+        return h.hexdigest()
+    for sub, extra in ANALYZE_PASSES:
+        h.update(f"{sub} exit {_quiet_cli(['analyze', run_dir, sub, *extra])}".encode())
+    _hash_dir(h, os.path.join(run_dir, "analysis"))
+    return h.hexdigest()
+
+
+DIGESTS = {f.__name__: f for f in (circle_run, ellipse_run, heun_ladder, x_cone, analysis)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", choices=sorted(DIGESTS), default=None, help="print this digest only")
+    args = ap.parse_args(argv)
+    names = [args.only] if args.only else list(DIGESTS)
+    for name in names:
+        with tempfile.TemporaryDirectory() as work:
+            print(f"{name} {DIGESTS[name](work)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -137,7 +137,7 @@ class FlowConfig:
 
     ``enforce_antipodal=None`` means auto-detect from the initial curve;
     pass True/False to force.  ``redistribute_every=0`` disables arclength
-    redistribution.
+    redistribution; it must not be negative.  ``max_steps`` is at least 1.
     """
 
     safety: float = 0.2
@@ -154,6 +154,13 @@ class FlowConfig:
             raise CurveConfigError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.safety <= 1.0:
             raise CurveConfigError("safety must be in (0, 1]")
+        if self.redistribute_every < 0:
+            raise CurveConfigError(
+                "redistribute_every must be >= 0 (0 disables redistribution), "
+                f"got {self.redistribute_every}"
+            )
+        if self.max_steps < 1:
+            raise CurveConfigError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -414,17 +421,18 @@ def _critical_time(closed: bool, c0: float) -> float | None:
     return None
 
 
+def _check_t_end(t_end: float | None, t0: float, name: str) -> None:
+    """The end time ``name`` of a run that starts at t0 must come after t0."""
+    if t_end is not None and not t_end > t0:
+        raise CurveConfigError(f"{name} {t_end:g} is not after the start time {t0:g}")
+
+
 def _auto_snapshot_dt(state: FlowState, stop: StopConditions) -> float:
     candidates = []
     critical = _critical_time(state.curve.closed, state.initial_constant)
     if critical is not None:
         candidates.append(critical / 50.0)
     if stop.t_end is not None:
-        if stop.t_end <= state.t:
-            raise CurveConfigError(
-                f"stop.t_end {stop.t_end:g} is not after the start time {state.t:g}; "
-                "no recording interval fits"
-            )
         candidates.append((stop.t_end - state.t) / 40.0)
     if not candidates:
         raise CurveConfigError(
@@ -534,6 +542,7 @@ def evolve(
     config = config or FlowConfig()
     stop = stop or StopConditions()
     recording = recording or RecordingConfig()
+    _check_t_end(stop.t_end, state.t, "stop.t_end")
 
     curve = state.curve
     closed = curve.closed
@@ -766,6 +775,7 @@ def radial_evolve(
         profile = RadialProfile(np.asarray(profile, dtype=np.float64), 0.0)
     r = profile.r.copy()
     t = float(profile.t)
+    _check_t_end(t_end, t, "t_end")
     if snapshot_dt is None:
         if t_end is None:
             raise CurveConfigError("radial runs need t_end or snapshot_dt")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import i0e
@@ -132,9 +133,16 @@ class FrameData:
     weight: np.ndarray
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[:, 0] v[:, 0] + u[:, 1] v[:, 1] per row of two (N, 2) arrays, as
+    one product and one column add (the same operations per element)."""
+    prod = u * v
+    return prod[:, 0] + prod[:, 1]
+
+
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     # bit-identical to np.linalg.norm(v, axis=1) ** 2 before its sqrt
-    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    return _row_dots(v, v)
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -286,9 +294,13 @@ def chord_weights(pts: np.ndarray) -> np.ndarray:
 
 
 def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    curvature = cross / speed**3
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    # d1x d2y - d1y d2x from one product; speed**3 is pow, which can differ
+    # from speed * speed * speed in the last bit
+    prod = d1 * d2[:, ::-1]
+    curvature = (prod[:, 0] - prod[:, 1]) / speed**3
+    normal = np.empty_like(tangent)
+    np.negative(tangent[:, 1], out=normal[:, 0])
+    normal[:, 1] = tangent[:, 0]
     return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
 
 
@@ -296,14 +308,14 @@ class CurveTerms:
     """The geometry of one curve as a flow step needs it, each quantity
     computed once: frame, smallest arclength spacing h (the smallest
     weight on a closed curve, the smallest within-piece chord on an open
-    one), |x|^2 (``r2``), <x, n> (``dots``) and the flow velocity
-    kappa n - <x, n> n / |x|^2.  The stable step, min |x|, max |kappa| and
-    the enclosed area are derived on request.  Build it with
+    one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n> (``dots``)
+    and the flow velocity kappa n - <x, n> n / |x|^2.  The stable step,
+    min |x|, max |kappa| and the enclosed area are derived on request.  Build it with
     :func:`curve_terms`; it is the only code that computes the velocity
     and the step cap of the flow."""
 
     __slots__ = (
-        "points", "closed", "frame", "spacing", "r2", "dots", "velocity", "_d1", "_h",
+        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity", "_d1", "_h",
     )
 
     def stable_dt(self, safety: float) -> float:
@@ -313,14 +325,14 @@ class CurveTerms:
         caps = [h * h]
         dmax = np.abs(self.dots).max()
         if dmax > 0.0:
-            caps.append(h * self.r2.min() / (2.0 * dmax))
+            caps.append(h * self.r2_min / (2.0 * dmax))
         vmax = math.sqrt(float(_squared_norms(self.velocity).max()))
         if vmax > 0.0:
             caps.append(h / (2.0 * vmax))
         return safety * min(caps)
 
     def min_radius(self) -> float:
-        return math.sqrt(float(self.r2.min()))
+        return math.sqrt(float(self.r2_min))
 
     def max_curvature(self) -> float:
         return float(np.abs(self.frame.curvature).max())
@@ -356,8 +368,8 @@ def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
         )
     normal = frame.normal
     # <x, n> per node, bit-identical to einsum("ij,ij->i", points, normal)
-    dots = points[:, 0] * normal[:, 0] + points[:, 1] * normal[:, 1]
-    terms.r2, terms.dots = r2, dots
+    dots = _row_dots(points, normal)
+    terms.r2, terms.r2_min, terms.dots = r2, r2_min, dots
     terms.velocity = frame.curvature[:, None] * normal - (dots[:, None] * normal) / r2[:, None]
     return terms
 
@@ -425,6 +437,24 @@ def enclosed_area(curve: PlaneCurve) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # map to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# Newton's parameter rows: tau times this column is the 8 Gauss nodes of
+# [0, tau], then tau * 1.0, which is tau exactly
+_NEWTON_ROWS = np.append(_GL_NODES, 1.0)[:, None]
+
+
+@lru_cache(maxsize=8)
+def _circulant_eigenvalues(n: int) -> np.ndarray:
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / n)
+    eig = eig[:, None]
+    eig.setflags(write=False)
+    return eig
+
+
+def _quadrature(speed: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre sum per segment of speeds laid out (rows, segments)
+    with the 8 nodes in rows 0-7.  The product runs on a contiguous
+    (segments, 8) copy, the layout that fixes BLAS's summation order."""
+    return np.ascontiguousarray(speed[:8].T) @ _GL_WEIGHTS
 
 
 class _PeriodicSpline:
@@ -432,8 +462,8 @@ class _PeriodicSpline:
 
     Segment j is a_j + t (b_j + t (c_j + t d_j)) for t in [0, 1].  The
     speed |b + t (2c + t 3 d)| is evaluated component-wise, with the
-    operation order of the vector form, on coefficient columns gathered
-    once per segment set.
+    operation order of the vector form, on parameters laid out as (rows,
+    segments), so that every ufunc runs along the contiguous segment axis.
     """
 
     def __init__(self, pts: np.ndarray):
@@ -442,33 +472,39 @@ class _PeriodicSpline:
         nxt = p[2:]
         self.chord = nxt - pts
         rhs = 6.0 * (nxt - 2.0 * pts + p[:-2])
-        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / n)
-        m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=n, axis=0)
+        m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / _circulant_eigenvalues(n), n=n, axis=0)
         mn = np.concatenate((m[1:], m[:1]))
         self.a = pts
         self.b = self.chord - m / 3.0 - mn / 6.0
         self.c = m / 2.0
         self.d = (mn - m) / 6.0
         self.n = n
-
-    def columns(self, j: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """x and y columns of b, 2c and d for the segments j (all when None),
-        shaped (len(j), 1) so they broadcast against (len(j), k) parameters."""
-        b, c2, d = self.b, 2.0 * self.c, self.d
-        if j is not None:
-            b, c2, d = b[j], c2[j], d[j]
-        return tuple(v[:, k : k + 1] for v in (b, c2, d) for k in (0, 1))
+        # the speed's coefficient rows bx, by, 2cx, 2cy, dx, dy, (6, n)
+        self.speed_rows = np.concatenate((self.b.T, 2.0 * self.c.T, self.d.T))
 
     @staticmethod
-    def speed(cols: tuple[np.ndarray, ...], t: np.ndarray) -> np.ndarray:
-        bx, by, c2x, c2y, dx, dy = cols
+    def speed(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Speed at the parameters t, shaped (k, M), of the M segments
+        whose coefficient rows (6, M) are ``rows``."""
+        bx, by, c2x, c2y, dx, dy = rows
+        # bx + t (c2x + t3 dx) and |e|, worked in place: each element
+        # sees the same operations, in the same order
         t3 = t * 3.0
-        ex = bx + t * (c2x + t3 * dx)
-        ey = by + t * (c2y + t3 * dy)
-        return np.sqrt(ex * ex + ey * ey)
+        ex = t3 * dx
+        ex += c2x
+        ex *= t
+        ex += bx
+        ey = t3 * dy
+        ey += c2y
+        ey *= t
+        ey += by
+        ex *= ex
+        ey *= ey
+        ex += ey
+        return np.sqrt(ex, out=ex)
 
     def segment_lengths(self) -> np.ndarray:
-        return self.speed(self.columns(), _GL_NODES[None, :]) @ _GL_WEIGHTS
+        return _quadrature(self.speed(self.speed_rows, _GL_NODES[:, None]))
 
 
 def resample(curve: PlaneCurve, target_count: int) -> PlaneCurve:
@@ -491,16 +527,16 @@ def resample(curve: PlaneCurve, target_count: int) -> PlaneCurve:
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     targets = np.arange(target_count) * (total / target_count)
-    j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, spl.n - 1)
-    cols = spl.columns(j)
-    tau_cols = tuple(v[:, 0] for v in cols)
+    j = np.minimum(np.maximum(np.searchsorted(cum, targets, side="right") - 1, 0), spl.n - 1)
+    rows = spl.speed_rows[:, j]
     base = cum[j]
     tau = (targets - base) / seg[j]
     for _ in range(4):
-        nodes = tau[:, None] * _GL_NODES[None, :]
-        partial = (spl.speed(cols, nodes) @ _GL_WEIGHTS) * tau
-        tau = tau - (base + partial - targets) / spl.speed(tau_cols, tau)
-        tau = np.clip(tau, -0.25, 1.25)
+        # one speed evaluation: the quadrature nodes and tau itself
+        speed = spl.speed(rows, _NEWTON_ROWS * tau)
+        partial = _quadrature(speed) * tau
+        tau = tau - (base + partial - targets) / speed[8]
+        tau = np.minimum(np.maximum(tau, -0.25), 1.25)
     t = tau[:, None]
     return PlaneCurve(spl.a[j] + t * (spl.b[j] + t * (spl.c[j] + t * spl.d[j])), closed=True)
 

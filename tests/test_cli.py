@@ -135,6 +135,20 @@ class TestConfigValidation:
         assert "stop.t_end" in err
         assert "snapshot_dt" not in err
 
+    def test_t_end_before_start_rejected_with_explicit_interval(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", stop={"t_end": -0.5}, recording={"snapshot_dt": 0.1})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "stop.t_end -0.5 is not after the start time 0" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("field, value", [("redistribute_every", -3), ("max_steps", 0)])
+    def test_flow_range_rejected(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "c.json", flow={field: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert f"bad config: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

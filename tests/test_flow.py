@@ -29,6 +29,7 @@ from lagflow.flow import (
     velocity,
 )
 from lagflow.geometry import (
+    CurveConfigError,
     PlaneCurve,
     antipodal_defect,
     antipodal_symmetrize,
@@ -319,6 +320,27 @@ class TestLoopSemantics:
             evolve(st, FlowConfig(dt_min=1.0))
         assert info.value.last_state.t == 0.0
 
+    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    @pytest.mark.parametrize("snapshot_dt", [None, 0.1])
+    def test_t_end_at_or_before_start_rejected(self, t_end, snapshot_dt):
+        st = make_state(circle(64))
+        with pytest.raises(CurveConfigError, match=r"stop\.t_end .* start time 0"):
+            evolve(st, stop=StopConditions(t_end=t_end), recording=RecordingConfig(snapshot_dt))
+
+
+class TestFlowConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("redistribute_every", -3), ("redistribute_every", -1), ("max_steps", 0), ("max_steps", -5)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(CurveConfigError, match=field):
+            FlowConfig(**{field: value})
+
+    def test_range_limits_accepted(self):
+        config = FlowConfig(redistribute_every=0, max_steps=1)
+        assert (config.redistribute_every, config.max_steps) == (0, 1)
+
 
 class TestSingularTimeEstimate:
     def test_linear_radius_squared_recovers_root(self):
@@ -379,6 +401,13 @@ class TestRadialTwin:
         with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
             radial_evolve(RadialProfile(np.full(64, 2.0)), snapshot_dt=0.05, dt_min=1.0)
         assert info.value.last_state.t == 0.0
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    @pytest.mark.parametrize("snapshot_dt", [None, 0.1])
+    def test_radial_t_end_at_or_before_start_rejected(self, t_end, snapshot_dt):
+        profile = RadialProfile(np.full(32, 2.0), t=0.25)
+        with pytest.raises(CurveConfigError, match=r"^t_end .* start time 0\.25"):
+            radial_evolve(profile, t_end=t_end, snapshot_dt=snapshot_dt)
 
     def test_radial_t_end(self):
         traj, report = radial_evolve(

@@ -1,4 +1,6 @@
 """Curve container, frames, quadrature, resampling."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,11 @@ from lagflow.geometry import (
     antipodal_symmetrize,
     compute_frame,
     curve_pieces,
+    curve_terms,
     enclosed_area,
     resample,
 )
+from lagflow.scenarios import line_pair_curve
 
 
 def circle(n=256, rho=1.0, center=(0.0, 0.0)):
@@ -320,6 +324,150 @@ class TestStencilOracle:
         assert np.array_equal(frame.weight, speed * h)
         area = 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
         assert enclosed_area(curve) == area
+
+
+def _assembled_terms(curve):
+    """The per-step terms of curve_terms assembled in their earlier forms:
+    the rolled stencils (np.gradient per piece on open curves), three-
+    product squared norms and <x, n>, and the normal by np.column_stack.
+    Kept as a bit-identity oracle for the kernel."""
+    pts = curve.points
+    if curve.closed:
+        h = 2.0 * np.pi / curve.node_count
+        d1, d2 = _rolled_d1(pts, h), _rolled_d2(pts, h)
+        speed = np.linalg.norm(d1, axis=1)
+        spacing = (speed * h).min()
+    else:
+        d1, d2, speed = np.zeros_like(pts), np.zeros_like(pts), np.zeros(len(pts))
+        spacing = math.inf
+        for p in curve_pieces(pts, False):
+            g1 = np.gradient(pts[p], axis=0)
+            d1[p], d2[p], speed[p] = g1, np.gradient(g1, axis=0), np.linalg.norm(g1, axis=1)
+            spacing = min(spacing, np.linalg.norm(np.diff(pts[p], axis=0), axis=1).min())
+    tangent = d1 / speed[:, None]
+    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    r2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    dots = pts[:, 0] * normal[:, 0] + pts[:, 1] * normal[:, 1]
+    vel = curvature[:, None] * normal - (dots[:, None] * normal) / r2[:, None]
+    caps = [spacing * spacing]
+    dmax = np.abs(dots).max()
+    if dmax > 0.0:
+        caps.append(spacing * r2.min() / (2.0 * dmax))
+    vmax = math.sqrt(float((vel[:, 0] * vel[:, 0] + vel[:, 1] * vel[:, 1]).max()))
+    if vmax > 0.0:
+        caps.append(spacing / (2.0 * vmax))
+    return {
+        "normal": normal,
+        "curvature": curvature,
+        "r2": r2,
+        "dots": dots,
+        "velocity": vel,
+        "spacing": float(spacing),
+        "stable_dt": 0.2 * min(caps),
+        "min_radius": math.sqrt(float(r2.min())),
+    }
+
+
+def parabola(n=64):
+    xs = np.linspace(-1.0, 1.0, n)
+    return PlaneCurve(np.column_stack([xs, xs**2 + 0.5]), closed=False)
+
+
+class TestCurveTermsOracle:
+    """curve_terms agrees bit for bit with the assembly in _assembled_terms."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            circle(96, rho=2.0),
+            ellipse(128),
+            perturbed_star(),
+            circle(256, center=(1.05, 0.0)),
+            line_pair_curve(128, phi=0.3),
+            parabola(),
+        ],
+        ids=["circle", "ellipse", "star", "near_origin", "open_line_pair", "open_parabola"],
+    )
+    def test_terms_match_assembly(self, curve):
+        want = _assembled_terms(curve)
+        terms = curve_terms(curve.points, curve.closed)
+        assert np.array_equal(terms.frame.normal, want["normal"])
+        assert np.array_equal(terms.frame.curvature, want["curvature"])
+        for name in ("r2", "dots", "velocity"):
+            assert np.array_equal(getattr(terms, name), want[name]), name
+        assert terms.spacing == want["spacing"]
+        assert terms.stable_dt(0.2) == want["stable_dt"]
+        assert terms.min_radius() == want["min_radius"]
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
+def _oracle_resample(pts, target_count):
+    """resample in its earlier form, kept as a bit-identity oracle: the
+    circulant eigenvalues computed per call, the spline speed evaluated on
+    (M, 8) Gauss nodes and again at tau in each Newton iteration, and
+    np.clip."""
+    n = len(pts)
+    p = np.concatenate((pts[-1:], pts, pts[:1]))
+    nxt = p[2:]
+    rhs = 6.0 * (nxt - 2.0 * pts + p[:-2])
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / n)
+    m = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=n, axis=0)
+    mn = np.concatenate((m[1:], m[:1]))
+    b = (nxt - pts) - m / 3.0 - mn / 6.0
+    c = m / 2.0
+    d = (mn - m) / 6.0
+
+    def columns(j=None):
+        bj, c2j, dj = b, 2.0 * c, d
+        if j is not None:
+            bj, c2j, dj = bj[j], c2j[j], dj[j]
+        return tuple(v[:, k : k + 1] for v in (bj, c2j, dj) for k in (0, 1))
+
+    def speed(cols, t):
+        bx, by, c2x, c2y, dx, dy = cols
+        t3 = t * 3.0
+        ex = bx + t * (c2x + t3 * dx)
+        ey = by + t * (c2y + t3 * dy)
+        return np.sqrt(ex * ex + ey * ey)
+
+    seg = speed(columns(), _GL_NODES[None, :]) @ _GL_WEIGHTS
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.arange(target_count) * (cum[-1] / target_count)
+    j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, n - 1)
+    cols = columns(j)
+    tau_cols = tuple(v[:, 0] for v in cols)
+    base = cum[j]
+    tau = (targets - base) / seg[j]
+    for _ in range(4):
+        nodes = tau[:, None] * _GL_NODES[None, :]
+        partial = (speed(cols, nodes) @ _GL_WEIGHTS) * tau
+        tau = tau - (base + partial - targets) / speed(tau_cols, tau)
+        tau = np.clip(tau, -0.25, 1.25)
+    t = tau[:, None]
+    return pts[j] + t * (b[j] + t * (c[j] + t * d[j]))
+
+
+class TestResampleOracle:
+    """resample agrees bit for bit with _oracle_resample."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("shape", ["circle", "ellipse", "star"])
+    @pytest.mark.parametrize("target", [None, 384, 96, 101])
+    def test_matches_oracle(self, n, shape, target):
+        curve = {"circle": circle(n, rho=2.0), "ellipse": ellipse(n), "star": perturbed_star(n)}[shape]
+        target = target or n
+        got = resample(curve, target).points
+        assert got.shape == (target, 2)
+        assert np.array_equal(got, _oracle_resample(curve.points, target))
+
+    @settings(max_examples=20, deadline=None)
+    @given(star_curves(), st.sampled_from([256, 96, 384, 101]))
+    def test_matches_oracle_on_star_curves(self, curve, target):
+        assert np.array_equal(resample(curve, target).points, _oracle_resample(curve.points, target))
 
 
 class TestArea:

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts: each runs at a small size,
-exits 0 and prints its table header."""
+exits 0 and prints its table header (or its digest line)."""
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,16 @@ def test_script_runs(name, argv, header, capsys):
     assert load_script(name).main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.split() == " ".join(header).split() for line in lines)
+
+
+def test_output_digests_only_entry_is_stable(capsys):
+    module = load_script("output_digests")
+    digests = []
+    for _ in range(2):
+        assert module.main(["--only", "x_cone"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        name, digest = line.split()
+        assert name == "x_cone"
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+        digests.append(digest)
+    assert digests[0] == digests[1]
