@@ -19,9 +19,10 @@ stability-limited step
 where h is the smallest arclength spacing.  The Euler stability limit of
 the 4th-order second-difference stencil is 0.375 h^2, so the default
 safety 0.2 keeps the diffusive step comfortably inside it.  Nodes
-are pushed back to equal arclength spacing every few steps, and curves
-detected (or declared) antipodally symmetric are reprojected onto exact
-symmetry each step so the pinch stays centered.
+are pushed back to equal arclength spacing every few steps.  Closed
+curves detected (or declared) antipodally symmetric are projected onto
+exact symmetry at the start and after each redistribution; a step keeps
+that symmetry exactly, so the pinch stays centered.
 
 A run ends either at a requested time or at one of three singularity
 triggers, checked in priority order before every step:
@@ -554,8 +555,8 @@ def evolve(
             and n % 2 == 0
             and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
         )
-    elif enforce and n % 2 != 0:
-        raise CurveConfigError("antipodal enforcement needs an even node count")
+    elif enforce and not (closed and n % 2 == 0):
+        raise CurveConfigError("antipodal enforcement needs a closed curve with an even node count")
     if enforce:
         curve = antipodal_symmetrize(curve)
         state = replace(state, curve=curve)
@@ -659,8 +660,9 @@ def evolve(
             pts = _advance(pts, closed, terms.velocity, dt, config.scheme, state_at)
             t = t + dt
             index += 1
-            if enforce:
-                pts = symmetrize_points(pts)
+            # a step maps an antipodal node set to an antipodal one exactly
+            # (every operation commutes with negation), so only a
+            # redistribution needs the reprojection
             if redistribute_every > 0 and index % redistribute_every == 0:
                 # through the public resample, which validates its output
                 pts = resample(PlaneCurve(pts, closed=True), n).points

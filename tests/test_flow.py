@@ -19,6 +19,7 @@ from lagflow.flow import (
     StepUnderflowError,
     StopConditions,
     TrajectoryRangeError,
+    _advance,
     estimate_singular_time,
     evolve,
     make_state,
@@ -108,6 +109,18 @@ class TestStep:
         for _ in range(200):
             st = step(st, cfg)
         assert antipodal_defect(st.curve) < 1e-10
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_advance_keeps_exact_antipodal_symmetry(self, scheme):
+        # evolve reprojects only after a redistribution: one step of an
+        # exactly antipodal node set is exactly antipodal again
+        pts = antipodal_symmetrize(ellipse_curve(64, a=3.0)).points
+        m = len(pts) // 2
+        assert np.array_equal(pts[m:], -pts[:m])
+        terms = curve_terms(pts)
+        new = _advance(pts, True, terms.velocity, terms.stable_dt(0.2), scheme, None)
+        assert not np.array_equal(new, pts)
+        assert np.array_equal(new[m:], -new[:m])
 
     def test_stability_cap_positive_and_modest(self):
         c = circle(256, rho=2.0)
@@ -302,6 +315,13 @@ class TestLoopSemantics:
         assert last.step_index == st.step_index == 200
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)
+
+    def test_antipodal_enforcement_on_open_curve_rejected(self):
+        # node i and node i + N/2 of an open polyline are not neighbours of
+        # each other's neighbours, so there is no symmetry to keep
+        st = make_state(x_cone_curve(128))
+        with pytest.raises(CurveConfigError, match="closed curve"):
+            evolve(st, FlowConfig(enforce_antipodal=True), StopConditions(t_end=0.01))
 
     def test_curve_error_in_the_loop_becomes_integration_error(self):
         # a node on the origin fails the velocity's origin guard at t = 0
