@@ -430,8 +430,8 @@ def enclosed_area(curve: PlaneCurve) -> float:
 #
 # The second-derivative system M_{i-1} + 4 M_i + M_{i+1} = 6 (f_{i+1} - 2 f_i
 # + f_{i-1}) is circulant on a periodic grid, so it diagonalizes under the
-# FFT; this keeps redistribution fully vectorized (it runs every few flow
-# steps).
+# FFT; this keeps redistribution fully vectorized (it runs whenever a flow
+# step leaves the node spacing uneven).
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

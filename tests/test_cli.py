@@ -142,11 +142,25 @@ class TestConfigValidation:
         assert "stop.t_end -0.5 is not after the start time 0" in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("field, value", [("redistribute_every", -3), ("max_steps", 0)])
+    @pytest.mark.parametrize("field, value", [("max_steps", 0)])
     def test_flow_range_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "c.json", flow={field: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
         assert f"bad config: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "flow, message",
+        [
+            ({"redistribute_every": 10}, "unknown key 'flow.redistribute_every'"),
+            ({"redistribute": 3}, "'flow.redistribute' must be bool, got int"),
+        ],
+        ids=["old_cadence_key", "redistribute_not_bool"],
+    )
+    def test_redistribution_key_checked(self, tmp_path, capsys, flow, message):
+        cfg = write_config(tmp_path / "c.json", flow=flow)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from lagflow import flow
 from lagflow.flow import (
+    REDISTRIBUTE_RATIO,
     FlowConfig,
     FlowState,
     IntegrationError,
@@ -272,9 +274,9 @@ class TestEvolve:
 
 
 class TestLoopSemantics:
-    """evolve is the public step plus antipodal reprojection and the
-    redistribution cadence, nothing more: its state after the step budget
-    equals a replay through step() bit for bit."""
+    """evolve is the public step plus the spacing-triggered redistribution
+    and its antipodal reprojection, nothing more: its state after the step
+    budget equals a replay through step() and resample() bit for bit."""
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_budget_state_equals_public_step_replay(self, scheme):
@@ -287,12 +289,17 @@ class TestLoopSemantics:
         st = FlowState(
             antipodal_symmetrize(start.curve), start.t, start.initial_constant, 0
         )
-        for k in range(1, 201):
+        floor, redistributions = 1.0, 0
+        for _ in range(200):
+            weight = compute_frame(st.curve).weight
             st = step(st, config)
-            curve = antipodal_symmetrize(st.curve)
-            if k % config.redistribute_every == 0:
-                curve = antipodal_symmetrize(resample(curve, curve.node_count))
-            st = FlowState(curve, st.t, st.initial_constant, st.step_index)
+            if weight.max() > REDISTRIBUTE_RATIO * floor * weight.min():
+                curve = antipodal_symmetrize(resample(st.curve, st.curve.node_count))
+                st = FlowState(curve, st.t, st.initial_constant, st.step_index)
+                left = compute_frame(curve).weight
+                floor = float(left.max()) / float(left.min())
+                redistributions += 1
+        assert 0 < redistributions < 100
         assert last.step_index == st.step_index == 200
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)
@@ -304,7 +311,7 @@ class TestLoopSemantics:
         r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
         start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
         assert antipodal_defect(start.curve) > 0.1
-        config = FlowConfig(redistribute_every=0, enforce_antipodal=False, max_steps=200)
+        config = FlowConfig(redistribute=False, enforce_antipodal=False, max_steps=200)
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
@@ -348,18 +355,67 @@ class TestLoopSemantics:
             evolve(st, stop=StopConditions(t_end=t_end), recording=RecordingConfig(snapshot_dt))
 
 
+class TestRedistributionTrigger:
+    """evolve redistributes a closed curve after a step whose arclength
+    weights have spread by more than REDISTRIBUTE_RATIO, and only then."""
+
+    @staticmethod
+    def _resample_steps(monkeypatch) -> list[int]:
+        """The number of steps taken before each resample call of evolve."""
+        steps, calls = [0], []
+        advance, resample_ = flow._advance, flow.resample
+
+        def counted_advance(*args):
+            steps[0] += 1
+            return advance(*args)
+
+        def counted_resample(curve, n):
+            calls.append(steps[0])
+            return resample_(curve, n)
+
+        monkeypatch.setattr(flow, "_advance", counted_advance)
+        monkeypatch.setattr(flow, "resample", counted_resample)
+        return calls
+
+    def test_circle_is_never_redistributed(self, monkeypatch):
+        calls = self._resample_steps(monkeypatch)
+        traj, report = evolve(make_state(circle_curve(256, rho=2.0)), stop=StopConditions(t_end=0.1))
+        assert not report.detected and traj.states[-1].step_index > 200
+        assert calls == []
+
+    @pytest.mark.parametrize("a", [3.0, 6.0])
+    def test_ellipse_is_redistributed_but_never_on_consecutive_steps(self, monkeypatch, a):
+        # at a=6 and N=64 the late curve is too coarse for a redistribution
+        # to bring the weight spread back under the ratio; measured from
+        # that spread, the trigger still waits for the spacing to drift
+        calls = self._resample_steps(monkeypatch)
+        _, report = evolve(make_state(ellipse_curve(64, a=a)))
+        assert report.detected
+        assert len(calls) >= 1
+        assert np.all(np.diff(calls) >= 2)
+
+    def test_switched_off(self, monkeypatch):
+        calls = self._resample_steps(monkeypatch)
+        evolve(
+            make_state(ellipse_curve(64, a=3.0)),
+            FlowConfig(redistribute=False),
+            StopConditions(t_end=0.01),
+        )
+        assert calls == []
+
+
 class TestFlowConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("redistribute_every", -3), ("redistribute_every", -1), ("max_steps", 0), ("max_steps", -5)],
+        [("safety", 0.0), ("safety", 1.5), ("max_steps", 0), ("max_steps", -5)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(CurveConfigError, match=field):
             FlowConfig(**{field: value})
 
     def test_range_limits_accepted(self):
-        config = FlowConfig(redistribute_every=0, max_steps=1)
-        assert (config.redistribute_every, config.max_steps) == (0, 1)
+        config = FlowConfig(safety=1.0, redistribute=False, max_steps=1)
+        assert (config.safety, config.redistribute, config.max_steps) == (1.0, False, 1)
 
 
 class TestSingularTimeEstimate:
@@ -428,6 +484,19 @@ class TestRadialTwin:
         profile = RadialProfile(np.full(32, 2.0), t=0.25)
         with pytest.raises(CurveConfigError, match=r"^t_end .* start time 0\.25"):
             radial_evolve(profile, t_end=t_end, snapshot_dt=snapshot_dt)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"safety": 0.0}, {"safety": 5.0}, {"safety": -0.1}, {"max_steps": 0}],
+        ids=["safety_zero", "safety_above_one", "safety_negative", "max_steps_zero"],
+    )
+    def test_radial_knobs_out_of_range_rejected(self, knobs):
+        # the same check, and so the same message, as FlowConfig
+        with pytest.raises(CurveConfigError) as flow_error:
+            FlowConfig(**knobs)
+        with pytest.raises(CurveConfigError) as radial_error:
+            radial_evolve(RadialProfile(np.full(32, 2.0)), t_end=0.1, snapshot_dt=0.05, **knobs)
+        assert str(radial_error.value) == str(flow_error.value)
 
     def test_radial_t_end(self):
         traj, report = radial_evolve(
