@@ -585,10 +585,11 @@ def evolve(
     contact_radius = config.origin_contact_factor * curve.diameter
     c0 = state.initial_constant
     redistribute = config.redistribute and closed
-    # the weight spread max/min that the last redistribution left: equal
-    # spline arclength is not quite equal weight, by more on coarse,
-    # strongly bent curves, so the trigger measures growth over it
-    spread_floor, floor_due = 1.0, False
+    # the weight spread max/min that the last redistribution left (None
+    # until the next step measures it): equal spline arclength is not
+    # quite equal weight, by more on coarse, strongly bent curves, so the
+    # trigger measures growth over it
+    spread_floor = 1.0
 
     states: list[FlowState] = []
     columns: dict[str, list[float]] = {k: [] for k in DIAGNOSTIC_COLUMNS}
@@ -646,8 +647,8 @@ def evolve(
             terms = curve_terms(pts, closed)
             dt_auto = terms.stable_dt(config.safety)
             min_r = terms.min_radius()
-            if floor_due:
-                spread_floor, floor_due = float(terms.frame.weight.max()) / terms.spacing, False
+            if spread_floor is None:
+                spread_floor = float(terms.frame.weight.max()) / terms.spacing
 
             # --- recording at the current state -------------------------
             on_grid = clock.on_grid(t)
@@ -691,7 +692,7 @@ def evolve(
                 pts = resample(PlaneCurve(pts, closed=True), n).points
                 if enforce:
                     pts = symmetrize_points(pts)
-                floor_due = True
+                spread_floor = None
     except CurveError as exc:
         raise IntegrationError(
             f"{type(exc).__name__} at t={t:.6g}: {exc}", last_state=state_at()
