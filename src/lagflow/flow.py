@@ -114,7 +114,7 @@ ORIGIN_CONTACT_FACTOR = 0.005
 # largest arclength weight over its smallest, exceeds this times the
 # spread the last redistribution left (1 before the first).  On the
 # normalized a=3 ellipse at N=224 one step widens the spread by about
-# 6e-4, and a redistribution costs about as much as 3-4 steps.  A lower
+# 6e-4, and a redistribution costs about as much as 4 steps.  A lower
 # ratio keeps the smallest spacing, and so the step, larger at the price
 # of more redistributions; a higher one does the reverse (1.01: 669
 # redistributions in 12,201 steps; 1.05: 146 in 12,478; 1.2: 39 in

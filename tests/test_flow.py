@@ -324,8 +324,9 @@ class TestLoopSemantics:
         assert np.array_equal(last.curve.points, st.curve.points)
 
     def test_antipodal_enforcement_on_open_curve_rejected(self):
-        # node i and node i + N/2 of an open polyline are not neighbours of
-        # each other's neighbours, so there is no symmetry to keep
+        # a step keeps antipodal symmetry exactly only through the periodic
+        # stencil of a closed curve, whose index shift by N/2 maps each
+        # node's neighbours onto its partner's
         st = make_state(x_cone_curve(128))
         with pytest.raises(CurveConfigError, match="closed curve"):
             evolve(st, FlowConfig(enforce_antipodal=True), StopConditions(t_end=0.01))
@@ -393,15 +394,6 @@ class TestRedistributionTrigger:
         assert report.detected
         assert len(calls) >= 1
         assert np.all(np.diff(calls) >= 2)
-
-    def test_switched_off(self, monkeypatch):
-        calls = self._resample_steps(monkeypatch)
-        evolve(
-            make_state(ellipse_curve(64, a=3.0)),
-            FlowConfig(redistribute=False),
-            StopConditions(t_end=0.01),
-        )
-        assert calls == []
 
 
 class TestFlowConfig:
