@@ -128,8 +128,6 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(norm, bool):
         raise ConfigError("'normalize' must be true or false")
     flow_cfg = _take_section(raw, "flow", FlowConfig)
-    if flow_cfg["scheme"] not in ("euler", "heun"):
-        raise ConfigError("'flow.scheme' must be 'euler' or 'heun'")
     stop_cfg = _take_section(raw, "stop", StopConditions)
     rec_cfg = _take_section(raw, "recording", RecordingConfig)
     return {

@@ -21,25 +21,28 @@ the 4th-order second-difference stencil is 0.375 h^2, so the default
 safety 0.2 keeps the diffusive step comfortably inside it.  Nodes
 of a closed curve are pushed back to equal arclength spacing after a step
 whose arclength weights have spread by more than REDISTRIBUTE_RATIO.  Closed
-curves detected (or declared) antipodally symmetric are projected onto
-exact symmetry at the start and after each redistribution; a step keeps
-that symmetry exactly, so the pinch stays centered.
+curves detected antipodally symmetric are projected onto exact symmetry
+at the start and after each redistribution; a step keeps that symmetry
+exactly, so the pinch stays centered.
 
 A run ends either at a requested time or at one of three singularity
 triggers, checked in priority order before every step:
 
-* ``origin_contact``    -- a node of a closed curve enters a small disk
-                           around the origin (the flow law is singular
-                           there, and reaching it is the interesting event);
-* ``curvature_blowup``  -- max |kappa| * h exceeds 1, i.e. the curve bends
-                           faster than the node spacing can represent;
+* ``origin_contact``    -- a node of a closed curve enters the disk of
+                           radius ORIGIN_CONTACT_FACTOR times the initial
+                           diameter around the origin (the flow law is
+                           singular there, and reaching it is the
+                           interesting event);
+* ``curvature_blowup``  -- max |kappa| * h exceeds CURVATURE_BLOWUP_PRODUCT,
+                           i.e. the curve bends faster than the node
+                           spacing can represent;
 * ``step_underflow``    -- the stable step fell below ``dt_min``; when the
                            records give no singular-time bracket this is a
                            lost integration (StepUnderflowError) instead.
 
 Diagnostics are sampled on a uniform time grid (plus a geometric cascade
-of extra records as the minimum radius collapses) and carried as plain
-column arrays, one row per recorded state.
+of extra records as the minimum radius collapses, see TAIL_AREA_FRACTION)
+and carried as plain column arrays, one row per recorded state.
 """
 from __future__ import annotations
 
@@ -108,8 +111,18 @@ DIAGNOSTIC_COLUMNS = (
 # as "the curve is symmetric" for auto-detection.
 ANTIPODAL_DETECT_TOL = 1e-9
 # Origin contact: the minimum radius fell below this times the initial
-# diameter (the default of both integrators).
+# diameter (in both integrators).
 ORIGIN_CONTACT_FACTOR = 0.005
+# Curvature blow-up: max |kappa| times the smallest node spacing exceeds
+# this.
+CURVATURE_BLOWUP_PRODUCT = 1.0
+# Once the enclosed area of a closed curve has dropped below
+# TAIL_AREA_FRACTION times its initial value, an extra record is taken
+# whenever the minimum radius falls below TAIL_RADIUS_RATIO times its
+# value at the previous record, so the approach to a pinch is resolved
+# geometrically.
+TAIL_AREA_FRACTION = 0.25
+TAIL_RADIUS_RATIO = 0.95
 # A closed curve is redistributed after a step whose weight spread, its
 # largest arclength weight over its smallest, exceeds this times the
 # spread the last redistribution left (1 before the first).  On the
@@ -143,39 +156,31 @@ class TrajectoryRangeError(ValueError):
     """A time or scale outside the span actually covered by a run."""
 
 
-def _check_step_knobs(safety: float, max_steps: int) -> None:
-    """The range check of the step safety factor and the step budget,
-    which evolve (through FlowConfig) and radial_evolve both take."""
-    if not 0.0 < safety <= 1.0:
-        raise CurveConfigError("safety must be in (0, 1]")
-    if max_steps < 1:
-        raise CurveConfigError(f"max_steps must be at least 1, got {max_steps}")
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Integrator knobs.
 
-    ``enforce_antipodal=None`` means auto-detect from the initial curve;
-    pass True/False to force.  ``redistribute=False`` turns off the
-    arclength redistribution of closed curves, which otherwise follows a
-    step whose weights have spread by more than REDISTRIBUTE_RATIO.
-    ``safety`` lies in (0, 1] and ``max_steps`` is at least 1.
+    ``redistribute=False`` turns off the arclength redistribution of
+    closed curves, which otherwise follows a step whose weights have
+    spread by more than REDISTRIBUTE_RATIO.  ``safety`` lies in (0, 1]
+    and ``max_steps`` is at least 1.  The stop triggers are the module
+    constants ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT, and
+    antipodal symmetry is detected from the initial curve.
     """
 
     safety: float = 0.2
     scheme: str = "euler"
     redistribute: bool = True
     dt_min: float = 1e-14
-    origin_contact_factor: float = ORIGIN_CONTACT_FACTOR
-    curvature_blowup_product: float = 1.0
-    enforce_antipodal: bool | None = None
     max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.scheme not in ("euler", "heun"):
-            raise CurveConfigError(f"unknown scheme {self.scheme!r}")
-        _check_step_knobs(self.safety, self.max_steps)
+            raise CurveConfigError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
+        if not 0.0 < self.safety <= 1.0:
+            raise CurveConfigError("safety must be in (0, 1]")
+        if self.max_steps < 1:
+            raise CurveConfigError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -192,16 +197,11 @@ class RecordingConfig:
 
     ``snapshot_dt=None`` picks (c/2)/50 on closed curves with a positive
     c-constant (50 records across the nominal drain time), or t_end/40
-    when only a stop time is available.  Once the enclosed area has
-    dropped below ``area_switch`` times its initial value, an extra record
-    is taken whenever the minimum radius falls below ``tail_factor`` times
-    its value at the previous record, so the approach to a pinch is
-    resolved geometrically.
+    when only a stop time is available.  The extra records near a pinch
+    follow TAIL_AREA_FRACTION and TAIL_RADIUS_RATIO.
     """
 
     snapshot_dt: float | None = None
-    area_switch: float = 0.25
-    tail_factor: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -562,16 +562,12 @@ def evolve(
     curve = state.curve
     closed = curve.closed
     n = curve.node_count
-    enforce = config.enforce_antipodal
-    if enforce is None:
-        enforce = (
-            closed
-            and n % 2 == 0
-            and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
-        )
-    elif enforce and not (closed and n % 2 == 0):
-        raise CurveConfigError("antipodal enforcement needs a closed curve with an even node count")
-    if enforce:
+    antipodal = (
+        closed
+        and n % 2 == 0
+        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
+    )
+    if antipodal:
         curve = antipodal_symmetrize(curve)
         state = replace(state, curve=curve)
 
@@ -582,7 +578,7 @@ def evolve(
         raise CurveConfigError("snapshot_dt must be positive")
 
     area0 = abs(enclosed_area(curve)) if closed else float("nan")
-    contact_radius = config.origin_contact_factor * curve.diameter
+    contact_radius = ORIGIN_CONTACT_FACTOR * curve.diameter
     c0 = state.initial_constant
     redistribute = config.redistribute and closed
     # the weight spread max/min that the last redistribution left (None
@@ -619,7 +615,7 @@ def evolve(
             point = pts[int(np.abs(terms.frame.curvature).argmax())].copy()
         elif trigger is not None:
             i = int(np.linalg.norm(pts, axis=1).argmin())
-            if closed and n % 2 == 0:
+            if antipodal:
                 point = 0.5 * (pts[i] + pts[(i + n // 2) % n])
             else:
                 point = pts[i].copy()
@@ -654,9 +650,9 @@ def evolve(
             on_grid = clock.on_grid(t)
             tail_hit = (
                 closed
-                and min_r <= recording.tail_factor * last_recorded_min_r
+                and min_r <= TAIL_RADIUS_RATIO * last_recorded_min_r
                 and not math.isnan(area0)
-                and abs(terms.area()) < recording.area_switch * area0
+                and abs(terms.area()) < TAIL_AREA_FRACTION * area0
             )
             if not states or on_grid or tail_hit:
                 record(terms, dt_auto)
@@ -664,7 +660,7 @@ def evolve(
             # --- stop checks (before stepping) ---------------------------
             if closed and min_r < contact_radius:
                 return finish(terms, dt_auto, "origin_contact")
-            if terms.max_curvature() * terms.spacing > config.curvature_blowup_product:
+            if terms.max_curvature() * terms.spacing > CURVATURE_BLOWUP_PRODUCT:
                 return finish(terms, dt_auto, "curvature_blowup")
             if dt_auto < config.dt_min:
                 return finish(terms, dt_auto, "step_underflow")
@@ -690,7 +686,7 @@ def evolve(
             ):
                 # through the public resample, which validates its output
                 pts = resample(PlaneCurve(pts, closed=True), n).points
-                if enforce:
+                if antipodal:
                     pts = symmetrize_points(pts)
                 spread_floor = None
     except CurveError as exc:
@@ -785,21 +781,17 @@ def radial_evolve(
     profile: RadialProfile,
     t_end: float | None = None,
     snapshot_dt: float | None = None,
-    safety: float = 0.2,
-    stop_radius: float | None = None,
-    dt_min: float = 1e-14,
-    max_steps: int = 2_000_000,
+    dt_min: float = FlowConfig.dt_min,
 ) -> tuple[RadialTrajectory, SingularityReport]:
     """Integrate the radial law with the same stepping contract as evolve.
 
-    Stops at ``t_end``, or when min r drops below ``stop_radius`` (default
-    ORIGIN_CONTACT_FACTOR times the initial diameter, as in evolve), or
-    on step underflow, which raises StepUnderflowError when no singular
-    time can be bracketed.  Records land exactly on the snapshot grid and
-    carry per-node dr/dt.  ``safety`` and ``max_steps`` have the ranges
-    of FlowConfig.
+    Stops at ``t_end``, or when min r drops below ORIGIN_CONTACT_FACTOR
+    times the initial diameter, as in evolve, or on step underflow, which
+    raises StepUnderflowError when no singular time can be bracketed.
+    Records land exactly on the snapshot grid and carry per-node dr/dt.
+    The step safety factor and the step budget are the FlowConfig
+    defaults.
     """
-    _check_step_knobs(safety, max_steps)
     if not isinstance(profile, RadialProfile):
         profile = RadialProfile(np.asarray(profile, dtype=np.float64), 0.0)
     r = profile.r.copy()
@@ -811,19 +803,18 @@ def radial_evolve(
         snapshot_dt = (t_end - t) / 40.0
     if snapshot_dt <= 0.0:
         raise CurveConfigError("snapshot_dt must be positive")
-    if stop_radius is None:
-        stop_radius = ORIGIN_CONTACT_FACTOR * 2.0 * float(r.max())
+    contact_radius = ORIGIN_CONTACT_FACTOR * 2.0 * float(r.max())
 
     profiles: list[RadialProfile] = []
     rates: list[np.ndarray] = []
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
-    for _ in range(max_steps):
-        rhs, dt = _radial_rate(r, safety)
+    for _ in range(FlowConfig.max_steps):
+        rhs, dt = _radial_rate(r, FlowConfig.safety)
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
             rates.append(rhs.copy())
-        if float(r.min()) < stop_radius:
+        if float(r.min()) < contact_radius:
             trigger = "origin_contact"
             break
         if dt < dt_min:

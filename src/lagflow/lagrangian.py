@@ -44,7 +44,6 @@ __all__ = [
     "MonotoneData",
     "monotone_data",
     "drainage_defect",
-    "monotone_defect",
     "normalize",
 ]
 
@@ -168,10 +167,3 @@ def drainage_defect(md: MonotoneData, initial_constant: float, t: float) -> floa
     c-constant at flow start."""
     expected = (initial_constant - 2.0 * t) * md.maslov_integral
     return abs(md.liouville_integral - expected) / abs(md.maslov_integral)
-
-
-def monotone_defect(state) -> float:
-    """:func:`drainage_defect` at a flow state.  Accepts any object with
-    ``curve``, ``t`` and ``initial_constant`` attributes."""
-    md = monotone_data(state.curve, compute_frame(state.curve))
-    return drainage_defect(md, state.initial_constant, state.t)

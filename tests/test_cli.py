@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestConfigValidation:
         assert "stop.t_end -0.5 is not after the start time 0" in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("field, value", [("max_steps", 0)])
+    @pytest.mark.parametrize("field, value", [("max_steps", 0), ("scheme", "rk4")])
     def test_flow_range_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "c.json", flow={field: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
@@ -150,18 +151,52 @@ class TestConfigValidation:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
-        "flow, message",
+        "section, entry, message",
         [
-            ({"redistribute_every": 10}, "unknown key 'flow.redistribute_every'"),
-            ({"redistribute": 3}, "'flow.redistribute' must be bool, got int"),
+            ("flow", {"redistribute_every": 10}, "unknown key 'flow.redistribute_every'"),
+            ("flow", {"redistribute": 3}, "'flow.redistribute' must be bool, got int"),
+            # retired knobs whose defaults are now module constants
+            ("flow", {"origin_contact_factor": 0.005}, "unknown key 'flow.origin_contact_factor'"),
+            ("flow", {"curvature_blowup_product": 1.0}, "unknown key 'flow.curvature_blowup_product'"),
+            ("flow", {"enforce_antipodal": True}, "unknown key 'flow.enforce_antipodal'"),
+            ("recording", {"area_switch": 0.25}, "unknown key 'recording.area_switch'"),
+            ("recording", {"tail_factor": 0.95}, "unknown key 'recording.tail_factor'"),
         ],
-        ids=["old_cadence_key", "redistribute_not_bool"],
+        ids=[
+            "old_cadence_key",
+            "redistribute_not_bool",
+            "origin_contact_factor",
+            "curvature_blowup_product",
+            "enforce_antipodal",
+            "area_switch",
+            "tail_factor",
+        ],
     )
-    def test_redistribution_key_checked(self, tmp_path, capsys, flow, message):
-        cfg = write_config(tmp_path / "c.json", flow=flow)
+    def test_section_key_checked(self, tmp_path, capsys, section, entry, message):
+        cfg = write_config(tmp_path / "c.json", **{section: entry})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_readme_table_lists_resolved_keys(self):
+        # the README config table names exactly the keys resolve_config
+        # fills in, so a knob cannot be added or dropped without its row
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        table = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        resolved = resolve_config({"scenario": {"name": "circle", "params": {}}})
+        materialized = set()
+        for key, value in resolved.items():
+            if isinstance(value, dict):
+                materialized.update(f"{key}.{sub}" for sub in value)
+            else:
+                materialized.add(key)
+        assert documented == materialized
 
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):
         cfg = write_config(

@@ -229,6 +229,17 @@ class TestEvolve:
         assert np.linalg.norm(report.singular_point) < 1e-6
         assert report.min_radius_at_stop < 0.005 * 4.0 + 1e-6
 
+    def test_off_center_contact_point_is_the_nearest_node(self):
+        # a closed curve with an even node count but no antipodal symmetry:
+        # the circle of radius 1 around (1.004, 0) passes 0.004 from the
+        # origin at its node 32, inside the contact radius 0.005 * 2
+        u = 2 * np.pi * np.arange(64) / 64
+        curve = PlaneCurve(np.column_stack([1.004 + np.cos(u), np.sin(u)]))
+        _, report = evolve(make_state(curve), stop=StopConditions(t_end=0.01))
+        assert report.trigger == "origin_contact"
+        assert report.min_radius_at_stop == pytest.approx(0.004, abs=1e-12)
+        assert np.allclose(report.singular_point, [0.004, 0.0], atol=1e-12)
+
     def test_drainage_bound_caps_bracket(self):
         # c = 2 for the centered circle of radius 2, so t_high <= c/2 = 1
         # whenever the stop happens before that time.
@@ -311,7 +322,7 @@ class TestLoopSemantics:
         r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
         start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
         assert antipodal_defect(start.curve) > 0.1
-        config = FlowConfig(redistribute=False, enforce_antipodal=False, max_steps=200)
+        config = FlowConfig(redistribute=False, max_steps=200)
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
@@ -322,14 +333,6 @@ class TestLoopSemantics:
         assert last.step_index == st.step_index == 200
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)
-
-    def test_antipodal_enforcement_on_open_curve_rejected(self):
-        # a step keeps antipodal symmetry exactly only through the periodic
-        # stencil of a closed curve, whose index shift by N/2 maps each
-        # node's neighbours onto its partner's
-        st = make_state(x_cone_curve(128))
-        with pytest.raises(CurveConfigError, match="closed curve"):
-            evolve(st, FlowConfig(enforce_antipodal=True), StopConditions(t_end=0.01))
 
     def test_curve_error_in_the_loop_becomes_integration_error(self):
         # a node on the origin fails the velocity's origin guard at t = 0
@@ -476,19 +479,6 @@ class TestRadialTwin:
         profile = RadialProfile(np.full(32, 2.0), t=0.25)
         with pytest.raises(CurveConfigError, match=r"^t_end .* start time 0\.25"):
             radial_evolve(profile, t_end=t_end, snapshot_dt=snapshot_dt)
-
-    @pytest.mark.parametrize(
-        "knobs",
-        [{"safety": 0.0}, {"safety": 5.0}, {"safety": -0.1}, {"max_steps": 0}],
-        ids=["safety_zero", "safety_above_one", "safety_negative", "max_steps_zero"],
-    )
-    def test_radial_knobs_out_of_range_rejected(self, knobs):
-        # the same check, and so the same message, as FlowConfig
-        with pytest.raises(CurveConfigError) as flow_error:
-            FlowConfig(**knobs)
-        with pytest.raises(CurveConfigError) as radial_error:
-            radial_evolve(RadialProfile(np.full(32, 2.0)), t_end=0.1, snapshot_dt=0.05, **knobs)
-        assert str(radial_error.value) == str(flow_error.value)
 
     def test_radial_t_end(self):
         traj, report = radial_evolve(

@@ -8,7 +8,6 @@ theta = arg(gamma * gamma'):
 * ellipse (a cos, b sin):  liouville = 2*pi*a*b, c = a*b/2
 """
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from lagflow.geometry import PlaneCurve, compute_frame, enclosed_area
 from lagflow.lagrangian import (
     NonMonotoneError,
+    drainage_defect,
     lagrangian_angle,
     monotone_data,
-    monotone_defect,
     normalize,
 )
 from lagflow.scenarios import line_pair_curve, x_cone_curve
@@ -155,15 +154,12 @@ class TestMonotoneDefect:
         # rho(t) = sqrt(4 - 4t) solves the flow exactly, c0 = 2; the
         # defect of each exact state should be pure discretization noise.
         for t in (0.0, 0.25, 0.5, 0.75):
-            rho = math.sqrt(4.0 - 4.0 * t)
-            state = SimpleNamespace(
-                curve=circle(256, rho=rho), t=t, initial_constant=2.0
-            )
-            assert monotone_defect(state) < 1e-7
+            c = circle(256, rho=math.sqrt(4.0 - 4.0 * t))
+            assert drainage_defect(monotone_data(c, compute_frame(c)), 2.0, t) < 1e-7
 
     def test_wrong_constant_detected(self):
-        state = SimpleNamespace(curve=circle(256, rho=2.0), t=0.0, initial_constant=2.1)
-        assert monotone_defect(state) > 0.05
+        c = circle(256, rho=2.0)
+        assert drainage_defect(monotone_data(c, compute_frame(c)), 2.1, 0.0) > 0.05
 
 
 class TestProperties:
