@@ -47,6 +47,7 @@ from lagflow.flow import (
     evolve,
     make_state,
     radial_evolve,
+    radial_rhs,
 )
 from lagflow.scenarios import circle_curve
 
@@ -124,7 +125,8 @@ def heun_ladder(work: str) -> str:
             h.update(name.encode() + np.ascontiguousarray(traj.diagnostics[name]).tobytes())
         h.update(traj.states[-1].curve.points.tobytes())
         rtraj, _ = radial_evolve(RadialProfile(np.full(n, 2.0)), t_end=0.9, snapshot_dt=0.02)
-        for profile, rate in zip(rtraj.profiles, rtraj.rates):
+        for profile in rtraj.profiles:
+            rate = radial_rhs(profile)
             h.update(np.float64(profile.t).tobytes() + profile.r.tobytes() + rate.tobytes())
     return h.hexdigest()
 

@@ -43,6 +43,11 @@ triggers, checked in priority order before every step:
 Diagnostics are sampled on a uniform time grid (plus a geometric cascade
 of extra records as the minimum radius collapses, see TAIL_AREA_FRACTION)
 and carried as plain column arrays, one row per recorded state.
+
+The radial twin (:func:`radial_evolve`) runs the same flow over the polar
+angle under the same rules, each defined once: the record interval, the
+stepping clock, the antipodal test, the origin-contact radius, the
+singular point and the report with its singular-time bracket.
 """
 from __future__ import annotations
 
@@ -139,11 +144,11 @@ _ORIGIN = np.zeros(2)
 class IntegrationError(RuntimeError):
     """The integrator lost the curve (non-finite values, step budget).
 
-    ``last_state`` holds the most recent usable state when available (a
-    RadialProfile for errors of :func:`radial_evolve`).
+    ``last_state`` holds the most recent usable state: a FlowState, or a
+    RadialProfile for errors of :func:`radial_evolve`.
     """
 
-    def __init__(self, message: str, last_state: "FlowState | None" = None):
+    def __init__(self, message: str, last_state: "FlowState | RadialProfile | None" = None):
         super().__init__(message)
         self.last_state = last_state
 
@@ -195,9 +200,9 @@ class StopConditions:
 class RecordingConfig:
     """Diagnostic sampling.
 
-    ``snapshot_dt=None`` picks (c/2)/50 on closed curves with a positive
-    c-constant (50 records across the nominal drain time), or t_end/40
-    when only a stop time is available.  The extra records near a pinch
+    ``snapshot_dt=None`` picks the smaller of (c/2)/50 on closed curves
+    with a positive c-constant (50 records across the nominal drain time)
+    and t_end/40 when a stop time is set.  The extra records near a pinch
     follow TAIL_AREA_FRACTION and TAIL_RADIUS_RATIO.
     """
 
@@ -342,9 +347,7 @@ def step(state: FlowState, config: FlowConfig, max_dt: float | None = None) -> F
     )
 
 
-def _diagnostics_row(
-    state: FlowState, terms: CurveTerms, dt_auto: float
-) -> dict[str, float]:
+def _diagnostics_row(state: FlowState, terms: CurveTerms, dt_auto: float) -> dict[str, float]:
     curve = state.curve
     frame = terms.frame
     nan = float("nan")
@@ -361,25 +364,22 @@ def _diagnostics_row(
         "angle_min": nan,
         "angle_max": nan,
     }
-    try:
-        angle = lagrangian_angle(curve, frame)
-        row["angle_min"] = float(angle.theta.min())
-        row["angle_max"] = float(angle.theta.max())
-    except OriginContactError:
-        angle = None
+    # curve_terms has rejected every node where the angle field is singular
+    angle = lagrangian_angle(curve, frame)
+    row["angle_min"] = float(angle.theta.min())
+    row["angle_max"] = float(angle.theta.max())
     if curve.closed:
         row["area"] = terms.area()
-        if angle is not None:
-            try:
-                md = monotone_data(curve, frame, angle)
-            except NonMonotoneError:
-                md = None
-            if md is not None:
-                row["liouville_integral"] = md.liouville_integral
-                row["maslov_integral"] = md.maslov_integral
-                c0 = state.initial_constant
-                if math.isfinite(c0):
-                    row["monotone_defect"] = drainage_defect(md, c0, state.t)
+        try:
+            md = monotone_data(curve, frame, angle)
+        except NonMonotoneError:
+            md = None
+        if md is not None:
+            row["liouville_integral"] = md.liouville_integral
+            row["maslov_integral"] = md.maslov_integral
+            c0 = state.initial_constant
+            if math.isfinite(c0):
+                row["monotone_defect"] = drainage_defect(md, c0, state.t)
     # reference time for the density column: the critical time c/2 when
     # one exists, a fixed lookahead otherwise
     critical = _critical_time(curve.closed, state.initial_constant)
@@ -442,19 +442,46 @@ def _check_t_end(t_end: float | None, t0: float, name: str) -> None:
         raise CurveConfigError(f"{name} {t_end:g} is not after the start time {t0:g}")
 
 
-def _auto_snapshot_dt(state: FlowState, stop: StopConditions) -> float:
-    candidates = []
-    critical = _critical_time(state.curve.closed, state.initial_constant)
-    if critical is not None:
-        candidates.append(critical / 50.0)
-    if stop.t_end is not None:
-        candidates.append((stop.t_end - state.t) / 40.0)
-    if not candidates:
-        raise CurveConfigError(
-            "cannot choose a recording interval: no c-constant and no t_end; "
-            "set RecordingConfig.snapshot_dt explicitly"
-        )
-    return min(candidates)
+def _record_interval(
+    snapshot_dt: float | None, t0: float, t_end: float | None, critical: float | None
+) -> float:
+    """The record interval of a run from t0: ``snapshot_dt`` when given,
+    else the smaller of critical/50 and (t_end - t0)/40 that exist.
+    ``critical`` is the critical time c/2, None when there is none."""
+    if snapshot_dt is None:
+        candidates = [] if critical is None else [critical / 50.0]
+        if t_end is not None:
+            candidates.append((t_end - t0) / 40.0)
+        if not candidates:
+            raise CurveConfigError(
+                "cannot choose a recording interval: no c-constant and no t_end; "
+                "set snapshot_dt explicitly"
+            )
+        snapshot_dt = min(candidates)
+    if snapshot_dt <= 0.0:
+        raise CurveConfigError("snapshot_dt must be positive")
+    return snapshot_dt
+
+
+def _antipodal(curve: PlaneCurve) -> bool:
+    """Whether a run from the closed curve ``curve`` is antipodal: an even
+    node count and a node-level defect of at most ANTIPODAL_DETECT_TOL
+    times the diameter."""
+    return (
+        curve.node_count % 2 == 0
+        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
+    )
+
+
+def _singular_point(pts: np.ndarray, antipodal: bool) -> np.ndarray:
+    """The singular point of a stop near the origin: the node of ``pts``
+    nearest it, or in an antipodal run that node's midpoint with its
+    partner N/2 nodes on."""
+    n = len(pts)
+    i = int(np.linalg.norm(pts, axis=1).argmin())
+    if antipodal:
+        return 0.5 * (pts[i] + pts[(i + n // 2) % n])
+    return pts[i].copy()
 
 
 def estimate_singular_time(t, min_radius) -> TimeEstimate:
@@ -489,8 +516,8 @@ def _stop_report(
     trigger: str | None,
     times: np.ndarray,
     min_radius: np.ndarray,
-    fallback_dt: float,
-    underflow: str,
+    last_dt: float,
+    dt_min: float,
     last_state,
     point: np.ndarray | None,
     max_curvature: float,
@@ -501,12 +528,12 @@ def _stop_report(
 
     Without a trigger the bracket is [t, t] at the last record time t.
     With one, its top is the extrapolated vanishing time of the minimum
-    radius over the records, or t + 50 fallback_dt when that fit is
-    inconclusive, tightened to ``cap`` when the caller knows a hard bound
-    on the singular time that the run has not passed.  An inconclusive
-    step underflow brackets nothing: it raises StepUnderflowError, with
-    the message ``underflow`` and ``last_state``.  ``point`` is the
-    caller's singular point.
+    radius over the records, or t + 50 last_dt (the stable step at the
+    stop) when that fit is inconclusive, tightened to ``cap`` when the
+    caller knows a hard bound on the singular time that the run has not
+    passed.  An inconclusive step underflow brackets nothing: it raises
+    StepUnderflowError with ``last_state``.  ``point`` is the caller's
+    singular point.
     """
     t = float(times[-1])
     t_high = t
@@ -516,10 +543,12 @@ def _stop_report(
             t_high = est.value + est.width
         elif trigger == "step_underflow":
             raise StepUnderflowError(
-                f"{underflow} at t={t:.6g}, with no singular-time bracket", last_state=last_state
+                f"stable step {last_dt:.3e} below floor {dt_min:.3e} at t={t:.6g}, "
+                "with no singular-time bracket",
+                last_state=last_state,
             )
         else:
-            t_high = t + 50.0 * fallback_dt
+            t_high = t + 50.0 * last_dt
         if cap is not None and cap >= t:
             t_high = min(t_high, cap)
         t_high = float(t_high)
@@ -562,24 +591,16 @@ def evolve(
     curve = state.curve
     closed = curve.closed
     n = curve.node_count
-    antipodal = (
-        closed
-        and n % 2 == 0
-        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
-    )
+    antipodal = closed and _antipodal(curve)
     if antipodal:
         curve = antipodal_symmetrize(curve)
         state = replace(state, curve=curve)
 
-    snapshot_dt = recording.snapshot_dt
-    if snapshot_dt is None:
-        snapshot_dt = _auto_snapshot_dt(state, stop)
-    if snapshot_dt <= 0.0:
-        raise CurveConfigError("snapshot_dt must be positive")
-
+    c0 = state.initial_constant
+    critical = _critical_time(closed, c0)
+    snapshot_dt = _record_interval(recording.snapshot_dt, state.t, stop.t_end, critical)
     area0 = abs(enclosed_area(curve)) if closed else float("nan")
     contact_radius = ORIGIN_CONTACT_FACTOR * curve.diameter
-    c0 = state.initial_constant
     redistribute = config.redistribute and closed
     # the weight spread max/min that the last redistribution left (None
     # until the next step measures it): equal spline arclength is not
@@ -614,27 +635,21 @@ def evolve(
         if trigger == "curvature_blowup":
             point = pts[int(np.abs(terms.frame.curvature).argmax())].copy()
         elif trigger is not None:
-            i = int(np.linalg.norm(pts, axis=1).argmin())
-            if antipodal:
-                point = 0.5 * (pts[i] + pts[(i + n // 2) % n])
-            else:
-                point = pts[i].copy()
+            point = _singular_point(pts, antipodal)
         # c/2 tightens the extrapolated bracket only on a once-winding
         # curve (a nan Maslov integral drops it too)
-        cap = _critical_time(closed, c0)
-        if not abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3:
-            cap = None
+        once_winding = abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3
         diagnostics = {k: np.asarray(v) for k, v in columns.items()}
         report = _stop_report(
             trigger,
             diagnostics["t"],
             diagnostics["min_radius"],
             dt_auto,
-            f"stable step {dt_auto:.3e} below floor {config.dt_min:.3e}",
+            config.dt_min,
             states[-1],
             point,
             terms.max_curvature(),
-            cap,
+            critical if once_winding else None,
         )
         return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c0), report
 
@@ -726,10 +741,9 @@ class RadialProfile:
 
 @dataclass
 class RadialTrajectory:
-    """Recorded radial profiles plus per-node dr/dt at each record."""
+    """Recorded radial profiles; ``radial_rhs(profile)`` is a record's dr/dt."""
 
     profiles: list[RadialProfile]
-    rates: list[np.ndarray]
 
     @property
     def times(self) -> np.ndarray:
@@ -783,78 +797,61 @@ def radial_evolve(
     snapshot_dt: float | None = None,
     dt_min: float = FlowConfig.dt_min,
 ) -> tuple[RadialTrajectory, SingularityReport]:
-    """Integrate the radial law with the same stepping contract as evolve.
-
-    Stops at ``t_end``, or when min r drops below ORIGIN_CONTACT_FACTOR
-    times the initial diameter, as in evolve, or on step underflow, which
-    raises StepUnderflowError when no singular time can be bracketed.
-    Records land exactly on the snapshot grid and carry per-node dr/dt.
-    The step safety factor and the step budget are the FlowConfig
-    defaults.
+    """Integrate the radial law under evolve's run contract, on the nodes
+    r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
+    default, as there is no c-constant), stops, origin-contact radius,
+    antipodal test (of the initial nodes), singular point (from the final
+    nodes) and bracket.  The step safety factor and the step budget are
+    the FlowConfig defaults; an IntegrationError carries the last usable
+    RadialProfile.
     """
     if not isinstance(profile, RadialProfile):
         profile = RadialProfile(np.asarray(profile, dtype=np.float64), 0.0)
-    r = profile.r.copy()
+    r = profile.r
     t = float(profile.t)
     _check_t_end(t_end, t, "t_end")
-    if snapshot_dt is None:
-        if t_end is None:
-            raise CurveConfigError("radial runs need t_end or snapshot_dt")
-        snapshot_dt = (t_end - t) / 40.0
-    if snapshot_dt <= 0.0:
-        raise CurveConfigError("snapshot_dt must be positive")
-    contact_radius = ORIGIN_CONTACT_FACTOR * 2.0 * float(r.max())
+    snapshot_dt = _record_interval(snapshot_dt, t, t_end, None)
+    s = 2.0 * np.pi * np.arange(len(r)) / len(r)
+    unit = np.column_stack([np.cos(s), np.sin(s)])
+    start = PlaneCurve(r[:, None] * unit)
+    # the rolled stencils keep an exactly pi-periodic profile exactly
+    # pi-periodic, so an antipodal run needs no projection
+    antipodal = _antipodal(start)
+    contact_radius = ORIGIN_CONTACT_FACTOR * start.diameter
 
     profiles: list[RadialProfile] = []
-    rates: list[np.ndarray] = []
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
     for _ in range(FlowConfig.max_steps):
-        rhs, dt = _radial_rate(r, FlowConfig.safety)
+        rhs, dt_auto = _radial_rate(r, FlowConfig.safety)
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
-            rates.append(rhs.copy())
         if float(r.min()) < contact_radius:
             trigger = "origin_contact"
             break
-        if dt < dt_min:
+        if dt_auto < dt_min:
             trigger = "step_underflow"
             break
         if clock.at_end(t):
             break
-        dt = clock.shorten(t, dt)
-        r = r + dt * rhs
-        if not np.all(np.isfinite(r)):
-            raise IntegrationError(f"non-finite radial profile at t={t:.6g}")
+        dt = clock.shorten(t, dt_auto)
+        stepped = r + dt * rhs
+        if not np.all(np.isfinite(stepped)):
+            raise IntegrationError(
+                f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(r, t)
+            )
+        r = stepped
         t += dt
     else:
-        raise IntegrationError(f"radial step budget exhausted at t={t:.6g}")
+        raise IntegrationError(
+            f"radial step budget exhausted at t={t:.6g}", last_state=RadialProfile(r, t)
+        )
 
     if profiles[-1].t != t:
         profiles.append(RadialProfile(r, t))
-        rates.append(radial_rhs(r))
-    traj = RadialTrajectory(profiles=profiles, rates=rates)
-    last = profiles[-1]
+    traj = RadialTrajectory(profiles=profiles)
     minima = np.array([float(p.r.min()) for p in profiles])
-    point = None
-    if trigger is not None:
-        # midpoint of the nearest node and its antipode
-        i_min = int(np.argmin(last.r))
-        n = len(r)
-        angle = 2.0 * np.pi * i_min / n
-        near = last.r[i_min] * np.array([math.cos(angle), math.sin(angle)])
-        far = last.r[(i_min + n // 2) % n] * np.array(
-            [math.cos(angle + np.pi), math.sin(angle + np.pi)]
-        )
-        point = 0.5 * (near + far)
-    report = _stop_report(
-        trigger,
-        traj.times,
-        minima,
-        snapshot_dt,
-        f"stable radial step {dt:.3e} below floor {dt_min:.3e}",
-        last,
-        point,
-        float("nan"),
+    point = None if trigger is None else _singular_point(r[:, None] * unit, antipodal)
+    return traj, _stop_report(
+        trigger, traj.times, minima, dt_auto, dt_min, profiles[-1], point, math.nan
     )
-    return traj, report

@@ -457,16 +457,59 @@ class TestRadialTwin:
         d1 = (8 * (ext[3:-1] - ext[1:-3]) - (ext[4:] - ext[:-4])) / (12 * h)
         assert np.max(np.abs(rhs - (-d1 / r))) < 1e-5
 
-    def test_radial_circle_collapse(self):
-        traj, report = radial_evolve(
-            RadialProfile(np.full(128, 2.0)), snapshot_dt=0.05
-        )
+    # with snapshot_dt=1.5 the only record before the stop is t=0, so the
+    # min-radius fit is inconclusive and the bracket widens by 50 stable
+    # steps, not 50 record intervals
+    @pytest.mark.parametrize("n, snapshot_dt", [(128, 0.05), (64, 1.5)])
+    def test_radial_circle_collapse(self, n, snapshot_dt):
+        traj, report = radial_evolve(RadialProfile(np.full(n, 2.0)), snapshot_dt=snapshot_dt)
         assert report.detected
         assert report.t_low > 0.97
         assert report.t_high < 1.03
-        # every recorded rate should be the exact circle rate -2/r
-        for prof, rate in zip(traj.profiles, traj.rates):
-            assert np.max(np.abs(rate + 2.0 / prof.r)) < 1e-9
+        assert report.t_high - report.t_low < 1e-3
+        # every record's rate should be the exact circle rate -2/r
+        for prof in traj.profiles:
+            assert np.max(np.abs(radial_rhs(prof) + 2.0 / prof.r)) < 1e-9
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_radial_singular_point_and_contact(self, periodic):
+        # the polar profile of the unit circle about (0.5, 0), or an
+        # exactly pi-periodic profile (an ellipse), whose point is the
+        # midpoint of the nearest node and its antipode
+        n = 128
+        s = 2 * np.pi * np.arange(n) / n
+        if periodic:
+            half = 1.0 / np.sqrt(np.cos(s) ** 2 / 2.25 + np.sin(s) ** 2)
+            r = np.concatenate([half[: n // 2], half[: n // 2]])
+        else:
+            r = 0.5 * np.cos(s) + np.sqrt(1.0 - 0.25 * np.sin(s) ** 2)
+        nodes = r[:, None] * np.column_stack([np.cos(s), np.sin(s)])
+        contact = flow.ORIGIN_CONTACT_FACTOR * PlaneCurve(nodes).diameter
+        traj, report = radial_evolve(RadialProfile(r), snapshot_dt=0.01)
+        assert report.trigger == "origin_contact"
+        # a step moves r by at most safety/2 = 10% of min r
+        assert report.min_radius_at_stop < contact <= report.min_radius_at_stop / 0.9
+        last = traj.profiles[-1].r
+        if periodic:
+            assert all(np.array_equal(p.r[: n // 2], p.r[n // 2 :]) for p in traj.profiles)
+            assert np.linalg.norm(report.singular_point) < 1e-12
+        else:
+            assert report.min_radius_at_stop < 0.0125
+            i = int(last.argmin())
+            nearest = last[i] * np.array([np.cos(s[i]), np.sin(s[i])])
+            assert report.singular_point == pytest.approx(nearest, abs=1e-12)
+
+    def test_radial_non_finite_rate_keeps_last_state(self, monkeypatch):
+        def nan_rate(r, safety):
+            return np.full_like(r, np.nan), 1e-3
+
+        monkeypatch.setattr(flow, "_radial_rate", nan_rate)
+        start = RadialProfile(np.full(32, 2.0), t=0.25)
+        with pytest.raises(IntegrationError, match="non-finite") as info:
+            radial_evolve(start, t_end=1.0, snapshot_dt=0.1)
+        assert isinstance(info.value.last_state, RadialProfile)
+        assert info.value.last_state.t == 0.25
+        assert np.array_equal(info.value.last_state.r, start.r)
 
     def test_radial_underflow_without_bracket_raises(self):
         with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
