@@ -19,11 +19,12 @@ stability-limited step
 where h is the smallest arclength spacing.  The Euler stability limit of
 the 4th-order second-difference stencil is 0.375 h^2, so the default
 safety 0.2 keeps the diffusive step comfortably inside it.  Nodes
-of a closed curve are pushed back to equal arclength spacing after a step
-whose arclength weights have spread by more than REDISTRIBUTE_RATIO.  Closed
-curves detected antipodally symmetric are projected onto exact symmetry
-at the start and after each redistribution; a step keeps that symmetry
-exactly, so the pinch stays centered.
+of a closed curve are pushed back to equal arclength spacing whenever a
+step has spread their arclength weights by more than REDISTRIBUTE_RATIO,
+so the curve's own spacing decides when.  Closed curves
+detected antipodally symmetric are projected onto exact symmetry at the
+start and after each redistribution; a step keeps that symmetry exactly,
+so the pinch stays at the origin.
 
 A run ends either at a requested time or at one of three singularity
 triggers, checked in priority order before every step:
@@ -52,7 +53,7 @@ singular point and the report with its singular-time bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .geometry import (
     OriginContactError,
     PlaneCurve,
     antipodal_defect,
-    antipodal_symmetrize,
     compute_frame,
     curve_terms,
     enclosed_area,
@@ -165,17 +165,16 @@ class TrajectoryRangeError(ValueError):
 class FlowConfig:
     """Integrator knobs.
 
-    ``redistribute=False`` turns off the arclength redistribution of
-    closed curves, which otherwise follows a step whose weights have
-    spread by more than REDISTRIBUTE_RATIO.  ``safety`` lies in (0, 1]
-    and ``max_steps`` is at least 1.  The stop triggers are the module
-    constants ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT, and
-    antipodal symmetry is detected from the initial curve.
+    ``safety`` lies in (0, 1], ``dt_min`` is positive and finite and
+    ``max_steps`` is at least 1.  The stop triggers are the module
+    constants ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT, a
+    closed curve is redistributed whenever its spacing trigger fires
+    (REDISTRIBUTE_RATIO), and antipodal symmetry is detected from the
+    initial curve.
     """
 
     safety: float = 0.2
     scheme: str = "euler"
-    redistribute: bool = True
     dt_min: float = 1e-14
     max_steps: int = 2_000_000
 
@@ -184,6 +183,8 @@ class FlowConfig:
             raise CurveConfigError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
         if not 0.0 < self.safety <= 1.0:
             raise CurveConfigError("safety must be in (0, 1]")
+        if not 0.0 < self.dt_min < math.inf:
+            raise CurveConfigError(f"dt_min must be positive and finite, got {self.dt_min}")
         if self.max_steps < 1:
             raise CurveConfigError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -437,9 +438,14 @@ def _critical_time(closed: bool, c0: float) -> float | None:
 
 
 def _check_t_end(t_end: float | None, t0: float, name: str) -> None:
-    """The end time ``name`` of a run that starts at t0 must come after t0."""
+    """The end time ``name`` of a run that starts at t0 must be finite and
+    come after t0."""
     if t_end is not None and not t_end > t0:
         raise CurveConfigError(f"{name} {t_end:g} is not after the start time {t0:g}")
+    if t_end == math.inf:
+        raise CurveConfigError(
+            f"{name} {t_end:g} is not a finite time after the start time {t0:g}"
+        )
 
 
 def _record_interval(
@@ -458,8 +464,8 @@ def _record_interval(
                 "set snapshot_dt explicitly"
             )
         snapshot_dt = min(candidates)
-    if snapshot_dt <= 0.0:
-        raise CurveConfigError("snapshot_dt must be positive")
+    if not 0.0 < snapshot_dt < math.inf:
+        raise CurveConfigError(f"snapshot_dt must be positive and finite, got {snapshot_dt:g}")
     return snapshot_dt
 
 
@@ -474,14 +480,12 @@ def _antipodal(curve: PlaneCurve) -> bool:
 
 
 def _singular_point(pts: np.ndarray, antipodal: bool) -> np.ndarray:
-    """The singular point of a stop near the origin: the node of ``pts``
-    nearest it, or in an antipodal run that node's midpoint with its
-    partner N/2 nodes on."""
-    n = len(pts)
-    i = int(np.linalg.norm(pts, axis=1).argmin())
+    """The singular point of a stop near the origin: the origin itself in
+    an antipodal run, whose node set stays symmetric about it, else the
+    node of ``pts`` nearest it."""
     if antipodal:
-        return 0.5 * (pts[i] + pts[(i + n // 2) % n])
-    return pts[i].copy()
+        return np.zeros(2)
+    return pts[int(np.linalg.norm(pts, axis=1).argmin())].copy()
 
 
 def estimate_singular_time(t, min_radius) -> TimeEstimate:
@@ -593,15 +597,13 @@ def evolve(
     n = curve.node_count
     antipodal = closed and _antipodal(curve)
     if antipodal:
-        curve = antipodal_symmetrize(curve)
-        state = replace(state, curve=curve)
+        curve = PlaneCurve(symmetrize_points(curve.points))
 
     c0 = state.initial_constant
     critical = _critical_time(closed, c0)
     snapshot_dt = _record_interval(recording.snapshot_dt, state.t, stop.t_end, critical)
     area0 = abs(enclosed_area(curve)) if closed else float("nan")
     contact_radius = ORIGIN_CONTACT_FACTOR * curve.diameter
-    redistribute = config.redistribute and closed
     # the weight spread max/min that the last redistribution left (None
     # until the next step measures it): equal spline arclength is not
     # quite equal weight, by more on coarse, strongly bent curves, so the
@@ -666,7 +668,6 @@ def evolve(
             tail_hit = (
                 closed
                 and min_r <= TAIL_RADIUS_RATIO * last_recorded_min_r
-                and not math.isnan(area0)
                 and abs(terms.area()) < TAIL_AREA_FRACTION * area0
             )
             if not states or on_grid or tail_hit:
@@ -696,7 +697,7 @@ def evolve(
             # (every operation commutes with negation), so only a
             # redistribution needs the reprojection
             if (
-                redistribute
+                closed
                 and terms.frame.weight.max() > REDISTRIBUTE_RATIO * spread_floor * terms.spacing
             ):
                 # through the public resample, which validates its output
@@ -775,7 +776,7 @@ def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
     return rhs, safety * min(caps)
 
 
-def radial_rhs(profile: RadialProfile | np.ndarray) -> np.ndarray:
+def radial_rhs(profile: RadialProfile) -> np.ndarray:
     """dr/dt for the flow written over the polar angle.
 
     For gamma(s) = r(s) e^{is} the normal motion kappa*n - x_perp/|x|^2
@@ -787,26 +788,23 @@ def radial_rhs(profile: RadialProfile | np.ndarray) -> np.ndarray:
     dr/dt = -theta'/r with theta the angle field of the reconstructed
     curve — the cross-check used in the test suite.
     """
-    r = profile.r if isinstance(profile, RadialProfile) else np.asarray(profile)
-    return _radial_rate(r, 1.0)[0]
+    return _radial_rate(profile.r, 1.0)[0]
 
 
 def radial_evolve(
     profile: RadialProfile,
     t_end: float | None = None,
     snapshot_dt: float | None = None,
-    dt_min: float = FlowConfig.dt_min,
 ) -> tuple[RadialTrajectory, SingularityReport]:
     """Integrate the radial law under evolve's run contract, on the nodes
     r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
     default, as there is no c-constant), stops, origin-contact radius,
-    antipodal test (of the initial nodes), singular point (from the final
-    nodes) and bracket.  The step safety factor and the step budget are
-    the FlowConfig defaults; an IntegrationError carries the last usable
+    antipodal test (of the initial nodes), singular point (the origin in
+    an antipodal run, else the final node nearest it) and bracket.  The
+    step safety factor, the step floor and the step budget are the
+    FlowConfig defaults; an IntegrationError carries the last usable
     RadialProfile.
     """
-    if not isinstance(profile, RadialProfile):
-        profile = RadialProfile(np.asarray(profile, dtype=np.float64), 0.0)
     r = profile.r
     t = float(profile.t)
     _check_t_end(t_end, t, "t_end")
@@ -829,7 +827,7 @@ def radial_evolve(
         if float(r.min()) < contact_radius:
             trigger = "origin_contact"
             break
-        if dt_auto < dt_min:
+        if dt_auto < FlowConfig.dt_min:
             trigger = "step_underflow"
             break
         if clock.at_end(t):
@@ -853,5 +851,5 @@ def radial_evolve(
     minima = np.array([float(p.r.min()) for p in profiles])
     point = None if trigger is None else _singular_point(r[:, None] * unit, antipodal)
     return traj, _stop_report(
-        trigger, traj.times, minima, dt_auto, dt_min, profiles[-1], point, math.nan
+        trigger, traj.times, minima, dt_auto, FlowConfig.dt_min, profiles[-1], point, math.nan
     )

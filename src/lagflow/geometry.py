@@ -52,7 +52,6 @@ __all__ = [
     "enclosed_area",
     "resample",
     "antipodal_defect",
-    "antipodal_symmetrize",
     "symmetrize_points",
 ]
 
@@ -555,8 +554,11 @@ def antipodal_defect(curve: PlaneCurve) -> float:
 
 
 def symmetrize_points(pts: np.ndarray) -> np.ndarray:
-    """0.5 (gamma_i - gamma_{i + N/2}) per node, for an even node count:
-    the nearest node set with exact antipodal symmetry, as a new array."""
+    """0.5 (gamma_i - gamma_{i + N/2}) per node: the nearest node set with
+    exact antipodal symmetry, as a new array.  The one antipodal
+    projection; the node count must be even."""
+    if len(pts) % 2 != 0:
+        raise CurveConfigError("antipodal projection needs an even node count")
     m = len(pts) // 2
     out = np.empty_like(pts)
     # both halves are subtracted explicitly so that a zero difference
@@ -565,10 +567,3 @@ def symmetrize_points(pts: np.ndarray) -> np.ndarray:
     np.subtract(pts[m:], pts[:m], out=out[m:])
     out *= 0.5
     return out
-
-
-def antipodal_symmetrize(curve: PlaneCurve) -> PlaneCurve:
-    """Project onto exact antipodal symmetry, node i paired with i + N/2."""
-    if curve.node_count % 2 != 0:
-        raise CurveConfigError("antipodal projection needs an even node count")
-    return PlaneCurve(symmetrize_points(curve.points), closed=curve.closed)

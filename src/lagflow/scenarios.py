@@ -1,10 +1,12 @@
 """Initial-curve builders for the standard runs and analysis fixtures.
 
-Closed scenarios are sampled with antipodal node pairing (node k and
-node k + N/2 are exact reflections), which the solver detects and then
-preserves.  Open fixtures are unions of straight lines through the
-origin sampled on half-offset grids, so no node ever sits exactly at
-the origin where the angle field is undefined.
+Closed scenarios are sampled with antipodal node pairing: node k and
+node k + N/2 are exact reflections, made so by the one antipodal
+projection, :func:`lagflow.geometry.symmetrize_points`.  The solver
+detects the pairing and preserves it, so their pinch is at the origin.
+Open fixtures are unions of straight lines through the origin sampled
+on half-offset grids, so no node ever sits exactly at the origin where
+the angle field is undefined.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from .geometry import (
     MIN_NODES,
     CurveConfigError,
     PlaneCurve,
-    antipodal_symmetrize,
     resample,
+    symmetrize_points,
 )
 
 __all__ = [
@@ -43,7 +45,7 @@ def circle_curve(resolution: int, rho: float = 2.0) -> PlaneCurve:
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = rho * np.column_stack([np.cos(u), np.sin(u)])
-    return antipodal_symmetrize(PlaneCurve(pts))
+    return PlaneCurve(symmetrize_points(pts))
 
 
 def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
@@ -55,7 +57,7 @@ def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = np.column_stack([a * np.cos(u), SEMI_MINOR * np.sin(u)])
     curve = resample(PlaneCurve(pts), resolution)
-    return antipodal_symmetrize(curve)
+    return PlaneCurve(symmetrize_points(curve.points))
 
 
 def line_pair_curve(resolution: int, phi: float = 0.3, truncation: float = 10.0) -> PlaneCurve:

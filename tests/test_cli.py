@@ -123,11 +123,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{section}.{field.name}'"):
             resolve_config({**base, section: {field.name: wrong}})
 
-    def test_zero_snapshot_dt_rejected(self, tmp_path, capsys):
-        # 0 is a value, not "unset": it must not fall back to the automatic grid
-        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": 0.0})
-        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    # 0 is a value, not "unset": it must not fall back to the automatic
+    # grid; inf would record every step and nan no grid point at all
+    @pytest.mark.parametrize("snapshot_dt", [0.0, math.inf, math.nan])
+    def test_zero_snapshot_dt_rejected(self, tmp_path, capsys, snapshot_dt):
+        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": snapshot_dt})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
         assert "snapshot_dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_t_end_at_start_named_with_automatic_interval(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", stop={"t_end": 0.0})
@@ -143,7 +146,16 @@ class TestConfigValidation:
         assert "stop.t_end -0.5 is not after the start time 0" in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("field, value", [("max_steps", 0), ("scheme", "rk4")])
+    def test_infinite_t_end_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", stop={"t_end": math.inf})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert "stop.t_end inf is not a finite time" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_steps", 0), ("scheme", "rk4"), ("dt_min", math.nan), ("dt_min", math.inf)],
+    )
     def test_flow_range_rejected(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "c.json", flow={field: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
@@ -154,7 +166,7 @@ class TestConfigValidation:
         "section, entry, message",
         [
             ("flow", {"redistribute_every": 10}, "unknown key 'flow.redistribute_every'"),
-            ("flow", {"redistribute": 3}, "'flow.redistribute' must be bool, got int"),
+            ("flow", {"redistribute": False}, "unknown key 'flow.redistribute'"),
             # retired knobs whose defaults are now module constants
             ("flow", {"origin_contact_factor": 0.005}, "unknown key 'flow.origin_contact_factor'"),
             ("flow", {"curvature_blowup_product": 1.0}, "unknown key 'flow.curvature_blowup_product'"),
@@ -164,7 +176,7 @@ class TestConfigValidation:
         ],
         ids=[
             "old_cadence_key",
-            "redistribute_not_bool",
+            "redistribute",
             "origin_contact_factor",
             "curvature_blowup_product",
             "enforce_antipodal",

@@ -35,11 +35,11 @@ from lagflow.geometry import (
     CurveConfigError,
     PlaneCurve,
     antipodal_defect,
-    antipodal_symmetrize,
     compute_frame,
     curve_pieces,
     curve_terms,
     resample,
+    symmetrize_points,
 )
 from lagflow.scenarios import circle_curve, ellipse_curve, line_pair_curve, x_cone_curve
 
@@ -116,7 +116,7 @@ class TestStep:
     def test_advance_keeps_exact_antipodal_symmetry(self, scheme):
         # evolve reprojects only after a redistribution: one step of an
         # exactly antipodal node set is exactly antipodal again
-        pts = antipodal_symmetrize(ellipse_curve(64, a=3.0)).points
+        pts = symmetrize_points(ellipse_curve(64, a=3.0).points)
         m = len(pts) // 2
         assert np.array_equal(pts[m:], -pts[:m])
         terms = curve_terms(pts)
@@ -226,7 +226,8 @@ class TestEvolve:
         mid = 0.5 * (report.t_low + report.t_high)
         assert abs(mid - 1.0) < 5e-3
         assert report.t_high - report.t_low < 5e-3
-        assert np.linalg.norm(report.singular_point) < 1e-6
+        # an antipodal run pinches at the origin exactly
+        assert report.singular_point.tolist() == [0.0, 0.0]
         assert report.min_radius_at_stop < 0.005 * 4.0 + 1e-6
 
     def test_off_center_contact_point_is_the_nearest_node(self):
@@ -298,14 +299,16 @@ class TestLoopSemantics:
         last = info.value.last_state
 
         st = FlowState(
-            antipodal_symmetrize(start.curve), start.t, start.initial_constant, 0
+            PlaneCurve(symmetrize_points(start.curve.points)), start.t, start.initial_constant, 0
         )
         floor, redistributions = 1.0, 0
         for _ in range(200):
             weight = compute_frame(st.curve).weight
             st = step(st, config)
             if weight.max() > REDISTRIBUTE_RATIO * floor * weight.min():
-                curve = antipodal_symmetrize(resample(st.curve, st.curve.node_count))
+                curve = PlaneCurve(
+                    symmetrize_points(resample(st.curve, st.curve.node_count).points)
+                )
                 st = FlowState(curve, st.t, st.initial_constant, st.step_index)
                 left = compute_frame(curve).weight
                 floor = float(left.max()) / float(left.min())
@@ -315,14 +318,15 @@ class TestLoopSemantics:
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)
 
-    def test_plain_loop_equals_public_step_replay(self):
-        # without reprojection and redistribution, evolve on a curve with
-        # no antipodal symmetry is step() and nothing else
+    def test_plain_loop_equals_public_step_replay(self, monkeypatch):
+        # with a trigger that never fires, evolve on a curve with no
+        # antipodal symmetry is step() and nothing else
+        monkeypatch.setattr(flow, "REDISTRIBUTE_RATIO", math.inf)
         u = 2 * np.pi * np.arange(128) / 128
         r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
         start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
         assert antipodal_defect(start.curve) > 0.1
-        config = FlowConfig(redistribute=False, max_steps=200)
+        config = FlowConfig(max_steps=200)
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
@@ -351,7 +355,9 @@ class TestLoopSemantics:
             evolve(st, FlowConfig(dt_min=1.0))
         assert info.value.last_state.t == 0.0
 
-    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    # an infinite t_end is never reached, and would leave the automatic
+    # interval to c/2 alone
+    @pytest.mark.parametrize("t_end", [0.0, -0.5, math.inf])
     @pytest.mark.parametrize("snapshot_dt", [None, 0.1])
     def test_t_end_at_or_before_start_rejected(self, t_end, snapshot_dt):
         st = make_state(circle(64))
@@ -402,15 +408,23 @@ class TestRedistributionTrigger:
 class TestFlowConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("safety", 0.0), ("safety", 1.5), ("max_steps", 0), ("max_steps", -5)],
+        [
+            ("safety", 0.0),
+            ("safety", 1.5),
+            ("max_steps", 0),
+            ("max_steps", -5),
+            ("dt_min", 0.0),
+            ("dt_min", math.nan),
+            ("dt_min", math.inf),
+        ],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(CurveConfigError, match=field):
             FlowConfig(**{field: value})
 
     def test_range_limits_accepted(self):
-        config = FlowConfig(safety=1.0, redistribute=False, max_steps=1)
-        assert (config.safety, config.redistribute, config.max_steps) == (1.0, False, 1)
+        config = FlowConfig(safety=1.0, max_steps=1)
+        assert (config.safety, config.max_steps) == (1.0, 1)
 
 
 class TestSingularTimeEstimate:
@@ -474,8 +488,8 @@ class TestRadialTwin:
     @pytest.mark.parametrize("periodic", [False, True])
     def test_radial_singular_point_and_contact(self, periodic):
         # the polar profile of the unit circle about (0.5, 0), or an
-        # exactly pi-periodic profile (an ellipse), whose point is the
-        # midpoint of the nearest node and its antipode
+        # exactly pi-periodic profile (an ellipse), an antipodal run whose
+        # point is the origin
         n = 128
         s = 2 * np.pi * np.arange(n) / n
         if periodic:
@@ -492,7 +506,7 @@ class TestRadialTwin:
         last = traj.profiles[-1].r
         if periodic:
             assert all(np.array_equal(p.r[: n // 2], p.r[n // 2 :]) for p in traj.profiles)
-            assert np.linalg.norm(report.singular_point) < 1e-12
+            assert report.singular_point.tolist() == [0.0, 0.0]
         else:
             assert report.min_radius_at_stop < 0.0125
             i = int(last.argmin())
@@ -512,11 +526,12 @@ class TestRadialTwin:
         assert np.array_equal(info.value.last_state.r, start.r)
 
     def test_radial_underflow_without_bracket_raises(self):
+        # the first stable step, about 1.9e-17, is below the default floor
         with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
-            radial_evolve(RadialProfile(np.full(64, 2.0)), snapshot_dt=0.05, dt_min=1.0)
+            radial_evolve(RadialProfile(np.full(64, 1e-7)), snapshot_dt=0.05)
         assert info.value.last_state.t == 0.0
 
-    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    @pytest.mark.parametrize("t_end", [0.0, -0.5, math.inf])
     @pytest.mark.parametrize("snapshot_dt", [None, 0.1])
     def test_radial_t_end_at_or_before_start_rejected(self, t_end, snapshot_dt):
         profile = RadialProfile(np.full(32, 2.0), t=0.25)

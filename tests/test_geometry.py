@@ -11,12 +11,12 @@ from lagflow.geometry import (
     DegenerateCurveError,
     PlaneCurve,
     antipodal_defect,
-    antipodal_symmetrize,
     compute_frame,
     curve_pieces,
     curve_terms,
     enclosed_area,
     resample,
+    symmetrize_points,
 )
 from lagflow.scenarios import line_pair_curve
 
@@ -531,13 +531,15 @@ class TestAntipodal:
         assert antipodal_defect(circle(256)) < 1e-12
 
     def test_symmetrize_zeroes_defect(self):
-        sym = antipodal_symmetrize(circle(center=(0.01, -0.02)))
+        sym = PlaneCurve(symmetrize_points(circle(center=(0.01, -0.02)).points))
         assert antipodal_defect(sym) < 1e-15
 
     def test_odd_count_rejected(self):
         u = 2 * np.pi * np.arange(17) / 17
         c = PlaneCurve(np.column_stack([np.cos(u), np.sin(u)]))
-        with pytest.raises(CurveConfigError):
+        with pytest.raises(CurveConfigError, match="even node count"):
+            symmetrize_points(c.points)
+        with pytest.raises(CurveConfigError, match="even node count"):
             antipodal_defect(c)
 
 
