@@ -489,9 +489,7 @@ class QuadrantReport:
     worst_violation: float
 
 
-def quadrant_monotonicity(
-    profile: RadialProfile | np.ndarray, tol: float | None = None
-) -> QuadrantReport:
+def quadrant_monotonicity(profile: RadialProfile, tol: float | None = None) -> QuadrantReport:
     """Check the four-quadrant radius pattern of an axis-aligned profile.
 
     r must be nonincreasing for s in [0, pi/2] and [pi, 3pi/2], and
@@ -499,7 +497,7 @@ def quadrant_monotonicity(
     Differences whose endpoints straddle a quadrant boundary are exempt.
     Tolerance defaults to 1e-6 * max r.
     """
-    r = profile.r if isinstance(profile, RadialProfile) else np.asarray(profile)
+    r = profile.r
     n = len(r)
     if tol is None:
         tol = 1e-6 * float(r.max())

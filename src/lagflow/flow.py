@@ -14,11 +14,11 @@ so the flow has a built-in clock against which every run is checked.
 Integration is explicit (Euler by default, Heun optionally) with a
 stability-limited step
 
-    dt = safety * min( h^2,  h * min|x|^2 / (2 max|<x,n>|),  h / (2 max|v|) )
+    dt = SAFETY * min( h^2,  h * min|x|^2 / (2 max|<x,n>|),  h / (2 max|v|) )
 
 where h is the smallest arclength spacing.  The Euler stability limit of
-the 4th-order second-difference stencil is 0.375 h^2, so the default
-safety 0.2 keeps the diffusive step comfortably inside it.  Nodes
+the 4th-order second-difference stencil is 0.375 h^2, so SAFETY = 0.2
+keeps the diffusive step comfortably inside it.  Nodes
 of a closed curve are pushed back to equal arclength spacing whenever a
 step has spread their arclength weights by more than REDISTRIBUTE_RATIO,
 so the curve's own spacing decides when.  Closed curves
@@ -37,7 +37,7 @@ triggers, checked in priority order before every step:
 * ``curvature_blowup``  -- max |kappa| * h exceeds CURVATURE_BLOWUP_PRODUCT,
                            i.e. the curve bends faster than the node
                            spacing can represent;
-* ``step_underflow``    -- the stable step fell below ``dt_min``; when the
+* ``step_underflow``    -- the stable step fell below DT_MIN; when the
                            records give no singular-time bracket this is a
                            lost integration (StepUnderflowError) instead.
 
@@ -68,6 +68,8 @@ from .geometry import (
     compute_frame,
     curve_terms,
     enclosed_area,
+    pad_periodic,
+    periodic_derivatives,
     resample,
     swept_gaussian_density,
     symmetrize_points,
@@ -138,6 +140,14 @@ TAIL_RADIUS_RATIO = 0.95
 # redistributions in 12,201 steps; 1.05: 146 in 12,478; 1.2: 39 in
 # 13,496).
 REDISTRIBUTE_RATIO = 1.05
+# The step is SAFETY times the stability-limited cap; at 0.9 the circle of
+# radius 1 at N=64 stops on a false curvature_blowup at t=0.177 of 0.25.
+SAFETY = 0.2
+# The step floor: a smaller stable step is a step underflow, and a
+# smaller record interval is rejected.
+DT_MIN = 1e-14
+# The step budget of a run; exhausting it raises IntegrationError.
+MAX_STEPS = 2_000_000
 _ORIGIN = np.zeros(2)
 
 
@@ -154,7 +164,7 @@ class IntegrationError(RuntimeError):
 
 
 class StepUnderflowError(IntegrationError):
-    """The stability-limited step fell below the configured floor."""
+    """The stability-limited step fell below the floor DT_MIN."""
 
 
 class TrajectoryRangeError(ValueError):
@@ -163,30 +173,20 @@ class TrajectoryRangeError(ValueError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integrator knobs.
+    """Integrator knob: the explicit ``scheme``, 'euler' or 'heun'.
 
-    ``safety`` lies in (0, 1], ``dt_min`` is positive and finite and
-    ``max_steps`` is at least 1.  The stop triggers are the module
-    constants ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT, a
-    closed curve is redistributed whenever its spacing trigger fires
+    The step rules are the module constants SAFETY, DT_MIN and MAX_STEPS,
+    the stop triggers ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT,
+    a closed curve is redistributed whenever its spacing trigger fires
     (REDISTRIBUTE_RATIO), and antipodal symmetry is detected from the
     initial curve.
     """
 
-    safety: float = 0.2
     scheme: str = "euler"
-    dt_min: float = 1e-14
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.scheme not in ("euler", "heun"):
             raise CurveConfigError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise CurveConfigError("safety must be in (0, 1]")
-        if not 0.0 < self.dt_min < math.inf:
-            raise CurveConfigError(f"dt_min must be positive and finite, got {self.dt_min}")
-        if self.max_steps < 1:
-            raise CurveConfigError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -327,17 +327,15 @@ def _advance(
     return new_pts
 
 
-def step(state: FlowState, config: FlowConfig, max_dt: float | None = None) -> FlowState:
-    """One explicit step at the stability-limited size (capped by max_dt)."""
+def step(state: FlowState, config: FlowConfig) -> FlowState:
+    """One explicit step of ``config.scheme`` at the stability-limited size;
+    a step below DT_MIN raises StepUnderflowError."""
     curve = state.curve
     terms = curve_terms(curve.points, curve.closed)
-    dt = terms.stable_dt(config.safety)
-    if max_dt is not None:
-        dt = min(dt, max_dt)
-    if dt < config.dt_min:
+    dt = terms.stable_dt(SAFETY)
+    if dt < DT_MIN:
         raise StepUnderflowError(
-            f"stable step {dt:.3e} below floor {config.dt_min:.3e}",
-            last_state=state,
+            f"stable step {dt:.3e} below floor {DT_MIN:.3e}", last_state=state
         )
     new_pts = _advance(curve.points, curve.closed, terms.velocity, dt, config.scheme, lambda: state)
     return FlowState(
@@ -392,6 +390,12 @@ def _diagnostics_row(state: FlowState, terms: CurveTerms, dt_auto: float) -> dic
     return row
 
 
+def _at_end(t: float, t_end: float | None) -> bool:
+    """Whether a run at time t has reached the end time t_end (None:
+    never), up to 1e-12 relative to max(1, |t_end|)."""
+    return t_end is not None and t >= t_end - 1e-12 * max(1.0, abs(t_end))
+
+
 class _StepClock:
     """The stepping clock shared by evolve and radial_evolve: a uniform
     snapshot grid that steps land on exactly, and an optional end time."""
@@ -408,9 +412,6 @@ class _StepClock:
             self.next_grid += self.snapshot_dt
             return True
         return False
-
-    def at_end(self, t: float) -> bool:
-        return self.t_end is not None and t >= self.t_end - 1e-12 * max(1.0, abs(self.t_end))
 
     def shorten(self, t: float, dt: float) -> float:
         """dt cut to land exactly on the next grid point or on t_end."""
@@ -439,12 +440,14 @@ def _critical_time(closed: bool, c0: float) -> float | None:
 
 def _check_t_end(t_end: float | None, t0: float, name: str) -> None:
     """The end time ``name`` of a run that starts at t0 must be finite and
-    come after t0."""
-    if t_end is not None and not t_end > t0:
-        raise CurveConfigError(f"{name} {t_end:g} is not after the start time {t0:g}")
+    not yet reached at t0 (by :func:`_at_end`, the loops' own rule)."""
     if t_end == math.inf:
         raise CurveConfigError(
             f"{name} {t_end:g} is not a finite time after the start time {t0:g}"
+        )
+    if t_end is not None and (not t_end > t0 or _at_end(t0, t_end)):
+        raise CurveConfigError(
+            f"{name} {t_end:g} is not after the start time {t0:g} beyond the end tolerance"
         )
 
 
@@ -453,7 +456,9 @@ def _record_interval(
 ) -> float:
     """The record interval of a run from t0: ``snapshot_dt`` when given,
     else the smaller of critical/50 and (t_end - t0)/40 that exist.
-    ``critical`` is the critical time c/2, None when there is none."""
+    ``critical`` is the critical time c/2, None when there is none.  An
+    interval below DT_MIN is rejected: the steps cut to it would be
+    below the step floor."""
     if snapshot_dt is None:
         candidates = [] if critical is None else [critical / 50.0]
         if t_end is not None:
@@ -466,6 +471,8 @@ def _record_interval(
         snapshot_dt = min(candidates)
     if not 0.0 < snapshot_dt < math.inf:
         raise CurveConfigError(f"snapshot_dt must be positive and finite, got {snapshot_dt:g}")
+    if snapshot_dt < DT_MIN:
+        raise CurveConfigError(f"snapshot_dt {snapshot_dt:g} is below the step floor {DT_MIN:g}")
     return snapshot_dt
 
 
@@ -521,7 +528,6 @@ def _stop_report(
     times: np.ndarray,
     min_radius: np.ndarray,
     last_dt: float,
-    dt_min: float,
     last_state,
     point: np.ndarray | None,
     max_curvature: float,
@@ -547,7 +553,7 @@ def _stop_report(
             t_high = est.value + est.width
         elif trigger == "step_underflow":
             raise StepUnderflowError(
-                f"stable step {last_dt:.3e} below floor {dt_min:.3e} at t={t:.6g}, "
+                f"stable step {last_dt:.3e} below floor {DT_MIN:.3e} at t={t:.6g}, "
                 "with no singular-time bracket",
                 last_state=last_state,
             )
@@ -647,7 +653,6 @@ def evolve(
             diagnostics["t"],
             diagnostics["min_radius"],
             dt_auto,
-            config.dt_min,
             states[-1],
             point,
             terms.max_curvature(),
@@ -658,7 +663,7 @@ def evolve(
     try:
         while True:
             terms = curve_terms(pts, closed)
-            dt_auto = terms.stable_dt(config.safety)
+            dt_auto = terms.stable_dt(SAFETY)
             min_r = terms.min_radius()
             if spread_floor is None:
                 spread_floor = float(terms.frame.weight.max()) / terms.spacing
@@ -678,13 +683,13 @@ def evolve(
                 return finish(terms, dt_auto, "origin_contact")
             if terms.max_curvature() * terms.spacing > CURVATURE_BLOWUP_PRODUCT:
                 return finish(terms, dt_auto, "curvature_blowup")
-            if dt_auto < config.dt_min:
+            if dt_auto < DT_MIN:
                 return finish(terms, dt_auto, "step_underflow")
-            if clock.at_end(t):
+            if _at_end(t, stop.t_end):
                 return finish(terms, dt_auto, None)
-            if index - state.step_index >= config.max_steps:
+            if index - state.step_index >= MAX_STEPS:
                 raise IntegrationError(
-                    f"step budget {config.max_steps} exhausted at t={t:.6g}",
+                    f"step budget {MAX_STEPS} exhausted at t={t:.6g}",
                     last_state=state_at(),
                 )
 
@@ -757,14 +762,7 @@ def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
     if r.min() <= 0.0:
         raise OriginContactError("radial profile touched zero")
     h = 2.0 * np.pi / len(r)
-    d1 = (
-        8.0 * (np.roll(r, -1) - np.roll(r, 1)) - (np.roll(r, -2) - np.roll(r, 2))
-    ) / (12.0 * h)
-    d2 = (
-        16.0 * (np.roll(r, -1) + np.roll(r, 1))
-        - (np.roll(r, -2) + np.roll(r, 2))
-        - 30.0 * r
-    ) / (12.0 * h * h)
+    d1, d2 = periodic_derivatives(pad_periodic(r), h)
     rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
     # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
     # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
@@ -800,10 +798,9 @@ def radial_evolve(
     r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
     default, as there is no c-constant), stops, origin-contact radius,
     antipodal test (of the initial nodes), singular point (the origin in
-    an antipodal run, else the final node nearest it) and bracket.  The
-    step safety factor, the step floor and the step budget are the
-    FlowConfig defaults; an IntegrationError carries the last usable
-    RadialProfile.
+    an antipodal run, else the final node nearest it) and bracket, and the
+    same step rules SAFETY, DT_MIN and MAX_STEPS.  An IntegrationError
+    carries the last usable RadialProfile.
     """
     r = profile.r
     t = float(profile.t)
@@ -812,7 +809,7 @@ def radial_evolve(
     s = 2.0 * np.pi * np.arange(len(r)) / len(r)
     unit = np.column_stack([np.cos(s), np.sin(s)])
     start = PlaneCurve(r[:, None] * unit)
-    # the rolled stencils keep an exactly pi-periodic profile exactly
+    # the periodic stencils keep an exactly pi-periodic profile exactly
     # pi-periodic, so an antipodal run needs no projection
     antipodal = _antipodal(start)
     contact_radius = ORIGIN_CONTACT_FACTOR * start.diameter
@@ -820,17 +817,17 @@ def radial_evolve(
     profiles: list[RadialProfile] = []
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
-    for _ in range(FlowConfig.max_steps):
-        rhs, dt_auto = _radial_rate(r, FlowConfig.safety)
+    for _ in range(MAX_STEPS):
+        rhs, dt_auto = _radial_rate(r, SAFETY)
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
         if float(r.min()) < contact_radius:
             trigger = "origin_contact"
             break
-        if dt_auto < FlowConfig.dt_min:
+        if dt_auto < DT_MIN:
             trigger = "step_underflow"
             break
-        if clock.at_end(t):
+        if _at_end(t, t_end):
             break
         dt = clock.shorten(t, dt_auto)
         stepped = r + dt * rhs
@@ -851,5 +848,5 @@ def radial_evolve(
     minima = np.array([float(p.r.min()) for p in profiles])
     point = None if trigger is None else _singular_point(r[:, None] * unit, antipodal)
     return traj, _stop_report(
-        trigger, traj.times, minima, dt_auto, FlowConfig.dt_min, profiles[-1], point, math.nan
+        trigger, traj.times, minima, dt_auto, profiles[-1], point, math.nan
     )

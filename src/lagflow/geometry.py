@@ -215,8 +215,8 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
 # ---------------------------------------------------------------------------
 # the closed-curve kernel
 #
-# The 4th-order periodic stencils read the nodes through one array padded
-# by two nodes at each end, p[i + 2] = gamma_i, so a shifted copy is a
+# The 4th-order periodic stencils read the samples through one array padded
+# by two samples at each end, p[i + 2] = f_i, so a shifted copy is a
 # slice.  Every expression keeps the operation order of the np.roll form
 #   d1 = (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h)
 #   d2 = (16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / (12 h h)
@@ -224,27 +224,30 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pad(pts: np.ndarray) -> np.ndarray:
-    return np.concatenate((pts[-2:], pts, pts[:2]))
+def pad_periodic(f: np.ndarray) -> np.ndarray:
+    """The periodic samples f (along axis 0) padded as p[i + 2] = f_i."""
+    return np.concatenate((f[-2:], f, f[:2]))
 
 
-def _checked_closed_d1(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Degeneracy check and first derivative of a closed curve; returns the
-    padded nodes, d1 and the index spacing h."""
-    n = len(pts)
-    p = _pad(pts)
-    _check_spacing(_min_chord(p[3 : n + 3] - p[2 : n + 2]), diameter)
-    h = 2.0 * np.pi / n
+def periodic_derivatives(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """4th-order first and second derivatives, at grid spacing h, of the
+    periodic samples that :func:`pad_periodic` padded into ``p``."""
+    n = len(p) - 4
     d1 = (8.0 * (p[3 : n + 3] - p[1 : n + 1]) - (p[4:] - p[:n])) / (12.0 * h)
-    return p, d1, h
+    d2 = (
+        16.0 * (p[3 : n + 3] + p[1 : n + 1]) - (p[4:] + p[:n]) - 30.0 * p[2 : n + 2]
+    ) / (12.0 * h * h)
+    return d1, d2
 
 
 def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, FrameData]:
-    p, d1, h = _checked_closed_d1(pts, diameter)
+    """Degeneracy checks, first derivative, index spacing h and frame of a
+    closed curve."""
     n = len(pts)
-    d2 = (
-        16.0 * (p[3 : n + 3] + p[1 : n + 1]) - (p[4:] + p[:n]) - 30.0 * pts
-    ) / (12.0 * h * h)
+    p = pad_periodic(pts)
+    _check_spacing(_min_chord(p[3 : n + 3] - p[2 : n + 2]), diameter)
+    h = 2.0 * np.pi / n
+    d1, d2 = periodic_derivatives(p, h)
     speed = np.sqrt(_squared_norms(d1))
     if speed.min() <= 0.0:
         raise DegenerateCurveError("vanishing parametric speed")
@@ -420,7 +423,7 @@ def enclosed_area(curve: PlaneCurve) -> float:
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
     pts = curve.points
-    _, d1, h = _checked_closed_d1(pts, curve.diameter)
+    d1, h, _ = _closed_frame(pts, curve.diameter)
     return _closed_area(pts, d1, h)
 
 

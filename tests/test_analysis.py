@@ -27,6 +27,7 @@ from lagflow.analysis import (
 )
 from lagflow.flow import (
     FlowState,
+    RadialProfile,
     RecordingConfig,
     Trajectory,
     TrajectoryRangeError,
@@ -522,12 +523,12 @@ class TestQuadrantMonotonicity:
         return a * b / np.sqrt(b**2 * np.cos(s) ** 2 + a**2 * np.sin(s) ** 2)
 
     def test_axis_aligned_ellipse_passes(self):
-        rep = quadrant_monotonicity(self.ellipse_profile())
+        rep = quadrant_monotonicity(RadialProfile(self.ellipse_profile()))
         assert rep.passed
         assert rep.worst_violation <= 1e-6 * 3.0
 
     def test_circle_passes(self):
-        rep = quadrant_monotonicity(np.full(64, 2.0))
+        rep = quadrant_monotonicity(RadialProfile(np.full(64, 2.0)))
         assert rep.passed
 
     def test_bump_in_first_quadrant_fails(self):
@@ -535,7 +536,7 @@ class TestQuadrantMonotonicity:
         # the bump must beat the profile's own decrement (~0.036 per node
         # here) before the difference turns positive
         r[5] += 0.08  # strictly inside (0, pi/2)
-        rep = quadrant_monotonicity(r)
+        rep = quadrant_monotonicity(RadialProfile(r))
         assert not rep.passed
         assert rep.worst_violation > 0.03
 
@@ -545,7 +546,7 @@ class TestQuadrantMonotonicity:
         n = 66
         s = 2 * np.pi * np.arange(n) / n
         r = 6.0 / np.sqrt(4 * np.cos(s) ** 2 + 9 * np.sin(s) ** 2)
-        rep = quadrant_monotonicity(r)
+        rep = quadrant_monotonicity(RadialProfile(r))
         assert rep.passed
 
 

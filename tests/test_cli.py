@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lagflow import analysis as ana
+from lagflow import flow
 from lagflow.cli import ConfigError, main, resolve_config
 from lagflow.flow import (
     DIAGNOSTIC_COLUMNS,
@@ -81,9 +82,9 @@ class TestConfigValidation:
         assert "flow.bogus" in capsys.readouterr().err
 
     def test_wrong_type(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", flow={"safety": "fast"})
+        cfg = write_config(tmp_path / "c.json", flow={"scheme": 1})
         assert main(["run", "--config", cfg]) == 1
-        assert "flow.safety" in capsys.readouterr().err
+        assert "flow.scheme" in capsys.readouterr().err
 
     def test_unknown_scenario_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -152,14 +153,29 @@ class TestConfigValidation:
         assert "stop.t_end inf is not a finite time" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    # a record interval below the floor DT_MIN would cut every step below it
+    def test_record_interval_below_step_floor_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": 1e-16})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert "snapshot_dt 1e-16 is below the step floor 1e-14" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    # the retired step rules' out-of-range values are still refused before
+    # any run directory is written, now as unknown keys
     @pytest.mark.parametrize(
-        "field, value",
-        [("max_steps", 0), ("scheme", "rk4"), ("dt_min", math.nan), ("dt_min", math.inf)],
+        "field, value, message",
+        [
+            ("max_steps", 0, "unknown key 'flow.max_steps'"),
+            ("scheme", "rk4", "bad config: scheme must be"),
+            ("dt_min", math.nan, "unknown key 'flow.dt_min'"),
+            ("dt_min", math.inf, "unknown key 'flow.dt_min'"),
+        ],
+        ids=["max_steps-0", "scheme-rk4", "dt_min-nan", "dt_min-inf"],
     )
-    def test_flow_range_rejected(self, tmp_path, capsys, field, value):
+    def test_flow_range_rejected(self, tmp_path, capsys, field, value, message):
         cfg = write_config(tmp_path / "c.json", flow={field: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
-        assert f"bad config: {field} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
@@ -171,6 +187,10 @@ class TestConfigValidation:
             ("flow", {"origin_contact_factor": 0.005}, "unknown key 'flow.origin_contact_factor'"),
             ("flow", {"curvature_blowup_product": 1.0}, "unknown key 'flow.curvature_blowup_product'"),
             ("flow", {"enforce_antipodal": True}, "unknown key 'flow.enforce_antipodal'"),
+            # the former defaults of the retired step rules
+            ("flow", {"safety": 0.2}, "unknown key 'flow.safety'"),
+            ("flow", {"dt_min": 1e-14}, "unknown key 'flow.dt_min'"),
+            ("flow", {"max_steps": 2_000_000}, "unknown key 'flow.max_steps'"),
             ("recording", {"area_switch": 0.25}, "unknown key 'recording.area_switch'"),
             ("recording", {"tail_factor": 0.95}, "unknown key 'recording.tail_factor'"),
         ],
@@ -180,6 +200,9 @@ class TestConfigValidation:
             "origin_contact_factor",
             "curvature_blowup_product",
             "enforce_antipodal",
+            "safety",
+            "dt_min",
+            "max_steps",
             "area_switch",
             "tail_factor",
         ],
@@ -369,10 +392,12 @@ class TestCustomScenario:
         assert manifest["exit_status"] == 3
         assert manifest["error"].startswith("OriginContactError at t=0:")
 
-    def test_step_underflow_without_bracket_exits_3(self, tmp_path):
+    def test_step_underflow_without_bracket_exits_3(self, tmp_path, monkeypatch):
         # the very first stable step is below the floor: there are no
-        # records to bracket a singular time from
-        cfg = write_config(tmp_path / "c.json", flow={"dt_min": 1.0})
+        # records to bracket a singular time from; the record interval must
+        # stay above the floor
+        monkeypatch.setattr(flow, "DT_MIN", 1.0)
+        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": 10.0})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
         (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
         manifest = load_manifest(run_dir)

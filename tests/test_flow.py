@@ -86,11 +86,12 @@ class TestVelocity:
 
 class TestStep:
     def test_circle_radius_drops_by_dt(self):
+        # |v| = rho/2 = 1 on the circle of radius 2
         st = make_state(circle(256, rho=2.0))
-        new = step(st, FlowConfig(), max_dt=1e-4)
+        new = step(st, FlowConfig())
         radii = np.linalg.norm(new.curve.points, axis=1)
-        assert np.max(np.abs(radii - (2.0 - 1e-4))) < 1e-9
-        assert new.t == pytest.approx(1e-4)
+        assert new.t == stability_dt(st.curve, flow.SAFETY) > 0.0
+        assert np.max(np.abs(radii - (2.0 - new.t))) < 1e-9
         assert new.step_index == 1
 
     def test_stationary_line_pair(self):
@@ -98,10 +99,11 @@ class TestStep:
         new = step(st, FlowConfig())
         assert np.max(np.abs(new.curve.points - st.curve.points)) < 1e-12
 
-    def test_underflow_raises(self):
+    def test_underflow_raises(self, monkeypatch):
+        monkeypatch.setattr(flow, "DT_MIN", 10.0)
         st = make_state(circle(64, rho=2.0))
         with pytest.raises(StepUnderflowError):
-            step(st, FlowConfig(dt_min=10.0))
+            step(st, FlowConfig())
 
     def test_antipodal_symmetry_survives_raw_stepping(self):
         # step() does not symmetrize; the discrete velocity of an
@@ -268,8 +270,8 @@ class TestEvolve:
         b = make_state(PlaneCurve(pts * np.array([1.0, -1.0])))
         cfg = FlowConfig()
         for _ in range(50):
-            a = step(a, cfg, max_dt=1e-4)
-            b = step(b, cfg, max_dt=1e-4)
+            a = step(a, cfg)
+            b = step(b, cfg)
         mirrored = a.curve.points * np.array([1.0, -1.0])
         assert np.max(np.abs(mirrored - b.curve.points)) < 1e-10
 
@@ -291,9 +293,10 @@ class TestLoopSemantics:
     budget equals a replay through step() and resample() bit for bit."""
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
-    def test_budget_state_equals_public_step_replay(self, scheme):
+    def test_budget_state_equals_public_step_replay(self, monkeypatch, scheme):
+        monkeypatch.setattr(flow, "MAX_STEPS", 200)
         start = make_state(ellipse_curve(64, a=3.0))
-        config = FlowConfig(scheme=scheme, max_steps=200)
+        config = FlowConfig(scheme=scheme)
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
@@ -322,11 +325,12 @@ class TestLoopSemantics:
         # with a trigger that never fires, evolve on a curve with no
         # antipodal symmetry is step() and nothing else
         monkeypatch.setattr(flow, "REDISTRIBUTE_RATIO", math.inf)
+        monkeypatch.setattr(flow, "MAX_STEPS", 200)
         u = 2 * np.pi * np.arange(128) / 128
         r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
         start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
         assert antipodal_defect(start.curve) > 0.1
-        config = FlowConfig(max_steps=200)
+        config = FlowConfig()
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
@@ -347,22 +351,33 @@ class TestLoopSemantics:
         assert info.value.last_state.t == 0.0
         assert np.array_equal(info.value.last_state.curve.points, st.curve.points)
 
-    def test_underflow_without_bracket_raises(self):
+    def test_underflow_without_bracket_raises(self, monkeypatch):
         # the first stable step is below the floor, so no record tail
-        # exists to bracket a singular time from
+        # exists to bracket a singular time from; the record interval must
+        # stay above the floor
+        monkeypatch.setattr(flow, "DT_MIN", 1.0)
         st = make_state(circle(64))
         with pytest.raises(StepUnderflowError, match="no singular-time bracket") as info:
-            evolve(st, FlowConfig(dt_min=1.0))
+            evolve(st, recording=RecordingConfig(snapshot_dt=10.0))
         assert info.value.last_state.t == 0.0
 
     # an infinite t_end is never reached, and would leave the automatic
-    # interval to c/2 alone
-    @pytest.mark.parametrize("t_end", [0.0, -0.5, math.inf])
+    # interval to c/2 alone; 1e-13 is within the end tolerance of 0, so a
+    # run would stop at its start without a step
+    @pytest.mark.parametrize("t_end", [0.0, -0.5, math.inf, 1e-13])
     @pytest.mark.parametrize("snapshot_dt", [None, 0.1])
     def test_t_end_at_or_before_start_rejected(self, t_end, snapshot_dt):
         st = make_state(circle(64))
         with pytest.raises(CurveConfigError, match=r"stop\.t_end .* start time 0"):
             evolve(st, stop=StopConditions(t_end=t_end), recording=RecordingConfig(snapshot_dt))
+
+    # steps cut to an interval below the floor would all be below it; the
+    # automatic interval (c/2)/50 of the circle of radius 1e-6 is 5e-15
+    @pytest.mark.parametrize("rho, snapshot_dt", [(1.0, 1e-16), (1e-6, None)])
+    def test_record_interval_below_step_floor_rejected(self, rho, snapshot_dt):
+        st = make_state(circle_curve(64, rho=rho))
+        with pytest.raises(CurveConfigError, match=r"snapshot_dt .* below the step floor 1e-14"):
+            evolve(st, recording=RecordingConfig(snapshot_dt))
 
 
 class TestRedistributionTrigger:
@@ -403,28 +418,6 @@ class TestRedistributionTrigger:
         assert report.detected
         assert len(calls) >= 1
         assert np.all(np.diff(calls) >= 2)
-
-
-class TestFlowConfig:
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("safety", 0.0),
-            ("safety", 1.5),
-            ("max_steps", 0),
-            ("max_steps", -5),
-            ("dt_min", 0.0),
-            ("dt_min", math.nan),
-            ("dt_min", math.inf),
-        ],
-    )
-    def test_out_of_range_rejected(self, field, value):
-        with pytest.raises(CurveConfigError, match=field):
-            FlowConfig(**{field: value})
-
-    def test_range_limits_accepted(self):
-        config = FlowConfig(safety=1.0, max_steps=1)
-        assert (config.safety, config.max_steps) == (1.0, 1)
 
 
 class TestSingularTimeEstimate:
@@ -501,7 +494,7 @@ class TestRadialTwin:
         contact = flow.ORIGIN_CONTACT_FACTOR * PlaneCurve(nodes).diameter
         traj, report = radial_evolve(RadialProfile(r), snapshot_dt=0.01)
         assert report.trigger == "origin_contact"
-        # a step moves r by at most safety/2 = 10% of min r
+        # a step moves r by at most SAFETY/2 = 10% of min r
         assert report.min_radius_at_stop < contact <= report.min_radius_at_stop / 0.9
         last = traj.profiles[-1].r
         if periodic:
@@ -524,6 +517,10 @@ class TestRadialTwin:
         assert isinstance(info.value.last_state, RadialProfile)
         assert info.value.last_state.t == 0.25
         assert np.array_equal(info.value.last_state.r, start.r)
+
+    def test_radial_interval_below_step_floor_rejected(self):
+        with pytest.raises(CurveConfigError, match=r"snapshot_dt .* below the step floor 1e-14"):
+            radial_evolve(RadialProfile(np.full(64, 1.0)), t_end=0.1, snapshot_dt=1e-16)
 
     def test_radial_underflow_without_bracket_raises(self):
         # the first stable step, about 1.9e-17, is below the default floor

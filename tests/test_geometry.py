@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lagflow.flow import RadialProfile, radial_rhs
 from lagflow.geometry import (
     GAP_FACTOR,
     CurveConfigError,
@@ -299,8 +300,8 @@ def perturbed_star(n=200):
 
 
 class TestStencilOracle:
-    """compute_frame and enclosed_area agree bit for bit with the rolled
-    stencils on closed curves."""
+    """compute_frame and enclosed_area on closed curves, and the radial
+    twin's rate, agree bit for bit with the rolled stencils."""
 
     @pytest.mark.parametrize(
         "curve",
@@ -324,6 +325,15 @@ class TestStencilOracle:
         assert np.array_equal(frame.weight, speed * h)
         area = 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
         assert enclosed_area(curve) == area
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 1000])
+    def test_radial_rate_matches_rolled_stencils(self, n):
+        # the radial twin differentiates its 1-D profile with the same stencils
+        r = 1.0 + 0.5 * np.random.default_rng(n).random(n)
+        h = 2.0 * np.pi / n
+        d1, d2 = _rolled_d1(r, h), _rolled_d2(r, h)
+        rate = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
+        assert np.array_equal(radial_rhs(RadialProfile(r)), rate)
 
 
 def _assembled_terms(curve):
