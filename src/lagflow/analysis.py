@@ -65,6 +65,15 @@ __all__ = [
     "lemma_table",
 ]
 
+# Theta may rise by at most DRIFT_TOL between records (quadrature noise).
+DRIFT_TOL = 1e-3
+# The clip radius of a rescaled view.
+RESCALE_WINDOW = 10.0
+# Rays whose unit doubled directions lie closer than MERGE_TOL are one line.
+MERGE_TOL = 0.15
+# Equal bins of the angle spectrum over [0, 2*pi).
+SPECTRUM_BINS = 36
+
 
 @dataclass(frozen=True)
 class DensitySample:
@@ -95,7 +104,10 @@ def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    passed: bool
+    """``passed`` is None, and ``max_increase`` nan, when fewer than two
+    records precede the cutoff: a single value cannot rise."""
+
+    passed: bool | None
     max_increase: float
     times: np.ndarray
     values: np.ndarray
@@ -105,7 +117,7 @@ def monotonicity_check(
     trajectory: Trajectory,
     x0,
     T: float,
-    drift_tol: float = 1e-3,
+    drift_tol: float = DRIFT_TOL,
     t_max: float | None = None,
 ) -> MonotonicityReport:
     """Evaluate Theta(x0, T; t_k) along the recorded states and check it
@@ -125,12 +137,12 @@ def monotonicity_check(
         values.append(sample.value)
     values_arr = np.asarray(values)
     if len(values_arr) >= 2:
-        max_increase = float(np.max(np.diff(values_arr)))
-        max_increase = max(max_increase, 0.0)
+        max_increase = max(float(np.max(np.diff(values_arr))), 0.0)
+        passed = max_increase <= drift_tol
     else:
-        max_increase = 0.0
+        max_increase, passed = float("nan"), None
     return MonotonicityReport(
-        passed=max_increase <= drift_tol,
+        passed=passed,
         max_increase=max_increase,
         times=np.asarray(times),
         values=values_arr,
@@ -231,20 +243,26 @@ def rescale_flow(
     T: float,
     scales,
     s: float,
-    window: float = 10.0,
+    window: float = RESCALE_WINDOW,
 ) -> list[RescaledCurve]:
     """Magnified views of the flow approaching (x0, T).
 
     For each sigma the curve at time T + s/sigma^2 (linear interpolation
     between records) is translated to put x0 at the origin, stretched by
     sigma, and clipped to B_window(0).  Along a convergent blow-up the
-    outputs stabilize as sigma grows.
+    outputs stabilize as sigma grows.  Each sigma must be positive and
+    finite, with a square that does not underflow to 0: sigma = 0 has no
+    time, and a negative one mirrors the view.
     """
     p = np.asarray(x0, dtype=np.float64).reshape(2)
     span = trajectory.times
     out = []
     failures = []
     for sigma in scales:
+        if not (0.0 < sigma < math.inf and sigma * sigma > 0.0):
+            raise CurveConfigError(
+                f"sigma must be positive and finite with a nonzero square, got {sigma:g}"
+            )
         t = T + s / (sigma * sigma)
         try:
             curve = trajectory.curve_at(t)
@@ -375,7 +393,6 @@ def _cone_component(
 def cone_decomposition(
     rescaled: RescaledCurve | PlaneCurve,
     R: float = 1.0,
-    merge_tol: float = 0.15,
 ) -> ConeDecomposition:
     """Resolve a blown-up curve into lines through the origin.
 
@@ -385,14 +402,16 @@ def cone_decomposition(
     interior minima of |x| inside B_R (where a strand passes the origin)
     so each piece is a single approximate ray; pieces are then merged
     greedily by line direction modulo pi (doubled-direction chord <
-    ``merge_tol``).  Each component reports the arclength-weighted
+    MERGE_TOL).  Each component reports the arclength-weighted
     principal direction through the origin, circular statistics of
     exp(2i*theta), total length, and worst distance to the fitted line.
 
     A closed curve that survives clipping whole and uncut (a rescaled
     circle: one piece of all N nodes from node 0) is a single component
-    with nan direction.
+    with nan direction.  R must be positive and finite.
     """
+    if not 0.0 < R < math.inf:
+        raise CurveConfigError(f"R must be positive and finite, got {R:g}")
     curve = rescaled.curve if isinstance(rescaled, RescaledCurve) else rescaled
     pts = curve.points
     rad = np.linalg.norm(pts, axis=1)
@@ -439,7 +458,7 @@ def cone_decomposition(
             if (
                 abs(dm) > 0
                 and abs(g[1]) != 0
-                and abs(dm / abs(dm) - g[1] / abs(g[1])) < merge_tol
+                and abs(dm / abs(dm) - g[1] / abs(g[1])) < MERGE_TOL
             ):
                 g[0] += mass
                 g[1] += dm
@@ -462,24 +481,22 @@ class AngleSpectrum:
     total: float
 
 
-def angle_spectrum(curve: PlaneCurve, bins: int = 36) -> AngleSpectrum:
-    """Distribution of surface mass over the angle circle.
+def angle_spectrum(curve: PlaneCurve) -> AngleSpectrum:
+    """Distribution of surface mass over SPECTRUM_BINS bins of the angle circle.
 
     Weight per node is pi * |x| * ds (the equivariant area element), so
     ``total`` equals pi times the first radial moment of the curve.  At a
     conical blow-up limit the spectrum concentrates on finitely many
     values.
     """
-    if bins < 8:
-        raise CurveConfigError("need at least 8 bins")
     frame = compute_frame(curve)
     theta = lagrangian_angle(curve, frame).theta
     r = np.linalg.norm(curve.points, axis=1)
     mu = np.pi * r * frame.weight
-    idx = np.floor((theta % (2.0 * np.pi)) / (2.0 * np.pi) * bins).astype(int)
-    idx = np.clip(idx, 0, bins - 1)
-    mass = np.bincount(idx, weights=mu, minlength=bins)
-    edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
+    idx = np.floor((theta % (2.0 * np.pi)) / (2.0 * np.pi) * SPECTRUM_BINS).astype(int)
+    idx = np.clip(idx, 0, SPECTRUM_BINS - 1)
+    mass = np.bincount(idx, weights=mu, minlength=SPECTRUM_BINS)
+    edges = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_BINS + 1)
     return AngleSpectrum(edges=edges, mass=mass, total=float(mu.sum()))
 
 
@@ -489,18 +506,16 @@ class QuadrantReport:
     worst_violation: float
 
 
-def quadrant_monotonicity(profile: RadialProfile, tol: float | None = None) -> QuadrantReport:
+def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
     """Check the four-quadrant radius pattern of an axis-aligned profile.
 
     r must be nonincreasing for s in [0, pi/2] and [pi, 3pi/2], and
     nondecreasing on [pi/2, pi] and [3pi/2, 2pi] (major axis along x).
     Differences whose endpoints straddle a quadrant boundary are exempt.
-    Tolerance defaults to 1e-6 * max r.
+    The tolerance is 1e-6 * max r.
     """
     r = profile.r
     n = len(r)
-    if tol is None:
-        tol = 1e-6 * float(r.max())
     j = np.arange(n)
     q = (4 * j) // n                       # quadrant whose left edge is <= s_j
     inside = 4 * (j + 1) <= (q + 1) * n    # s_{j+1} within the same closed quadrant
@@ -512,7 +527,7 @@ def quadrant_monotonicity(profile: RadialProfile, tol: float | None = None) -> Q
         worst = max(worst, float(np.max(d[down], initial=0.0)))
     if up.any():
         worst = max(worst, float(np.max(-d[up], initial=0.0)))
-    return QuadrantReport(passed=worst <= tol, worst_violation=worst)
+    return QuadrantReport(passed=worst <= 1e-6 * float(r.max()), worst_violation=worst)
 
 
 def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0) -> RadialProfile:
@@ -595,7 +610,7 @@ def acceptance_checks(trajectory: Trajectory, report: SingularityReport) -> dict
     return checks
 
 
-def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str, dict]:
+def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     """The lemma checks of a run, one row {"passed", "value"} each; a
     check with no data has value nan, and ``passed`` None when it does
     not apply (the first three on an open curve).
@@ -605,8 +620,8 @@ def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str,
       profile;
     * ``quadrant_monotonicity``: the four-quadrant radius pattern;
     * ``density_ratio_bound``: the local length ratio stays <= 1.55 at
-      eight probes fixed on the initial curve, in windows of radius
-      ``delta`` (default a quarter of the probe's distance to the origin).
+      eight probes fixed on the initial curve, in windows of a quarter of
+      the probe's distance to the origin.
     """
     results = {"monotone_defect": _drainage_check(trajectory.diagnostics)}
 
@@ -652,9 +667,8 @@ def lemma_table(trajectory: Trajectory, delta: float | None = None) -> dict[str,
     count = 0
     for st in trajectory.states:
         for probe in probes:
-            dist = float(np.linalg.norm(probe))
-            window = delta if delta is not None else 0.25 * dist
-            if window <= 0.0 or window > 0.5 * dist:
+            window = 0.25 * float(np.linalg.norm(probe))
+            if window <= 0.0:
                 continue
             ratio = local_density_ratio(st.curve, probe, window)
             if ratio.under_resolved:

@@ -5,7 +5,8 @@ singularity trigger fired (the expected outcome for shrinking curves,
 not a failure), 3 = the integrator lost the curve (non-finite values or
 step underflow without a singularity bracket), 1 = malformed config.
 ``analyze`` exits 4 when the requested times fall outside the recorded
-span.  ``verify`` exits 1 on any hash mismatch.
+span or a coordinate of the request is invalid.  ``verify`` exits 1 on
+any hash mismatch.
 
 The output root is, in order of preference: ``--out``, the
 ``LAGFLOW_RUNS`` environment variable, or ``./runs``.
@@ -256,7 +257,8 @@ def _cmd_run(args) -> int:
 
 def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
     """(T, x0) from --T and --x0, else from the run's detected singularity
-    (the midpoint of its bracket and its singular point, or the origin)."""
+    (the midpoint of its bracket and its singular point, or the origin).
+    Both must be finite."""
     sing = manifest.get("singularity") or {}
     T = args.T
     if T is None:
@@ -264,7 +266,12 @@ def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
             raise ConfigError("run has no detected singularity; pass --T explicitly")
         T = 0.5 * (float(sing["t_low"]) + float(sing["t_high"]))
     pt = args.x0 or sing.get("singular_point")
-    return T, np.array([0.0, 0.0]) if pt is None else np.asarray(pt, dtype=np.float64)
+    x0 = np.array([0.0, 0.0]) if pt is None else np.asarray(pt, dtype=np.float64)
+    if not math.isfinite(T):
+        raise ConfigError(f"reference time T must be finite, got {T:g}")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"reference point x0 must be finite, got {x0[0]:g} {x0[1]:g}")
+    return T, x0
 
 
 def _load_run(run_dir: str) -> tuple[dict, Trajectory]:
@@ -291,18 +298,18 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_density(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
-    rep = ana.monotonicity_check(trajectory, x0, T, drift_tol=args.drift_tol)
+    rep = ana.monotonicity_check(trajectory, x0, T)
     path = os.path.join(out_dir, "density.csv")
     write_csv(path, ("t", "theta"), (rep.times, rep.values))
-    verdict = "pass" if rep.passed else "FAIL"
+    verdict = "n/a" if rep.passed is None else ("pass" if rep.passed else "FAIL")
     print(f"density series -> {path}")
-    print(f"monotone within +{args.drift_tol:g}: {verdict} (max increase {rep.max_increase:.3g})")
+    print(f"monotone within +{ana.DRIFT_TOL:g}: {verdict} (max increase {rep.max_increase:.3g})")
     return 0
 
 
 def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
-    views = ana.rescale_flow(trajectory, x0, T, args.sigma, args.s, window=args.window)
+    views = ana.rescale_flow(trajectory, x0, T, args.sigma, args.s)
     for view in views:
         path = os.path.join(out_dir, f"rescaled_s{view.s:g}_sigma{view.sigma:g}.json")
         write_snapshot(path, view.curve, T + view.s / view.sigma**2)
@@ -314,9 +321,9 @@ def _analyze_cones(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
     for sigma in args.sigma:
         (view,) = ana.rescale_flow(
-            trajectory, x0, T, [sigma], args.s, window=max(args.window, 4.0 * args.R)
+            trajectory, x0, T, [sigma], args.s, window=max(ana.RESCALE_WINDOW, 4.0 * args.R)
         )
-        decomp = ana.cone_decomposition(view, R=args.R, merge_tol=args.merge_tol)
+        decomp = ana.cone_decomposition(view, R=args.R)
         path = os.path.join(out_dir, f"cones_s{args.s:g}_sigma{sigma:g}.json")
         write_decomposition(path, args.s, sigma, decomp)
         dirs = ", ".join(
@@ -330,7 +337,7 @@ def _analyze_cones(args, manifest, trajectory, out_dir) -> int:
 def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
     t = args.t if args.t is not None else trajectory.states[-1].t
     curve = trajectory.curve_at(t)
-    spec = ana.angle_spectrum(curve, bins=args.bins)
+    spec = ana.angle_spectrum(curve)
     path = os.path.join(out_dir, "spectrum.csv")
     write_csv(path, ("angle_lo", "angle_hi", "mass"), (spec.edges[:-1], spec.edges[1:], spec.mass))
     print(f"spectrum ({spec.total:.6g} total mass) -> {path}")
@@ -338,7 +345,7 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
 
 
 def _analyze_lemmas(args, manifest, trajectory, out_dir) -> int:
-    results = ana.lemma_table(trajectory, args.delta)
+    results = ana.lemma_table(trajectory)
     path = os.path.join(out_dir, "lemmas.json")
     write_json(path, results)
     width = max(len(k) for k in results)
@@ -405,12 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sigma", nargs="+", type=float, default=[4.0, 8.0, 16.0])
     p_an.add_argument("--s", type=float, default=-1.0, help="rescaled time, negative")
     p_an.add_argument("--R", type=float, default=1.0, help="decomposition ball radius")
-    p_an.add_argument("--delta", type=float, default=None, help="density-ratio window")
-    p_an.add_argument("--window", type=float, default=10.0, help="rescaling clip radius")
-    p_an.add_argument("--merge-tol", type=float, default=0.15, dest="merge_tol")
-    p_an.add_argument("--bins", type=int, default=36)
     p_an.add_argument("--t", type=float, default=None, help="snapshot time for spectrum")
-    p_an.add_argument("--drift-tol", type=float, default=1e-3, dest="drift_tol")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sc = sub.add_parser("scenarios", help="describe the built-in scenarios")

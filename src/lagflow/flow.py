@@ -458,7 +458,10 @@ def _record_interval(
     else the smaller of critical/50 and (t_end - t0)/40 that exist.
     ``critical`` is the critical time c/2, None when there is none.  An
     interval below DT_MIN is rejected: the steps cut to it would be
-    below the step floor."""
+    below the step floor.  So is one whose grid up to the run's horizon
+    (t_end, else c/2, whichever comes first) has more points than
+    MAX_STEPS: every grid point ends a step, so the run would exhaust its
+    step budget before the horizon, holding a record per grid point."""
     if snapshot_dt is None:
         candidates = [] if critical is None else [critical / 50.0]
         if t_end is not None:
@@ -473,6 +476,12 @@ def _record_interval(
         raise CurveConfigError(f"snapshot_dt must be positive and finite, got {snapshot_dt:g}")
     if snapshot_dt < DT_MIN:
         raise CurveConfigError(f"snapshot_dt {snapshot_dt:g} is below the step floor {DT_MIN:g}")
+    horizons = [h for h in (t_end, critical) if h is not None]
+    if horizons and (min(horizons) - t0) / snapshot_dt > MAX_STEPS:
+        raise CurveConfigError(
+            f"snapshot_dt {snapshot_dt:g} puts more than the step budget {MAX_STEPS} "
+            f"of records before the horizon t={min(horizons):g}"
+        )
     return snapshot_dt
 
 

@@ -207,6 +207,14 @@ class TestMonotonicityCheck:
         assert not rep.passed
         assert rep.max_increase > 0.1
 
+    @pytest.mark.parametrize("T", [0.0, 0.3])
+    def test_no_verdict_from_fewer_than_two_records(self, T):
+        # T = 0 leaves no record before it, T = 0.3 one: nothing can rise
+        traj = circle_trajectory(rho0=2.0, t_grid=[0.0, 0.5, 0.9], n=64)
+        rep = monotonicity_check(traj, (0.0, 0.0), T=T)
+        assert rep.passed is None
+        assert math.isnan(rep.max_increase)
+
 
 class TestLocalDensityRatio:
     def test_line_through_center_is_one(self):
@@ -380,6 +388,15 @@ class TestRescaleFlow:
                 traj, (0.0, 0.0), T=1.0, scales=[2.0], s=-1.0, window=1e-3
             )
 
+    # sigma = 0, or one whose square underflows, divides by zero, and a
+    # negative sigma mirrors the view
+    @pytest.mark.parametrize("sigma", [0.0, 1e-300, -2.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_sigma_rejected(self, sigma):
+        traj = circle_trajectory(rho0=2.0, t_grid=np.linspace(0.0, 0.9, 19), n=128)
+        message = f"sigma must be positive and finite with a nonzero square, got {sigma:g}"
+        with pytest.raises(CurveConfigError, match=message):
+            rescale_flow(traj, (0.0, 0.0), T=1.0, scales=[2.0, sigma], s=-1.0)
+
 
 class TestNormalizedRescaling:
     def test_unit_constant_circle_is_a_fixed_point(self):
@@ -456,6 +473,11 @@ class TestConeDecomposition:
         # every chord but the jump is mass, the closing chord included
         assert sum(c.mass for c in decs[0].components) == pytest.approx(length, rel=1e-12)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_radius_rejected(self, R):
+        with pytest.raises(CurveConfigError, match=f"R must be positive and finite, got {R:g}"):
+            cone_decomposition(x_cone_curve(256), R=R)
+
     def test_curve_missing_core_gives_nothing(self):
         dec = cone_decomposition(circle(256, rho=2.0), R=1.0)
         assert dec.components == ()
@@ -492,28 +514,25 @@ class TestAngleSpectrum:
         n = 720
         u = 2 * np.pi * (np.arange(n) + 0.5) / n
         c = PlaneCurve(np.column_stack([2 * np.cos(u), 2 * np.sin(u)]))
-        spec = angle_spectrum(c, bins=36)
+        spec = angle_spectrum(c)
+        assert len(spec.mass) == 36
         expected = spec.total / 36
         assert np.max(np.abs(spec.mass - expected)) < 0.05 * expected
 
     def test_line_concentrates_in_antipodal_bins(self):
-        spec = angle_spectrum(single_line(0.3, n=512), bins=36)
+        spec = angle_spectrum(single_line(0.3, n=512))
         order = np.argsort(spec.mass)[::-1]
         top_mass = spec.mass[order[:2]].sum()
         assert top_mass > 0.99 * spec.total
 
     def test_x_cone_bins(self):
         # theta is pi/2 on one line and 3*pi/2 on the other (mod 2*pi)
-        spec = angle_spectrum(x_cone_curve(512), bins=36)
+        spec = angle_spectrum(x_cone_curve(512))
         idx = np.nonzero(spec.mass > 1e-9)[0]
         assert len(idx) <= 4
         centers = (spec.edges[:-1] + spec.edges[1:]) / 2
         hit = centers[spec.mass > 0.2 * spec.total]
         assert len(hit) == 2
-
-    def test_too_few_bins_rejected(self):
-        with pytest.raises(CurveConfigError):
-            angle_spectrum(circle(64), bins=4)
 
 
 class TestQuadrantMonotonicity:

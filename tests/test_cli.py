@@ -15,7 +15,7 @@ import pytest
 
 from lagflow import analysis as ana
 from lagflow import flow
-from lagflow.cli import ConfigError, main, resolve_config
+from lagflow.cli import ConfigError, build_parser, main, resolve_config
 from lagflow.flow import (
     DIAGNOSTIC_COLUMNS,
     FlowConfig,
@@ -160,6 +160,14 @@ class TestConfigValidation:
         assert "snapshot_dt 1e-16 is below the step floor 1e-14" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    # a grid of 2.5e9 records up to c/2 would record every step until the
+    # step budget ran out
+    def test_record_grid_over_step_budget_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", recording={"snapshot_dt": 1e-10})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert "snapshot_dt 1e-10 puts more than the step budget 2000000" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     # the retired step rules' out-of-range values are still refused before
     # any run directory is written, now as unknown keys
     @pytest.mark.parametrize(
@@ -232,6 +240,22 @@ class TestConfigValidation:
             else:
                 materialized.add(key)
         assert documented == materialized
+
+    def test_readme_table_lists_analyze_options(self):
+        # the README analyze table names exactly the options of the
+        # analyze parser, so a flag cannot be added or dropped without its row
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        table = text.split("## Analyze options", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        analyze = subparsers.choices["analyze"]
+        options = {o for a in analyze._actions for o in a.option_strings} - {"-h", "--help"}
+        assert documented == options
 
     def test_normalize_open_curve_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -450,12 +474,59 @@ class TestAnalyze:
         assert len(lines) >= 3
 
     def test_spectrum(self, circle_run):
-        assert main(["analyze", str(circle_run), "spectrum", "--bins", "24"]) == 0
+        assert main(["analyze", str(circle_run), "spectrum"]) == 0
         path = os.path.join(circle_run, "analysis", "spectrum.csv")
         with open(path) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "angle_lo,angle_hi,mass"
-        assert len(lines) == 25
+        assert len(lines) == 37
+
+    # the verdicts' tolerances and resolutions are fixed rules of the
+    # analysis module: each former tuning flag, even at its former
+    # default, is an unknown argument (--delta had no number: a quarter of
+    # each probe's distance)
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("density", "--drift-tol", "0.001"),
+            ("cones", "--merge-tol", "0.15"),
+            ("spectrum", "--bins", "36"),
+            ("rescale", "--window", "10"),
+            ("lemmas", "--delta", "0.5"),
+        ],
+    )
+    def test_removed_tuning_flags_refused(self, circle_run, capsys, subcommand, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(circle_run), subcommand, flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, extra, message",
+        [
+            ("rescale", ["--sigma", "0"], "positive and finite with a nonzero square, got 0"),
+            ("cones", ["--sigma", "1e-300"], "with a nonzero square, got 1e-300"),
+            ("cones", ["--sigma", "-2"], "with a nonzero square, got -2"),
+            ("density", ["--T", "nan"], "reference time T must be finite, got nan"),
+            ("rescale", ["--x0", "nan", "0"], "reference point x0 must be finite, got nan 0"),
+            ("cones", ["--sigma", "2", "--R", "-1"], "R must be positive and finite, got -1"),
+        ],
+    )
+    def test_bad_coordinates_exit_4(self, circle_run, capsys, subcommand, extra, message):
+        out_dir = os.path.join(circle_run, "analysis")
+        os.makedirs(out_dir, exist_ok=True)
+        before = set(os.listdir(out_dir))
+        assert main(["analyze", str(circle_run), subcommand, "--s", "-1", *extra]) == 4
+        assert message in capsys.readouterr().err
+        assert set(os.listdir(out_dir)) <= before
+
+    def test_density_without_two_records_has_no_verdict(self, circle_run, capsys):
+        # no record precedes T = 0, so nothing can rise
+        assert main(["analyze", str(circle_run), "density", "--T", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "monotone within +0.001: n/a (max increase nan)" in out
+        with open(os.path.join(circle_run, "analysis", "density.csv")) as fh:
+            assert fh.read().strip() == "t,theta"
 
     def test_csv_fields_are_plain_floats(self, circle_run):
         # NumPy 2 reprs a scalar as np.float64(x); every field must parse

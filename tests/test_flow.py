@@ -379,6 +379,20 @@ class TestLoopSemantics:
         with pytest.raises(CurveConfigError, match=r"snapshot_dt .* below the step floor 1e-14"):
             evolve(st, recording=RecordingConfig(snapshot_dt))
 
+    # every grid point ends a step, so 1e-10 up to c/2 = 1/4 is about
+    # 2.5e9 records: the run would record every step until its budget ran
+    # out, holding about 3.5 GB; the grid must fit the budget before a step
+    # is taken
+    @pytest.mark.parametrize("t_end", [None, 0.1])
+    def test_record_grid_over_step_budget_rejected(self, t_end):
+        st = make_state(circle_curve(64, rho=1.0))
+        horizon = r"0\.1" if t_end else r"0\.2499"
+        with pytest.raises(
+            CurveConfigError,
+            match=rf"snapshot_dt 1e-10 puts more than the step budget 2000000 .* t={horizon}",
+        ):
+            evolve(st, stop=StopConditions(t_end=t_end), recording=RecordingConfig(1e-10))
+
 
 class TestRedistributionTrigger:
     """evolve redistributes a closed curve after a step whose arclength
@@ -521,6 +535,10 @@ class TestRadialTwin:
     def test_radial_interval_below_step_floor_rejected(self):
         with pytest.raises(CurveConfigError, match=r"snapshot_dt .* below the step floor 1e-14"):
             radial_evolve(RadialProfile(np.full(64, 1.0)), t_end=0.1, snapshot_dt=1e-16)
+
+    def test_radial_record_grid_over_step_budget_rejected(self):
+        with pytest.raises(CurveConfigError, match=r"more than the step budget 2000000 .* t=0\.1$"):
+            radial_evolve(RadialProfile(np.full(32, 2.0)), t_end=0.1, snapshot_dt=1e-10)
 
     def test_radial_underflow_without_bracket_raises(self):
         # the first stable step, about 1.9e-17, is below the default floor
