@@ -20,11 +20,15 @@ snapshot (name and bytes) and the manifest's singularity and acceptance
 blocks; the manifest's timestamps and wall time are left out.  The
 analysis digest covers each pass's exit status and every file of
 ``analysis/`` (name and bytes).  Two checkouts are compared by running the
-script in each and diffing the output.
+script in each and diffing the output, or by saving one checkout's output
+and passing it to ``--check`` in the other: each digest that differs from
+its saved line (or has none) is printed as a mismatch, and the exit status
+is 1 if there is one.
 
 Usage, from the repository root:
     PYTHONPATH=src python scripts/output_digests.py
     PYTHONPATH=src python scripts/output_digests.py --only x_cone
+    PYTHONPATH=src python scripts/output_digests.py --check saved.txt
 """
 
 import argparse
@@ -156,12 +160,24 @@ DIGESTS = {f.__name__: f for f in (circle_run, ellipse_run, heun_ladder, x_cone,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", choices=sorted(DIGESTS), default=None, help="print this digest only")
+    ap.add_argument(
+        "--check", metavar="FILE", default=None, help="compare with a saved 'name sha256' listing"
+    )
     args = ap.parse_args(argv)
+    saved = None
+    if args.check:
+        with open(args.check) as fh:
+            saved = dict(line.split() for line in fh if line.strip())
     names = [args.only] if args.only else list(DIGESTS)
+    mismatches = 0
     for name in names:
         with tempfile.TemporaryDirectory() as work:
-            print(f"{name} {DIGESTS[name](work)}", flush=True)
-    return 0
+            digest = DIGESTS[name](work)
+        print(f"{name} {digest}", flush=True)
+        if saved is not None and saved.get(name) != digest:
+            print(f"mismatch: {name} saved {saved.get(name, 'nothing')}, now {digest}")
+            mismatches += 1
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -27,13 +27,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .flow import RadialProfile, SingularityReport, Trajectory, TrajectoryRangeError, radial_rhs
+from .flow import (
+    RadialProfile,
+    SingularityReport,
+    Trajectory,
+    TrajectoryRangeError,
+    radial_velocity,
+)
 from .geometry import (
     MIN_NODES,
     CurveConfigError,
-    CurveError,
     PlaneCurve,
     chord_weights,
     compute_frame,
@@ -73,6 +77,9 @@ RESCALE_WINDOW = 10.0
 MERGE_TOL = 0.15
 # Equal bins of the angle spectrum over [0, 2*pi).
 SPECTRUM_BINS = 36
+# Closed records of one node count per array pass of the lemma table; it
+# bounds the pass's memory.
+LEMMA_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,11 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _clip_lengths(
-    a: np.ndarray, b: np.ndarray, center: np.ndarray, delta: float
+    a: np.ndarray, b: np.ndarray, center: np.ndarray, delta
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact length of each segment [a_i, b_i] inside the disk
-    B_delta(center), and the squared segment lengths A_i.
+    B_delta(center), and the squared segment lengths A_i; ``center`` and
+    ``delta`` are one disk, or one per segment.
 
     Solves |a + u (b - a) - center|^2 = delta^2 for u and clips the root
     interval to [0, 1]; zero-length, tangent and missing segments get 0.
@@ -188,6 +196,40 @@ def _clip_lengths(
     return lengths, A
 
 
+def _probe_ratios(
+    curve: PlaneCurve, centers: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local length ratios of one curve at the K probes (centers (K, 2),
+    positive deltas (K,)), and their under-resolved flags; see
+    :func:`local_density_ratio`.  One clip pass covers every probe."""
+    pts = curve.points
+    if curve.closed:
+        idx = np.arange(len(pts))
+    else:
+        idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
+    k, m = len(centers), len(idx)
+    lengths, A = _clip_lengths(
+        np.tile(pts[idx], (k, 1)),
+        np.tile(pts[(idx + 1) % len(pts)], (k, 1)),
+        np.repeat(centers, m, axis=0),
+        np.repeat(deltas, m),
+    )
+    lengths = lengths.reshape(k, m)
+    # left to right, as the segments run (np.sum adds pairwise, and
+    # Python's sum() compensates from 3.12 on); a missed segment adds an
+    # exact zero
+    totals = np.add.accumulate(lengths, axis=1)[:, -1]
+    # np.median of the hit chords: the mean of the two middle ones (one
+    # middle one, added to itself, for an odd count)
+    hit = lengths > 0.0
+    count = hit.sum(axis=1)
+    chords = np.sort(np.where(hit, np.sqrt(A[:m]), np.inf), axis=1)
+    rows = np.arange(k)
+    median = (chords[rows, np.maximum(count - 1, 0) // 2] + chords[rows, count // 2]) / 2.0
+    under = (count > 0) & (deltas <= 5.0 * median)
+    return totals / (2.0 * deltas), under
+
+
 def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     """Curve length inside the disk of radius delta about x0, over 2*delta.
 
@@ -195,26 +237,14 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     chord of a closed curve, closing chord last; the chords inside each
     piece of an open one (never the jump chord between two pieces).  The
     result is flagged under-resolved when delta is not at least 5 local
-    node spacings, the scale below which a polyline stops resembling its
-    curve.
+    node spacings (the median chord in the disk), the scale below which a
+    polyline stops resembling its curve.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    p = np.asarray(x0, dtype=np.float64).reshape(2)
-    pts = curve.points
-    if curve.closed:
-        idx = np.arange(len(pts))
-    else:
-        idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
-    lengths, A = _clip_lengths(pts[idx], pts[(idx + 1) % len(pts)], p, delta)
-    hit = lengths > 0.0
-    # left to right, as the segments run: np.sum adds pairwise and sum()
-    # compensates from Python 3.12 on, and both round differently
-    total = 0.0
-    for ln in lengths[hit].tolist():
-        total += ln
-    under = bool(hit.any()) and delta <= 5.0 * float(np.median(np.sqrt(A[hit])))
-    return DensityRatio(value=total / (2.0 * delta), under_resolved=under)
+    p = np.asarray(x0, dtype=np.float64).reshape(1, 2)
+    value, under = _probe_ratios(curve, p, np.array([delta], dtype=np.float64))
+    return DensityRatio(value=float(value[0]), under_resolved=bool(under[0]))
 
 
 @dataclass(frozen=True)
@@ -506,6 +536,20 @@ class QuadrantReport:
     worst_violation: float
 
 
+def _quadrant_violation(r: np.ndarray) -> np.ndarray:
+    """Worst breach of the four-quadrant radius pattern of each profile in
+    the columns of r (axis 0 over the uniform angle grid), floored at 0
+    (a zero may come back as -0.0)."""
+    n = len(r)
+    j = np.arange(n)
+    q = (4 * j) // n                       # quadrant whose left edge is <= s_j
+    inside = 4 * (j + 1) <= (q + 1) * n    # s_{j+1} within the same closed quadrant
+    d = np.roll(r, -1, axis=0) - r
+    # quadrants 1 and 3: nonincreasing; quadrants 2 and 4: nondecreasing
+    rise = np.where((q % 2 == 0)[:, None], d, -d)
+    return np.max(rise[inside], axis=0, initial=0.0)
+
+
 def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
     """Check the four-quadrant radius pattern of an axis-aligned profile.
 
@@ -515,19 +559,129 @@ def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
     The tolerance is 1e-6 * max r.
     """
     r = profile.r
-    n = len(r)
-    j = np.arange(n)
-    q = (4 * j) // n                       # quadrant whose left edge is <= s_j
-    inside = 4 * (j + 1) <= (q + 1) * n    # s_{j+1} within the same closed quadrant
-    d = np.roll(r, -1) - r
-    worst = 0.0
-    down = inside & ((q % 2) == 0)   # quadrants 1 and 3: nonincreasing
-    up = inside & ((q % 2) == 1)     # quadrants 2 and 4: nondecreasing
-    if down.any():
-        worst = max(worst, float(np.max(d[down], initial=0.0)))
-    if up.any():
-        worst = max(worst, float(np.max(-d[up], initial=0.0)))
+    worst = max(0.0, float(_quadrant_violation(r[:, None])[0]))
     return QuadrantReport(passed=worst <= 1e-6 * float(r.max()), worst_violation=worst)
+
+
+def _periodic_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot slopes of the periodic cubic splines with knot spacings dx and
+    secant slopes ``slope`` (axis 0 along the knots, one column each):
+    scipy's condensed cyclic system, the tridiagonal system of all but the
+    last two knots for two right-hand sides, solved by the elimination of
+    LAPACK's ?gtsv (which solve_banded calls for a (1, 1) band), then the
+    second-to-last slope from the closing row."""
+    m = len(dx) - 1                        # unknowns of the condensed system
+    d = np.empty((m,) + dx.shape[1:])
+    d[0] = 2.0 * (dx[-1] + dx[0])
+    d[1:] = 2.0 * (dx[: m - 1] + dx[1:m])
+    du = np.concatenate([dx[-1:], dx[: m - 2]])
+    dl = dx[1:m]
+    fill = np.zeros_like(du)               # second superdiagonal of a row interchange
+    b = np.zeros((m, 2) + dx.shape[1:])
+    b[0, 0] = 3.0 * (dx[0] * slope[-1] + dx[-1] * slope[0])
+    b[1:, 0] = 3.0 * (dx[1:m] * slope[: m - 1] + dx[: m - 1] * slope[1:m])
+    b[0, 1] = -dx[0]
+    b[-1, 1] = -dx[-3]
+    for i in range(m - 1):
+        swap = np.abs(d[i]) < np.abs(dl[i])
+        if not swap.any():
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            continue
+        # ?gtsv interchanges rows i and i + 1 where the subdiagonal is larger
+        fact = np.where(swap, d[i] / dl[i], dl[i] / d[i])
+        nxt = d[i + 1].copy()
+        d[i + 1] = np.where(swap, du[i] - fact * nxt, nxt - fact * du[i])
+        d[i] = np.where(swap, dl[i], d[i])
+        if i < m - 2:
+            fill[i] = np.where(swap, du[i + 1], 0.0)
+            du[i + 1] = np.where(swap, -fact * du[i + 1], du[i + 1])
+        du[i] = np.where(swap, nxt, du[i])
+        top = b[i].copy()
+        b[i] = np.where(swap, b[i + 1], top)
+        b[i + 1] = np.where(swap, top - fact * b[i + 1], b[i + 1] - fact * top)
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(m - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - fill[i] * b[i + 2]) / d[i]
+    s1, s2 = b[:, 0], b[:, 1]
+    closing = 3.0 * (dx[-1] * slope[-2] + dx[-2] * slope[-1])
+    s_last = (closing - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+        2.0 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+    )
+    return np.concatenate([s1 + s_last * s2, [s_last, s1[0] + s_last * s2[0]]])
+
+
+def _periodic_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Values at the rows of ``at`` of the periodic cubic splines through
+    the rows of knots x (strictly increasing) and values y, with
+    y[:, -1] == y[:, 0].
+
+    Each row is ``scipy.interpolate.CubicSpline(x, y, bc_type="periodic")``
+    evaluated at ``at``, operation for operation, so the two agree bit for
+    bit: the slopes of :func:`_periodic_slopes`, the Hermite coefficients,
+    PPoly's periodic remap x0 + (x - x0) % period and its power-sum
+    evaluation.  The work runs down the knots, one array operation per
+    knot for all rows at once.
+    """
+    x, y, at = x.T, y.T, at.T              # one column per spline
+    dx = np.diff(x, axis=0)
+    slope = np.diff(y, axis=0) / dx
+    s = _periodic_slopes(dx, slope)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    del dx, slope, t
+
+    u = x[0] + (at - x[0]) % (x[-1] - x[0])
+    # the knot interval [x_i, x_i+1) holding u, the last one closed
+    cols = np.arange(x.shape[1])
+    i = np.column_stack([np.searchsorted(x[:, j], u[:, j], side="right") for j in cols])
+    i = np.minimum(i - 1, len(c3) - 1)
+    h = u - x[i, cols]
+    # c3 + c2 h + c1 (h h) + c0 ((h h) h), summed in that order, in place
+    value = c3[i, cols]
+    value += c2[i, cols] * h
+    power = h * h
+    value += c1[i, cols] * power
+    power *= h
+    value += c0[i, cols] * power
+    # a remap rounded past the last knot is out of range: nan, as in PPoly
+    value[u > x[-1]] = np.nan
+    return value.T
+
+
+def _polar_radii(pts: np.ndarray, samples: int) -> tuple[np.ndarray, list[str | None]]:
+    """Radii on the uniform polar-angle grid s_j = 2*pi*j/samples of the
+    closed curves pts (B, N, 2), by a periodic cubic spline in the angle;
+    and per curve the reason it has none (its row is then nan), else
+    None.  The nodes' polar angles must wind monotonically once around
+    the origin."""
+    phi = np.unwrap(np.arctan2(pts[..., 1], pts[..., 0]), axis=1)
+    r = np.linalg.norm(pts, axis=2)
+    dphi = np.diff(phi, axis=1)
+    total = phi[:, -1] - phi[:, 0]
+    back = total < 0.0
+    phi[back], r[back] = phi[back, ::-1], r[back, ::-1]
+    total = np.abs(total)
+    wrap = 2.0 * np.pi - total
+    errors: list[str | None] = [None] * len(pts)
+    for k in np.flatnonzero(~((0.0 < wrap) & (wrap < 2.0 * np.pi))):
+        errors[k] = (
+            f"polar angle sweeps {total[k]:.4f} across the nodes, expected a single turn"
+        )
+    for k in np.flatnonzero((dphi.min(axis=1) <= 0.0) & (dphi.max(axis=1) >= 0.0)):
+        errors[k] = "curve is not star-shaped about the origin"
+    good = np.array([e is None for e in errors])
+    knots = np.concatenate([phi, phi[:, :1] + 2.0 * np.pi], axis=1)[good]
+    values = np.concatenate([r, r[:, :1]], axis=1)[good]
+    del phi, r, dphi
+    targets = 2.0 * np.pi * np.arange(samples) / samples
+    shifted = knots[:, :1] + (targets - knots[:, :1]) % (2.0 * np.pi)
+    radii = np.full((len(pts), samples), np.nan)
+    if good.any():
+        radii[good] = _periodic_spline(knots, values, shifted)
+    return radii, errors
 
 
 def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0) -> RadialProfile:
@@ -535,35 +689,19 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
 
     The nodes' polar angles must wind monotonically once around the
     origin; radius is interpolated at s_j = 2*pi*j/samples by a periodic
-    cubic spline in the angle.  This is the bridge from the parametric
-    solver to the radial one.
+    cubic spline in the angle, the one-curve case of the lemma table's
+    block kernel.  This is the bridge from the parametric solver to the
+    radial one.
     """
     if not curve.closed:
         raise CurveConfigError("polar profile requires a closed curve")
     n = samples if samples is not None else curve.node_count
     if n < MIN_NODES:
         raise CurveConfigError(f"need at least {MIN_NODES} samples")
-    pts = curve.points
-    phi = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
-    r = np.linalg.norm(pts, axis=1)
-    dphi = np.diff(phi)
-    total = phi[-1] - phi[0]
-    if dphi.min() <= 0.0 and dphi.max() >= 0.0:
-        raise CurveConfigError("curve is not star-shaped about the origin")
-    if total < 0.0:
-        phi, r = phi[::-1], r[::-1]
-        total = -total
-    wrap = 2.0 * np.pi - total
-    if not 0.0 < wrap < 2.0 * np.pi:
-        raise CurveConfigError(
-            f"polar angle sweeps {total:.4f} across the nodes, expected a single turn"
-        )
-    phi_ext = np.concatenate([phi, [phi[0] + 2.0 * np.pi]])
-    r_ext = np.concatenate([r, [r[0]]])
-    spline = CubicSpline(phi_ext, r_ext, bc_type="periodic")
-    targets = 2.0 * np.pi * np.arange(n) / n
-    shifted = phi[0] + (targets - phi[0]) % (2.0 * np.pi)
-    return RadialProfile(spline(shifted), t)
+    radii, errors = _polar_radii(curve.points[None], n)
+    if errors[0] is not None:
+        raise CurveConfigError(errors[0])
+    return RadialProfile(radii[0], t)
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +764,31 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     results = {"monotone_defect": _drainage_check(trajectory.diagnostics)}
 
     # polar profiles of the closed records whose radial dip the uniform
-    # angle grid still resolves (min r >= ~5 angular spacings x max r);
+    # angle grid still resolves (min r >= ~5 angular spacings x max r),
+    # in array passes over blocks of records that share a node count;
     # the degenerate tail is skipped
     resolved = 0
     worst_rate = worst_q = -math.inf
     ok_q = True
+    groups: dict[int, list[np.ndarray]] = {}
     for st in trajectory.states:
-        if not st.curve.closed:
-            continue
-        try:
-            prof = polar_profile(st.curve)
-        except CurveError:
-            continue
-        h = 2.0 * np.pi / len(prof.r)
-        if prof.r.min() < 5.0 * h * prof.r.max():
-            continue
-        resolved += 1
-        worst_rate = max(worst_rate, float(radial_rhs(prof).max()))
-        rep = quadrant_monotonicity(prof)
-        ok_q = ok_q and rep.passed
-        worst_q = max(worst_q, rep.worst_violation)
+        if st.curve.closed:
+            groups.setdefault(st.curve.node_count, []).append(st.curve.points)
+    for n, records in groups.items():
+        h = 2.0 * np.pi / n
+        for start in range(0, len(records), LEMMA_BLOCK):
+            radii, _ = _polar_radii(np.stack(records[start : start + LEMMA_BLOCK]), n)
+            radii = radii[np.isfinite(radii).all(axis=1)]
+            rmin, rmax = radii.min(axis=1), radii.max(axis=1)
+            keep = (rmin > 0.0) & ~(rmin < 5.0 * h * rmax)
+            if not keep.any():
+                continue
+            cols = np.ascontiguousarray(radii[keep].T)
+            resolved += cols.shape[1]
+            worst_rate = max(worst_rate, float(radial_velocity(cols)[0].max()))
+            violation = _quadrant_violation(cols)
+            ok_q = ok_q and bool(np.all(violation <= 1e-6 * rmax[keep]))
+            worst_q = max(worst_q, 0.0, float(violation.max()))
     results["radius_nonincreasing"] = {
         "passed": bool(resolved) and worst_rate <= 1e-6,
         "value": worst_rate if resolved else float("nan"),
@@ -663,18 +806,15 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     # from the origin, so the probes must stay put while the curve moves.
     pts0 = trajectory.states[0].curve.points
     probes = pts0[:: max(len(pts0) // 8, 1)][:8]
+    windows = np.array([0.25 * float(np.linalg.norm(probe)) for probe in probes])
+    probes, windows = probes[windows > 0.0], windows[windows > 0.0]
     worst_ratio = 0.0
     count = 0
     for st in trajectory.states:
-        for probe in probes:
-            window = 0.25 * float(np.linalg.norm(probe))
-            if window <= 0.0:
-                continue
-            ratio = local_density_ratio(st.curve, probe, window)
-            if ratio.under_resolved:
-                continue
-            worst_ratio = max(worst_ratio, ratio.value)
-            count += 1
+        values, under = _probe_ratios(st.curve, probes, windows)
+        resolved_values = values[~under]
+        count += len(resolved_values)
+        worst_ratio = max(worst_ratio, float(resolved_values.max(initial=0.0)))
     results["density_ratio_bound"] = {
         "passed": (worst_ratio <= 1.55) if count else None,
         "value": worst_ratio if count else float("nan"),

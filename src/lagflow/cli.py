@@ -288,7 +288,6 @@ def _cmd_analyze(args) -> int:
         print(f"cannot load run: {exc}", file=sys.stderr)
         return 4
     out_dir = os.path.join(args.run_dir, "analysis")
-    os.makedirs(out_dir, exist_ok=True)
     try:
         return _ANALYSES[args.subcommand](args, manifest, trajectory, out_dir)
     except (TrajectoryRangeError, ConfigError, ValueError) as exc:
@@ -296,10 +295,30 @@ def _cmd_analyze(args) -> int:
         return 4
 
 
+def _output(out_dir: str, name: str) -> str:
+    """Path of an analysis file; the directory is made when first written to."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def _sigma_names(args, stem: str) -> list[str]:
+    """The file name of each requested sigma, in order; two sigma that
+    would share a name are refused before anything is written."""
+    seen: dict[str, float] = {}
+    for sigma in args.sigma:
+        name = f"{stem}_s{args.s:g}_sigma{sigma:g}.json"
+        if name in seen:
+            raise ConfigError(
+                f"sigma={seen[name]!r} and sigma={sigma!r} would both write {name}"
+            )
+        seen[name] = sigma
+    return list(seen)
+
+
 def _analyze_density(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
     rep = ana.monotonicity_check(trajectory, x0, T)
-    path = os.path.join(out_dir, "density.csv")
+    path = _output(out_dir, "density.csv")
     write_csv(path, ("t", "theta"), (rep.times, rep.values))
     verdict = "n/a" if rep.passed is None else ("pass" if rep.passed else "FAIL")
     print(f"density series -> {path}")
@@ -309,9 +328,10 @@ def _analyze_density(args, manifest, trajectory, out_dir) -> int:
 
 def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
+    names = _sigma_names(args, "rescaled")
     views = ana.rescale_flow(trajectory, x0, T, args.sigma, args.s)
-    for view in views:
-        path = os.path.join(out_dir, f"rescaled_s{view.s:g}_sigma{view.sigma:g}.json")
+    for name, view in zip(names, views):
+        path = _output(out_dir, name)
         write_snapshot(path, view.curve, T + view.s / view.sigma**2)
         print(f"sigma={view.sigma:g} -> {path}")
     return 0
@@ -319,12 +339,12 @@ def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
 
 def _analyze_cones(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
-    for sigma in args.sigma:
+    for name, sigma in zip(_sigma_names(args, "cones"), args.sigma):
         (view,) = ana.rescale_flow(
             trajectory, x0, T, [sigma], args.s, window=max(ana.RESCALE_WINDOW, 4.0 * args.R)
         )
         decomp = ana.cone_decomposition(view, R=args.R)
-        path = os.path.join(out_dir, f"cones_s{args.s:g}_sigma{sigma:g}.json")
+        path = _output(out_dir, name)
         write_decomposition(path, args.s, sigma, decomp)
         dirs = ", ".join(
             f"{c.direction:.4f}" if math.isfinite(c.direction) else "closed"
@@ -338,7 +358,7 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
     t = args.t if args.t is not None else trajectory.states[-1].t
     curve = trajectory.curve_at(t)
     spec = ana.angle_spectrum(curve)
-    path = os.path.join(out_dir, "spectrum.csv")
+    path = _output(out_dir, "spectrum.csv")
     write_csv(path, ("angle_lo", "angle_hi", "mass"), (spec.edges[:-1], spec.edges[1:], spec.mass))
     print(f"spectrum ({spec.total:.6g} total mass) -> {path}")
     return 0
@@ -346,7 +366,7 @@ def _analyze_spectrum(args, manifest, trajectory, out_dir) -> int:
 
 def _analyze_lemmas(args, manifest, trajectory, out_dir) -> int:
     results = ana.lemma_table(trajectory)
-    path = os.path.join(out_dir, "lemmas.json")
+    path = _output(out_dir, "lemmas.json")
     write_json(path, results)
     width = max(len(k) for k in results)
     for k, v in results.items():

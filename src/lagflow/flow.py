@@ -765,14 +765,21 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
+def radial_velocity(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dr/dt (see :func:`radial_rhs`) and r' of the positive profiles in
+    the columns of r, whose axis 0 runs over the uniform angle grid."""
+    h = 2.0 * np.pi / len(r)
+    d1, d2 = periodic_derivatives(pad_periodic(r), h)
+    return (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3), d1
+
+
 def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
     """dr/dt of the profile r and the largest stable explicit step, both
     from one first difference r'."""
     if r.min() <= 0.0:
         raise OriginContactError("radial profile touched zero")
+    rhs, d1 = radial_velocity(r)
     h = 2.0 * np.pi / len(r)
-    d1, d2 = periodic_derivatives(pad_periodic(r), h)
-    rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
     # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
     # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
     # parametric solver

@@ -9,15 +9,22 @@ known by construction.
 """
 import math
 
+import json
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from lagflow.analysis import (
+    LEMMA_BLOCK,
     DensityRatio,
     _clip_lengths,
+    _drainage_check,
+    _periodic_spline,
     angle_spectrum,
     cone_decomposition,
     gaussian_density,
+    lemma_table,
     local_density_ratio,
     monotonicity_check,
     normalized_rescaling,
@@ -32,10 +39,12 @@ from lagflow.flow import (
     Trajectory,
     TrajectoryRangeError,
     evolve,
+    StopConditions,
     make_state,
+    radial_rhs,
 )
-from lagflow.geometry import CurveConfigError, PlaneCurve, curve_pieces
-from lagflow.scenarios import line_pair_curve, x_cone_curve
+from lagflow.geometry import CurveConfigError, CurveError, PlaneCurve, curve_pieces
+from lagflow.scenarios import ellipse_curve, line_pair_curve, x_cone_curve
 
 
 def circle(n=256, rho=2.0, center=(0.0, 0.0)):
@@ -569,6 +578,40 @@ class TestQuadrantMonotonicity:
         assert rep.passed
 
 
+def _scipy_polar_radii(curve, samples=None):
+    # polar_profile as it was built on scipy's periodic spline: the oracle
+    # for the spline kernel; None where the curve has no profile
+    pts = curve.points
+    n = samples if samples is not None else len(pts)
+    phi = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+    r = np.linalg.norm(pts, axis=1)
+    dphi = np.diff(phi)
+    total = phi[-1] - phi[0]
+    if dphi.min() <= 0.0 and dphi.max() >= 0.0:
+        return None
+    if total < 0.0:
+        phi, r, total = phi[::-1], r[::-1], -total
+    if not 0.0 < 2.0 * np.pi - total < 2.0 * np.pi:
+        return None
+    spline = CubicSpline(
+        np.append(phi, phi[0] + 2.0 * np.pi), np.append(r, r[0]), bc_type="periodic"
+    )
+    targets = 2.0 * np.pi * np.arange(n) / n
+    return spline(phi[0] + (targets - phi[0]) % (2.0 * np.pi))
+
+
+def ellipse(n, a=3.0, b=2.0):
+    u = 2 * np.pi * np.arange(n) / n
+    return PlaneCurve(np.column_stack([a * np.cos(u), b * np.sin(u)]))
+
+
+def perturbed_circle(n=96):
+    # uneven node angles and a wavy radius
+    u = 2 * np.pi * np.arange(n) / n + 0.02 * np.sin(7 * 2 * np.pi * np.arange(n) / n)
+    r = 1.0 + 0.2 * np.cos(3 * u) + 0.1 * np.sin(5 * u)
+    return PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]))
+
+
 class TestPolarProfile:
     def test_ellipse_profile_recovered(self):
         n = 256
@@ -600,3 +643,166 @@ class TestPolarProfile:
     def test_open_curve_rejected(self):
         with pytest.raises(CurveConfigError):
             polar_profile(line_pair_curve(128))
+
+    @pytest.mark.parametrize(
+        "curve, samples",
+        [
+            (ellipse(128), None),
+            (perturbed_circle(), None),
+            (PlaneCurve(ellipse(128).points[::-1]), None),
+            (ellipse(16), None),
+            (ellipse(128), 64),
+            (perturbed_circle(), 203),
+        ],
+        ids=["ellipse", "perturbed_circle", "clockwise", "N16", "samples64", "samples203"],
+    )
+    def test_spline_kernel_is_scipy_bit_for_bit(self, curve, samples):
+        expected = _scipy_polar_radii(curve, samples)
+        assert np.array_equal(polar_profile(curve, samples=samples).r, expected)
+
+    def test_spline_kernel_rows_with_row_interchanges(self):
+        # knot spacings that jump by a factor of 50 make ?gtsv swap rows;
+        # evaluation points far outside one period exercise the remap
+        rng = np.random.default_rng(3)
+        rows = 5
+        dx = rng.choice([0.02, 1.0], size=(rows, 40)) * rng.uniform(0.5, 1.5, size=(rows, 40))
+        x = np.concatenate([np.zeros((rows, 1)), np.cumsum(dx, axis=1)], axis=1) - 3.0
+        y = rng.normal(size=(rows, 41))
+        y[:, -1] = y[:, 0]
+        at = rng.uniform(-50.0, 50.0, size=(rows, 300))
+        got = _periodic_spline(x, y, at)
+        for k in range(rows):
+            assert np.array_equal(got[k], CubicSpline(x[k], y[k], bc_type="periodic")(at[k]))
+
+    def test_angles_not_monotone_rejected(self):
+        pts = ellipse(64).points.copy()
+        pts[[10, 11]] = pts[[11, 10]]
+        with pytest.raises(CurveConfigError, match="not star-shaped"):
+            polar_profile(PlaneCurve(pts))
+
+    def test_double_turn_rejected(self):
+        # odd N: the nodes of a circle run twice are all distinct
+        u = 4 * np.pi * np.arange(65) / 65
+        with pytest.raises(CurveConfigError, match="expected a single turn"):
+            polar_profile(PlaneCurve(np.column_stack([np.cos(u), np.sin(u)])))
+
+
+def _looped_lemma_table(trajectory):
+    # the lemma table one record and one probe at a time, with scipy's
+    # polar profiles: the oracle for lemma_table's block passes
+    results = {"monotone_defect": _drainage_check(trajectory.diagnostics)}
+    resolved = 0
+    worst_rate = worst_q = -math.inf
+    ok_q = True
+    for st in trajectory.states:
+        if not st.curve.closed:
+            continue
+        radii = _scipy_polar_radii(st.curve)
+        if radii is None:
+            continue
+        try:
+            prof = RadialProfile(radii)
+        except CurveError:
+            continue
+        h = 2.0 * np.pi / len(prof.r)
+        if prof.r.min() < 5.0 * h * prof.r.max():
+            continue
+        resolved += 1
+        worst_rate = max(worst_rate, float(radial_rhs(prof).max()))
+        rep = quadrant_monotonicity(prof)
+        ok_q = ok_q and rep.passed
+        worst_q = max(worst_q, rep.worst_violation)
+    results["radius_nonincreasing"] = {
+        "passed": bool(resolved) and worst_rate <= 1e-6,
+        "value": worst_rate if resolved else float("nan"),
+    }
+    results["quadrant_monotonicity"] = {
+        "passed": bool(resolved) and ok_q,
+        "value": worst_q if resolved else float("nan"),
+    }
+    if not trajectory.states[0].curve.closed:
+        for row in results.values():
+            row["passed"] = None
+    pts0 = trajectory.states[0].curve.points
+    probes = pts0[:: max(len(pts0) // 8, 1)][:8]
+    worst_ratio = 0.0
+    count = 0
+    for st in trajectory.states:
+        for probe in probes:
+            window = 0.25 * float(np.linalg.norm(probe))
+            if window <= 0.0:
+                continue
+            ratio = local_density_ratio(st.curve, probe, window)
+            if ratio.under_resolved:
+                continue
+            worst_ratio = max(worst_ratio, ratio.value)
+            count += 1
+    results["density_ratio_bound"] = {
+        "passed": (worst_ratio <= 1.55) if count else None,
+        "value": worst_ratio if count else float("nan"),
+    }
+    return results
+
+
+def _records(curves, defect=0.0):
+    # a hand-built trajectory of the given curves, one record per 0.01
+    states = [FlowState(curve=c, t=0.01 * k, initial_constant=1.0) for k, c in enumerate(curves)]
+    return Trajectory(
+        states=states,
+        diagnostics={"monotone_defect": np.full(len(states), defect)},
+        initial_constant=1.0,
+    )
+
+
+class TestLemmaTableOracle:
+    """lemma_table's block passes give the table of the per-record loop,
+    to the last bit (compared through JSON, which tells -0.0 and nan)."""
+
+    @staticmethod
+    def _assert_same(trajectory):
+        table = lemma_table(trajectory)
+        assert json.dumps(table) == json.dumps(_looped_lemma_table(trajectory))
+        return table
+
+    def test_dense_small_ellipse_run(self):
+        traj, _ = evolve(make_state(ellipse_curve(32, a=2.0)), recording=RecordingConfig(snapshot_dt=0.02))
+        assert len(traj.states) > LEMMA_BLOCK
+        table = self._assert_same(traj)
+        assert table["radius_nonincreasing"]["passed"] is True
+
+    def test_mixed_node_counts(self):
+        # N = 64 and N = 128 interleaved, more records of one count than a
+        # block holds, with records that have no profile (off-center, not
+        # star-shaped) or are not resolved (a deep dip at the origin)
+        u = 2 * np.pi * np.arange(128) / 128
+        dip = PlaneCurve(np.column_stack([np.cos(u), np.sin(u)]) * (0.02 + np.cos(u) ** 2)[:, None])
+        curves = []
+        for k in range(LEMMA_BLOCK + 20):
+            curves.append(ellipse(64, a=3.0 - 0.01 * k, b=2.0 + 0.005 * k))
+            if k % 3 == 0:
+                curves.append(perturbed_circle(128))
+        curves[5] = circle(64, rho=1.0, center=(3.0, 0.0))
+        curves[9] = dip
+        traj = _records(curves, defect=2e-4)
+        table = self._assert_same(traj)
+        assert table["quadrant_monotonicity"]["passed"] is False
+
+    def test_open_fixture(self):
+        traj, _ = evolve(make_state(x_cone_curve(128)), stop=StopConditions(t_end=0.01))
+        table = self._assert_same(traj)
+        for name in ("monotone_defect", "radius_nonincreasing", "quadrant_monotonicity"):
+            assert table[name]["passed"] is None
+
+    def test_under_resolved_and_zero_window_probes(self):
+        # the first record's node 8 is the origin (a zero window); its
+        # other probes (windows 0.5 to 2) see chords of 1, too coarse for
+        # them; the fine records' chords of 0.08 resolve every window
+        coarse = PlaneCurve(np.column_stack([np.linspace(-8.0, 8.0, 17), np.zeros(17)]), closed=False)
+        fine = [
+            PlaneCurve(np.column_stack([np.linspace(-8.0, 8.0, 201), np.full(201, y)]), closed=False)
+            for y in (0.0, 0.3, 1.0)
+        ]
+        table = self._assert_same(_records([coarse, *fine, circle(64, rho=3.0)]))
+        assert table["density_ratio_bound"]["passed"] is True
+        only_coarse = self._assert_same(_records([coarse]))
+        assert only_coarse["density_ratio_bound"]["passed"] is None

@@ -520,6 +520,32 @@ class TestAnalyze:
         assert message in capsys.readouterr().err
         assert set(os.listdir(out_dir)) <= before
 
+    def test_refused_request_makes_no_analysis_dir(self, circle_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        assert main(["analyze", str(run_dir), "density", "--T", "nan"]) == 4
+        assert "reference time T must be finite" in capsys.readouterr().err
+        assert not os.path.exists(run_dir / "analysis")
+
+    @pytest.mark.parametrize("subcommand, stem", [("rescale", "rescaled"), ("cones", "cones")])
+    def test_sigmas_sharing_a_file_name_refused(self, circle_run, tmp_path, capsys, subcommand, stem):
+        # {sigma:g} keeps 6 significant digits: 2 and 2.0000001 would
+        # write one file twice
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        extra = ["--R", "2.5"] if subcommand == "cones" else []
+        argv = ["analyze", str(run_dir), subcommand, "--s", "-1", *extra]
+        assert main([*argv, "--sigma", "3", "2", "2.0000001"]) == 4
+        err = capsys.readouterr().err
+        assert f"sigma=2.0 and sigma=2.0000001 would both write {stem}_s-1_sigma2.json" in err
+        assert not os.path.exists(run_dir / "analysis")
+        # distinct magnifications keep their names
+        assert main([*argv, "--sigma", "3", "2"]) == 0
+        assert sorted(os.listdir(run_dir / "analysis")) == [
+            f"{stem}_s-1_sigma2.json",
+            f"{stem}_s-1_sigma3.json",
+        ]
+
     def test_density_without_two_records_has_no_verdict(self, circle_run, capsys):
         # no record precedes T = 0, so nothing can rise
         assert main(["analyze", str(circle_run), "density", "--T", "0"]) == 0

@@ -48,3 +48,20 @@ def test_output_digests_only_entry_is_stable(capsys):
         assert re.fullmatch("[0-9a-f]{64}", digest)
         digests.append(digest)
     assert digests[0] == digests[1]
+
+
+def test_output_digests_check_compares_with_saved_listing(tmp_path, capsys):
+    module = load_script("output_digests")
+    assert module.main(["--only", "x_cone"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    name, digest = line.split()
+    saved = tmp_path / "saved.txt"
+    saved.write_text(f"circle_run {'0' * 64}\n{line}\n")
+    # a listing line for a digest that is not computed is not compared
+    assert module.main(["--only", "x_cone", "--check", str(saved)]) == 0
+    assert "mismatch" not in capsys.readouterr().out
+    tampered = ("1" if digest[0] == "0" else "0") + digest[1:]
+    saved.write_text(f"{name} {tampered}\n")
+    assert module.main(["--only", "x_cone", "--check", str(saved)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [line, f"mismatch: x_cone saved {tampered}, now {digest}"]
