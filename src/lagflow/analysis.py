@@ -56,7 +56,6 @@ __all__ = [
     "local_density_ratio",
     "RescaledCurve",
     "rescale_flow",
-    "normalized_rescaling",
     "ConeComponent",
     "ConeDecomposition",
     "cone_decomposition",
@@ -318,25 +317,6 @@ def rescale_flow(
             f"[{span[0]:.6g}, {span[-1]:.6g}]"
         )
     return out
-
-
-def normalized_rescaling(trajectory: Trajectory, x1, s: float) -> PlaneCurve:
-    """The time-s frame of the normalized flow, e^s*(curve(t(s)) - x1)
-    with t(s) = (1 - e^{-2s})/2.
-
-    Only makes sense on a run whose initial c-constant is 1; t(s) tends
-    to 1/2 as s grows, so a flow singular at T < 1/2 runs out of data at
-    s = -log(1 - 2T)/2 and the range error is the singular horizon.
-    """
-    c = trajectory.initial_constant
-    if not (math.isfinite(c) and abs(c - 1.0) <= 1e-3):
-        raise CurveConfigError(
-            f"normalized rescaling needs a run with c = 1, got c = {c:.6g}"
-        )
-    t = 0.5 * (1.0 - math.exp(-2.0 * s))
-    curve = trajectory.curve_at(t)
-    p = np.asarray(x1, dtype=np.float64).reshape(2)
-    return PlaneCurve(math.exp(s) * (curve.points - p), closed=curve.closed)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import typing
@@ -214,7 +215,11 @@ def _cmd_run(args) -> int:
         return 1
     finished = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
-    os.makedirs(os.path.join(run_dir, "snapshots"), exist_ok=True)
+    # a rerun of the same config gets the same directory: replace it, so no
+    # record, analysis or file of the previous run outlives its manifest
+    if os.path.isdir(run_dir):
+        shutil.rmtree(run_dir)
+    os.makedirs(os.path.join(run_dir, "snapshots"))
     manifest = {
         "scenario": raw.get("scenario", {}),
         "config": resolved,
@@ -339,18 +344,19 @@ def _analyze_rescale(args, manifest, trajectory, out_dir) -> int:
 
 def _analyze_cones(args, manifest, trajectory, out_dir) -> int:
     T, x0 = _reference_point(args, manifest)
-    for name, sigma in zip(_sigma_names(args, "cones"), args.sigma):
-        (view,) = ana.rescale_flow(
-            trajectory, x0, T, [sigma], args.s, window=max(ana.RESCALE_WINDOW, 4.0 * args.R)
-        )
-        decomp = ana.cone_decomposition(view, R=args.R)
+    names = _sigma_names(args, "cones")
+    views = ana.rescale_flow(
+        trajectory, x0, T, args.sigma, args.s, window=max(ana.RESCALE_WINDOW, 4.0 * args.R)
+    )
+    decomps = [ana.cone_decomposition(view, R=args.R) for view in views]
+    for name, view, decomp in zip(names, views, decomps):
         path = _output(out_dir, name)
-        write_decomposition(path, args.s, sigma, decomp)
+        write_decomposition(path, args.s, view.sigma, decomp)
         dirs = ", ".join(
             f"{c.direction:.4f}" if math.isfinite(c.direction) else "closed"
             for c in decomp.components
         )
-        print(f"sigma={sigma:g}: {len(decomp.components)} component(s) at [{dirs}] -> {path}")
+        print(f"sigma={view.sigma:g}: {len(decomp.components)} component(s) at [{dirs}] -> {path}")
     return 0
 
 

@@ -31,11 +31,13 @@ __all__ = [
     "scenario_table",
     "circle_curve",
     "ellipse_curve",
+    "cassini_curve",
     "line_pair_curve",
     "x_cone_curve",
 ]
 
 SEMI_MINOR = 2.0
+CASSINI_SAMPLES = 8192
 
 
 def circle_curve(resolution: int, rho: float = 2.0) -> PlaneCurve:
@@ -56,6 +58,23 @@ def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = np.column_stack([a * np.cos(u), SEMI_MINOR * np.sin(u)])
+    curve = resample(PlaneCurve(pts), resolution)
+    return PlaneCurve(symmetrize_points(curve.points))
+
+
+def cassini_curve(resolution: int, b: float = 1.05) -> PlaneCurve:
+    """Cassini oval with foci at (+-1, 0), r^2 = cos 2θ + sqrt(b^4 - sin^2 2θ).
+
+    Its neck at the origin has half-width sqrt(b^2 - 1), so it narrows
+    as b falls to 1.  Sampled on CASSINI_SAMPLES uniform angles, then
+    resampled to uniform arclength with node 0 at (r(0), 0).
+    """
+    if not b > 1.0:
+        raise CurveConfigError("cassini parameter b must be greater than 1")
+    _check_resolution(resolution)
+    u = 2.0 * np.pi * np.arange(CASSINI_SAMPLES) / CASSINI_SAMPLES
+    r = np.sqrt(np.cos(2.0 * u) + np.sqrt(b**4 - np.sin(2.0 * u) ** 2))
+    pts = r[:, None] * np.column_stack([np.cos(u), np.sin(u)])
     curve = resample(PlaneCurve(pts), resolution)
     return PlaneCurve(symmetrize_points(curve.points))
 
@@ -116,6 +135,12 @@ SCENARIOS: dict[str, Scenario] = {
         params={"a": 3.0},
         builder=ellipse_curve,
         notes="semi-minor fixed at 2; shrinks to a point at the origin at t ~ c/2",
+    ),
+    "cassini": Scenario(
+        name="cassini",
+        params={"b": 1.05},
+        builder=cassini_curve,
+        notes="neck at the origin; pinches before c/2 for b near 1",
     ),
     "slag_cone": Scenario(
         name="slag_cone",

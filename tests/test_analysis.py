@@ -27,7 +27,6 @@ from lagflow.analysis import (
     lemma_table,
     local_density_ratio,
     monotonicity_check,
-    normalized_rescaling,
     polar_profile,
     quadrant_monotonicity,
     rescale_flow,
@@ -405,31 +404,6 @@ class TestRescaleFlow:
         message = f"sigma must be positive and finite with a nonzero square, got {sigma:g}"
         with pytest.raises(CurveConfigError, match=message):
             rescale_flow(traj, (0.0, 0.0), T=1.0, scales=[2.0, sigma], s=-1.0)
-
-
-class TestNormalizedRescaling:
-    def test_unit_constant_circle_is_a_fixed_point(self):
-        # c = 1 circle has rho0 = sqrt(2); e^s * rho(t(s)) = sqrt(2) for
-        # every s, the stationary point of the normalized flow
-        traj = circle_trajectory(
-            rho0=math.sqrt(2.0), t_grid=np.linspace(0.0, 0.48, 193), n=128
-        )
-        for s in (0.0, 0.5, 1.5):
-            frame = normalized_rescaling(traj, (0.0, 0.0), s)
-            radii = np.linalg.norm(frame.points, axis=1)
-            assert np.max(np.abs(radii - math.sqrt(2.0))) < 5e-3
-
-    def test_horizon_raises_range_error(self):
-        traj = circle_trajectory(
-            rho0=math.sqrt(2.0), t_grid=np.linspace(0.0, 0.48, 97), n=128
-        )
-        with pytest.raises(TrajectoryRangeError):
-            normalized_rescaling(traj, (0.0, 0.0), s=3.0)
-
-    def test_wrong_constant_rejected(self):
-        traj = circle_trajectory(rho0=2.0, n=128)  # c = 2
-        with pytest.raises(CurveConfigError):
-            normalized_rescaling(traj, (0.0, 0.0), s=0.5)
 
 
 class TestConeDecomposition:

@@ -25,6 +25,7 @@ from lagflow.flow import (
 )
 from lagflow.geometry import PlaneCurve
 from lagflow.runio import load_trajectory, read_snapshot, write_json, write_snapshot
+from lagflow.scenarios import SCENARIOS, circle_curve, ellipse_curve
 
 
 def write_config(path, **overrides):
@@ -58,9 +59,10 @@ class TestScenariosList:
     def test_table_contents(self, capsys):
         assert main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out
-        for name in ("circle", "ellipse", "slag_cone", "x_cone", "custom"):
+        for name in ("circle", "ellipse", "cassini", "slag_cone", "x_cone", "custom"):
             assert name in out
         assert "semi-minor fixed at 2" in out
+        assert "pinches before c/2" in out
         assert "rho^2/4" in out
         assert "analysis fixture, stationary" in out
 
@@ -241,6 +243,26 @@ class TestConfigValidation:
                 materialized.add(key)
         assert documented == materialized
 
+    def test_readme_table_lists_scenarios_and_their_params(self):
+        # the scenario.name row names exactly SCENARIOS, and the
+        # scenario.params row each scenario's parameters, so a scenario
+        # cannot land undocumented
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        table = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            if line.startswith("| `scenario."):
+                cells = line.split("|")
+                rows[cells[1].strip(" `")] = re.findall(r"`([^`]+)`", cells[3])
+        assert set(rows["scenario.name"]) == set(SCENARIOS)
+        documented = {}
+        for entry in rows["scenario.params"]:
+            name, params = entry.split(":")
+            documented[name] = {p.strip() for p in params.split(",") if p.strip()}
+        assert documented == {name: set(sc.params) for name, sc in SCENARIOS.items()}
+
     def test_readme_table_lists_analyze_options(self):
         # the README analyze table names exactly the options of the
         # analyze parser, so a flag cannot be added or dropped without its row
@@ -347,6 +369,24 @@ class TestRunOutputs:
         assert any((tmp_path / "env_runs").iterdir())
 
 
+class TestCassiniRun:
+    def test_pinches_before_critical_time(self, tmp_path):
+        # the normalized cassini oval (c = 1) closes its neck on the origin
+        # near t = 0.416, well before the critical time c/2 = 0.5
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "cassini", "params": {"b": 1.05}},
+            resolution=256,
+            normalize=True,
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        sing = load_manifest(run_dir)["singularity"]
+        assert sing["trigger"] == "origin_contact"
+        assert sing["singular_point"] == [0.0, 0.0]
+        assert sing["t_high"] < 0.45
+
+
 class TestStationaryRun:
     def test_cone_is_stationary(self, tmp_path):
         cfg = write_config(
@@ -428,6 +468,52 @@ class TestCustomScenario:
         assert manifest["exit_status"] == 3
         assert "below floor" in manifest["error"]
         assert "no singular-time bracket" in manifest["error"]
+
+    def test_rerun_replaces_the_previous_records(self, tmp_path):
+        # the run id hashes the config, not the snapshot file it names: a
+        # rerun after the file changed writes into the same directory and
+        # must leave only its own records there
+        snap = tmp_path / "seed.json"
+        write_snapshot(str(snap), circle_curve(64, rho=1.0), 0.0)
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "custom", "params": {"path": str(snap)}},
+        )
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        first = len(os.listdir(run_dir / "snapshots"))
+        assert main(["analyze", str(run_dir), "density"]) == 0
+        write_snapshot(str(snap), ellipse_curve(64, a=3.0), 0.0)
+        assert main(argv) == 2
+        assert [p.name for p in (tmp_path / "r").iterdir()] == [run_dir.name]
+        on_disk = {
+            os.path.relpath(os.path.join(root, f), run_dir)
+            for root, _, names in os.walk(run_dir)
+            for f in names
+        }
+        assert on_disk - {"manifest.json"} == set(load_manifest(run_dir)["files"])
+        assert len(os.listdir(run_dir / "snapshots")) != first
+        traj = load_trajectory(str(run_dir))
+        assert np.array_equal(traj.times, traj.diagnostics["t"])
+
+    def test_lost_rerun_leaves_no_earlier_output(self, tmp_path):
+        # a rerun that loses the curve lists no files, and none are left
+        snap = tmp_path / "seed.json"
+        write_snapshot(str(snap), circle_curve(64, rho=1.0), 0.0)
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "custom", "params": {"path": str(snap)}},
+            stop={"t_end": 0.01},
+        )
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        u = 2 * np.pi * np.arange(64) / 64
+        write_snapshot(str(snap), PlaneCurve(np.column_stack([1.0 + np.cos(u), np.sin(u)])), 0.0)
+        assert main(argv) == 3
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        assert sorted(os.listdir(run_dir)) == ["manifest.json", "snapshots"]
+        assert os.listdir(run_dir / "snapshots") == []
 
     def test_missing_path_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -640,6 +726,15 @@ class TestAnalyze:
         )
         assert code == 4
         assert "outside" in capsys.readouterr().err
+
+    def test_cones_out_of_range_writes_nothing(self, circle_run, tmp_path, capsys):
+        # every sigma is checked before the first file is written
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        code = main(["analyze", str(run_dir), "cones", "--sigma", "4", "100000"])
+        assert code == 4
+        assert "outside the recorded span" in capsys.readouterr().err
+        assert not os.path.exists(run_dir / "analysis")
 
     def test_cones_on_circle_run(self, circle_run, capsys):
         # rescaled shrinking circle stays a closed loop: one component,

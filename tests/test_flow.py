@@ -41,7 +41,13 @@ from lagflow.geometry import (
     resample,
     symmetrize_points,
 )
-from lagflow.scenarios import circle_curve, ellipse_curve, line_pair_curve, x_cone_curve
+from lagflow.scenarios import (
+    cassini_curve,
+    circle_curve,
+    ellipse_curve,
+    line_pair_curve,
+    x_cone_curve,
+)
 
 
 def circle(n=256, rho=2.0):
@@ -574,6 +580,22 @@ class TestScenarioBuilders:
         assert np.max(c.points[:, 0]) == pytest.approx(3.0, abs=1e-6)
         assert np.max(c.points[:, 1]) == pytest.approx(2.0, abs=1e-6)
         assert antipodal_defect(c) < 1e-14
+
+    def test_cassini_scenario_axes(self):
+        # r^2 = cos 2θ + sqrt(b^4 - sin^2 2θ): r(0)^2 = 1 + b^2, and the
+        # neck on the y axis has r^2 = b^2 - 1
+        b = 1.05
+        c = cassini_curve(256, b=b)
+        assert c.node_count == 256
+        assert np.max(c.points[:, 0]) == pytest.approx(math.sqrt(1.0 + b * b), abs=1e-6)
+        neck = np.min(np.abs(c.points[np.abs(c.points[:, 0]) < 0.05, 1]))
+        assert neck == pytest.approx(math.sqrt(b * b - 1.0), abs=1e-3)
+        assert antipodal_defect(c) < 1e-14
+
+    @pytest.mark.parametrize("b", [1.0, 0.5, math.nan])
+    def test_cassini_without_a_neck_rejected(self, b):
+        with pytest.raises(CurveConfigError, match="greater than 1"):
+            cassini_curve(64, b=b)
 
     def test_line_pair_avoids_origin(self):
         c = line_pair_curve(128, phi=0.3)

@@ -1,12 +1,21 @@
 """Smoke tests for the experiment scripts: each runs at a small size,
 exits 0 and prints its table header (or its digest line)."""
+import csv
 import importlib.util
+import json
 import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lagflow.geometry import PlaneCurve
+from lagflow.runio import write_snapshot
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+LADDER = ["N", "exit", "trigger", "t_low", "t_high", "fit T*", "area left", "wall s",
+          "max rel error", "order"]
 
 
 def load_script(name):
@@ -16,25 +25,63 @@ def load_script(name):
     return module
 
 
+@pytest.fixture
+def study_dir(tmp_path, monkeypatch):
+    """A working directory holding the two example study configs, the
+    circle's cut at t_end 0.2; runs land in its runs/."""
+    circle = json.loads((SCRIPTS / "circle_ladder.json").read_text())
+    circle["stop"]["t_end"] = 0.2
+    (tmp_path / "circle.json").write_text(json.dumps(circle))
+    shutil.copy(SCRIPTS / "ellipse_pinch.json", tmp_path / "ellipse.json")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LAGFLOW_RUNS", raising=False)
+    return tmp_path
+
+
 @pytest.mark.parametrize(
     "name, argv, header",
     [
-        (
-            "circle_benchmark",
-            ["--resolutions", "32", "64", "--t-end", "0.2"],
-            ["N", "max rel error", "order", "wall s"],
-        ),
+        ("pinch_study", ["circle.json", "--resolutions", "32", "64"], LADDER),
         (
             "pinch_study",
-            ["--resolution", "64"],
+            ["ellipse.json", "--resolutions", "64"],
             ["sigma", "tau", "nodes", "waist", "extent", "comps", "central ratio"],
         ),
     ],
 )
-def test_script_runs(name, argv, header, capsys):
+def test_script_runs(name, argv, header, study_dir, capsys):
     assert load_script(name).main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.split() == " ".join(header).split() for line in lines)
+
+
+def test_pinch_study_table(study_dir, capsys):
+    # one csv row per rung and sigma; a rung without a zoom gets one row
+    # with empty sigma columns, and each rung leaves its run directory
+    module = load_script("pinch_study")
+    argv = ["circle.json", "--resolutions", "32", "64", "--csv", "t.csv"]
+    assert module.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "5.115e-06" in out  # the N=32 radius error through t = 0.2
+    with open("t.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["resolution"], r["exit"], r["sigma"]) for r in rows] == [("32", "0", ""), ("64", "0", "")]
+    assert rows[0]["order"] == "nan" and 3.5 < float(rows[1]["order"]) < 4.5
+    assert len(list(Path("runs").iterdir())) == 2
+    assert module.main(["ellipse.json", "--resolutions", "64", "--sigmas", "2", "4", "--csv", "t.csv"]) == 0
+    with open("t.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["resolution"], r["trigger"], r["sigma"]) for r in rows] == [
+        ("64", "origin_contact", "2"),
+        ("64", "origin_contact", "4"),
+    ]
+    assert rows[0]["max_rel_error"] == ""
+
+
+def test_pinch_study_bad_config_exits_1(study_dir, capsys):
+    (study_dir / "bad.json").write_text('{"scenario": {"name": "circle"}, "flow": {"safety": 0.5}}')
+    assert load_script("pinch_study").main(["bad.json", "--resolutions", "32"]) == 1
+    assert "unknown key 'flow.safety'" in capsys.readouterr().err
 
 
 def test_output_digests_only_entry_is_stable(capsys):
@@ -65,3 +112,24 @@ def test_output_digests_check_compares_with_saved_listing(tmp_path, capsys):
     assert module.main(["--only", "x_cone", "--check", str(saved)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [line, f"mismatch: x_cone saved {tampered}, now {digest}"]
+
+
+def test_pinch_study_prints_a_lost_rung(study_dir, capsys):
+    # a node on the origin fails the velocity's origin guard: lagflow run
+    # exits 3, and the study goes on with the manifest's error
+    u = 2 * np.pi * np.arange(64) / 64
+    write_snapshot("seed.json", PlaneCurve(np.column_stack([1.0 + np.cos(u), np.sin(u)])), 0.0)
+    config = {"scenario": {"name": "custom", "params": {"path": "seed.json"}}, "stop": {"t_end": 0.01}}
+    (study_dir / "lost.json").write_text(json.dumps(config))
+    assert load_script("pinch_study").main(["lost.json", "--resolutions", "64"]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if "lost" in line]
+    assert row.split()[:3] == ["64", "3", "lost:"]
+    assert "OriginContactError at t=0" in row
+
+
+def test_committed_digest_listing_names_every_digest():
+    module = load_script("output_digests")
+    with open(SCRIPTS / "output_digests.txt") as fh:
+        saved = dict(line.split() for line in fh if line.strip())
+    assert list(saved) == list(module.DIGESTS)
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in saved.values())
