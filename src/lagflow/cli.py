@@ -5,7 +5,8 @@ singularity trigger fired (the expected outcome for shrinking curves,
 not a failure), 3 = the integrator lost the curve (non-finite values or
 step underflow without a singularity bracket), 1 = malformed config.
 ``analyze`` exits 4 when the requested times fall outside the recorded
-span or a coordinate of the request is invalid.  ``verify`` exits 1 on
+span, a coordinate of the request is invalid, or a record it reads is
+missing or damaged.  ``verify`` exits 1 on
 any hash mismatch.
 
 The output root is, in order of preference: ``--out``, the
@@ -40,6 +41,7 @@ from .flow import (
 from .geometry import MIN_NODES, CurveError, PlaneCurve, resample
 from .lagrangian import normalize
 from .runio import (
+    RunLoadError,
     file_sha256,
     load_trajectory,
     read_manifest,
@@ -289,12 +291,16 @@ def _load_run(run_dir: str) -> tuple[dict, Trajectory]:
 def _cmd_analyze(args) -> int:
     try:
         manifest, trajectory = _load_run(args.run_dir)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, RunLoadError) as exc:
         print(f"cannot load run: {exc}", file=sys.stderr)
         return 4
     out_dir = os.path.join(args.run_dir, "analysis")
     try:
         return _ANALYSES[args.subcommand](args, manifest, trajectory, out_dir)
+    except RunLoadError as exc:
+        # a pass reads its records on demand
+        print(f"cannot load run: {exc}", file=sys.stderr)
+        return 4
     except (TrajectoryRangeError, ConfigError, ValueError) as exc:
         print(f"analysis out of range: {exc}", file=sys.stderr)
         return 4

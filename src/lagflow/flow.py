@@ -53,6 +53,7 @@ singular point and the report with its singular-time bracket.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,15 +254,22 @@ class TimeEstimate:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus diagnostic columns (one entry per record)."""
+    """Recorded states plus diagnostic columns (one entry per record).
 
-    states: list[FlowState]
+    Row k of every diagnostics column belongs to record k, and
+    ``diagnostics["t"][k]`` is the same float as ``states[k].t``, so the
+    record times are read without touching the states.  ``states`` is a
+    list from ``evolve``; ``runio.load_trajectory`` gives a sequence that
+    reads each record from disk on first access.
+    """
+
+    states: Sequence[FlowState]
     diagnostics: dict[str, np.ndarray]
     initial_constant: float
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return self.diagnostics["t"]
 
     def curve_at(self, t: float) -> PlaneCurve:
         """Curve at time t, linearly interpolated between records."""

@@ -5,6 +5,10 @@ floats are serialized with Python's shortest round-trip repr (which
 preserves the full binary value, i.e. more than 15 significant digits
 whenever they matter), dict keys are sorted, and no timestamps enter
 the diagnostics or snapshot files.
+
+A run directory holds one snapshot file per diagnostics row: snapshot k
+is row k, at the same time t.  ``load_trajectory`` reads the rows up
+front and each snapshot only when a pass first asks for it.
 """
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ import hashlib
 import json
 import math
 import os
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "write_svg",
     "file_sha256",
     "load_trajectory",
+    "RunLoadError",
     "snapshot_name",
 ]
 
@@ -162,16 +168,80 @@ def snapshot_name(index: int) -> str:
     return f"snapshot_{index:06d}.json"
 
 
+class RunLoadError(Exception):
+    """A run directory whose records cannot be read back.  The message
+    starts with the path of the file at fault, relative to the run."""
+
+
+class _SnapshotStates(Sequence[FlowState]):
+    """The records of a run directory as a Sequence[FlowState]: snapshot
+    k is parsed on first access, checked against diagnostics row k's
+    time, and kept."""
+
+    def __init__(self, run_dir: str, times: np.ndarray, initial_constant: float):
+        self._run_dir = run_dir
+        self._times = times
+        self._c = initial_constant
+        self._states: list[FlowState | None] = [None] * len(times)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        if self._states[k] is None:
+            self._states[k] = self._read(k)
+        return self._states[k]
+
+    def _read(self, k: int) -> FlowState:
+        rel = os.path.join("snapshots", snapshot_name(k))
+        try:
+            curve, t = read_snapshot(os.path.join(self._run_dir, rel))
+        except KeyError as exc:
+            raise RunLoadError(f"{rel}: no {exc} entry") from exc
+        except (OSError, TypeError, ValueError) as exc:
+            raise RunLoadError(f"{rel}: {exc}") from exc
+        if t != self._times[k]:
+            raise RunLoadError(
+                f"{rel}: t={t!r} differs from diagnostics row {k} (t={float(self._times[k])!r})"
+            )
+        return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
+
+
 def load_trajectory(run_dir: str) -> Trajectory:
-    """Rebuild a Trajectory from a run directory (manifest + snapshots + CSV)."""
+    """Rebuild a Trajectory from a run directory.
+
+    The manifest, diagnostics.csv and the snapshot file list are read
+    here; the snapshots are read on demand (see ``Trajectory.states``).
+    A snapshot list that is not snapshot_000000.json onwards, one file
+    per diagnostics row, raises RunLoadError, and so does a snapshot
+    that cannot be parsed or whose t is not its row's, when it is read.
+    """
     manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
     c = manifest.get("initial_constant")
     c = float("nan") if c is None else float(c)
-    snap_dir = os.path.join(run_dir, "snapshots")
-    names = sorted(f for f in os.listdir(snap_dir) if f.endswith(".json"))
-    states = []
-    for k, name in enumerate(names):
-        curve, t = read_snapshot(os.path.join(snap_dir, name))
-        states.append(FlowState(curve=curve, t=t, initial_constant=c, step_index=k))
-    diagnostics = read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
-    return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c)
+    try:
+        diagnostics = read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
+        times = diagnostics["t"]
+    except KeyError as exc:
+        raise RunLoadError(f"diagnostics.csv: no {exc} column") from exc
+    except (OSError, ValueError) as exc:
+        raise RunLoadError(f"diagnostics.csv: {exc}") from exc
+    try:
+        names = {f for f in os.listdir(os.path.join(run_dir, "snapshots")) if f.endswith(".json")}
+    except OSError as exc:
+        raise RunLoadError(f"snapshots: {exc}") from exc
+    expected = [snapshot_name(k) for k in range(len(times))]
+    missing = [name for name in expected if name not in names]
+    extra = sorted(names.difference(expected))
+    if missing or extra:
+        name, fault = (missing[0], "missing") if missing else (extra[0], "unexpected")
+        raise RunLoadError(
+            f"{os.path.join('snapshots', name)}: {fault}; {len(names)} snapshot file(s) "
+            f"against {len(times)} diagnostics row(s)"
+        )
+    return Trajectory(
+        states=_SnapshotStates(run_dir, times, c), diagnostics=diagnostics, initial_constant=c
+    )

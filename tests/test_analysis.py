@@ -7,9 +7,10 @@ the closed-form implementation against it.  Everything downstream
 solvable circle flows and on line/hyperbola fixtures whose limits are
 known by construction.
 """
-import math
-
+import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ from lagflow.flow import (
     make_state,
     radial_rhs,
 )
+from lagflow.cli import main
 from lagflow.geometry import CurveConfigError, CurveError, PlaneCurve, curve_pieces
+from lagflow.runio import load_trajectory, read_manifest, read_snapshot
 from lagflow.scenarios import ellipse_curve, line_pair_curve, x_cone_curve
 
 
@@ -723,7 +726,7 @@ def _records(curves, defect=0.0):
     states = [FlowState(curve=c, t=0.01 * k, initial_constant=1.0) for k, c in enumerate(curves)]
     return Trajectory(
         states=states,
-        diagnostics={"monotone_defect": np.full(len(states), defect)},
+        diagnostics={"t": np.array([s.t for s in states]), "monotone_defect": np.full(len(states), defect)},
         initial_constant=1.0,
     )
 
@@ -780,3 +783,85 @@ class TestLemmaTableOracle:
         assert table["density_ratio_bound"]["passed"] is True
         only_coarse = self._assert_same(_records([coarse]))
         assert only_coarse["density_ratio_bound"]["passed"] is None
+
+
+class _EagerTrajectory(Trajectory):
+    # the loader before records were read on demand: every snapshot
+    # parsed up front, the times taken from the records themselves
+    @property
+    def times(self):
+        return np.array([s.t for s in self.states])
+
+
+def _eager_trajectory(run_dir):
+    manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
+    c = manifest["initial_constant"]
+    snap_dir = os.path.join(run_dir, "snapshots")
+    states = []
+    for k, name in enumerate(sorted(os.listdir(snap_dir))):
+        curve, t = read_snapshot(os.path.join(snap_dir, name))
+        states.append(FlowState(curve=curve, t=t, initial_constant=c, step_index=k))
+    diagnostics = load_trajectory(run_dir).diagnostics
+    return _EagerTrajectory(states=states, diagnostics=diagnostics, initial_constant=c)
+
+
+def _as_json(obj):
+    # every float of a result, as JSON tells -0.0 and nan apart
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _as_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [_as_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _as_json(v) for k, v in obj.items()}
+    return obj
+
+
+@pytest.fixture(scope="module")
+def ellipse_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    cfg = root / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scenario": {"name": "ellipse", "params": {"a": 3.0}},
+                "resolution": 48,
+                "recording": {"snapshot_dt": 0.05},
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(root)]) == 2
+    (run_dir,) = [p for p in root.iterdir() if p.is_dir()]
+    return str(run_dir)
+
+
+class TestOnDemandLoadOracle:
+    """Each pass on a trajectory whose records are read on demand gives
+    the results of the eager loader, to the last bit."""
+
+    PASSES = {
+        "density": lambda traj, x0, T: monotonicity_check(traj, x0, T),
+        "rescale": lambda traj, x0, T: rescale_flow(traj, x0, T, [4.0, 8.0, 16.0], -1.0),
+        "cones": lambda traj, x0, T: [
+            cone_decomposition(view, R=1.0)
+            for view in rescale_flow(traj, x0, T, [4.0, 8.0, 16.0], -1.0, window=10.0)
+        ],
+        "spectrum": lambda traj, x0, T: [
+            angle_spectrum(traj.curve_at(t)) for t in (traj.states[-1].t, 0.5 * T)
+        ],
+        "lemmas": lambda traj, x0, T: lemma_table(traj),
+    }
+
+    @pytest.mark.parametrize("name", list(PASSES))
+    def test_pass_matches_eager_loader(self, ellipse_run, name):
+        sing = read_manifest(os.path.join(ellipse_run, "manifest.json"))["singularity"]
+        T = 0.5 * (sing["t_low"] + sing["t_high"])
+        x0 = np.asarray(sing["singular_point"])
+        run = self.PASSES[name]
+        lazy = load_trajectory(ellipse_run)
+        eager = _eager_trajectory(ellipse_run)
+        assert not isinstance(lazy.states, list)
+        assert json.dumps(_as_json(run(lazy, x0, T))) == json.dumps(_as_json(run(eager, x0, T)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lagflow import analysis as ana
-from lagflow import flow
+from lagflow import flow, runio
 from lagflow.cli import ConfigError, build_parser, main, resolve_config
 from lagflow.flow import (
     DIAGNOSTIC_COLUMNS,
@@ -495,7 +495,7 @@ class TestCustomScenario:
         assert on_disk - {"manifest.json"} == set(load_manifest(run_dir)["files"])
         assert len(os.listdir(run_dir / "snapshots")) != first
         traj = load_trajectory(str(run_dir))
-        assert np.array_equal(traj.times, traj.diagnostics["t"])
+        assert np.array_equal([s.t for s in traj.states], traj.diagnostics["t"])
 
     def test_lost_rerun_leaves_no_earlier_output(self, tmp_path):
         # a rerun that loses the curve lists no files, and none are left
@@ -546,6 +546,80 @@ class TestVerify:
 
     def test_no_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
+
+
+class TestDamagedRun:
+    """A run directory that cannot be read back is refused with exit 4 and
+    a message naming the file, never a traceback or a silent mismatch."""
+
+    @pytest.fixture
+    def run_copy(self, circle_run, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        return run_dir
+
+    @staticmethod
+    def snapshot(run_dir, k):
+        names = sorted(os.listdir(run_dir / "snapshots"))
+        return run_dir / "snapshots" / names[k]
+
+    def assert_refused(self, run_dir, subcommand, capsys, message):
+        assert main(["analyze", str(run_dir), subcommand]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load run: {message}")
+        assert "out of range" not in err
+
+    @pytest.mark.parametrize("subcommand", ["density", "spectrum", "lemmas"])
+    def test_truncated_snapshot(self, run_copy, capsys, subcommand):
+        last = self.snapshot(run_copy, -1)
+        last.write_text(last.read_text()[:100])
+        self.assert_refused(run_copy, subcommand, capsys, f"snapshots/{last.name}: Expecting")
+
+    def test_pass_that_skips_the_damaged_record_succeeds(self, run_copy, capsys):
+        # records are read on demand: the spectrum of the last record does
+        # not see a damaged first one, which verify reports
+        first = self.snapshot(run_copy, 0)
+        first.write_text("{")
+        assert main(["analyze", str(run_copy), "spectrum"]) == 0
+        assert main(["verify", str(run_copy)]) == 1
+        assert f"hash mismatch: snapshots/{first.name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_missing_snapshot(self, run_copy, capsys, k):
+        gone = self.snapshot(run_copy, k)
+        count = len(os.listdir(run_copy / "snapshots"))
+        gone.unlink()
+        self.assert_refused(
+            run_copy,
+            "density",
+            capsys,
+            f"snapshots/{gone.name}: missing; {count - 1} snapshot file(s) "
+            f"against {count} diagnostics row(s)",
+        )
+
+    def test_extra_snapshot(self, run_copy, capsys):
+        count = len(os.listdir(run_copy / "snapshots"))
+        extra = run_copy / "snapshots" / runio.snapshot_name(count)
+        shutil.copy(self.snapshot(run_copy, -1), extra)
+        self.assert_refused(run_copy, "spectrum", capsys, f"snapshots/{extra.name}: unexpected")
+
+    @pytest.mark.parametrize("subcommand", ["density", "spectrum"])
+    def test_snapshot_time_differs_from_its_row(self, run_copy, capsys, subcommand):
+        last = self.snapshot(run_copy, -1)
+        doc = json.loads(last.read_text())
+        doc["t"] = float(np.nextafter(doc["t"], 1.0))
+        last.write_text(json.dumps(doc))
+        self.assert_refused(
+            run_copy,
+            subcommand,
+            capsys,
+            f"snapshots/{last.name}: t={doc['t']!r} differs from diagnostics row",
+        )
+
+    def test_damaged_diagnostics(self, run_copy, capsys):
+        with open(run_copy / "diagnostics.csv", "a") as fh:
+            fh.write("0.5,1.0\n")
+        self.assert_refused(run_copy, "density", capsys, "diagnostics.csv: ")
 
 
 class TestAnalyze:
@@ -759,6 +833,37 @@ class TestAnalyze:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "ghost"), "density"]) == 4
         assert "cannot load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, extra, max_reads",
+        [
+            ("rescale", ["--sigma", "4", "8", "16"], 6),
+            ("cones", ["--sigma", "4", "8", "16"], 6),
+            ("spectrum", [], 2),
+            ("density", [], None),
+            ("lemmas", [], None),
+        ],
+    )
+    def test_each_pass_reads_only_what_it_uses(
+        self, circle_run, monkeypatch, subcommand, extra, max_reads
+    ):
+        # a view interpolates between two records, so each sigma and the
+        # spectrum read at most two; density and lemmas walk every record
+        # and parse each one once
+        reads = []
+        read_snapshot = runio.read_snapshot
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return read_snapshot(path)
+
+        monkeypatch.setattr(runio, "read_snapshot", counting)
+        assert main(["analyze", str(circle_run), subcommand, *extra]) == 0
+        assert len(reads) == len(set(reads))
+        if max_reads is None:
+            assert sorted(reads) == sorted(os.listdir(circle_run / "snapshots"))
+        else:
+            assert 0 < len(reads) <= max_reads
 
     def test_missing_T_without_detection(self, tmp_path, capsys):
         cfg = write_config(

@@ -210,6 +210,28 @@ class TestEvolve:
         radii = np.linalg.norm(last.curve.points, axis=1)
         assert np.max(np.abs(radii - math.sqrt(2.0))) < 1e-3
 
+    @pytest.mark.parametrize(
+        "scheme, t_end, snapshot_dt",
+        [("euler", 0.2, 0.05), ("heun", 0.17, 0.05), ("euler", None, 0.05)],
+        ids=["euler", "heun-t_end", "tail-records"],
+    )
+    def test_times_are_the_record_times(self, scheme, t_end, snapshot_dt):
+        # Trajectory.times is the diagnostics t column; it must be the
+        # records' own t, bit for bit, on and off the record grid
+        traj, _ = evolve(
+            make_state(circle(32, rho=1.0)),
+            FlowConfig(scheme=scheme),
+            StopConditions(t_end=t_end),
+            RecordingConfig(snapshot_dt=snapshot_dt),
+        )
+        expected = np.array([s.t for s in traj.states])
+        assert traj.times.tobytes() == expected.tobytes()
+        off_grid = np.abs(expected / snapshot_dt - np.round(expected / snapshot_dt)) > 1e-6
+        if t_end is None:
+            assert off_grid.sum() > 10
+        else:
+            assert expected[-1] == t_end
+
     def test_records_land_on_grid(self):
         st = make_state(circle(128, rho=2.0))
         traj, _ = evolve(

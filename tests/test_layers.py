@@ -2,8 +2,8 @@
 
 ``geometry`` is the leaf that owns every shared kernel (frame, stencils,
 chord weights, the curve-piece splitter, the Gaussian density),
-``lagrangian`` builds only on it, and the flow loop never reaches up
-into the analysis or the CLI.  A kernel that one of these layers needs
+``lagrangian`` builds only on it, and neither the flow loop nor the run
+reader in ``runio`` reaches up into the analysis or the CLI.  A kernel that one of these layers needs
 therefore has exactly one home.
 """
 import ast
@@ -56,6 +56,11 @@ def test_lagrangian_builds_on_geometry_only():
 @pytest.mark.parametrize("upper", ["analysis", "cli"])
 def test_flow_does_not_import_upward(upper):
     assert upper not in lagflow_imports("flow")
+
+
+def test_runio_builds_on_flow_and_geometry_only():
+    # the run reader serves the analysis and the CLI; it never calls them
+    assert lagflow_imports("runio") <= {"flow", "geometry"}
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "geometry"])
