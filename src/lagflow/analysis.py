@@ -79,6 +79,8 @@ SPECTRUM_BINS = 36
 # Closed records of one node count per array pass of the lemma table; it
 # bounds the pass's memory.
 LEMMA_BLOCK = 32
+# The four-quadrant radius pattern holds within QUADRANT_TOL times max r.
+QUADRANT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -516,10 +518,11 @@ class QuadrantReport:
     worst_violation: float
 
 
-def _quadrant_violation(r: np.ndarray) -> np.ndarray:
+def _quadrant_violation(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Worst breach of the four-quadrant radius pattern of each profile in
     the columns of r (axis 0 over the uniform angle grid), floored at 0
-    (a zero may come back as -0.0)."""
+    (a zero may come back as -0.0), and whether it is within QUADRANT_TOL
+    times the profile's max r."""
     n = len(r)
     j = np.arange(n)
     q = (4 * j) // n                       # quadrant whose left edge is <= s_j
@@ -527,7 +530,8 @@ def _quadrant_violation(r: np.ndarray) -> np.ndarray:
     d = np.roll(r, -1, axis=0) - r
     # quadrants 1 and 3: nonincreasing; quadrants 2 and 4: nondecreasing
     rise = np.where((q % 2 == 0)[:, None], d, -d)
-    return np.max(rise[inside], axis=0, initial=0.0)
+    violation = np.max(rise[inside], axis=0, initial=0.0)
+    return violation, violation <= QUADRANT_TOL * r.max(axis=0)
 
 
 def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
@@ -536,11 +540,10 @@ def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
     r must be nonincreasing for s in [0, pi/2] and [pi, 3pi/2], and
     nondecreasing on [pi/2, pi] and [3pi/2, 2pi] (major axis along x).
     Differences whose endpoints straddle a quadrant boundary are exempt.
-    The tolerance is 1e-6 * max r.
+    The tolerance is QUADRANT_TOL * max r.
     """
-    r = profile.r
-    worst = max(0.0, float(_quadrant_violation(r[:, None])[0]))
-    return QuadrantReport(passed=worst <= 1e-6 * float(r.max()), worst_violation=worst)
+    violation, passed = _quadrant_violation(profile.r[:, None])
+    return QuadrantReport(passed=bool(passed[0]), worst_violation=max(0.0, float(violation[0])))
 
 
 def _periodic_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -766,8 +769,8 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
             cols = np.ascontiguousarray(radii[keep].T)
             resolved += cols.shape[1]
             worst_rate = max(worst_rate, float(radial_velocity(cols)[0].max()))
-            violation = _quadrant_violation(cols)
-            ok_q = ok_q and bool(np.all(violation <= 1e-6 * rmax[keep]))
+            violation, passed = _quadrant_violation(cols)
+            ok_q = ok_q and bool(passed.all())
             worst_q = max(worst_q, 0.0, float(violation.max()))
     results["radius_nonincreasing"] = {
         "passed": bool(resolved) and worst_rate <= 1e-6,

@@ -263,8 +263,9 @@ def _cmd_run(args) -> int:
 
 
 def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
-    """(T, x0) from --T and --x0, else from the run's detected singularity
-    (the midpoint of its bracket and its singular point, or the origin).
+    """(T, x0) from --T and --x0, else from the run's detected singularity:
+    the midpoint of its bracket, and its singular point (the origin unless
+    the run stopped on curvature blow-up), or the origin without one.
     Both must be finite."""
     sing = manifest.get("singularity") or {}
     T = args.T
@@ -284,14 +285,14 @@ def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
 def _load_run(run_dir: str) -> tuple[dict, Trajectory]:
     manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
     if not manifest.get("files"):
-        raise FileNotFoundError("manifest lists no output files")
+        raise RunLoadError("manifest.json: lists no output files")
     return manifest, load_trajectory(run_dir)
 
 
 def _cmd_analyze(args) -> int:
     try:
         manifest, trajectory = _load_run(args.run_dir)
-    except (FileNotFoundError, RunLoadError) as exc:
+    except RunLoadError as exc:
         print(f"cannot load run: {exc}", file=sys.stderr)
         return 4
     out_dir = os.path.join(args.run_dir, "analysis")
@@ -405,8 +406,8 @@ def _cmd_scenarios(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         manifest = read_manifest(os.path.join(args.run_dir, "manifest.json"))
-    except FileNotFoundError:
-        print(f"no manifest in {args.run_dir}", file=sys.stderr)
+    except RunLoadError as exc:
+        print(f"cannot verify {args.run_dir}: {exc}", file=sys.stderr)
         return 1
     bad = 0
     for rel, expect in sorted((manifest.get("files") or {}).items()):

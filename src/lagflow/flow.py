@@ -45,10 +45,14 @@ Diagnostics are sampled on a uniform time grid (plus a geometric cascade
 of extra records as the minimum radius collapses, see TAIL_AREA_FRACTION)
 and carried as plain column arrays, one row per recorded state.
 
+The trigger alone names the singular point: the node of largest |kappa|
+for ``curvature_blowup``, else the origin (on the swept surface a node at
+distance d from the origin sweeps a circle of radius d, a regular point).
+
 The radial twin (:func:`radial_evolve`) runs the same flow over the polar
 angle under the same rules, each defined once: the record interval, the
-stepping clock, the antipodal test, the origin-contact radius, the
-singular point and the report with its singular-time bracket.
+stepping clock, the origin-contact radius and the report with its
+singular point and singular-time bracket.
 """
 from __future__ import annotations
 
@@ -232,8 +236,9 @@ class SingularityReport:
 
     For a detected singularity, [t_low, t_high] brackets the blow-up time:
     t_low is the last time reached, t_high extrapolates the collapse of
-    the minimum radius.  ``singular_point`` is the best guess for the
-    blow-up point (the origin, for centered pinches).
+    the minimum radius.  ``singular_point`` follows from the trigger: the
+    node of largest |kappa| at a curvature blow-up, the origin at an
+    origin contact or a step underflow, None without a trigger.
     """
 
     detected: bool
@@ -493,25 +498,6 @@ def _record_interval(
     return snapshot_dt
 
 
-def _antipodal(curve: PlaneCurve) -> bool:
-    """Whether a run from the closed curve ``curve`` is antipodal: an even
-    node count and a node-level defect of at most ANTIPODAL_DETECT_TOL
-    times the diameter."""
-    return (
-        curve.node_count % 2 == 0
-        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
-    )
-
-
-def _singular_point(pts: np.ndarray, antipodal: bool) -> np.ndarray:
-    """The singular point of a stop near the origin: the origin itself in
-    an antipodal run, whose node set stays symmetric about it, else the
-    node of ``pts`` nearest it."""
-    if antipodal:
-        return np.zeros(2)
-    return pts[int(np.linalg.norm(pts, axis=1).argmin())].copy()
-
-
 def estimate_singular_time(t, min_radius) -> TimeEstimate:
     """Extrapolated vanishing time of the minimum radius, from the record
     times ``t`` and the minimum radius at each record.
@@ -546,7 +532,7 @@ def _stop_report(
     min_radius: np.ndarray,
     last_dt: float,
     last_state,
-    point: np.ndarray | None,
+    blowup_node: np.ndarray | None,
     max_curvature: float,
     cap: float | None = None,
 ) -> SingularityReport:
@@ -559,11 +545,13 @@ def _stop_report(
     stop) when that fit is inconclusive, tightened to ``cap`` when the
     caller knows a hard bound on the singular time that the run has not
     passed.  An inconclusive step underflow brackets nothing: it raises
-    StepUnderflowError with ``last_state``.  ``point`` is the caller's
-    singular point.
+    StepUnderflowError with ``last_state``.  The singular point is
+    ``blowup_node``, the node of largest |kappa| at the stop, for a
+    curvature blow-up, and the origin for the other triggers.
     """
     t = float(times[-1])
     t_high = t
+    point = None
     if trigger is not None:
         est = estimate_singular_time(times, min_radius)
         if est.conclusive:
@@ -579,6 +567,7 @@ def _stop_report(
         if cap is not None and cap >= t:
             t_high = min(t_high, cap)
         t_high = float(t_high)
+        point = blowup_node if trigger == "curvature_blowup" else np.zeros(2)
     return SingularityReport(
         detected=trigger is not None,
         trigger=trigger,
@@ -618,7 +607,12 @@ def evolve(
     curve = state.curve
     closed = curve.closed
     n = curve.node_count
-    antipodal = closed and _antipodal(curve)
+    # antipodal: closed, even N, node-level defect <= ANTIPODAL_DETECT_TOL * diameter
+    antipodal = (
+        closed
+        and n % 2 == 0
+        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
+    )
     if antipodal:
         curve = PlaneCurve(symmetrize_points(curve.points))
 
@@ -656,11 +650,6 @@ def evolve(
     def finish(terms, dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
         if not states or states[-1].t != t:
             record(terms, dt_auto)
-        point = None
-        if trigger == "curvature_blowup":
-            point = pts[int(np.abs(terms.frame.curvature).argmax())].copy()
-        elif trigger is not None:
-            point = _singular_point(pts, antipodal)
         # c/2 tightens the extrapolated bracket only on a once-winding
         # curve (a nan Maslov integral drops it too)
         once_winding = abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3
@@ -671,7 +660,7 @@ def evolve(
             diagnostics["min_radius"],
             dt_auto,
             states[-1],
-            point,
+            pts[int(np.abs(terms.frame.curvature).argmax())].copy(),
             terms.max_curvature(),
             critical if once_winding else None,
         )
@@ -734,7 +723,7 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# radial twin: the same flow for star-shaped antipodal curves written as a
+# radial twin: the same flow for star-shaped curves written as a
 # graph r(s) over the polar angle.  Used as an independent cross-check of
 # the node-based integrator (one PDE, two discretizations).
 # ---------------------------------------------------------------------------
@@ -821,10 +810,9 @@ def radial_evolve(
     """Integrate the radial law under evolve's run contract, on the nodes
     r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
     default, as there is no c-constant), stops, origin-contact radius,
-    antipodal test (of the initial nodes), singular point (the origin in
-    an antipodal run, else the final node nearest it) and bracket, and the
-    same step rules SAFETY, DT_MIN and MAX_STEPS.  An IntegrationError
-    carries the last usable RadialProfile.
+    singular point and bracket, and the same step rules SAFETY, DT_MIN
+    and MAX_STEPS.  An IntegrationError carries the last usable
+    RadialProfile.
     """
     r = profile.r
     t = float(profile.t)
@@ -832,11 +820,7 @@ def radial_evolve(
     snapshot_dt = _record_interval(snapshot_dt, t, t_end, None)
     s = 2.0 * np.pi * np.arange(len(r)) / len(r)
     unit = np.column_stack([np.cos(s), np.sin(s)])
-    start = PlaneCurve(r[:, None] * unit)
-    # the periodic stencils keep an exactly pi-periodic profile exactly
-    # pi-periodic, so an antipodal run needs no projection
-    antipodal = _antipodal(start)
-    contact_radius = ORIGIN_CONTACT_FACTOR * start.diameter
+    contact_radius = ORIGIN_CONTACT_FACTOR * PlaneCurve(r[:, None] * unit).diameter
 
     profiles: list[RadialProfile] = []
     clock = _StepClock(t, snapshot_dt, t_end)
@@ -870,7 +854,4 @@ def radial_evolve(
         profiles.append(RadialProfile(r, t))
     traj = RadialTrajectory(profiles=profiles)
     minima = np.array([float(p.r.min()) for p in profiles])
-    point = None if trigger is None else _singular_point(r[:, None] * unit, antipodal)
-    return traj, _stop_report(
-        trigger, traj.times, minima, dt_auto, profiles[-1], point, math.nan
-    )
+    return traj, _stop_report(trigger, traj.times, minima, dt_auto, profiles[-1], None, math.nan)

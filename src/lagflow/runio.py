@@ -106,8 +106,17 @@ def write_json(path: str, doc) -> None:
 
 
 def read_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The manifest at ``path``; one that is missing, unreadable, does not
+    parse or is not a JSON object raises RunLoadError("manifest.json: ...")."""
+    name = os.path.basename(path)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise RunLoadError(f"{name}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise RunLoadError(f"{name}: not a JSON object")
+    return manifest
 
 
 def write_decomposition(path: str, s: float, sigma: float, decomposition) -> None:
@@ -124,16 +133,14 @@ def write_decomposition(path: str, s: float, sigma: float, decomposition) -> Non
     write_json(path, {"s": float(s), "sigma": float(sigma), "components": components})
 
 
-def write_svg(path: str, curves: Iterable[PlaneCurve], half_extent: float | None = None) -> None:
-    """Origin-centered fixed-viewport sketch of one or more curves.
+def write_svg(path: str, curves: Iterable[PlaneCurve]) -> None:
+    """Origin-centered sketch of one or more curves, its half-width 1.2
+    times the largest node radius.
 
     Convenience output only; earlier curves are drawn fainter.
     """
     curves = list(curves)
-    if half_extent is None:
-        half_extent = 1.2 * max(
-            float(np.max(np.linalg.norm(c.points, axis=1))) for c in curves
-        )
+    half_extent = 1.2 * max(float(np.max(np.linalg.norm(c.points, axis=1))) for c in curves)
     size = 640
     scale = size / (2.0 * half_extent)
     parts = [

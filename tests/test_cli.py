@@ -547,6 +547,14 @@ class TestVerify:
     def test_no_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("text, cause", [("{", "Expecting"), ("[]", "not a JSON object")])
+    def test_bad_manifest(self, circle_run, tmp_path, capsys, text, cause):
+        copy = tmp_path / "bad"
+        shutil.copytree(circle_run, copy)
+        (copy / "manifest.json").write_text(text)
+        assert main(["verify", str(copy)]) == 1
+        assert f"manifest.json: {cause}" in capsys.readouterr().err
+
 
 class TestDamagedRun:
     """A run directory that cannot be read back is refused with exit 4 and
@@ -615,6 +623,11 @@ class TestDamagedRun:
             capsys,
             f"snapshots/{last.name}: t={doc['t']!r} differs from diagnostics row",
         )
+
+    @pytest.mark.parametrize("text, cause", [("{", "Expecting"), ("[]", "not a JSON object")])
+    def test_bad_manifest(self, run_copy, capsys, text, cause):
+        (run_copy / "manifest.json").write_text(text)
+        self.assert_refused(run_copy, "density", capsys, f"manifest.json: {cause}")
 
     def test_damaged_diagnostics(self, run_copy, capsys):
         with open(run_copy / "diagnostics.csv", "a") as fh:

@@ -260,16 +260,46 @@ class TestEvolve:
         assert report.singular_point.tolist() == [0.0, 0.0]
         assert report.min_radius_at_stop < 0.005 * 4.0 + 1e-6
 
-    def test_off_center_contact_point_is_the_nearest_node(self):
+    def test_off_center_contact_point_is_the_origin(self):
         # a closed curve with an even node count but no antipodal symmetry:
         # the circle of radius 1 around (1.004, 0) passes 0.004 from the
-        # origin at its node 32, inside the contact radius 0.005 * 2
+        # origin at its node 32, inside the contact radius 0.005 * 2.  The
+        # contact, not that node, is the singular point: a node at distance
+        # d from the origin sweeps a circle of radius d in C^2
         u = 2 * np.pi * np.arange(64) / 64
         curve = PlaneCurve(np.column_stack([1.004 + np.cos(u), np.sin(u)]))
         _, report = evolve(make_state(curve), stop=StopConditions(t_end=0.01))
         assert report.trigger == "origin_contact"
         assert report.min_radius_at_stop == pytest.approx(0.004, abs=1e-12)
-        assert np.allclose(report.singular_point, [0.004, 0.0], atol=1e-12)
+        assert report.singular_point.tolist() == [0.0, 0.0]
+
+    def test_bracketed_step_underflow_point_is_the_origin(self, monkeypatch):
+        # the circle of radius 1 around (0.3, 0) is not antipodal; with the
+        # step floor raised, its collapse stops on a step underflow that
+        # the records bracket, long before origin contact
+        monkeypatch.setattr(flow, "DT_MIN", 1e-4)
+        u = 2 * np.pi * np.arange(64) / 64
+        curve = PlaneCurve(np.column_stack([0.3 + np.cos(u), np.sin(u)]))
+        _, report = evolve(make_state(curve), recording=RecordingConfig(snapshot_dt=0.01))
+        assert report.trigger == "step_underflow"
+        assert report.t_low < report.t_high < math.inf
+        assert report.min_radius_at_stop > 0.1
+        assert report.singular_point.tolist() == [0.0, 0.0]
+
+    def test_curvature_blowup_point_is_the_node_of_largest_curvature(self, monkeypatch):
+        # a lowered product fires at t = 0 on a curve with neither antipodal
+        # nor mirror symmetry, whose largest |kappa| sits at one node only
+        monkeypatch.setattr(flow, "CURVATURE_BLOWUP_PRODUCT", 0.2)
+        u = 2 * np.pi * np.arange(64) / 64
+        r = 1.0 + 0.2 * np.cos(3 * u) + 0.1 * np.sin(2 * u)
+        curve = PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]))
+        traj, report = evolve(make_state(curve), stop=StopConditions(t_end=0.05))
+        assert report.trigger == "curvature_blowup"
+        last = traj.states[-1].curve.points
+        kappa = np.abs(curve_terms(last).frame.curvature)
+        assert np.sort(kappa)[-1] > 1.1 * np.sort(kappa)[-2]
+        assert np.array_equal(report.singular_point, last[kappa.argmax()])
+        assert np.linalg.norm(report.singular_point) > 0.5
 
     def test_drainage_bound_caps_bracket(self):
         # c = 2 for the centered circle of radius 2, so t_high <= c/2 = 1
@@ -523,8 +553,8 @@ class TestRadialTwin:
     @pytest.mark.parametrize("periodic", [False, True])
     def test_radial_singular_point_and_contact(self, periodic):
         # the polar profile of the unit circle about (0.5, 0), or an
-        # exactly pi-periodic profile (an ellipse), an antipodal run whose
-        # point is the origin
+        # exactly pi-periodic profile (an ellipse): either way an origin
+        # contact's point is the origin
         n = 128
         s = 2 * np.pi * np.arange(n) / n
         if periodic:
@@ -538,15 +568,21 @@ class TestRadialTwin:
         assert report.trigger == "origin_contact"
         # a step moves r by at most SAFETY/2 = 10% of min r
         assert report.min_radius_at_stop < contact <= report.min_radius_at_stop / 0.9
-        last = traj.profiles[-1].r
         if periodic:
             assert all(np.array_equal(p.r[: n // 2], p.r[n // 2 :]) for p in traj.profiles)
-            assert report.singular_point.tolist() == [0.0, 0.0]
         else:
             assert report.min_radius_at_stop < 0.0125
-            i = int(last.argmin())
-            nearest = last[i] * np.array([np.cos(s[i]), np.sin(s[i])])
-            assert report.singular_point == pytest.approx(nearest, abs=1e-12)
+        assert report.singular_point.tolist() == [0.0, 0.0]
+
+    def test_radial_bracketed_step_underflow_point_is_the_origin(self, monkeypatch):
+        # the polar profile of the unit circle about (0.3, 0), not antipodal
+        monkeypatch.setattr(flow, "DT_MIN", 1e-4)
+        s = 2 * np.pi * np.arange(64) / 64
+        r = 0.3 * np.cos(s) + np.sqrt(1.0 - 0.09 * np.sin(s) ** 2)
+        _, report = radial_evolve(RadialProfile(r), snapshot_dt=0.01)
+        assert report.trigger == "step_underflow"
+        assert report.t_low < report.t_high < math.inf
+        assert report.singular_point.tolist() == [0.0, 0.0]
 
     def test_radial_non_finite_rate_keeps_last_state(self, monkeypatch):
         def nan_rate(r, safety):

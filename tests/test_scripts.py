@@ -3,8 +3,11 @@ exits 0 and prints its table header (or its digest line)."""
 import csv
 import importlib.util
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +136,16 @@ def test_committed_digest_listing_names_every_digest():
         saved = dict(line.split() for line in fh if line.strip())
     assert list(saved) == list(module.DIGESTS)
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in saved.values())
+
+
+def test_committed_digests_match():
+    # every output a bit-identical change must leave alone, against the
+    # committed listing, in a fresh process as from the command line
+    root = SCRIPTS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "scripts/output_digests.py", "--check", "scripts/output_digests.txt"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert "mismatch" not in done.stdout
+    assert done.returncode == 0, done.stderr
