@@ -286,7 +286,7 @@ def _load_run(run_dir: str) -> tuple[dict, Trajectory]:
     manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
     if not manifest.get("files"):
         raise RunLoadError("manifest.json: lists no output files")
-    return manifest, load_trajectory(run_dir)
+    return manifest, load_trajectory(run_dir, manifest)
 
 
 def _cmd_analyze(args) -> int:

@@ -767,13 +767,27 @@ def radial_velocity(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the columns of r, whose axis 0 runs over the uniform angle grid."""
     h = 2.0 * np.pi / len(r)
     d1, d2 = periodic_derivatives(pad_periodic(r), h)
-    return (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3), d1
+    # (r r'' - 2 r r - 3 r' r') / (r r' r' + r^3), worked in place: each
+    # element sees the same operations, in the same order
+    rhs = d2
+    rhs *= r
+    tmp = 2.0 * r
+    tmp *= r
+    rhs -= tmp
+    np.multiply(d1, 3.0, out=tmp)
+    tmp *= d1
+    rhs -= tmp
+    np.multiply(r, d1, out=tmp)
+    tmp *= d1
+    tmp += r**3
+    rhs /= tmp
+    return rhs, d1
 
 
-def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
-    """dr/dt of the profile r and the largest stable explicit step, both
-    from one first difference r'."""
-    if r.min() <= 0.0:
+def _radial_rate(r: np.ndarray, r_min: float, safety: float) -> tuple[np.ndarray, float]:
+    """dr/dt of the profile r, whose minimum is r_min, and the largest
+    stable explicit step, both from one first difference r'."""
+    if r_min <= 0.0:
         raise OriginContactError("radial profile touched zero")
     rhs, d1 = radial_velocity(r)
     h = 2.0 * np.pi / len(r)
@@ -783,7 +797,7 @@ def _radial_rate(r: np.ndarray, safety: float) -> tuple[np.ndarray, float]:
     caps = [h * h * float((r * r + d1 * d1).min())]
     rate = float(np.abs(rhs).max())
     if rate > 0.0:
-        caps.append(0.5 * float(r.min()) / rate)
+        caps.append(0.5 * r_min / rate)
     return rhs, safety * min(caps)
 
 
@@ -799,7 +813,7 @@ def radial_rhs(profile: RadialProfile) -> np.ndarray:
     dr/dt = -theta'/r with theta the angle field of the reconstructed
     curve — the cross-check used in the test suite.
     """
-    return _radial_rate(profile.r, 1.0)[0]
+    return _radial_rate(profile.r, float(profile.r.min()), 1.0)[0]
 
 
 def radial_evolve(
@@ -826,10 +840,11 @@ def radial_evolve(
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
     for _ in range(MAX_STEPS):
-        rhs, dt_auto = _radial_rate(r, SAFETY)
+        r_min = float(r.min())
+        rhs, dt_auto = _radial_rate(r, r_min, SAFETY)
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
-        if float(r.min()) < contact_radius:
+        if r_min < contact_radius:
             trigger = "origin_contact"
             break
         if dt_auto < DT_MIN:

@@ -22,10 +22,19 @@ at large spacing gaps (:func:`curve_pieces`, the one splitter every
 module uses) and differentiated per component.
 
 Everything a flow step needs from the geometry of its curve (degeneracy
-check, diameter, frame, |x|^2, <x, n>, the velocity and the stable step)
+and origin guards, frame, |x|^2, <x, n>, the velocity and the stable step)
 is computed once per step by :func:`curve_terms` on a raw (N, 2) array.
 The public functions below run on the same kernel, so each quantity has
 one definition.
+
+Both guards are fractions of the diameter (DEGENERACY_FACTOR,
+ORIGIN_GUARD_FACTOR).  A guard is first tested against an upper bound on
+the diameter, and the exact diameter is computed only when the bound
+test fails; since the bound is never below the diameter, each guard
+fires on exactly the inputs, and with the message, of the exact test.
+:func:`curve_terms` takes 8 max|x| as the bound (the diameter is at most
+4 max|x|, and |x|^2 is computed anyway), so a step away from both guards
+never computes the diameter.
 """
 from __future__ import annotations
 
@@ -212,6 +221,21 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
         )
 
 
+def _check_spacing_within(min_chord: float, bound: float, pts: np.ndarray) -> None:
+    """_check_spacing against the diameter of ``pts``, which is computed
+    only when min_chord fails against ``bound``, an upper bound on it."""
+    if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
+        _check_spacing(min_chord, _diameter(pts))
+
+
+def _check_origin(r2_min: float, diameter: float) -> None:
+    if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
+        raise OriginContactError(
+            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
+            "velocity is singular there"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the closed-curve kernel
 #
@@ -220,7 +244,8 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
 # slice.  Every expression keeps the operation order of the np.roll form
 #   d1 = (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h)
 #   d2 = (16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2]) - 30 f[i]) / (12 h h)
-# so both forms agree bit for bit.
+# so both forms agree bit for bit; the augmented operations below only
+# swap the operands of a commutative + or x.
 # ---------------------------------------------------------------------------
 
 
@@ -233,37 +258,53 @@ def periodic_derivatives(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     """4th-order first and second derivatives, at grid spacing h, of the
     periodic samples that :func:`pad_periodic` padded into ``p``."""
     n = len(p) - 4
-    d1 = (8.0 * (p[3 : n + 3] - p[1 : n + 1]) - (p[4:] - p[:n])) / (12.0 * h)
-    d2 = (
-        16.0 * (p[3 : n + 3] + p[1 : n + 1]) - (p[4:] + p[:n]) - 30.0 * p[2 : n + 2]
-    ) / (12.0 * h * h)
+    fwd, back, far = p[3 : n + 3], p[1 : n + 1], p[4:]
+    d1 = fwd - back
+    d1 *= 8.0
+    tmp = far - p[:n]
+    d1 -= tmp
+    d1 /= 12.0 * h
+    d2 = fwd + back
+    d2 *= 16.0
+    np.add(far, p[:n], out=tmp)
+    d2 -= tmp
+    np.multiply(p[2 : n + 2], 30.0, out=tmp)
+    d2 -= tmp
+    d2 /= 12.0 * h * h
     return d1, d2
 
 
-def _closed_frame(pts: np.ndarray, diameter: float) -> tuple[np.ndarray, float, FrameData]:
-    """Degeneracy checks, first derivative, index spacing h and frame of a
-    closed curve."""
+def _closed_frame(
+    pts: np.ndarray, bound: float
+) -> tuple[np.ndarray, float, float, FrameData]:
+    """Degeneracy checks, first derivative, index spacing h, smallest
+    arclength weight and frame of a closed curve.  ``bound`` is an upper
+    bound on the diameter (see :func:`_check_spacing_within`)."""
     n = len(pts)
     p = pad_periodic(pts)
-    _check_spacing(_min_chord(p[3 : n + 3] - p[2 : n + 2]), diameter)
+    _check_spacing_within(_min_chord(p[3 : n + 3] - p[2 : n + 2]), bound, pts)
     h = 2.0 * np.pi / n
     d1, d2 = periodic_derivatives(p, h)
-    speed = np.sqrt(_squared_norms(d1))
-    if speed.min() <= 0.0:
+    speed = _squared_norms(d1)
+    np.sqrt(speed, out=speed)
+    speed_min = speed.min()
+    if speed_min <= 0.0:
         raise DegenerateCurveError("vanishing parametric speed")
     tangent = d1 / speed[:, None]
-    return d1, h, _frame_data(tangent, d1, d2, speed, speed * h)
+    # rounding is monotone, so min(speed) * h is the smallest weight exactly
+    return d1, h, float(speed_min * h), _frame_data(tangent, d1, d2, speed, speed * h)
 
 
 def _open_frame(
-    pts: np.ndarray, pieces: list[np.ndarray], diameter: float
+    pts: np.ndarray, pieces: list[np.ndarray], bound: float
 ) -> tuple[float, FrameData]:
-    """Smallest within-piece chord and the frame of an open curve."""
+    """Smallest within-piece chord and the frame of an open curve;
+    ``bound`` is an upper bound on the diameter."""
     # jumps in open fixtures are legitimate; only within-piece spacings count
     min_chord = float(
         min((_open_chords(pts[p]).min() for p in pieces if len(p) >= 2), default=np.inf)
     )
-    _check_spacing(min_chord, diameter)
+    _check_spacing_within(min_chord, bound, pts)
     n = len(pts)
     tangent = np.zeros_like(pts)
     d1 = np.zeros_like(pts)
@@ -296,10 +337,11 @@ def chord_weights(pts: np.ndarray) -> np.ndarray:
 
 
 def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
-    # d1x d2y - d1y d2x from one product; speed**3 is pow, which can differ
-    # from speed * speed * speed in the last bit
-    prod = d1 * d2[:, ::-1]
-    curvature = (prod[:, 0] - prod[:, 1]) / speed**3
+    # d1x d2y - d1y d2x; speed**3 is pow, which can differ from
+    # speed * speed * speed in the last bit
+    curvature = d1[:, 0] * d2[:, 1]
+    curvature -= d1[:, 1] * d2[:, 0]
+    curvature /= speed**3
     normal = np.empty_like(tangent)
     np.negative(tangent[:, 1], out=normal[:, 0])
     normal[:, 1] = tangent[:, 0]
@@ -309,12 +351,15 @@ def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
 class CurveTerms:
     """The geometry of one curve as a flow step needs it, each quantity
     computed once: frame, smallest arclength spacing h (the smallest
-    weight on a closed curve, the smallest within-piece chord on an open
-    one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n> (``dots``)
-    and the flow velocity kappa n - <x, n> n / |x|^2.  The stable step,
-    min |x|, max |kappa| and the enclosed area are derived on request.  Build it with
-    :func:`curve_terms`; it is the only code that computes the velocity
-    and the step cap of the flow."""
+    weight on a closed curve, taken as min |gamma'| times the index step;
+    the smallest within-piece chord on an open one), |x|^2 (``r2``) and
+    its minimum (``r2_min``), <x, n> (``dots``) and the flow velocity
+    kappa n - <x, n> n / |x|^2.  The stable step, min |x|, max |kappa|
+    and the enclosed area are derived on request.  Build it with
+    :func:`curve_terms`, which checks the degeneracy and origin guards
+    against the bound 8 max|x| on the diameter and computes the exact
+    diameter only when a guard fails against it; it is the only code
+    that computes the velocity and the step cap of the flow."""
 
     __slots__ = (
         "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity", "_d1", "_h",
@@ -354,25 +399,29 @@ def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     terms = CurveTerms()
     terms.points = points
     terms.closed = closed
-    diameter = _diameter(points)
-    if closed:
-        terms._d1, terms._h, frame = _closed_frame(points, diameter)
-        terms.spacing = float(frame.weight.min())
-    else:
-        terms.spacing, frame = _open_frame(points, curve_pieces(points, False), diameter)
-    terms.frame = frame
     r2 = _squared_norms(points)
+    # an upper bound on the diameter, which is at most 4 max|x|: the factor
+    # 8 covers rounding, also where |x|^2 is subnormal, down to max|x| ~
+    # 3e-162; below that the diameter is under 1e-160, and the floor covers it
+    bound = max(8.0 * math.sqrt(r2.max()), 1e-150)
+    if closed:
+        terms._d1, terms._h, terms.spacing, frame = _closed_frame(points, bound)
+    else:
+        terms.spacing, frame = _open_frame(points, curve_pieces(points, False), bound)
+    terms.frame = frame
     r2_min = r2.min()
-    if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
-        raise OriginContactError(
-            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
-            "velocity is singular there"
-        )
+    if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
+        _check_origin(r2_min, _diameter(points))
     normal = frame.normal
     # <x, n> per node, bit-identical to einsum("ij,ij->i", points, normal)
     dots = _row_dots(points, normal)
     terms.r2, terms.r2_min, terms.dots = r2, r2_min, dots
-    terms.velocity = frame.curvature[:, None] * normal - (dots[:, None] * normal) / r2[:, None]
+    # kappa n - (<x, n> n) / |x|^2
+    pull = dots[:, None] * normal
+    pull /= r2[:, None]
+    vel = frame.curvature[:, None] * normal
+    vel -= pull
+    terms.velocity = vel
     return terms
 
 
@@ -386,7 +435,7 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     """
     pts = curve.points
     if curve.closed:
-        return _closed_frame(pts, curve.diameter)[2]
+        return _closed_frame(pts, curve.diameter)[3]
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
@@ -423,7 +472,7 @@ def enclosed_area(curve: PlaneCurve) -> float:
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
     pts = curve.points
-    d1, h, _ = _closed_frame(pts, curve.diameter)
+    d1, h, _, _ = _closed_frame(pts, curve.diameter)
     return _closed_area(pts, d1, h)
 
 

@@ -42,14 +42,11 @@ __all__ = [
 
 
 def write_snapshot(path: str, curve: PlaneCurve, t: float) -> None:
-    doc = {
-        "t": float(t),
-        "closed": bool(curve.closed),
-        "points": [[float(x), float(y)] for x, y in curve.points],
-    }
+    doc = {"t": float(t), "closed": bool(curve.closed), "points": curve.points.tolist()}
+    # json.dumps runs the C encoder (json.dump to a file does not); the
+    # bytes are the same
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def read_snapshot(path: str) -> tuple[PlaneCurve, float]:
@@ -107,7 +104,8 @@ def write_json(path: str, doc) -> None:
 
 def read_manifest(path: str) -> dict:
     """The manifest at ``path``; one that is missing, unreadable, does not
-    parse or is not a JSON object raises RunLoadError("manifest.json: ...")."""
+    parse, is not a JSON object or has a field of the wrong type raises
+    RunLoadError("manifest.json: ...")."""
     name = os.path.basename(path)
     try:
         with open(path) as fh:
@@ -116,7 +114,41 @@ def read_manifest(path: str) -> dict:
         raise RunLoadError(f"{name}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise RunLoadError(f"{name}: not a JSON object")
+    fault = _manifest_fault(manifest)
+    if fault is not None:
+        raise RunLoadError(f"{name}: {fault}")
     return manifest
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _manifest_fault(manifest: dict) -> str | None:
+    """The first field that ``verify`` or ``analyze`` reads and that has the
+    wrong type, described, or None.  Each field may be absent or null,
+    except the bracket ends of a detected singularity."""
+    files = manifest.get("files")
+    if files is not None and not isinstance(files, dict):
+        return "'files' is not an object"
+    c = manifest.get("initial_constant")
+    if c is not None and not _is_number(c):
+        return "'initial_constant' is not a number"
+    sing = manifest.get("singularity")
+    if sing is None:
+        return None
+    if not isinstance(sing, dict):
+        return "'singularity' is not an object"
+    if sing.get("detected"):
+        for key in ("t_low", "t_high"):
+            if not _is_number(sing.get(key)):
+                return f"'singularity.{key}' is not a number"
+    point = sing.get("singular_point")
+    if point is not None and not (
+        isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))
+    ):
+        return "'singularity.singular_point' is not a pair of numbers"
+    return None
 
 
 def write_decomposition(path: str, s: float, sigma: float, decomposition) -> None:
@@ -217,16 +249,18 @@ class _SnapshotStates(Sequence[FlowState]):
         return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
 
 
-def load_trajectory(run_dir: str) -> Trajectory:
+def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
     """Rebuild a Trajectory from a run directory.
 
-    The manifest, diagnostics.csv and the snapshot file list are read
-    here; the snapshots are read on demand (see ``Trajectory.states``).
-    A snapshot list that is not snapshot_000000.json onwards, one file
-    per diagnostics row, raises RunLoadError, and so does a snapshot
-    that cannot be parsed or whose t is not its row's, when it is read.
+    The manifest (unless the caller has read it with ``read_manifest`` and
+    passes it), diagnostics.csv and the snapshot file list are read here;
+    the snapshots are read on demand (see ``Trajectory.states``).  A
+    snapshot list that is not snapshot_000000.json onwards, one file per
+    diagnostics row, raises RunLoadError, and so does a snapshot that
+    cannot be parsed or whose t is not its row's, when it is read.
     """
-    manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
+    if manifest is None:
+        manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
     c = manifest.get("initial_constant")
     c = float("nan") if c is None else float(c)
     try:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lagflow import analysis as ana
-from lagflow import flow, runio
+from lagflow import cli, flow, runio
 from lagflow.cli import ConfigError, build_parser, main, resolve_config
 from lagflow.flow import (
     DIAGNOSTIC_COLUMNS,
@@ -629,6 +629,30 @@ class TestDamagedRun:
         (run_copy / "manifest.json").write_text(text)
         self.assert_refused(run_copy, "density", capsys, f"manifest.json: {cause}")
 
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda m: m.update(files=sorted(m["files"])), "'files' is not an object"),
+            (lambda m: m.update(singularity=[1]), "'singularity' is not an object"),
+            (lambda m: m["singularity"].pop("t_low"), "'singularity.t_low' is not a number"),
+            (
+                lambda m: m["singularity"].update(singular_point=[0.0]),
+                "'singularity.singular_point' is not a pair of numbers",
+            ),
+            (lambda m: m.update(initial_constant="0.5"), "'initial_constant' is not a number"),
+        ],
+        ids=["files_list", "singularity_list", "no_t_low", "short_point", "constant_string"],
+    )
+    def test_wrong_typed_manifest_field(self, run_copy, capsys, edit, cause):
+        # read_manifest refuses the field before verify or analyze reads it
+        path = run_copy / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        self.assert_refused(run_copy, "density", capsys, f"manifest.json: {cause}")
+        assert main(["verify", str(run_copy)]) == 1
+        assert f"cannot verify {run_copy}: manifest.json: {cause}" in capsys.readouterr().err
+
     def test_damaged_diagnostics(self, run_copy, capsys):
         with open(run_copy / "diagnostics.csv", "a") as fh:
             fh.write("0.5,1.0\n")
@@ -862,16 +886,23 @@ class TestAnalyze:
     ):
         # a view interpolates between two records, so each sigma and the
         # spectrum read at most two; density and lemmas walk every record
-        # and parse each one once
-        reads = []
-        read_snapshot = runio.read_snapshot
+        # and parse each one once; the manifest is parsed once
+        reads, manifests = [], []
+        read_snapshot, read_manifest = runio.read_snapshot, runio.read_manifest
 
         def counting(path):
             reads.append(os.path.basename(path))
             return read_snapshot(path)
 
+        def counting_manifest(path):
+            manifests.append(path)
+            return read_manifest(path)
+
         monkeypatch.setattr(runio, "read_snapshot", counting)
+        for module in (runio, cli):
+            monkeypatch.setattr(module, "read_manifest", counting_manifest)
         assert main(["analyze", str(circle_run), subcommand, *extra]) == 0
+        assert len(manifests) == 1
         assert len(reads) == len(set(reads))
         if max_reads is None:
             assert sorted(reads) == sorted(os.listdir(circle_run / "snapshots"))

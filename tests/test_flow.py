@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lagflow import flow
+from lagflow import flow, geometry
 from lagflow.flow import (
     REDISTRIBUTE_RATIO,
     FlowConfig,
@@ -400,6 +400,17 @@ class TestLoopSemantics:
         assert last.t == st.t
         assert np.array_equal(last.curve.points, st.curve.points)
 
+    def test_exact_diameter_grows_with_the_records_not_the_steps(self, monkeypatch):
+        # curve_terms checks its guards against 8 max|x|; away from the
+        # guards only the set-up and the records compute a diameter
+        calls = []
+        diameter = geometry._diameter
+        monkeypatch.setattr(geometry, "_diameter", lambda p: calls.append(1) or diameter(p))
+        traj, report = evolve(make_state(circle_curve(64, rho=1.0)))
+        records, steps = len(traj.states), traj.states[-1].step_index
+        assert report.trigger == "origin_contact" and steps > 5 * records
+        assert len(calls) <= records + 8
+
     def test_curve_error_in_the_loop_becomes_integration_error(self):
         # a node on the origin fails the velocity's origin guard at t = 0
         u = 2 * np.pi * np.arange(64) / 64
@@ -585,7 +596,7 @@ class TestRadialTwin:
         assert report.singular_point.tolist() == [0.0, 0.0]
 
     def test_radial_non_finite_rate_keeps_last_state(self, monkeypatch):
-        def nan_rate(r, safety):
+        def nan_rate(r, r_min, safety):
             return np.full_like(r, np.nan), 1e-3
 
         monkeypatch.setattr(flow, "_radial_rate", nan_rate)

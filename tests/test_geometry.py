@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lagflow import geometry
 from lagflow.flow import RadialProfile, radial_rhs
 from lagflow.geometry import (
+    DEGENERACY_FACTOR,
     GAP_FACTOR,
+    ORIGIN_GUARD_FACTOR,
     CurveConfigError,
+    CurveError,
     DegenerateCurveError,
+    OriginContactError,
     PlaneCurve,
     antipodal_defect,
     compute_frame,
@@ -342,18 +347,27 @@ def _assembled_terms(curve):
     product squared norms and <x, n>, and the normal by np.column_stack.
     Kept as a bit-identity oracle for the kernel."""
     pts = curve.points
+    area = None
     if curve.closed:
         h = 2.0 * np.pi / curve.node_count
         d1, d2 = _rolled_d1(pts, h), _rolled_d2(pts, h)
         speed = np.linalg.norm(d1, axis=1)
-        spacing = (speed * h).min()
+        weight = speed * h
+        spacing = weight.min()
+        area = 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
     else:
         d1, d2, speed = np.zeros_like(pts), np.zeros_like(pts), np.zeros(len(pts))
+        weight = np.zeros(len(pts))
         spacing = math.inf
         for p in curve_pieces(pts, False):
             g1 = np.gradient(pts[p], axis=0)
             d1[p], d2[p], speed[p] = g1, np.gradient(g1, axis=0), np.linalg.norm(g1, axis=1)
-            spacing = min(spacing, np.linalg.norm(np.diff(pts[p], axis=0), axis=1).min())
+            chords = np.linalg.norm(np.diff(pts[p], axis=0), axis=1)
+            w = np.zeros(len(p))
+            w[:-1] += 0.5 * chords
+            w[1:] += 0.5 * chords
+            weight[p] = w
+            spacing = min(spacing, chords.min())
     tangent = d1 / speed[:, None]
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
     curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
@@ -368,6 +382,9 @@ def _assembled_terms(curve):
     if vmax > 0.0:
         caps.append(spacing / (2.0 * vmax))
     return {
+        "tangent": tangent,
+        "weight": weight,
+        "area": area,
         "normal": normal,
         "curvature": curvature,
         "r2": r2,
@@ -384,6 +401,42 @@ def parabola(n=64):
     return PlaneCurve(np.column_stack([xs, xs**2 + 0.5]), closed=False)
 
 
+def _close_pair(n, gap):
+    """The unit circle at n nodes with node 1 moved to ``gap`` times the
+    diameter from node 0, along the curve."""
+    pts = circle(n).points.copy()
+    pts[1] = pts[0] + gap * 2.0 * (pts[1] - pts[0]) / np.linalg.norm(pts[1] - pts[0])
+    return pts
+
+
+def _touching(n, distance):
+    """The unit circle at n nodes, centred on the x-axis so that node n/2
+    lies ``distance`` from the origin."""
+    return circle(n, center=(1.0 + distance, 0.0)).points
+
+
+def _open_line(n=64, gap=None, offset=0.5):
+    """An open straight polyline at height ``offset``, with node 1 moved to
+    ``gap`` times its diameter from node 0 when gap is given."""
+    xs = np.linspace(-3.0, 3.0, n)
+    pts = np.column_stack([xs, 0.5 * xs + offset])
+    if gap is not None:
+        step = pts[1] - pts[0]
+        pts[1] = pts[0] + gap * np.hypot(6.0, 3.0) * step / np.linalg.norm(step)
+    return pts
+
+
+# Curves on which a guard fails against the bound 8 max|x| but passes
+# against the exact diameter: the kernel must compute the diameter there.
+_NEAR_GUARD = {
+    # max|x| = 1e11 + 1: 1e-12 * 8 max|x| exceeds the chords, 1e-12 * 2 does not
+    "far_from_origin": circle(64, center=(1e11, 0.0)).points,
+    "close_pair": _close_pair(64, 3.0 * DEGENERACY_FACTOR),
+    # 5e-10 lies between 1e-10 * 2 and 1e-10 * 8 max|x|
+    "near_origin_guard": _touching(64, 5.0 * ORIGIN_GUARD_FACTOR),
+}
+
+
 class TestCurveTermsOracle:
     """curve_terms agrees bit for bit with the assembly in _assembled_terms."""
 
@@ -396,19 +449,90 @@ class TestCurveTermsOracle:
             circle(256, center=(1.05, 0.0)),
             line_pair_curve(128, phi=0.3),
             parabola(),
-        ],
-        ids=["circle", "ellipse", "star", "near_origin", "open_line_pair", "open_parabola"],
+        ]
+        + [PlaneCurve(pts) for pts in _NEAR_GUARD.values()],
+        ids=["circle", "ellipse", "star", "near_origin", "open_line_pair", "open_parabola"]
+        + list(_NEAR_GUARD),
     )
     def test_terms_match_assembly(self, curve):
         want = _assembled_terms(curve)
         terms = curve_terms(curve.points, curve.closed)
-        assert np.array_equal(terms.frame.normal, want["normal"])
-        assert np.array_equal(terms.frame.curvature, want["curvature"])
+        for name in ("tangent", "normal", "curvature", "weight"):
+            assert np.array_equal(getattr(terms.frame, name), want[name]), name
         for name in ("r2", "dots", "velocity"):
             assert np.array_equal(getattr(terms, name), want[name]), name
         assert terms.spacing == want["spacing"]
         assert terms.stable_dt(0.2) == want["stable_dt"]
         assert terms.min_radius() == want["min_radius"]
+        if curve.closed:
+            assert terms.area() == want["area"]
+        else:
+            with pytest.raises(CurveConfigError):
+                terms.area()
+
+
+def _exact_guards(pts, closed):
+    """The degeneracy and origin guards of curve_terms in their earlier
+    form, against the exact diameter: the spacing check, then the origin
+    check.  (No case below has a vanishing speed, the check between.)"""
+    diameter = geometry._diameter(pts)
+    chords = np.diff(pts, axis=0)
+    if closed:
+        chords = np.roll(pts, -1, axis=0) - pts
+    geometry._check_spacing(float(np.sqrt((chords * chords).sum(axis=1)).min()), diameter)
+    r2_min = (pts * pts).sum(axis=1).min()
+    if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
+        raise OriginContactError(
+            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
+            "velocity is singular there"
+        )
+
+
+def _raised(fn):
+    try:
+        fn()
+    except CurveError as exc:
+        return exc
+    return None
+
+
+class TestGuardBound:
+    """curve_terms tests its guards against 8 max|x| and computes the exact
+    diameter only when a guard fails there; it raises exactly what the
+    exact-diameter guards raise."""
+
+    CASES = {
+        "circle": (circle(64).points, True, None),
+        "coincident_nodes": (_close_pair(64, 0.0), True, DegenerateCurveError),
+        "close_pair_below_guard": (_close_pair(64, 0.5 * DEGENERACY_FACTOR), True, DegenerateCurveError),
+        "node_on_origin": (_touching(64, 0.0), True, OriginContactError),
+        "node_inside_origin_guard": (_touching(64, 0.5 * ORIGIN_GUARD_FACTOR), True, OriginContactError),
+        "tiny_circle": (circle(64, rho=1e-160).points, True, None),
+        "open_line": (_open_line(), False, None),
+        "open_close_pair": (_open_line(gap=3.0 * DEGENERACY_FACTOR), False, None),
+        "open_pair_below_guard": (_open_line(gap=0.5 * DEGENERACY_FACTOR), False, DegenerateCurveError),
+        "open_through_origin": (_open_line(65, offset=0.0), False, OriginContactError),
+        **{name: (pts, True, None) for name, pts in _NEAR_GUARD.items()},
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_errors_as_exact_diameter(self, name):
+        pts, closed, error = self.CASES[name]
+        want = _raised(lambda: _exact_guards(pts, closed))
+        # the tiny circle's speed**3 underflows: only the errors matter here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _raised(lambda: curve_terms(pts, closed))
+        assert type(want) is type(got) and str(got) == str(want)
+        assert type(got) is (error or type(None))
+
+    @pytest.mark.parametrize("name", ["circle", "open_line", *_NEAR_GUARD])
+    def test_exact_diameter_only_near_a_guard(self, monkeypatch, name):
+        pts, closed, _ = self.CASES[name]
+        calls = []
+        diameter = geometry._diameter
+        monkeypatch.setattr(geometry, "_diameter", lambda p: calls.append(1) or diameter(p))
+        curve_terms(pts, closed)
+        assert len(calls) == (name in _NEAR_GUARD)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
