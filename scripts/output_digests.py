@@ -6,6 +6,8 @@ Prints one line per output, ``name sha256``:
 * ``circle_run``   -- ``lagflow run`` on the circle of radius 2, N=256, to
   origin contact;
 * ``ellipse_run``  -- ``lagflow run`` on the normalized a=3 ellipse, N=224;
+* ``cassini_run``  -- ``lagflow run`` on the normalized b=1.05 cassini oval,
+  N=256, to its stop;
 * ``heun_ladder``  -- ``evolve`` with the Heun scheme to t_end 0.9
   (snapshot_dt 0.02) on the radius-2 circle at N = 32, 64, 128, 256, each
   followed by ``radial_evolve`` on the constant profile at the same N;
@@ -110,6 +112,12 @@ def ellipse_run(work: str) -> str:
     )
 
 
+def cassini_run(work: str) -> str:
+    return _run_digest(
+        work, {"scenario": {"name": "cassini", "params": {"b": 1.05}}, "resolution": 256, "normalize": True}
+    )
+
+
 def x_cone(work: str) -> str:
     return _run_digest(
         work, {"scenario": {"name": "x_cone", "params": {}}, "resolution": 128, "stop": {"t_end": 0.01}}
@@ -154,7 +162,7 @@ def analysis(work: str) -> str:
     return h.hexdigest()
 
 
-DIGESTS = {f.__name__: f for f in (circle_run, ellipse_run, heun_ladder, x_cone, analysis)}
+DIGESTS = {f.__name__: f for f in (circle_run, ellipse_run, cassini_run, heun_ladder, x_cone, analysis)}
 
 
 def main(argv=None) -> int:
