@@ -21,10 +21,8 @@ the 4th-order second-difference stencil is 0.375 h^2, so SAFETY = 0.2
 keeps the diffusive step comfortably inside it.  Nodes
 of a closed curve are pushed back to equal arclength spacing whenever a
 step has spread their arclength weights by more than REDISTRIBUTE_RATIO,
-so the curve's own spacing decides when.  Closed curves
-detected antipodally symmetric are projected onto exact symmetry at the
-start and after each redistribution; a step keeps that symmetry exactly,
-so the pinch stays at the origin.
+so the curve's own spacing decides when.  Every closed curve is stepped
+and redistributed the same way, whatever its node count or symmetry.
 
 A run ends either at a requested time or at one of three singularity
 triggers, checked in priority order before every step:
@@ -69,7 +67,6 @@ from .geometry import (
     CurveTerms,
     OriginContactError,
     PlaneCurve,
-    antipodal_defect,
     compute_frame,
     curve_terms,
     enclosed_area,
@@ -77,7 +74,6 @@ from .geometry import (
     periodic_derivatives,
     resample,
     swept_gaussian_density,
-    symmetrize_points,
 )
 from .lagrangian import NonMonotoneError, drainage_defect, lagrangian_angle, monotone_data
 
@@ -119,9 +115,6 @@ DIAGNOSTIC_COLUMNS = (
     "angle_max",
 )
 
-# Node-level antipodal defect below this fraction of the diameter counts
-# as "the curve is symmetric" for auto-detection.
-ANTIPODAL_DETECT_TOL = 1e-9
 # Origin contact: the minimum radius fell below this times the initial
 # diameter (in both integrators).
 ORIGIN_CONTACT_FACTOR = 0.005
@@ -182,9 +175,8 @@ class FlowConfig:
 
     The step rules are the module constants SAFETY, DT_MIN and MAX_STEPS,
     the stop triggers ORIGIN_CONTACT_FACTOR and CURVATURE_BLOWUP_PRODUCT,
-    a closed curve is redistributed whenever its spacing trigger fires
-    (REDISTRIBUTE_RATIO), and antipodal symmetry is detected from the
-    initial curve.
+    and a closed curve is redistributed whenever its spacing trigger fires
+    (REDISTRIBUTE_RATIO).
     """
 
     scheme: str = "euler"
@@ -607,15 +599,6 @@ def evolve(
     curve = state.curve
     closed = curve.closed
     n = curve.node_count
-    # antipodal: closed, even N, node-level defect <= ANTIPODAL_DETECT_TOL * diameter
-    antipodal = (
-        closed
-        and n % 2 == 0
-        and antipodal_defect(curve) <= ANTIPODAL_DETECT_TOL * curve.diameter
-    )
-    if antipodal:
-        curve = PlaneCurve(symmetrize_points(curve.points))
-
     c0 = state.initial_constant
     critical = _critical_time(closed, c0)
     snapshot_dt = _record_interval(recording.snapshot_dt, state.t, stop.t_end, critical)
@@ -704,17 +687,12 @@ def evolve(
             pts = _advance(pts, closed, terms.velocity, dt, config.scheme, state_at)
             t = t + dt
             index += 1
-            # a step maps an antipodal node set to an antipodal one exactly
-            # (every operation commutes with negation), so only a
-            # redistribution needs the reprojection
             if (
                 closed
                 and terms.frame.weight.max() > REDISTRIBUTE_RATIO * spread_floor * terms.spacing
             ):
                 # through the public resample, which validates its output
                 pts = resample(PlaneCurve(pts, closed=True), n).points
-                if antipodal:
-                    pts = symmetrize_points(pts)
                 spread_floor = None
     except CurveError as exc:
         raise IntegrationError(

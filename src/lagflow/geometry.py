@@ -60,8 +60,6 @@ __all__ = [
     "swept_gaussian_density",
     "enclosed_area",
     "resample",
-    "antipodal_defect",
-    "symmetrize_points",
 ]
 
 # Node pairs closer than this fraction of the diameter make differentiation
@@ -590,32 +588,3 @@ def resample(curve: PlaneCurve, target_count: int) -> PlaneCurve:
         tau = np.minimum(np.maximum(tau, -0.25), 1.25)
     t = tau[:, None]
     return PlaneCurve(spl.a[j] + t * (spl.b[j] + t * (spl.c[j] + t * spl.d[j])), closed=True)
-
-
-def antipodal_defect(curve: PlaneCurve) -> float:
-    """Worst violation of node-level antipodal symmetry.
-
-    max_i |gamma_i + gamma_{i + N/2}|; the node count must be even so that
-    every node has a partner half-way around the index circle.
-    """
-    n = curve.node_count
-    if n % 2 != 0:
-        raise CurveConfigError("antipodal defect needs an even node count")
-    s = curve.points + np.roll(curve.points, n // 2, axis=0)
-    return float(np.linalg.norm(s, axis=1).max())
-
-
-def symmetrize_points(pts: np.ndarray) -> np.ndarray:
-    """0.5 (gamma_i - gamma_{i + N/2}) per node: the nearest node set with
-    exact antipodal symmetry, as a new array.  The one antipodal
-    projection; the node count must be even."""
-    if len(pts) % 2 != 0:
-        raise CurveConfigError("antipodal projection needs an even node count")
-    m = len(pts) // 2
-    out = np.empty_like(pts)
-    # both halves are subtracted explicitly so that a zero difference
-    # stays +0.0, as in the rolled form
-    np.subtract(pts[:m], pts[m:], out=out[:m])
-    np.subtract(pts[m:], pts[:m], out=out[m:])
-    out *= 0.5
-    return out

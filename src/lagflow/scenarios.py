@@ -1,12 +1,10 @@
 """Initial-curve builders for the standard runs and analysis fixtures.
 
-Closed scenarios are sampled with antipodal node pairing: node k and
-node k + N/2 are exact reflections, made so by the one antipodal
-projection, :func:`lagflow.geometry.symmetrize_points`.  The solver
-detects the pairing and preserves it, so their pinch is at the origin.
-Open fixtures are unions of straight lines through the origin sampled
-on half-offset grids, so no node ever sits exactly at the origin where
-the angle field is undefined.
+Closed scenarios take any node count.  Their curves are symmetric under
+x -> -x only as far as the sampling and the resampling keep it; nothing
+projects them onto that symmetry.  Open fixtures are unions of straight
+lines through the origin sampled on half-offset grids, so no node ever
+sits exactly at the origin where the angle field is undefined.
 """
 from __future__ import annotations
 
@@ -15,13 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    MIN_NODES,
-    CurveConfigError,
-    PlaneCurve,
-    resample,
-    symmetrize_points,
-)
+from .geometry import MIN_NODES, CurveConfigError, PlaneCurve, resample
 
 __all__ = [
     "SEMI_MINOR",
@@ -47,7 +39,7 @@ def circle_curve(resolution: int, rho: float = 2.0) -> PlaneCurve:
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = rho * np.column_stack([np.cos(u), np.sin(u)])
-    return PlaneCurve(symmetrize_points(pts))
+    return PlaneCurve(pts)
 
 
 def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
@@ -58,8 +50,7 @@ def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = np.column_stack([a * np.cos(u), SEMI_MINOR * np.sin(u)])
-    curve = resample(PlaneCurve(pts), resolution)
-    return PlaneCurve(symmetrize_points(curve.points))
+    return resample(PlaneCurve(pts), resolution)
 
 
 def cassini_curve(resolution: int, b: float = 1.05) -> PlaneCurve:
@@ -75,8 +66,7 @@ def cassini_curve(resolution: int, b: float = 1.05) -> PlaneCurve:
     u = 2.0 * np.pi * np.arange(CASSINI_SAMPLES) / CASSINI_SAMPLES
     r = np.sqrt(np.cos(2.0 * u) + np.sqrt(b**4 - np.sin(2.0 * u) ** 2))
     pts = r[:, None] * np.column_stack([np.cos(u), np.sin(u)])
-    curve = resample(PlaneCurve(pts), resolution)
-    return PlaneCurve(symmetrize_points(curve.points))
+    return resample(PlaneCurve(pts), resolution)
 
 
 def line_pair_curve(resolution: int, phi: float = 0.3, truncation: float = 10.0) -> PlaneCurve:
@@ -111,8 +101,6 @@ def _line_nodes(angle: float, half_width: float, count: int) -> np.ndarray:
 def _check_resolution(resolution: int, minimum: int = MIN_NODES) -> None:
     if resolution < minimum:
         raise CurveConfigError(f"resolution must be at least {minimum}")
-    if resolution % 2:
-        raise CurveConfigError("resolution must be even (antipodal node pairing)")
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,10 @@ from lagflow.flow import (
 from lagflow.geometry import (
     CurveConfigError,
     PlaneCurve,
-    antipodal_defect,
     compute_frame,
     curve_pieces,
     curve_terms,
     resample,
-    symmetrize_points,
 )
 from lagflow.scenarios import (
     cassini_curve,
@@ -112,21 +110,22 @@ class TestStep:
             step(st, FlowConfig())
 
     def test_antipodal_symmetry_survives_raw_stepping(self):
-        # step() does not symmetrize; the discrete velocity of an
-        # antipodal curve is odd, so the defect stays at rounding level.
-        st = make_state(ellipse_curve(128))
+        # the discrete velocity of an antipodal node set is odd, so the
+        # defect stays at rounding level
+        h = ellipse_curve(128).points[:64]
+        st = make_state(PlaneCurve(np.vstack([h, -h])))
         cfg = FlowConfig()
         for _ in range(200):
             st = step(st, cfg)
-        assert antipodal_defect(st.curve) < 1e-10
+        p = st.curve.points
+        assert np.linalg.norm(p[:64] + p[64:], axis=1).max() < 1e-10
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_advance_keeps_exact_antipodal_symmetry(self, scheme):
-        # evolve reprojects only after a redistribution: one step of an
-        # exactly antipodal node set is exactly antipodal again
-        pts = symmetrize_points(ellipse_curve(64, a=3.0).points)
-        m = len(pts) // 2
-        assert np.array_equal(pts[m:], -pts[:m])
+        # every operation of a step commutes with negation: one step of
+        # an exactly antipodal node set is exactly antipodal again
+        h = ellipse_curve(64, a=3.0).points[:32]
+        pts, m = np.vstack([h, -h]), len(h)
         terms = curve_terms(pts)
         new = _advance(pts, True, terms.velocity, terms.stable_dt(0.2), scheme, None)
         assert not np.array_equal(new, pts)
@@ -256,12 +255,12 @@ class TestEvolve:
         mid = 0.5 * (report.t_low + report.t_high)
         assert abs(mid - 1.0) < 5e-3
         assert report.t_high - report.t_low < 5e-3
-        # an antipodal run pinches at the origin exactly
+        # origin contact names the origin
         assert report.singular_point.tolist() == [0.0, 0.0]
         assert report.min_radius_at_stop < 0.005 * 4.0 + 1e-6
 
     def test_off_center_contact_point_is_the_origin(self):
-        # a closed curve with an even node count but no antipodal symmetry:
+        # a closed curve with no antipodal symmetry:
         # the circle of radius 1 around (1.004, 0) passes 0.004 from the
         # origin at its node 32, inside the contact radius 0.005 * 2.  The
         # contact, not that node, is the singular point: a node at distance
@@ -346,9 +345,9 @@ class TestEvolve:
 
 
 class TestLoopSemantics:
-    """evolve is the public step plus the spacing-triggered redistribution
-    and its antipodal reprojection, nothing more: its state after the step
-    budget equals a replay through step() and resample() bit for bit."""
+    """evolve is the public step plus the spacing-triggered redistribution,
+    nothing more: its state after the step budget equals a replay through
+    step() and resample() bit for bit."""
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_budget_state_equals_public_step_replay(self, monkeypatch, scheme):
@@ -359,17 +358,13 @@ class TestLoopSemantics:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
         last = info.value.last_state
 
-        st = FlowState(
-            PlaneCurve(symmetrize_points(start.curve.points)), start.t, start.initial_constant, 0
-        )
+        st = start
         floor, redistributions = 1.0, 0
         for _ in range(200):
             weight = compute_frame(st.curve).weight
             st = step(st, config)
             if weight.max() > REDISTRIBUTE_RATIO * floor * weight.min():
-                curve = PlaneCurve(
-                    symmetrize_points(resample(st.curve, st.curve.node_count).points)
-                )
+                curve = resample(st.curve, st.curve.node_count)
                 st = FlowState(curve, st.t, st.initial_constant, st.step_index)
                 left = compute_frame(curve).weight
                 floor = float(left.max()) / float(left.min())
@@ -380,14 +375,12 @@ class TestLoopSemantics:
         assert np.array_equal(last.curve.points, st.curve.points)
 
     def test_plain_loop_equals_public_step_replay(self, monkeypatch):
-        # with a trigger that never fires, evolve on a curve with no
-        # antipodal symmetry is step() and nothing else
+        # with a trigger that never fires, evolve is step() and nothing else
         monkeypatch.setattr(flow, "REDISTRIBUTE_RATIO", math.inf)
         monkeypatch.setattr(flow, "MAX_STEPS", 200)
         u = 2 * np.pi * np.arange(128) / 128
         r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
         start = make_state(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
-        assert antipodal_defect(start.curve) > 0.1
         config = FlowConfig()
         with pytest.raises(IntegrationError, match="step budget 200") as info:
             evolve(start, config, recording=RecordingConfig(snapshot_dt=10.0))
@@ -642,13 +635,20 @@ class TestScenarioBuilders:
         c = circle_curve(128, rho=2.0)
         radii = np.linalg.norm(c.points, axis=1)
         assert np.max(np.abs(radii - 2.0)) < 1e-12
-        assert antipodal_defect(c) < 1e-14
+
+    def test_odd_node_count_runs_to_origin_contact(self):
+        # no node pairing is needed: with 65 nodes no node has an
+        # antipodal partner, and the collapse still ends at the origin
+        c = circle_curve(65, rho=2.0)
+        assert c.node_count == 65
+        _, report = evolve(make_state(c))
+        assert report.trigger == "origin_contact"
+        assert report.singular_point.tolist() == [0.0, 0.0]
 
     def test_ellipse_scenario_axes(self):
         c = ellipse_curve(256, a=3.0)
         assert np.max(c.points[:, 0]) == pytest.approx(3.0, abs=1e-6)
         assert np.max(c.points[:, 1]) == pytest.approx(2.0, abs=1e-6)
-        assert antipodal_defect(c) < 1e-14
 
     def test_cassini_scenario_axes(self):
         # r^2 = cos 2θ + sqrt(b^4 - sin^2 2θ): r(0)^2 = 1 + b^2, and the
@@ -659,7 +659,6 @@ class TestScenarioBuilders:
         assert np.max(c.points[:, 0]) == pytest.approx(math.sqrt(1.0 + b * b), abs=1e-6)
         neck = np.min(np.abs(c.points[np.abs(c.points[:, 0]) < 0.05, 1]))
         assert neck == pytest.approx(math.sqrt(b * b - 1.0), abs=1e-3)
-        assert antipodal_defect(c) < 1e-14
 
     @pytest.mark.parametrize("b", [1.0, 0.5, math.nan])
     def test_cassini_without_a_neck_rejected(self, b):

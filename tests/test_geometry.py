@@ -16,13 +16,11 @@ from lagflow.geometry import (
     DegenerateCurveError,
     OriginContactError,
     PlaneCurve,
-    antipodal_defect,
     compute_frame,
     curve_pieces,
     curve_terms,
     enclosed_area,
     resample,
-    symmetrize_points,
 )
 from lagflow.scenarios import line_pair_curve
 
@@ -654,27 +652,6 @@ class TestResample:
         open_curve = PlaneCurve(np.column_stack([xs, xs]), closed=False)
         with pytest.raises(CurveConfigError):
             resample(open_curve, 64)
-
-
-class TestAntipodal:
-    def test_offset_circle_defect(self):
-        c = circle(center=(1.0, 0.0))
-        assert antipodal_defect(c) == pytest.approx(2.0, rel=1e-12)
-
-    def test_centered_circle_defect_small(self):
-        assert antipodal_defect(circle(256)) < 1e-12
-
-    def test_symmetrize_zeroes_defect(self):
-        sym = PlaneCurve(symmetrize_points(circle(center=(0.01, -0.02)).points))
-        assert antipodal_defect(sym) < 1e-15
-
-    def test_odd_count_rejected(self):
-        u = 2 * np.pi * np.arange(17) / 17
-        c = PlaneCurve(np.column_stack([np.cos(u), np.sin(u)]))
-        with pytest.raises(CurveConfigError, match="even node count"):
-            symmetrize_points(c.points)
-        with pytest.raises(CurveConfigError, match="even node count"):
-            antipodal_defect(c)
 
 
 class TestProperties:
