@@ -29,6 +29,7 @@ import numpy as np
 
 from . import analysis as ana
 from .flow import (
+    COORDINATE_SCALE,
     FlowConfig,
     IntegrationError,
     RecordingConfig,
@@ -266,7 +267,7 @@ def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
     """(T, x0) from --T and --x0, else from the run's detected singularity:
     the midpoint of its bracket, and its singular point (the origin unless
     the run stopped on curvature blow-up), or the origin without one.
-    Both must be finite."""
+    Both must be finite, and x0 within flow.COORDINATE_SCALE."""
     sing = manifest.get("singularity") or {}
     T = args.T
     if T is None:
@@ -279,6 +280,11 @@ def _reference_point(args, manifest: dict) -> tuple[float, np.ndarray]:
         raise ConfigError(f"reference time T must be finite, got {T:g}")
     if not np.isfinite(x0).all():
         raise ConfigError(f"reference point x0 must be finite, got {x0[0]:g} {x0[1]:g}")
+    if np.abs(x0).max() > COORDINATE_SCALE:
+        raise ConfigError(
+            f"reference point x0 {x0[0]:g} {x0[1]:g} is beyond the coordinate "
+            f"scale {COORDINATE_SCALE:g}"
+        )
     return T, x0
 
 

@@ -47,6 +47,12 @@ The trigger alone names the singular point: the node of largest |kappa|
 for ``curvature_blowup``, else the origin (on the swept surface a node at
 distance d from the origin sweeps a circle of radius d, a regular point).
 
+Both integrators take curves within the coordinate scale: no coordinate
+of the initial curve may exceed COORDINATE_SCALE in magnitude.  The
+initial curve is checked before the first step (by make_state, and again
+by the integrator), never per step; a larger curve is refused with
+CurveConfigError.
+
 The radial twin (:func:`radial_evolve`) runs the same flow over the polar
 angle under the same rules, each defined once: the record interval, the
 stepping clock, the origin-contact radius and the report with its
@@ -95,6 +101,7 @@ __all__ = [
     "TimeEstimate",
     "estimate_singular_time",
     "DIAGNOSTIC_COLUMNS",
+    "COORDINATE_SCALE",
     "RadialProfile",
     "RadialTrajectory",
     "radial_rhs",
@@ -146,6 +153,11 @@ SAFETY = 0.2
 DT_MIN = 1e-14
 # The step budget of a run; exhausting it raises IntegrationError.
 MAX_STEPS = 2_000_000
+# The largest coordinate magnitude of a run's initial curve.  Run
+# quantities are powers of the length scale L up to L^4 (speed^3 in the
+# curvature, squared record times ~ L^2 in the bracket fit), so float64
+# overflows them from L ~ 1e77; at 1e50 each stays far inside its range.
+COORDINATE_SCALE = 1e50
 _ORIGIN = np.zeros(2)
 
 
@@ -288,12 +300,25 @@ class Trajectory:
         return PlaneCurve((1.0 - lam) * a.points + lam * b.points, closed=a.closed)
 
 
+def _check_scale(coords: np.ndarray) -> None:
+    """Refuse an initial curve, given by its node coordinates (or radii),
+    with a coordinate beyond COORDINATE_SCALE in magnitude."""
+    reach = float(np.abs(coords).max())
+    if not reach <= COORDINATE_SCALE:
+        raise CurveConfigError(
+            f"curve coordinates reach {reach:.3e}, beyond the coordinate "
+            f"scale {COORDINATE_SCALE:g}"
+        )
+
+
 def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
     """Initial flow state; the c-constant is computed here and frozen.
 
-    A degenerate curve (coincident nodes, vanishing speed) raises
-    DegenerateCurveError; a curve without a c-constant gets nan.
+    A curve beyond COORDINATE_SCALE raises CurveConfigError, a degenerate
+    one (coincident nodes, vanishing speed) DegenerateCurveError; a curve
+    without a c-constant gets nan.
     """
+    _check_scale(curve.points)
     try:
         c = monotone_data(curve, compute_frame(curve)).constant_c
     except (NonMonotoneError, OriginContactError, CurveConfigError):
@@ -585,7 +610,8 @@ def evolve(
     step budget, a curve check failing mid-run, a step underflow without a
     singular-time bracket) raises IntegrationError instead of returning.
     Its ``last_state`` is the state the failure was found at, or for
-    non-finite values the state before the failed step.
+    non-finite values the state before the failed step.  A curve beyond
+    COORDINATE_SCALE raises CurveConfigError before the first step.
 
     The loop carries the nodes as one raw (N, 2) array.  PlaneCurve and
     FlowState objects are built only for records, at the stop and for
@@ -594,6 +620,7 @@ def evolve(
     config = config or FlowConfig()
     stop = stop or StopConditions()
     recording = recording or RecordingConfig()
+    _check_scale(state.curve.points)
     _check_t_end(stop.t_end, state.t, "stop.t_end")
 
     curve = state.curve
@@ -803,11 +830,12 @@ def radial_evolve(
     r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
     default, as there is no c-constant), stops, origin-contact radius,
     singular point and bracket, and the same step rules SAFETY, DT_MIN
-    and MAX_STEPS.  An IntegrationError carries the last usable
-    RadialProfile.
+    and MAX_STEPS, and the same COORDINATE_SCALE.  An IntegrationError
+    carries the last usable RadialProfile.
     """
     r = profile.r
     t = float(profile.t)
+    _check_scale(r)
     _check_t_end(t_end, t, "t_end")
     snapshot_dt = _record_interval(snapshot_dt, t, t_end, None)
     s = 2.0 * np.pi * np.arange(len(r)) / len(r)

@@ -35,6 +35,11 @@ fires on exactly the inputs, and with the message, of the exact test.
 :func:`curve_terms` takes 8 max|x| as the bound (the diameter is at most
 4 max|x|, and |x|^2 is computed anyway), so a step away from both guards
 never computes the diameter.
+
+The Gaussian density's Bessel factor, the exponentially scaled modified
+Bessel function I0e, is a NumPy port of Cephes ``i0e`` (:func:`_i0e`):
+the same Chebyshev tables and Clenshaw recurrence, so it equals
+``scipy.special.i0e`` bit for bit and the package runs on NumPy alone.
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import i0e
 
 __all__ = [
     "CurveError",
@@ -437,6 +441,71 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
+# ---------------------------------------------------------------------------
+# I0e, ported from Cephes i0.c (Stephen L. Moshier, Cephes Math Library,
+# 1984, 1987, 2000), whose tables NumPy's i0 and SciPy's i0e also use.
+# Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 on [0, 8] (_I0E_A) and
+# of exp(-x) sqrt(x) I0(x) in 32/x - 2 on (8, inf] (_I0E_B).
+# ---------------------------------------------------------------------------
+
+_I0E_A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17, -2.43127984654795469359E-16,
+    1.71539128555513303061E-15, -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12, -1.72682629144155570723E-11,
+    9.67580903537323691224E-11, -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8, -2.67079385394061173391E-7,
+    1.11738753912010371815E-6, -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4, -5.76375574538582365885E-4,
+    1.63947561694133579842E-3, -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2, -9.49010970480476444210E-2,
+    1.71620901522208775349E-1, -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0E_B = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18, 4.46562142029675999901E-17,
+    3.46122286769746109310E-17, -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15, -9.55484669882830764870E-15,
+    -4.15056934728722208663E-14, 1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12, -1.32158118404477131188E-11,
+    -3.14991652796324136454E-11, 1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
+    2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+
+
+def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Cephes chbevl: the Chebyshev series ``coeffs`` at x by Clenshaw's
+    recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order."""
+    b0 = np.full_like(x, coeffs[0])
+    b1 = np.zeros_like(x)
+    b2 = np.empty_like(x)
+    for c in coeffs[1:]:
+        # the new b0 goes into the buffer of b2, which it replaces
+        np.multiply(x, b0, out=b2)
+        b2 -= b1
+        b2 += c
+        b0, b1, b2 = b2, b0, b1
+    b0 -= b2
+    b0 *= 0.5
+    return b0
+
+
+def _i0e(x) -> np.ndarray:
+    """exp(-|x|) I0(x), the exponentially scaled modified Bessel function
+    of order 0, per element of the float64 array x (Cephes ``i0e``)."""
+    x = np.abs(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(x)
+    small = x <= 8.0
+    large = ~small  # also nan, which stays nan
+    # a branch with no elements is skipped: its series is ~80 NumPy calls
+    if small.any():
+        out[small] = _chbevl(x[small] / 2.0 - 2.0, _I0E_A)
+    if large.any():
+        xl = x[large]
+        out[large] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
+    return out
+
+
 def swept_gaussian_density(
     points: np.ndarray, weight: np.ndarray, x0: np.ndarray, tau: float
 ) -> float:
@@ -448,11 +517,16 @@ def swept_gaussian_density(
 
     The azimuthal integral is a modified Bessel function, taken in its
     exponentially scaled form so the exponent -(|gamma| - |x0|)^2 / (4 tau)
-    never overflows.  At x0 = 0 the Bessel factor is exactly 1.
+    never overflows.  At x0 = 0 the Bessel factor is exactly 1 and its
+    argument is +-0, so the kernel is exp(-|gamma|^2 / (4 tau)), the same
+    float the full expression gives, and is computed as that.
     """
     r = np.linalg.norm(points, axis=1)
-    b = (points @ x0) / (2.0 * tau)
-    kernel = i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+    if x0.any():
+        b = (points @ x0) / (2.0 * tau)
+        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+    else:
+        kernel = np.exp(-(r * r) / (4.0 * tau))
     return float(np.sum(weight * r * kernel) / (4.0 * tau))
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -515,6 +516,32 @@ class TestCustomScenario:
         assert sorted(os.listdir(run_dir)) == ["manifest.json", "snapshots"]
         assert os.listdir(run_dir / "snapshots") == []
 
+    @pytest.mark.parametrize("rho", [1e80, 1e103])
+    def test_curve_beyond_coordinate_scale_is_bad_config(self, tmp_path, capsys, rho):
+        # at 1e80 the bracket fit overflowed, at 1e103 speed**3 did, and
+        # each run exited 2 with a wrong bracket
+        cfg = write_config(tmp_path / "c.json", scenario={"name": "circle", "params": {"rho": rho}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config:")
+        assert f"beyond the coordinate scale {flow.COORDINATE_SCALE:g}" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_large_curve_inside_the_scale_scales_the_bracket(self, tmp_path, capsys):
+        # the flow is scale invariant: times go as rho^2
+        brackets = {}
+        for rho in (1.0, 1e20):
+            cfg = write_config(
+                tmp_path / f"c{rho:g}.json", scenario={"name": "circle", "params": {"rho": rho}}
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+            run_dir = capsys.readouterr().out.splitlines()[0]
+            sing = load_manifest(run_dir)["singularity"]
+            brackets[rho] = np.array([sing["t_low"], sing["t_high"]])
+        assert brackets[1e20] / 1e40 == pytest.approx(brackets[1.0], rel=1e-6)
+
     def test_missing_path_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", scenario={"name": "custom", "params": {}}
@@ -707,6 +734,11 @@ class TestAnalyze:
             ("density", ["--T", "nan"], "reference time T must be finite, got nan"),
             ("rescale", ["--x0", "nan", "0"], "reference point x0 must be finite, got nan 0"),
             ("cones", ["--sigma", "2", "--R", "-1"], "R must be positive and finite, got -1"),
+            (
+                "density",
+                ["--x0", "1e308", "1e308"],
+                "reference point x0 1e+308 1e+308 is beyond the coordinate scale 1e+50",
+            ),
         ],
     )
     def test_bad_coordinates_exit_4(self, circle_run, capsys, subcommand, extra, message):

@@ -441,6 +441,19 @@ class TestLoopSemantics:
         with pytest.raises(CurveConfigError, match=r"snapshot_dt .* below the step floor 1e-14"):
             evolve(st, recording=RecordingConfig(snapshot_dt))
 
+    # the scale is a check of the initial curve, made by make_state and
+    # again by evolve, whose state may be built without it; the edge
+    # itself is accepted
+    def test_curve_beyond_coordinate_scale_rejected(self):
+        big = circle_curve(64, rho=1e60)
+        scale = r"reach 1\.000e\+60, beyond the coordinate scale 1e\+50"
+        with pytest.raises(CurveConfigError, match=scale):
+            make_state(big)
+        with pytest.raises(CurveConfigError, match="beyond the coordinate scale"):
+            evolve(FlowState(big, 0.0, 5e119), stop=StopConditions(t_end=1.0))
+        edge = PlaneCurve(circle_curve(64, rho=1.0).points * flow.COORDINATE_SCALE)
+        assert math.isfinite(make_state(edge).initial_constant)
+
     # every grid point ends a step, so 1e-10 up to c/2 = 1/4 is about
     # 2.5e9 records: the run would record every step until its budget ran
     # out, holding about 3.5 GB; the grid must fit the budget before a step
@@ -607,6 +620,10 @@ class TestRadialTwin:
     def test_radial_record_grid_over_step_budget_rejected(self):
         with pytest.raises(CurveConfigError, match=r"more than the step budget 2000000 .* t=0\.1$"):
             radial_evolve(RadialProfile(np.full(32, 2.0)), t_end=0.1, snapshot_dt=1e-10)
+
+    def test_radial_profile_beyond_coordinate_scale_rejected(self):
+        with pytest.raises(CurveConfigError, match="beyond the coordinate scale 1e\\+50"):
+            radial_evolve(RadialProfile(np.full(32, 1e60)), t_end=1.0, snapshot_dt=0.1)
 
     def test_radial_underflow_without_bracket_raises(self):
         # the first stable step, about 1.9e-17, is below the default floor

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import i0e as scipy_i0e
 
 from lagflow import geometry
 from lagflow.flow import RadialProfile, radial_rhs
@@ -674,3 +675,56 @@ class TestProperties:
                         [np.sin(angle), np.cos(angle)]])
         rotated = PlaneCurve(curve.points @ rot.T)
         assert enclosed_area(rotated) == pytest.approx(enclosed_area(curve), rel=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestI0eOracle:
+    """The in-tree Cephes port against scipy.special.i0e, bit for bit."""
+
+    oracle = staticmethod(scipy_i0e)
+
+    def test_branch_edge_and_extremes(self):
+        eight = 8.0
+        x = np.array([
+            0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+            eight, -eight, np.nextafter(eight, 0.0), np.nextafter(eight, 16.0),
+            -np.nextafter(eight, 0.0), -np.nextafter(eight, 16.0),
+            np.inf, -np.inf,
+        ])
+        assert np.array_equal(_bits(geometry._i0e(x)), _bits(self.oracle(x)))
+        assert geometry._i0e(np.array([0.0]))[0] == 1.0
+
+    @pytest.mark.parametrize("low, high", [(0.0, 8.0), (8.0, 1e4), (-40.0, 40.0)])
+    def test_random_sample(self, low, high):
+        x = np.random.default_rng(7).uniform(low, high, 20_000)
+        assert np.array_equal(_bits(geometry._i0e(x)), _bits(self.oracle(x)))
+
+    def test_wide_magnitudes_and_shapes(self):
+        rng = np.random.default_rng(11)
+        x = np.sign(rng.standard_normal(20_000)) * np.exp(rng.uniform(-700.0, 700.0, 20_000))
+        x = x.reshape(100, 200)
+        got = geometry._i0e(x)
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(self.oracle(x)))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(geometry._i0e(np.array([np.nan]))).all()
+
+
+class TestSweptDensityAtOrigin:
+    # at x0 = 0 the kernel skips the Bessel factor; it must be the same
+    # float as the full expression
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("tau", [0.25, 1e-3, 7.5])
+    def test_shortcut_equals_full_expression(self, x0, tau):
+        curve = ellipse(256)
+        pts, w = curve.points, compute_frame(curve).weight
+        x0 = np.array(x0)
+        r = np.linalg.norm(pts, axis=1)
+        b = (pts @ x0) / (2.0 * tau)
+        kernel = scipy_i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+        full = float(np.sum(w * r * kernel) / (4.0 * tau))
+        assert geometry.swept_gaussian_density(pts, w, x0, tau) == full

@@ -4,11 +4,15 @@
 chord weights, the curve-piece splitter, the Gaussian density),
 ``lagrangian`` builds only on it, and neither the flow loop nor the run
 reader in ``runio`` reaches up into the analysis or the CLI.  A kernel that one of these layers needs
-therefore has exactly one home.
+therefore has exactly one home.  The package runs on NumPy alone: no
+module imports scipy, which the tests use only as an oracle.
 """
 import ast
 import importlib
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,11 +42,46 @@ def lagflow_imports(module: str) -> set[str]:
     return found
 
 
+def top_level_imports(module: str) -> set[str]:
+    """The top-level packages that ``module`` imports absolutely."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
 def test_reader_sees_both_import_forms():
     # cli uses "from . import analysis" and "from .flow import ..."
     assert {"analysis", "flow", "runio"} <= lagflow_imports("cli")
     for module in MODULES:
         assert lagflow_imports(module) <= set(MODULES), module
+
+
+def test_top_level_reader_sees_numpy():
+    assert "numpy" in top_level_imports("geometry")
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_module_imports_scipy(module):
+    assert "scipy" not in top_level_imports(module)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: the test process itself has scipy loaded
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import lagflow.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(out.stdout) == []
 
 
 def test_geometry_is_a_leaf():
