@@ -36,6 +36,7 @@ from .flow import (
     StopConditions,
     Trajectory,
     TrajectoryRangeError,
+    check_scale,
     evolve,
     make_state,
 )
@@ -186,6 +187,8 @@ def _cmd_run(args) -> int:
         curve = _build_curve(resolved)
         factor = 1.0
         if resolved["normalize"]:
+            # beyond the scale, normalize's own frame would overflow
+            check_scale(curve.points)
             curve, factor = normalize(curve)
         state = make_state(curve)
         config = FlowConfig(**resolved["flow"])

@@ -61,6 +61,7 @@ singular point and singular-time bracket.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -73,6 +74,7 @@ from .geometry import (
     CurveTerms,
     OriginContactError,
     PlaneCurve,
+    StepWorkspace,
     compute_frame,
     curve_terms,
     enclosed_area,
@@ -102,6 +104,7 @@ __all__ = [
     "estimate_singular_time",
     "DIAGNOSTIC_COLUMNS",
     "COORDINATE_SCALE",
+    "check_scale",
     "RadialProfile",
     "RadialTrajectory",
     "radial_rhs",
@@ -300,9 +303,12 @@ class Trajectory:
         return PlaneCurve((1.0 - lam) * a.points + lam * b.points, closed=a.closed)
 
 
-def _check_scale(coords: np.ndarray) -> None:
+def check_scale(coords: np.ndarray) -> None:
     """Refuse an initial curve, given by its node coordinates (or radii),
-    with a coordinate beyond COORDINATE_SCALE in magnitude."""
+    with a coordinate beyond COORDINATE_SCALE in magnitude, with
+    CurveConfigError.  A caller that transforms a curve before making its
+    state (such as normalizing it) checks the curve first, since the
+    transform's own arithmetic may overflow beyond the scale."""
     reach = float(np.abs(coords).max())
     if not reach <= COORDINATE_SCALE:
         raise CurveConfigError(
@@ -318,7 +324,7 @@ def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
     one (coincident nodes, vanishing speed) DegenerateCurveError; a curve
     without a c-constant gets nan.
     """
-    _check_scale(curve.points)
+    check_scale(curve.points)
     try:
         c = monotone_data(curve, compute_frame(curve)).constant_c
     except (NonMonotoneError, OriginContactError, CurveConfigError):
@@ -336,22 +342,45 @@ def stability_dt(curve: PlaneCurve, safety: float) -> float:
     return curve_terms(curve.points, curve.closed).stable_dt(safety)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # the reduction a.all() makes, without its wrapper
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+# scratch memory of the Heun predictor, one workspace per thread
+_scratch = threading.local()
+
+
+def _predictor_workspace(n: int, closed: bool) -> StepWorkspace:
+    """A StepWorkspace for the Heun predictor at N nodes, kept from step
+    to step so that a Heun step allocates none.  It carries nothing from
+    one use to the next: _advance writes all its nodes, updates it and
+    reads the velocity before it returns, and no caller ever sees it."""
+    ws = getattr(_scratch, "predictor", None)
+    if ws is None or ws.n != n or ws.closed != closed:
+        ws = _scratch.predictor = StepWorkspace(np.zeros((n, 2)), closed)
+    return ws
+
+
 def _advance(
     pts: np.ndarray, closed: bool, vel: np.ndarray, dt: float, scheme: str, last
 ) -> np.ndarray:
-    """Nodes after one step of ``scheme`` from ``pts`` with velocity ``vel``.
-    ``last()`` gives the pre-step state for the IntegrationError raised on
-    non-finite values."""
+    """Nodes after one step of ``scheme`` from ``pts`` with velocity ``vel``,
+    both (2, N) rows as a StepWorkspace holds them, as a new (2, N) array;
+    ``pts`` is left as it was.  ``last()`` gives the pre-step state for the
+    IntegrationError raised on non-finite values."""
     if scheme == "euler":
         new_pts = pts + dt * vel
     else:  # heun
         pred = pts + dt * vel
-        if not np.isfinite(pred).all():
+        if not _all_finite(pred):
             st = last()
             raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
-        vel2 = curve_terms(pred, closed).velocity
-        new_pts = pts + 0.5 * dt * (vel + vel2)
-    if not np.isfinite(new_pts).all():
+        predictor = _predictor_workspace(pred.shape[1], closed)
+        predictor.nodes[...] = pred
+        predictor.update()
+        new_pts = pts + 0.5 * dt * (vel + predictor.velocity)
+    if not _all_finite(new_pts):
         st = last()
         raise IntegrationError(f"non-finite node positions at t={st.t:.6g}", last_state=st)
     return new_pts
@@ -361,15 +390,16 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One explicit step of ``config.scheme`` at the stability-limited size;
     a step below DT_MIN raises StepUnderflowError."""
     curve = state.curve
-    terms = curve_terms(curve.points, curve.closed)
-    dt = terms.stable_dt(SAFETY)
+    ws = StepWorkspace(curve.points, curve.closed)
+    ws.update()
+    dt = ws.stable_dt(SAFETY)
     if dt < DT_MIN:
         raise StepUnderflowError(
             f"stable step {dt:.3e} below floor {DT_MIN:.3e}", last_state=state
         )
-    new_pts = _advance(curve.points, curve.closed, terms.velocity, dt, config.scheme, lambda: state)
+    new_pts = _advance(ws.nodes, curve.closed, ws.velocity, dt, config.scheme, lambda: state)
     return FlowState(
-        curve=PlaneCurve(new_pts, closed=curve.closed),
+        curve=PlaneCurve(new_pts.T, closed=curve.closed),
         t=state.t + dt,
         initial_constant=state.initial_constant,
         step_index=state.step_index + 1,
@@ -613,14 +643,14 @@ def evolve(
     non-finite values the state before the failed step.  A curve beyond
     COORDINATE_SCALE raises CurveConfigError before the first step.
 
-    The loop carries the nodes as one raw (N, 2) array.  PlaneCurve and
-    FlowState objects are built only for records, at the stop and for
-    errors.
+    The loop keeps the nodes in one StepWorkspace, which computes each
+    step's terms in place.  PlaneCurve, FlowState and CurveTerms objects
+    are built only for records, at the stop and for errors.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
     recording = recording or RecordingConfig()
-    _check_scale(state.curve.points)
+    check_scale(state.curve.points)
     _check_t_end(stop.t_end, state.t, "stop.t_end")
 
     curve = state.curve
@@ -641,11 +671,15 @@ def evolve(
     columns: dict[str, list[float]] = {k: [] for k in DIAGNOSTIC_COLUMNS}
     last_recorded_min_r = float("inf")
     clock = _StepClock(state.t, snapshot_dt, stop.t_end)
-    pts, t, index = curve.points, state.t, state.step_index
+    t, index = state.t, state.step_index
+    budget_end = index + MAX_STEPS
+    # the nodes live in the workspace from step to step
+    ws = StepWorkspace(curve.points, closed)
+    nodes = ws.nodes
 
     def state_at() -> FlowState:
         return FlowState(
-            curve=PlaneCurve(pts, closed=closed), t=t, initial_constant=c0, step_index=index
+            curve=PlaneCurve(nodes.T, closed=closed), t=t, initial_constant=c0, step_index=index
         )
 
     def record(terms: CurveTerms, dt_auto: float) -> None:
@@ -657,7 +691,8 @@ def evolve(
         states.append(st)
         last_recorded_min_r = row["min_radius"]
 
-    def finish(terms, dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
+    def finish(dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
+        terms = ws.terms()
         if not states or states[-1].t != t:
             record(terms, dt_auto)
         # c/2 tightens the extrapolated bracket only on a once-winding
@@ -670,7 +705,7 @@ def evolve(
             diagnostics["min_radius"],
             dt_auto,
             states[-1],
-            pts[int(np.abs(terms.frame.curvature).argmax())].copy(),
+            terms.points[int(np.abs(terms.frame.curvature).argmax())].copy(),
             terms.max_curvature(),
             critical if once_winding else None,
         )
@@ -678,48 +713,48 @@ def evolve(
 
     try:
         while True:
-            terms = curve_terms(pts, closed)
-            dt_auto = terms.stable_dt(SAFETY)
-            min_r = terms.min_radius()
+            ws.update()
+            dt_auto = ws.stable_dt(SAFETY)
+            min_r = ws.min_radius()
             if spread_floor is None:
-                spread_floor = float(terms.frame.weight.max()) / terms.spacing
+                spread_floor = ws.max_weight / ws.spacing
 
             # --- recording at the current state -------------------------
             on_grid = clock.on_grid(t)
             tail_hit = (
                 closed
                 and min_r <= TAIL_RADIUS_RATIO * last_recorded_min_r
-                and abs(terms.area()) < TAIL_AREA_FRACTION * area0
+                and abs(ws.area()) < TAIL_AREA_FRACTION * area0
             )
             if not states or on_grid or tail_hit:
-                record(terms, dt_auto)
+                record(ws.terms(), dt_auto)
 
             # --- stop checks (before stepping) ---------------------------
             if closed and min_r < contact_radius:
-                return finish(terms, dt_auto, "origin_contact")
-            if terms.max_curvature() * terms.spacing > CURVATURE_BLOWUP_PRODUCT:
-                return finish(terms, dt_auto, "curvature_blowup")
+                return finish(dt_auto, "origin_contact")
+            if ws.max_curvature() * ws.spacing > CURVATURE_BLOWUP_PRODUCT:
+                return finish(dt_auto, "curvature_blowup")
             if dt_auto < DT_MIN:
-                return finish(terms, dt_auto, "step_underflow")
+                return finish(dt_auto, "step_underflow")
             if _at_end(t, stop.t_end):
-                return finish(terms, dt_auto, None)
-            if index - state.step_index >= MAX_STEPS:
+                return finish(dt_auto, None)
+            if index >= budget_end:
                 raise IntegrationError(
                     f"step budget {MAX_STEPS} exhausted at t={t:.6g}",
                     last_state=state_at(),
                 )
 
             # --- one step, shortened to land on the grid / t_end --------
+            # _advance leaves the nodes as they were when it raises, so
+            # state_at() is still the pre-step state there
             dt = clock.shorten(t, dt_auto)
-            pts = _advance(pts, closed, terms.velocity, dt, config.scheme, state_at)
+            new_nodes = _advance(nodes, closed, ws.velocity, dt, config.scheme, state_at)
+            nodes[...] = new_nodes
             t = t + dt
             index += 1
-            if (
-                closed
-                and terms.frame.weight.max() > REDISTRIBUTE_RATIO * spread_floor * terms.spacing
-            ):
+            if closed and ws.max_weight > REDISTRIBUTE_RATIO * spread_floor * ws.spacing:
                 # through the public resample, which validates its output
-                pts = resample(PlaneCurve(pts, closed=True), n).points
+                nodes[...] = resample(PlaneCurve(new_nodes.T, closed=True), n).points.T
                 spread_floor = None
     except CurveError as exc:
         raise IntegrationError(
@@ -835,7 +870,7 @@ def radial_evolve(
     """
     r = profile.r
     t = float(profile.t)
-    _check_scale(r)
+    check_scale(r)
     _check_t_end(t_end, t, "t_end")
     snapshot_dt = _record_interval(snapshot_dt, t, t_end, None)
     s = 2.0 * np.pi * np.arange(len(r)) / len(r)
@@ -860,7 +895,7 @@ def radial_evolve(
             break
         dt = clock.shorten(t, dt_auto)
         stepped = r + dt * rhs
-        if not np.all(np.isfinite(stepped)):
+        if not _all_finite(stepped):
             raise IntegrationError(
                 f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(r, t)
             )

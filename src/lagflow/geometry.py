@@ -23,16 +23,37 @@ module uses) and differentiated per component.
 
 Everything a flow step needs from the geometry of its curve (degeneracy
 and origin guards, frame, |x|^2, <x, n>, the velocity and the stable step)
-is computed once per step by :func:`curve_terms` on a raw (N, 2) array.
-The public functions below run on the same kernel, so each quantity has
-one definition.
+is computed once per step by a :class:`StepWorkspace`, a persistent set
+of preallocated arrays that the flow loop keeps its nodes in from step to
+step.  :func:`curve_terms`, :func:`compute_frame` (closed curves) and
+:func:`enclosed_area` are one-shot uses of a workspace, so each quantity
+has one definition.
+
+The workspace holds the nodes as a (2, N) array, x and y as contiguous
+rows, inside one buffer padded by two periodic samples per row end.  At
+the node counts of the flow (about 256) a step costs about one NumPy call
+per operation, whatever the arithmetic, so the layout decides the cost:
+the stencils run as single contiguous calls over the flat buffer, every
+per-component product is a contiguous row, no array is allocated per
+step, and the eight extrema a step needs come from two batched
+reductions.  An (N, 2) array would make each component a strided column
+view and each extremum its own reduction.
+
+Aliasing rule: the workspace's arrays are overwritten by its next update,
+so they are valid only until then; a caller that keeps one copies it.
+:meth:`StepWorkspace.terms` and :meth:`StepWorkspace.frame` return
+copies, in the (N, 2) layout of :class:`PlaneCurve`.
+
+Every result equals, bit for bit, the plain (N, 2) expressions that
+``tests/test_geometry.py`` keeps as its oracle: each element goes through
+the same operations in the same order, and min and max round nothing.
 
 Both guards are fractions of the diameter (DEGENERACY_FACTOR,
 ORIGIN_GUARD_FACTOR).  A guard is first tested against an upper bound on
 the diameter, and the exact diameter is computed only when the bound
 test fails; since the bound is never below the diameter, each guard
 fires on exactly the inputs, and with the message, of the exact test.
-:func:`curve_terms` takes 8 max|x| as the bound (the diameter is at most
+The workspace takes 8 max|x| as the bound (the diameter is at most
 4 max|x|, and |x|^2 is computed anyway), so a step away from both guards
 never computes the diameter.
 
@@ -57,6 +78,7 @@ __all__ = [
     "PlaneCurve",
     "FrameData",
     "CurveTerms",
+    "StepWorkspace",
     "chord_weights",
     "compute_frame",
     "curve_pieces",
@@ -239,7 +261,7 @@ def _check_origin(r2_min: float, diameter: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the closed-curve kernel
+# the periodic stencils
 #
 # The 4th-order periodic stencils read the samples through one array padded
 # by two samples at each end, p[i + 2] = f_i, so a shifted copy is a
@@ -256,45 +278,31 @@ def pad_periodic(f: np.ndarray) -> np.ndarray:
     return np.concatenate((f[-2:], f, f[:2]))
 
 
-def periodic_derivatives(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def periodic_derivatives(
+    p: np.ndarray, h: float, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """4th-order first and second derivatives, at grid spacing h, of the
-    periodic samples that :func:`pad_periodic` padded into ``p``."""
+    periodic samples that :func:`pad_periodic` padded into ``p``.  ``out``
+    gives the arrays (d1, d2, scratch), shaped like one unpadded sample
+    set, to work in; by default they are new."""
     n = len(p) - 4
-    fwd, back, far = p[3 : n + 3], p[1 : n + 1], p[4:]
-    d1 = fwd - back
+    fwd, back, far, near = p[3 : n + 3], p[1 : n + 1], p[4:], p[:n]
+    if out is None:
+        out = (np.empty_like(fwd), np.empty_like(fwd), np.empty_like(fwd))
+    d1, d2, tmp = out
+    np.subtract(fwd, back, out=d1)
     d1 *= 8.0
-    tmp = far - p[:n]
+    np.subtract(far, near, out=tmp)
     d1 -= tmp
     d1 /= 12.0 * h
-    d2 = fwd + back
+    np.add(fwd, back, out=d2)
     d2 *= 16.0
-    np.add(far, p[:n], out=tmp)
+    np.add(far, near, out=tmp)
     d2 -= tmp
     np.multiply(p[2 : n + 2], 30.0, out=tmp)
     d2 -= tmp
     d2 /= 12.0 * h * h
     return d1, d2
-
-
-def _closed_frame(
-    pts: np.ndarray, bound: float
-) -> tuple[np.ndarray, float, float, FrameData]:
-    """Degeneracy checks, first derivative, index spacing h, smallest
-    arclength weight and frame of a closed curve.  ``bound`` is an upper
-    bound on the diameter (see :func:`_check_spacing_within`)."""
-    n = len(pts)
-    p = pad_periodic(pts)
-    _check_spacing_within(_min_chord(p[3 : n + 3] - p[2 : n + 2]), bound, pts)
-    h = 2.0 * np.pi / n
-    d1, d2 = periodic_derivatives(p, h)
-    speed = _squared_norms(d1)
-    np.sqrt(speed, out=speed)
-    speed_min = speed.min()
-    if speed_min <= 0.0:
-        raise DegenerateCurveError("vanishing parametric speed")
-    tangent = d1 / speed[:, None]
-    # rounding is monotone, so min(speed) * h is the smallest weight exactly
-    return d1, h, float(speed_min * h), _frame_data(tangent, d1, d2, speed, speed * h)
 
 
 def _open_frame(
@@ -351,93 +359,280 @@ def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
 
 
 class CurveTerms:
-    """The geometry of one curve as a flow step needs it, each quantity
-    computed once: frame, smallest arclength spacing h (the smallest
-    weight on a closed curve, taken as min |gamma'| times the index step;
-    the smallest within-piece chord on an open one), |x|^2 (``r2``) and
-    its minimum (``r2_min``), <x, n> (``dots``) and the flow velocity
-    kappa n - <x, n> n / |x|^2.  The stable step, min |x|, max |kappa|
-    and the enclosed area are derived on request.  Build it with
-    :func:`curve_terms`, which checks the degeneracy and origin guards
-    against the bound 8 max|x| on the diameter and computes the exact
-    diameter only when a guard fails against it; it is the only code
-    that computes the velocity and the step cap of the flow."""
+    """The geometry of one curve as a flow step needs it: frame, smallest
+    arclength spacing h (the smallest weight on a closed curve, taken as
+    min |gamma'| times the index step; the smallest within-piece chord on
+    an open one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n>
+    (``dots``), the flow velocity kappa n - <x, n> n / |x|^2, the stable
+    step, min |x|, max |kappa| and, on closed curves, the enclosed area.
+    A snapshot of a :class:`StepWorkspace`, with (N, 2) arrays that it
+    owns; build one with :func:`curve_terms`."""
 
     __slots__ = (
-        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity", "_d1", "_h",
+        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity",
+        "_cap", "_kmax", "_d1", "_h",
     )
 
     def stable_dt(self, safety: float) -> float:
         """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
-        # safety <= 0.375 keeps the h^2 term inside the stencil stability limit
-        h = self.spacing
-        caps = [h * h]
-        dmax = np.abs(self.dots).max()
-        if dmax > 0.0:
-            caps.append(h * self.r2_min / (2.0 * dmax))
-        vmax = math.sqrt(float(_squared_norms(self.velocity).max()))
-        if vmax > 0.0:
-            caps.append(h / (2.0 * vmax))
-        return safety * min(caps)
+        return safety * self._cap
 
     def min_radius(self) -> float:
-        return math.sqrt(float(self.r2_min))
+        return math.sqrt(self.r2_min)
 
     def max_curvature(self) -> float:
-        return float(np.abs(self.frame.curvature).max())
+        return self._kmax
 
     def area(self) -> float:
         if not self.closed:
             raise CurveConfigError("enclosed area requires a closed curve")
-        return _closed_area(self.points, self._d1, self._h)
+        pts, d1 = self.points, self._d1
+        return _closed_area(pts[:, 0], pts[:, 1], d1[:, 0], d1[:, 1], self._h)
+
+
+class StepWorkspace:
+    """Per-step geometry of a curve with a fixed node count, computed in
+    preallocated arrays (see the module docstring for the layout and the
+    aliasing rule): the one code that computes the degeneracy and origin
+    guards, the frame of a closed curve, |x|^2, <x, n>, the flow velocity
+    and the stable step.
+
+    A caller writes the nodes into ``nodes``, a (2, N) view of the padded
+    buffer, and calls :meth:`update`.  The results then describe those
+    nodes: ``tangent``, ``normal``, ``velocity`` and ``d1`` as (2, N) rows;
+    ``curvature``, ``r2``, ``dots`` and ``speed`` as length-N arrays; the
+    smallest arclength spacing ``spacing``, ``r2_min`` and the largest
+    arclength weight ``max_weight``; and the methods below.  The comments
+    give each result as the expression whose float it is.  Open curves
+    take their frame from :func:`_open_frame` and share the rest.
+    """
+
+    def __init__(self, points: np.ndarray, closed: bool = True):
+        n = len(points)
+        self.n, self.closed, self.h = n, closed, 2.0 * np.pi / n
+        # three blocks: the padded nodes, d1, d2 and a work array; the
+        # (2, N) rows; the length-N arrays, which the extrema reduce as
+        # rows [chord^2, |x|^2, speed] and [|<x, n>|, |kappa|, |v|^2]
+        padded = np.empty((4, 2, n + 4))
+        rows = np.empty((4, 2, n))
+        lines = np.empty((8, n))
+        buf, d1p, d2p, work = padded[0], padded[1], padded[2], padded[3]
+        self.nodes = buf[:, 2 : n + 2]
+        self.nodes[...] = points.T
+        self.d1 = d1p[:, :n]
+        self.tangent, self.normal, self.velocity, self._sq = rows[0], rows[1], rows[2], rows[3]
+        self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
+        self._chord2, self.r2, self.speed = lines[0], lines[1], lines[2]
+        self.dots, self.curvature = lines[3], lines[4]
+        self._weight = None
+        # Flat, a padded array is one contiguous run.  A value at flat
+        # index i of a stencil's output belongs to the buffer sample at
+        # i + 2, so node j of row r lands at [r, j]; the columns N..N+3 of
+        # an output mix the two rows and are never read.
+        flat, work_flat = buf.reshape(-1), work.reshape(-1)
+        m = len(flat) - 4
+        self._stencil_in = flat
+        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m])
+        self._pads = ((buf[:, :2], buf[:, n : n + 2]), (buf[:, n + 2 :], buf[:, 2:4]))
+        self._chords = (flat[3:], flat[2:-1], work_flat[: m + 1])
+        self._work_flat = work_flat
+        # the rows of work at the nodes' columns, unpadded and padded
+        self._work_rows = (work[0, :n], work[1, :n])
+        self._work_node_rows = (work[0, 2 : n + 2], work[1, 2 : n + 2])
+        self._row_views = (
+            buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
+        )
+
+    def points(self) -> np.ndarray:
+        """The nodes as a new (N, 2) array."""
+        return np.ascontiguousarray(self.nodes.T)
+
+    def _frame_closed(self) -> tuple[float, float]:
+        """Spacing guard, frame, |x|^2 and vanishing-speed guard of a
+        closed curve.  Returns the bound 8 max|x| on the diameter that the
+        guards use, and min |x|^2."""
+        (lo_dst, lo_src), (hi_dst, hi_src) = self._pads
+        np.copyto(lo_dst, lo_src)
+        np.copyto(hi_dst, hi_src)
+        flat, work_flat, speed = self._stencil_in, self._work_flat, self.speed
+        w0, w1 = self._work_rows
+        # |x|^2 = x x + y y
+        np.multiply(flat, flat, work_flat)
+        np.add(*self._work_node_rows, self.r2)
+        # chord^2 = |f_{i+1} - f_i|^2
+        fwd, here, chords = self._chords
+        np.subtract(fwd, here, chords)
+        np.multiply(chords, chords, chords)
+        np.add(w0, w1, self._chord2)
+        d1_flat, _ = periodic_derivatives(flat, self.h, self._stencil_out)
+        # speed = sqrt(d1x d1x + d1y d1y)
+        np.multiply(d1_flat, d1_flat, self._stencil_out[2])
+        np.add(w0, w1, speed)
+        np.sqrt(speed, speed)
+        spread = self._spread
+        chord2_min, r2_min, speed_min = np.minimum.reduce(spread, 1).tolist()
+        _, r2_max, speed_max = np.maximum.reduce(spread, 1).tolist()
+        bound = _diameter_bound(r2_max)
+        min_chord = math.sqrt(chord2_min)
+        if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
+            _check_spacing(min_chord, _diameter(self.points()))
+        if speed_min <= 0.0:
+            raise DegenerateCurveError("vanishing parametric speed")
+        _, _, d1x, d1y, d2x, d2y = self._row_views
+        (tx, ty), (nx, ny), kappa = self.tangent, self.normal, self.curvature
+        # tangent = d1 / speed
+        np.divide(d1x, speed, tx)
+        np.divide(d1y, speed, ty)
+        # rounding is monotone, so min(speed) h and max(speed) h are the
+        # smallest and largest weights exactly
+        self.spacing = speed_min * self.h
+        self.max_weight = speed_max * self.h
+        # curvature = (d1x d2y - d1y d2x) / speed**3; speed**3 is pow,
+        # which can differ from speed * speed * speed in the last bit
+        np.multiply(d1x, d2y, kappa)
+        np.multiply(d1y, d2x, w0)
+        kappa -= w0
+        np.power(speed, 3, w0)
+        kappa /= w0
+        # normal = the tangent rotated by +pi/2
+        np.negative(ty, nx)
+        np.copyto(ny, tx)
+        self._weight = None
+        return bound, r2_min
+
+    def _frame_open(self) -> tuple[float, float]:
+        """Guards, frame and |x|^2 of an open curve, as _frame_closed."""
+        pts = self.points()
+        (x, y), r2 = self.nodes, self.r2
+        np.multiply(x, x, r2)
+        r2 += y * y
+        bound = _diameter_bound(float(r2.max()))
+        self.spacing, frame = _open_frame(pts, curve_pieces(pts, False), bound)
+        self.tangent[...] = frame.tangent.T
+        self.normal[...] = frame.normal.T
+        self.curvature[...] = frame.curvature
+        self._weight = frame.weight
+        self.max_weight = float(frame.weight.max())
+        return bound, float(r2.min())
+
+    def update(self) -> None:
+        """Every per-step term at the current nodes.  Raises
+        DegenerateCurveError on coincident nodes or vanishing speed, then
+        OriginContactError when a node is within ORIGIN_GUARD_FACTOR x
+        diameter of the origin, where the velocity is singular.  Both
+        guards are tested against the bound 8 max|x| on the diameter, and
+        the exact diameter is computed only when one fails against it."""
+        bound, r2_min = self._frame_closed() if self.closed else self._frame_open()
+        if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
+            _check_origin(r2_min, _diameter(self.points()))
+        self.r2_min = r2_min
+        x, y = self._row_views[:2]
+        (nx, ny), (vx, vy), (sq0, sq1) = self.normal, self.velocity, self._sq
+        dots, kappa, r2 = self.dots, self.curvature, self.r2
+        # <x, n> = x nx + y ny
+        np.multiply(x, nx, dots)
+        np.multiply(y, ny, sq0)
+        dots += sq0
+        # velocity = kappa n - (<x, n> n) / |x|^2, a row at a time: a
+        # broadcast over both rows costs more than two row calls
+        for n_row, v_row in ((nx, vx), (ny, vy)):
+            np.multiply(dots, n_row, sq0)
+            sq0 /= r2
+            np.multiply(kappa, n_row, v_row)
+            v_row -= sq0
+        peaks = self._peaks
+        np.absolute(self._dk, peaks[:2])
+        np.multiply(self.velocity, self.velocity, self._sq)
+        np.add(sq0, sq1, peaks[2])
+        dmax, self._kmax, v2max = np.maximum.reduce(peaks, 1).tolist()
+        # the stable step over safety; safety <= 0.375 keeps the h^2 term
+        # inside the stencil stability limit
+        h = self.spacing
+        cap = h * h
+        if dmax > 0.0:
+            cap = min(cap, h * r2_min / (2.0 * dmax))
+        vmax = math.sqrt(v2max)
+        if vmax > 0.0:
+            cap = min(cap, h / (2.0 * vmax))
+        self._cap = cap
+
+    def stable_dt(self, safety: float) -> float:
+        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
+        return safety * self._cap
+
+    def min_radius(self) -> float:
+        return math.sqrt(self.r2_min)
+
+    def max_curvature(self) -> float:
+        return self._kmax
+
+    def area(self) -> float:
+        if not self.closed:
+            raise CurveConfigError("enclosed area requires a closed curve")
+        (x, y), (d1x, d1y) = self.nodes, self.d1
+        return _closed_area(x, y, d1x, d1y, self.h)
+
+    def frame(self, copy: bool = True) -> FrameData:
+        """The frame as (N, 2) and length-N arrays: copies, or with
+        ``copy=False`` views of the workspace, for a caller that drops it."""
+        take = np.ndarray.copy if copy else _same
+        weight = self.speed * self.h if self._weight is None else take(self._weight)
+        return FrameData(
+            tangent=take(self.tangent.T),
+            normal=take(self.normal.T),
+            curvature=take(self.curvature),
+            weight=weight,
+        )
+
+    def terms(self, copy: bool = True) -> CurveTerms:
+        """A CurveTerms of the last update, with arrays as :meth:`frame`."""
+        take = np.ndarray.copy if copy else _same
+        terms = CurveTerms()
+        terms.points, terms.closed = self.points(), self.closed
+        terms.frame = self.frame(copy)
+        terms.spacing, terms.r2_min = self.spacing, self.r2_min
+        terms.r2, terms.dots = take(self.r2), take(self.dots)
+        terms.velocity = take(self.velocity.T)
+        terms._cap, terms._kmax = self._cap, self._kmax
+        terms._d1 = take(self.d1.T) if self.closed else None
+        terms._h = self.h
+        return terms
+
+
+def _same(a: np.ndarray) -> np.ndarray:
+    return a
+
+
+def _diameter_bound(r2_max: float) -> float:
+    # an upper bound on the diameter, which is at most 4 max|x|: the factor
+    # 8 covers rounding, also where |x|^2 is subnormal, down to max|x| ~
+    # 3e-162; below that the diameter is under 1e-160, and the floor covers it
+    return max(8.0 * math.sqrt(r2_max), 1e-150)
 
 
 def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     """Per-step geometry of the curve through ``points`` (an (N, 2) float64
-    array, not copied).  Raises DegenerateCurveError on coincident nodes or
-    vanishing speed, then OriginContactError when a node is within
-    ORIGIN_GUARD_FACTOR x diameter of the origin, where the velocity is
-    singular."""
-    terms = CurveTerms()
-    terms.points = points
-    terms.closed = closed
-    r2 = _squared_norms(points)
-    # an upper bound on the diameter, which is at most 4 max|x|: the factor
-    # 8 covers rounding, also where |x|^2 is subnormal, down to max|x| ~
-    # 3e-162; below that the diameter is under 1e-160, and the floor covers it
-    bound = max(8.0 * math.sqrt(r2.max()), 1e-150)
-    if closed:
-        terms._d1, terms._h, terms.spacing, frame = _closed_frame(points, bound)
-    else:
-        terms.spacing, frame = _open_frame(points, curve_pieces(points, False), bound)
-    terms.frame = frame
-    r2_min = r2.min()
-    if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
-        _check_origin(r2_min, _diameter(points))
-    normal = frame.normal
-    # <x, n> per node, bit-identical to einsum("ij,ij->i", points, normal)
-    dots = _row_dots(points, normal)
-    terms.r2, terms.r2_min, terms.dots = r2, r2_min, dots
-    # kappa n - (<x, n> n) / |x|^2
-    pull = dots[:, None] * normal
-    pull /= r2[:, None]
-    vel = frame.curvature[:, None] * normal
-    vel -= pull
-    terms.velocity = vel
-    return terms
+    array), by one update of a :class:`StepWorkspace`, whose guards it
+    raises."""
+    ws = StepWorkspace(points, closed)
+    ws.update()
+    return ws.terms(copy=False)
 
 
 def compute_frame(curve: PlaneCurve) -> FrameData:
     """Tangent, normal, signed curvature and arclength weight per node.
 
     Closed curves use 4th-order periodic central differences in the index
-    parameter.  Open curves are differentiated per component with
+    parameter (the frame of one :class:`StepWorkspace` update, without its
+    origin guard).  Open curves are differentiated per component with
     ``np.gradient`` (one-sided at component ends) and weighted by chord
     trapezoids, which is exact on the straight-line fixtures.
     """
     pts = curve.points
     if curve.closed:
-        return _closed_frame(pts, curve.diameter)[3]
+        ws = StepWorkspace(pts)
+        ws._frame_closed()
+        return ws.frame(copy=False)
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
@@ -473,9 +668,16 @@ _I0E_B = (
 )
 
 
-def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+# _I0E_B padded with five leading zeros to the length of _I0E_A, as the
+# columns of one table: a leading zero coefficient leaves Clenshaw's state
+# at b0 = b1 = +0, so the padded series gives the same float as _I0E_B
+_I0E_TABLE = np.array([_I0E_A, (0.0,) * 5 + _I0E_B]).T
+
+
+def _chbevl(x: np.ndarray, coeffs) -> np.ndarray:
     """Cephes chbevl: the Chebyshev series ``coeffs`` at x by Clenshaw's
-    recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order."""
+    recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order.
+    Each coefficient is a float or an array of one per element of x."""
     b0 = np.full_like(x, coeffs[0])
     b1 = np.zeros_like(x)
     b2 = np.empty_like(x)
@@ -492,17 +694,25 @@ def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 
 def _i0e(x) -> np.ndarray:
     """exp(-|x|) I0(x), the exponentially scaled modified Bessel function
-    of order 0, per element of the float64 array x (Cephes ``i0e``)."""
+    of order 0, per element of the float64 array x (Cephes ``i0e``): the
+    series in x/2 - 2 up to |x| = 8 and in 32/|x| - 2 beyond, divided by
+    sqrt|x| there, in one Clenshaw pass that takes each element's
+    coefficients from its column of _I0E_TABLE (or from one series'
+    table of floats when every element takes the same branch)."""
     x = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(x)
-    small = x <= 8.0
-    large = ~small  # also nan, which stays nan
-    # a branch with no elements is skipped: its series is ~80 NumPy calls
-    if small.any():
-        out[small] = _chbevl(x[small] / 2.0 - 2.0, _I0E_A)
-    if large.any():
-        xl = x[large]
-        out[large] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
+    large = ~(x <= 8.0)  # also nan, which stays nan
+    arg = x / 2.0
+    # only where x > 8, so 32/x never divides by zero
+    np.divide(32.0, x, out=arg, where=large)
+    arg -= 2.0
+    if large.all():
+        coeffs = _I0E_B
+    elif large.any():
+        coeffs = _I0E_TABLE[:, large.astype(np.intp)]
+    else:
+        coeffs = _I0E_A
+    out = _chbevl(arg, coeffs)
+    np.divide(out, np.sqrt(x), out=out, where=large)
     return out
 
 
@@ -530,8 +740,9 @@ def swept_gaussian_density(
     return float(np.sum(weight * r * kernel) / (4.0 * tau))
 
 
-def _closed_area(pts: np.ndarray, d1: np.ndarray, h: float) -> float:
-    return 0.5 * float(np.sum(pts[:, 0] * d1[:, 1] - pts[:, 1] * d1[:, 0]) * h)
+def _closed_area(x: np.ndarray, y: np.ndarray, d1x: np.ndarray, d1y: np.ndarray, h: float) -> float:
+    # add.reduce is the sum np.sum takes, without its wrapper
+    return 0.5 * float(np.add.reduce(x * d1y - y * d1x) * h)
 
 
 def enclosed_area(curve: PlaneCurve) -> float:
@@ -543,9 +754,9 @@ def enclosed_area(curve: PlaneCurve) -> float:
     """
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
-    pts = curve.points
-    d1, h, _, _ = _closed_frame(pts, curve.diameter)
-    return _closed_area(pts, d1, h)
+    ws = StepWorkspace(curve.points)
+    ws._frame_closed()
+    return ws.area()
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,22 @@ class TestCustomScenario:
         assert f"beyond the coordinate scale {flow.COORDINATE_SCALE:g}" in err
         assert not (tmp_path / "r").exists()
 
+    def test_curve_beyond_coordinate_scale_is_checked_before_normalizing(self, tmp_path, capsys):
+        # normalizing a circle of radius 1e160 overflowed its frame with
+        # four RuntimeWarnings and then blamed the angle field
+        cfg = write_config(
+            tmp_path / "c.json",
+            scenario={"name": "circle", "params": {"rho": 1e160}},
+            normalize=True,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config:")
+        assert f"beyond the coordinate scale {flow.COORDINATE_SCALE:g}" in err
+        assert not (tmp_path / "r").exists()
+
     def test_large_curve_inside_the_scale_scales_the_bracket(self, tmp_path, capsys):
         # the flow is scale invariant: times go as rho^2
         brackets = {}

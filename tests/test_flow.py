@@ -127,7 +127,8 @@ class TestStep:
         h = ellipse_curve(64, a=3.0).points[:32]
         pts, m = np.vstack([h, -h]), len(h)
         terms = curve_terms(pts)
-        new = _advance(pts, True, terms.velocity, terms.stable_dt(0.2), scheme, None)
+        # _advance takes and gives (2, N) rows, the StepWorkspace layout
+        new = _advance(pts.T, True, terms.velocity.T, terms.stable_dt(0.2), scheme, None).T
         assert not np.array_equal(new, pts)
         assert np.array_equal(new[m:], -new[:m])
 
@@ -412,6 +413,41 @@ class TestLoopSemantics:
             evolve(st, stop=StopConditions(t_end=0.01))
         assert info.value.last_state.t == 0.0
         assert np.array_equal(info.value.last_state.curve.points, st.curve.points)
+
+    # the parametric twin of test_radial_non_finite_rate_keeps_last_state:
+    # the loop's velocity turns nan after the step size is taken from it,
+    # so step 5 goes non-finite; the nodes advance in the loop's workspace,
+    # and the error must still carry the state before that step
+    @pytest.mark.parametrize(
+        "scheme, message", [("euler", "non-finite node positions"), ("heun", "non-finite predictor")]
+    )
+    def test_non_finite_step_keeps_pre_step_state(self, monkeypatch, scheme, message):
+        start = make_state(circle_curve(64, rho=1.0))
+        config, recording = FlowConfig(scheme), RecordingConfig(snapshot_dt=0.1)
+        with monkeypatch.context() as m:
+            m.setattr(flow, "MAX_STEPS", 4)
+            with pytest.raises(IntegrationError, match="step budget 4") as info:
+                evolve(start, config, recording=recording)
+        before = info.value.last_state
+
+        update = geometry.StepWorkspace.update
+        loop_updates = []
+
+        def poisoned(ws):
+            update(ws)
+            # the loop's workspace is the first one updated
+            if not loop_updates or ws is loop_updates[0]:
+                loop_updates.append(ws)
+                if len(loop_updates) == 5:
+                    ws.velocity[0, 7] = np.nan
+
+        monkeypatch.setattr(geometry.StepWorkspace, "update", poisoned)
+        with pytest.raises(IntegrationError, match=message) as info:
+            evolve(start, config, recording=recording)
+        last = info.value.last_state
+        assert last.step_index == before.step_index == 4
+        assert last.t == before.t > 0.0
+        assert np.array_equal(last.curve.points, before.curve.points)
 
     def test_underflow_without_bracket_raises(self, monkeypatch):
         # the first stable step is below the floor, so no record tail

@@ -1,12 +1,13 @@
 """Curve container, frames, quadrature, resampling."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import i0e as scipy_i0e
 
-from lagflow import geometry
+from lagflow import flow, geometry
 from lagflow.flow import RadialProfile, radial_rhs
 from lagflow.geometry import (
     DEGENERACY_FACTOR,
@@ -23,7 +24,7 @@ from lagflow.geometry import (
     enclosed_area,
     resample,
 )
-from lagflow.scenarios import line_pair_curve
+from lagflow.scenarios import cassini_curve, circle_curve, ellipse_curve, line_pair_curve
 
 
 def circle(n=256, rho=1.0, center=(0.0, 0.0)):
@@ -436,6 +437,59 @@ _NEAR_GUARD = {
 }
 
 
+def _hairpin(n, i):
+    """The unit circle at n nodes with nodes i+1 and i+2 moved onto nodes
+    i-1 and i-2: the curve folds back at node i, where the 4th-order
+    first derivative is exactly 0 and no chord is short."""
+    pts = circle(n).points.copy()
+    pts[i + 1], pts[i + 2] = pts[i - 1], pts[i - 2]
+    return pts
+
+
+def _open_hairpin(i):
+    """_open_line with node i+1 moved onto node i-1, so that np.gradient
+    vanishes at node i."""
+    pts = _open_line()
+    pts[i + 1] = pts[i - 1]
+    return pts
+
+
+def _assembled_guards(pts, closed):
+    """The guards of curve_terms in their earlier forms and in its order:
+    the spacing check against the exact diameter, the vanishing-speed
+    check on the rolled (closed) or per-piece np.gradient (open) first
+    derivative, then the origin check against the exact diameter."""
+    diameter = geometry._diameter(pts)
+    chords = np.roll(pts, -1, axis=0) - pts if closed else np.diff(pts, axis=0)
+    geometry._check_spacing(float(np.sqrt((chords * chords).sum(axis=1)).min()), diameter)
+    if closed:
+        d1 = _rolled_d1(pts, 2.0 * np.pi / len(pts))
+    else:
+        d1 = np.concatenate([np.gradient(pts[p], axis=0) for p in curve_pieces(pts, False)])
+    if np.linalg.norm(d1, axis=1).min() <= 0.0:
+        raise DegenerateCurveError("vanishing parametric speed")
+    r2_min = (pts * pts).sum(axis=1).min()
+    if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
+        raise OriginContactError(
+            f"node at distance {math.sqrt(r2_min):.3e} from the origin; "
+            "velocity is singular there"
+        )
+
+
+# inputs near or past a guard, with the error each must raise (None: none)
+_GUARD_INPUTS = {
+    **{name: (pts, True, None) for name, pts in _NEAR_GUARD.items()},
+    "vanishing_speed": (_hairpin(64, 10), True, DegenerateCurveError),
+    "open_vanishing_speed": (_open_hairpin(20), False, DegenerateCurveError),
+    "coincident_nodes": (_close_pair(64, 0.0), True, DegenerateCurveError),
+    "close_pair_below_guard": (_close_pair(64, 0.5 * DEGENERACY_FACTOR), True, DegenerateCurveError),
+    "node_on_origin": (_touching(64, 0.0), True, OriginContactError),
+    "node_inside_origin_guard": (_touching(64, 0.5 * ORIGIN_GUARD_FACTOR), True, OriginContactError),
+    "open_pair_below_guard": (_open_line(gap=0.5 * DEGENERACY_FACTOR), False, DegenerateCurveError),
+    "open_through_origin": (_open_line(65, offset=0.0), False, OriginContactError),
+}
+
+
 class TestCurveTermsOracle:
     """curve_terms agrees bit for bit with the assembly in _assembled_terms."""
 
@@ -468,6 +522,99 @@ class TestCurveTermsOracle:
         else:
             with pytest.raises(CurveConfigError):
                 terms.area()
+
+    @pytest.mark.parametrize("name", list(_GUARD_INPUTS))
+    def test_guards_match_assembly(self, name):
+        pts, closed, error = _GUARD_INPUTS[name]
+        want = _raised(lambda: _assembled_guards(pts, closed))
+        got = _raised(lambda: curve_terms(pts, closed))
+        assert type(got) is type(want) and str(got) == str(want)
+        assert type(got) is (error or type(None))
+        if error is None:
+            self.test_terms_match_assembly(PlaneCurve(pts, closed=closed))
+
+
+def _wobbly(n):
+    u = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.1 * np.cos(3 * u) + 0.05 * np.sin(2 * u)
+    return PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]))
+
+
+def _oracle_replay(points, scheme, steps, snapshot_dt):
+    """The first ``steps`` steps of evolve from ``points`` at t = 0,
+    replayed through _assembled_terms on (N, 2) arrays: the stable step
+    cut by the record clock, the Euler or Heun update and the
+    redistribution trigger.  Returns (nodes, t, dt) before each step and
+    the number of redistributions."""
+    n = len(points)
+    clock = flow._StepClock(0.0, snapshot_dt, None)
+    pts, t, floor = points, 0.0, 1.0
+    before, redistributions = [], 0
+    for _ in range(steps):
+        want = _assembled_terms(PlaneCurve(pts))
+        if floor is None:
+            floor = want["weight"].max() / want["spacing"]
+        clock.on_grid(t)
+        dt = clock.shorten(t, want["stable_dt"])
+        before.append((pts, t, dt))
+        vel = want["velocity"]
+        if scheme == "euler":
+            new = pts + dt * vel
+        else:
+            vel2 = _assembled_terms(PlaneCurve(pts + dt * vel))["velocity"]
+            new = pts + 0.5 * dt * (vel + vel2)
+        t = t + dt
+        if want["weight"].max() > flow.REDISTRIBUTE_RATIO * floor * want["spacing"]:
+            new = resample(PlaneCurve(new), n).points
+            floor = None
+            redistributions += 1
+        pts = new
+    return before, redistributions
+
+
+class TestWorkspaceLoopOracle:
+    """evolve keeps its nodes in one StepWorkspace; every step it takes
+    equals, bit for bit, a replay through _assembled_terms."""
+
+    CURVES = {
+        "circle": lambda: circle_curve(64, rho=1.0),
+        "ellipse": lambda: ellipse_curve(224, a=3.0),
+        "cassini": lambda: cassini_curve(128),
+        "odd_n": lambda: _wobbly(101),
+    }
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_steps_match_replay(self, monkeypatch, name, scheme):
+        steps = 240
+        start = flow.make_state(self.CURVES[name]())
+        snapshot_dt = 0.02
+        seen = []
+        advance = flow._advance
+
+        def logged(pts, closed, vel, dt, scheme, last):
+            st = last()
+            # pts is the workspace's (2, N) view: kept only as a copy
+            seen.append((pts.T.copy(), st.t, dt))
+            assert np.array_equal(st.curve.points, seen[-1][0])
+            return advance(pts, closed, vel, dt, scheme, last)
+
+        monkeypatch.setattr(flow, "_advance", logged)
+        monkeypatch.setattr(flow, "MAX_STEPS", steps)
+        with pytest.raises(flow.IntegrationError, match=f"step budget {steps}") as info:
+            flow.evolve(
+                start, flow.FlowConfig(scheme), recording=flow.RecordingConfig(snapshot_dt)
+            )
+        want, redistributions = _oracle_replay(start.curve.points, scheme, steps + 1, snapshot_dt)
+        assert len(seen) == steps
+        for k, ((pts, t, dt), (want_pts, want_t, want_dt)) in enumerate(zip(seen, want)):
+            assert np.array_equal(pts, want_pts), k
+            assert t == want_t and dt == want_dt, k
+        last = info.value.last_state
+        assert np.array_equal(last.curve.points, want[steps][0])
+        assert last.t == want[steps][1]
+        if name == "ellipse":
+            assert redistributions > 0
 
 
 def _exact_guards(pts, closed):
@@ -712,6 +859,36 @@ class TestI0eOracle:
 
     def test_nan_stays_nan(self):
         assert np.isnan(geometry._i0e(np.array([np.nan]))).all()
+
+    # one Clenshaw pass takes each element's coefficients from its branch's
+    # column, the second padded by leading zeros; both branches in one
+    # array must give each element its own series, with no warning from
+    # the 32/x of the other branch at x = 0
+    @pytest.mark.parametrize("shape", [(2_000,), (40, 50), (1, 3)])
+    def test_mixed_branches_in_one_array(self, shape):
+        rng = np.random.default_rng(5)
+        size = int(np.prod(shape))
+        x = np.where(rng.random(size) < 0.5, rng.uniform(-8.0, 8.0, size), rng.uniform(8.0, 60.0, size))
+        x[: min(size, 3)] = [0.0, np.nextafter(8.0, 16.0), 8.0][: min(size, 3)]
+        x = x.reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometry._i0e(x)
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(self.oracle(x)))
+
+    def test_mixed_branches_with_extremes(self):
+        x = np.array([0.0, np.inf, -3.5, 1e300, 5e-324, np.nan, 7.999, -8.001])
+        got = geometry._i0e(x)
+        want = self.oracle(x)
+        assert np.isnan(got[5]) and np.isnan(want[5])
+        keep = ~np.isnan(want)
+        assert np.array_equal(_bits(got[keep]), _bits(want[keep]))
+
+    def test_padded_table(self):
+        assert geometry._I0E_TABLE.shape == (30, 2)
+        assert tuple(geometry._I0E_TABLE[:, 0]) == geometry._I0E_A
+        assert tuple(geometry._I0E_TABLE[:, 1]) == (0.0,) * 5 + geometry._I0E_B
 
 
 class TestSweptDensityAtOrigin:
