@@ -768,9 +768,17 @@ def enclosed_area(curve: PlaneCurve) -> float:
 # step leaves the node spacing uneven).
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)  # map to [0, 1]
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# 8-point Gauss-Legendre nodes and weights on [0, 1]: the floats of
+# 0.5 (x + 1) and 0.5 w for (x, w) = np.polynomial.legendre.leggauss(8),
+# written out so that importing the package does not load numpy.polynomial
+_GL_NODES = np.array([
+    0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
+    0.5917173212478248, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681,
+])
+_GL_WEIGHTS = np.array([
+    0.05061426814518853, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
+    0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.05061426814518853,
+])
 # Newton's parameter rows: tau times this column is the 8 Gauss nodes of
 # [0, tau], then tau * 1.0, which is tau exactly
 _NEWTON_ROWS = np.append(_GL_NODES, 1.0)[:, None]

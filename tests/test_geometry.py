@@ -744,6 +744,11 @@ class TestResampleOracle:
         assert got.shape == (target, 2)
         assert np.array_equal(got, _oracle_resample(curve.points, target))
 
+    def test_gauss_table_is_leggauss(self):
+        # geometry writes the table out; the oracle computes it
+        assert np.array_equal(geometry._GL_NODES, _GL_NODES)
+        assert np.array_equal(geometry._GL_WEIGHTS, _GL_WEIGHTS)
+
     @settings(max_examples=20, deadline=None)
     @given(star_curves(), st.sampled_from([256, 96, 384, 101]))
     def test_matches_oracle_on_star_curves(self, curve, target):
