@@ -61,7 +61,6 @@ singular point and singular-time bracket.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -347,21 +346,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
-# scratch memory of the Heun predictor, one workspace per thread
-_scratch = threading.local()
-
-
-def _predictor_workspace(n: int, closed: bool) -> StepWorkspace:
-    """A StepWorkspace for the Heun predictor at N nodes, kept from step
-    to step so that a Heun step allocates none.  It carries nothing from
-    one use to the next: _advance writes all its nodes, updates it and
-    reads the velocity before it returns, and no caller ever sees it."""
-    ws = getattr(_scratch, "predictor", None)
-    if ws is None or ws.n != n or ws.closed != closed:
-        ws = _scratch.predictor = StepWorkspace(np.zeros((n, 2)), closed)
-    return ws
-
-
 def _advance(
     pts: np.ndarray, closed: bool, vel: np.ndarray, dt: float, scheme: str, last
 ) -> np.ndarray:
@@ -376,8 +360,7 @@ def _advance(
         if not _all_finite(pred):
             st = last()
             raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
-        predictor = _predictor_workspace(pred.shape[1], closed)
-        predictor.nodes[...] = pred
+        predictor = StepWorkspace.scratch("predictor", pred.T, closed)
         predictor.update()
         new_pts = pts + 0.5 * dt * (vel + predictor.velocity)
     if not _all_finite(new_pts):

@@ -27,7 +27,8 @@ is computed once per step by a :class:`StepWorkspace`, a persistent set
 of preallocated arrays that the flow loop keeps its nodes in from step to
 step.  :func:`curve_terms`, :func:`compute_frame` (closed curves) and
 :func:`enclosed_area` are one-shot uses of a workspace, so each quantity
-has one definition.
+has one definition; they reuse a scratch workspace kept per thread
+(:meth:`StepWorkspace.scratch`) and return copies.
 
 The workspace holds the nodes as a (2, N) array, x and y as contiguous
 rows, inside one buffer padded by two periodic samples per row end.  At
@@ -39,8 +40,9 @@ step, and the eight extrema a step needs come from two batched
 reductions.  An (N, 2) array would make each component a strided column
 view and each extremum its own reduction.
 
-Aliasing rule: the workspace's arrays are overwritten by its next update,
-so they are valid only until then; a caller that keeps one copies it.
+Aliasing rule: the workspace's arrays are overwritten by its next update
+(for a scratch workspace, by the next use of its name), so they are valid
+only until then; a caller that keeps one copies it.
 :meth:`StepWorkspace.terms` and :meth:`StepWorkspace.frame` return
 copies, in the (N, 2) layout of :class:`PlaneCurve`.
 
@@ -65,6 +67,7 @@ the same Chebyshev tables and Clenshaw recurrence, so it equals
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -443,6 +446,21 @@ class StepWorkspace:
             buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
         )
 
+    @classmethod
+    def scratch(cls, name: str, points: np.ndarray, closed: bool = True) -> StepWorkspace:
+        """A workspace holding ``points`` (N, 2), kept in this thread under
+        ``name`` and reused by the next call with that name, node count and
+        closure, so that a one-shot use allocates nothing.  Its arrays are
+        valid only until that next call: a caller reads what it needs, or
+        copies it, before it lets anything else use ``name``."""
+        ws = getattr(_scratch, name, None)
+        if ws is None or ws.n != len(points) or ws.closed != closed:
+            ws = cls(points, closed)
+            setattr(_scratch, name, ws)
+        else:
+            ws.nodes[...] = points.T
+        return ws
+
     def points(self) -> np.ndarray:
         """The nodes as a new (N, 2) array."""
         return np.ascontiguousarray(self.nodes.T)
@@ -572,35 +590,31 @@ class StepWorkspace:
         (x, y), (d1x, d1y) = self.nodes, self.d1
         return _closed_area(x, y, d1x, d1y, self.h)
 
-    def frame(self, copy: bool = True) -> FrameData:
-        """The frame as (N, 2) and length-N arrays: copies, or with
-        ``copy=False`` views of the workspace, for a caller that drops it."""
-        take = np.ndarray.copy if copy else _same
-        weight = self.speed * self.h if self._weight is None else take(self._weight)
+    def frame(self) -> FrameData:
+        """The frame, in (N, 2) and length-N arrays of its own."""
+        weight = self.speed * self.h if self._weight is None else self._weight.copy()
         return FrameData(
-            tangent=take(self.tangent.T),
-            normal=take(self.normal.T),
-            curvature=take(self.curvature),
+            tangent=self.tangent.T.copy(),
+            normal=self.normal.T.copy(),
+            curvature=self.curvature.copy(),
             weight=weight,
         )
 
-    def terms(self, copy: bool = True) -> CurveTerms:
-        """A CurveTerms of the last update, with arrays as :meth:`frame`."""
-        take = np.ndarray.copy if copy else _same
+    def terms(self) -> CurveTerms:
+        """A CurveTerms of the last update, with arrays of its own."""
         terms = CurveTerms()
-        terms.points, terms.closed = self.points(), self.closed
-        terms.frame = self.frame(copy)
+        terms.points, terms.closed, terms.frame = self.points(), self.closed, self.frame()
         terms.spacing, terms.r2_min = self.spacing, self.r2_min
-        terms.r2, terms.dots = take(self.r2), take(self.dots)
-        terms.velocity = take(self.velocity.T)
+        terms.r2, terms.dots = self.r2.copy(), self.dots.copy()
+        terms.velocity = self.velocity.T.copy()
         terms._cap, terms._kmax = self._cap, self._kmax
-        terms._d1 = take(self.d1.T) if self.closed else None
+        terms._d1 = self.d1.T.copy() if self.closed else None
         terms._h = self.h
         return terms
 
 
-def _same(a: np.ndarray) -> np.ndarray:
-    return a
+# the scratch workspaces of StepWorkspace.scratch, per thread
+_scratch = threading.local()
 
 
 def _diameter_bound(r2_max: float) -> float:
@@ -614,9 +628,9 @@ def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     """Per-step geometry of the curve through ``points`` (an (N, 2) float64
     array), by one update of a :class:`StepWorkspace`, whose guards it
     raises."""
-    ws = StepWorkspace(points, closed)
+    ws = StepWorkspace.scratch("one-shot", points, closed)
     ws.update()
-    return ws.terms(copy=False)
+    return ws.terms()
 
 
 def compute_frame(curve: PlaneCurve) -> FrameData:
@@ -630,9 +644,9 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     """
     pts = curve.points
     if curve.closed:
-        ws = StepWorkspace(pts)
+        ws = StepWorkspace.scratch("one-shot", pts)
         ws._frame_closed()
-        return ws.frame(copy=False)
+        return ws.frame()
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
@@ -754,7 +768,7 @@ def enclosed_area(curve: PlaneCurve) -> float:
     """
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
-    ws = StepWorkspace(curve.points)
+    ws = StepWorkspace.scratch("one-shot", curve.points)
     ws._frame_closed()
     return ws.area()
 

@@ -1,5 +1,7 @@
 """Curve container, frames, quadrature, resampling."""
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -615,6 +617,49 @@ class TestWorkspaceLoopOracle:
         assert last.t == want[steps][1]
         if name == "ellipse":
             assert redistributions > 0
+
+
+class TestScratchWorkspace:
+    """The one-shot functions reuse a scratch workspace per thread and
+    return copies: nothing they return changes with the next call."""
+
+    def test_results_survive_the_next_call(self):
+        a, b = ellipse(128), perturbed_star(128)
+        frame, terms = compute_frame(a), curve_terms(a.points)
+        want = {k: np.copy(getattr(frame, k)) for k in ("tangent", "normal", "curvature", "weight")}
+        velocity, dots = terms.velocity.copy(), terms.dots.copy()
+        compute_frame(b)
+        curve_terms(b.points)
+        enclosed_area(b)
+        for k, v in want.items():
+            assert np.array_equal(getattr(frame, k), v), k
+        assert np.array_equal(terms.velocity, velocity) and np.array_equal(terms.dots, dots)
+        assert terms.area() == enclosed_area(a)
+
+    def test_threads_do_not_share_it(self):
+        curves = [ellipse(128, a=2.0 + k) for k in range(4)]
+        want = [compute_frame(c).curvature for c in curves]
+        barrier = threading.Barrier(len(curves))
+        bad = []
+
+        def work(k):
+            barrier.wait(timeout=30)
+            for _ in range(200):
+                if not np.array_equal(compute_frame(curves[k]).curvature, want[k]):
+                    bad.append(k)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(curves))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
 
 
 def _exact_guards(pts, closed):
