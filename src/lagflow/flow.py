@@ -61,6 +61,7 @@ singular point and singular-time bracket.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -341,9 +342,19 @@ def stability_dt(curve: PlaneCurve, safety: float) -> float:
     return curve_terms(curve.points, curve.closed).stable_dt(safety)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    # the reduction a.all() makes, without its wrapper
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+# the Heun predictor's workspace, per thread (see _predictor_workspace)
+_predictor = threading.local()
+
+
+def _predictor_workspace(n: int, closed: bool) -> StepWorkspace:
+    """A StepWorkspace for the Heun predictor at N nodes, kept from step
+    to step so that a Heun step allocates none.  It carries nothing from
+    one use to the next: _advance writes all its nodes, updates it and
+    reads the velocity before it returns, and no caller ever sees it."""
+    ws = getattr(_predictor, "workspace", None)
+    if ws is None or ws.n != n or ws.closed != closed:
+        ws = _predictor.workspace = StepWorkspace(np.zeros((n, 2)), closed)
+    return ws
 
 
 def _advance(
@@ -357,13 +368,14 @@ def _advance(
         new_pts = pts + dt * vel
     else:  # heun
         pred = pts + dt * vel
-        if not _all_finite(pred):
+        if not np.isfinite(pred).all():
             st = last()
             raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
-        predictor = StepWorkspace.scratch("predictor", pred.T, closed)
+        predictor = _predictor_workspace(pred.shape[1], closed)
+        predictor.nodes[...] = pred
         predictor.update()
         new_pts = pts + 0.5 * dt * (vel + predictor.velocity)
-    if not _all_finite(new_pts):
+    if not np.isfinite(new_pts).all():
         st = last()
         raise IntegrationError(f"non-finite node positions at t={st.t:.6g}", last_state=st)
     return new_pts
@@ -878,7 +890,7 @@ def radial_evolve(
             break
         dt = clock.shorten(t, dt_auto)
         stepped = r + dt * rhs
-        if not _all_finite(stepped):
+        if not np.all(np.isfinite(stepped)):
             raise IntegrationError(
                 f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(r, t)
             )

@@ -26,23 +26,24 @@ and origin guards, frame, |x|^2, <x, n>, the velocity and the stable step)
 is computed once per step by a :class:`StepWorkspace`, a persistent set
 of preallocated arrays that the flow loop keeps its nodes in from step to
 step.  :func:`curve_terms`, :func:`compute_frame` (closed curves) and
-:func:`enclosed_area` are one-shot uses of a workspace, so each quantity
-has one definition; they reuse a scratch workspace kept per thread
-(:meth:`StepWorkspace.scratch`) and return copies.
+:func:`enclosed_area` build a new workspace per call and return copies,
+so each quantity has one definition.  Its derived step quantities
+(stable step, min |x|, max |kappa|, area) are defined once, for the
+workspace and its :class:`CurveTerms` snapshots alike.
 
 The workspace holds the nodes as a (2, N) array, x and y as contiguous
 rows, inside one buffer padded by two periodic samples per row end.  At
 the node counts of the flow (about 256) a step costs about one NumPy call
 per operation, whatever the arithmetic, so the layout decides the cost:
 the stencils run as single contiguous calls over the flat buffer, every
-per-component product is a contiguous row, no array is allocated per
-step, and the eight extrema a step needs come from two batched
+per-component product is a contiguous row (a product over both rows is
+one call on a (2, N) view), no array is allocated per step, and the
+eight extrema a step needs come from two batched
 reductions.  An (N, 2) array would make each component a strided column
 view and each extremum its own reduction.
 
-Aliasing rule: the workspace's arrays are overwritten by its next update
-(for a scratch workspace, by the next use of its name), so they are valid
-only until then; a caller that keeps one copies it.
+Aliasing rule: the workspace's arrays are overwritten by its next update,
+so they are valid only until then; a caller that keeps one copies it.
 :meth:`StepWorkspace.terms` and :meth:`StepWorkspace.frame` return
 copies, in the (N, 2) layout of :class:`PlaneCurve`.
 
@@ -55,9 +56,12 @@ ORIGIN_GUARD_FACTOR).  A guard is first tested against an upper bound on
 the diameter, and the exact diameter is computed only when the bound
 test fails; since the bound is never below the diameter, each guard
 fires on exactly the inputs, and with the message, of the exact test.
-The workspace takes 8 max|x| as the bound (the diameter is at most
-4 max|x|, and |x|^2 is computed anyway), so a step away from both guards
-never computes the diameter.
+A step takes 8 max|x| as the bound (the diameter is at most 4 max|x|,
+and |x|^2 is computed anyway), so a step away from both guards never
+computes the diameter.  :func:`compute_frame` and :func:`enclosed_area`
+test the exact diameter, taken from coordinates centred on the node
+centroid, and never square the raw coordinates, so a small curve far
+from the origin does not overflow there.
 
 The Gaussian density's Bessel factor, the exponentially scaled modified
 Bessel function I0e, is a NumPy port of Cephes ``i0e`` (:func:`_i0e`):
@@ -67,7 +71,6 @@ the same Chebyshev tables and Clenshaw recurrence, so it equals
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,16 +171,11 @@ class FrameData:
     weight: np.ndarray
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[:, 0] v[:, 0] + u[:, 1] v[:, 1] per row of two (N, 2) arrays, as
-    one product and one column add (the same operations per element)."""
-    prod = u * v
-    return prod[:, 0] + prod[:, 1]
-
-
 def _squared_norms(v: np.ndarray) -> np.ndarray:
-    # bit-identical to np.linalg.norm(v, axis=1) ** 2 before its sqrt
-    return _row_dots(v, v)
+    # bit-identical to np.linalg.norm(v, axis=1) ** 2 before its sqrt: one
+    # product and one column add, the same operations per element
+    prod = v * v
+    return prod[:, 0] + prod[:, 1]
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -361,20 +359,15 @@ def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
     return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
 
 
-class CurveTerms:
-    """The geometry of one curve as a flow step needs it: frame, smallest
-    arclength spacing h (the smallest weight on a closed curve, taken as
-    min |gamma'| times the index step; the smallest within-piece chord on
-    an open one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n>
-    (``dots``), the flow velocity kappa n - <x, n> n / |x|^2, the stable
-    step, min |x|, max |kappa| and, on closed curves, the enclosed area.
-    A snapshot of a :class:`StepWorkspace`, with (N, 2) arrays that it
-    owns; build one with :func:`curve_terms`."""
+class _StepScalars:
+    """The quantities a flow step derives from one workspace update, for
+    :class:`StepWorkspace` and its :class:`CurveTerms` snapshots alike:
+    each has this one definition.  Reads ``closed``, ``r2_min``, the step
+    cap ``_cap`` (the stable step over safety), ``_kmax`` (max |kappa|),
+    the index step ``_h`` and ``_rows``, the (2, N) node and first
+    derivative rows."""
 
-    __slots__ = (
-        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity",
-        "_cap", "_kmax", "_d1", "_h",
-    )
+    __slots__ = ()
 
     def stable_dt(self, safety: float) -> float:
         """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
@@ -389,11 +382,27 @@ class CurveTerms:
     def area(self) -> float:
         if not self.closed:
             raise CurveConfigError("enclosed area requires a closed curve")
-        pts, d1 = self.points, self._d1
-        return _closed_area(pts[:, 0], pts[:, 1], d1[:, 0], d1[:, 1], self._h)
+        (x, y), (d1x, d1y) = self._rows
+        return 0.5 * float(np.sum(x * d1y - y * d1x) * self._h)
 
 
-class StepWorkspace:
+class CurveTerms(_StepScalars):
+    """The geometry of one curve as a flow step needs it: frame, smallest
+    arclength spacing h (the smallest weight on a closed curve, taken as
+    min |gamma'| times the index step; the smallest within-piece chord on
+    an open one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n>
+    (``dots``), the flow velocity kappa n - <x, n> n / |x|^2, the stable
+    step, min |x|, max |kappa| and, on closed curves, the enclosed area.
+    A snapshot of a :class:`StepWorkspace`, with (N, 2) arrays that it
+    owns; build one with :func:`curve_terms`."""
+
+    __slots__ = (
+        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity",
+        "_cap", "_kmax", "_h", "_rows",
+    )
+
+
+class StepWorkspace(_StepScalars):
     """Per-step geometry of a curve with a fixed node count, computed in
     preallocated arrays (see the module docstring for the layout and the
     aliasing rule): the one code that computes the degeneracy and origin
@@ -405,106 +414,95 @@ class StepWorkspace:
     nodes: ``tangent``, ``normal``, ``velocity`` and ``d1`` as (2, N) rows;
     ``curvature``, ``r2``, ``dots`` and ``speed`` as length-N arrays; the
     smallest arclength spacing ``spacing``, ``r2_min`` and the largest
-    arclength weight ``max_weight``; and the methods below.  The comments
-    give each result as the expression whose float it is.  Open curves
-    take their frame from :func:`_open_frame` and share the rest.
+    arclength weight ``max_weight``; and the methods of the step scalars.
+    The comments give each result as the expression whose float it is.
+    Open curves take their frame from :func:`_open_frame` and share the
+    rest.
     """
 
     def __init__(self, points: np.ndarray, closed: bool = True):
         n = len(points)
-        self.n, self.closed, self.h = n, closed, 2.0 * np.pi / n
+        self.n, self.closed, self._h = n, closed, 2.0 * np.pi / n
         # three blocks: the padded nodes, d1, d2 and a work array; the
         # (2, N) rows; the length-N arrays, which the extrema reduce as
-        # rows [chord^2, |x|^2, speed] and [|<x, n>|, |kappa|, |v|^2]
+        # rows [|x|^2, chord^2, speed] and [|<x, n>|, |kappa|, |v|^2]
         padded = np.empty((4, 2, n + 4))
         rows = np.empty((4, 2, n))
         lines = np.empty((8, n))
-        buf, d1p, d2p, work = padded[0], padded[1], padded[2], padded[3]
+        buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
         self.nodes[...] = points.T
-        self.d1 = d1p[:, :n]
-        self.tangent, self.normal, self.velocity, self._sq = rows[0], rows[1], rows[2], rows[3]
+        self.d1, self._d2 = d1p[:, :n], d2p[:, :n]
+        self._rows = (self.nodes, self.d1)
+        self.tangent, self.normal, self.velocity, self._sq = rows
         self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
-        self._chord2, self.r2, self.speed = lines[0], lines[1], lines[2]
-        self.dots, self.curvature = lines[3], lines[4]
+        self.r2, self._chord2, self.speed, self.dots, self.curvature = lines[:5]
         self._weight = None
-        # Flat, a padded array is one contiguous run.  A value at flat
-        # index i of a stencil's output belongs to the buffer sample at
-        # i + 2, so node j of row r lands at [r, j]; the columns N..N+3 of
-        # an output mix the two rows and are never read.
-        flat, work_flat = buf.reshape(-1), work.reshape(-1)
-        m = len(flat) - 4
-        self._stencil_in = flat
-        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m])
+        # Flat, a padded array is one contiguous run, which the stencils
+        # take in one call each.  A value at flat index i of a stencil's
+        # output belongs to the buffer sample at i + 2, so node j of row r
+        # lands at [r, j]; the columns N..N+3 of an output mix the two
+        # rows and are never read, nor squared.
+        m = 2 * (n + 4) - 4
+        self._flat = buf.reshape(-1)
+        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work.reshape(-1)[:m])
         self._pads = ((buf[:, :2], buf[:, n : n + 2]), (buf[:, n + 2 :], buf[:, 2:4]))
-        self._chords = (flat[3:], flat[2:-1], work_flat[: m + 1])
-        self._work_flat = work_flat
-        # the rows of work at the nodes' columns, unpadded and padded
+        self._chord_ends = (buf[:, 3 : n + 3], buf[:, 2 : n + 2])
+        # work at the nodes' columns: unpadded, and as its two rows
+        self._work = work[:, :n]
         self._work_rows = (work[0, :n], work[1, :n])
-        self._work_node_rows = (work[0, 2 : n + 2], work[1, 2 : n + 2])
-        self._row_views = (
-            buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
-        )
-
-    @classmethod
-    def scratch(cls, name: str, points: np.ndarray, closed: bool = True) -> StepWorkspace:
-        """A workspace holding ``points`` (N, 2), kept in this thread under
-        ``name`` and reused by the next call with that name, node count and
-        closure, so that a one-shot use allocates nothing.  Its arrays are
-        valid only until that next call: a caller reads what it needs, or
-        copies it, before it lets anything else use ``name``."""
-        ws = getattr(_scratch, name, None)
-        if ws is None or ws.n != len(points) or ws.closed != closed:
-            ws = cls(points, closed)
-            setattr(_scratch, name, ws)
-        else:
-            ws.nodes[...] = points.T
-        return ws
 
     def points(self) -> np.ndarray:
         """The nodes as a new (N, 2) array."""
         return np.ascontiguousarray(self.nodes.T)
 
-    def _frame_closed(self) -> tuple[float, float]:
-        """Spacing guard, frame, |x|^2 and vanishing-speed guard of a
-        closed curve.  Returns the bound 8 max|x| on the diameter that the
-        guards use, and min |x|^2."""
+    def _frame_closed(self, diameter: float | None = None) -> tuple[float, float | None]:
+        """Spacing guard, frame and vanishing-speed guard of a closed curve,
+        and |x|^2 unless its exact ``diameter`` is given.  The guards test
+        ``diameter``, or else the bound 8 max|x| on it; returns the value
+        they tested and min |x|^2 (None when ``diameter`` is given, where
+        the curve's coordinates are never squared)."""
         (lo_dst, lo_src), (hi_dst, hi_src) = self._pads
         np.copyto(lo_dst, lo_src)
         np.copyto(hi_dst, hi_src)
-        flat, work_flat, speed = self._stencil_in, self._work_flat, self.speed
+        flat, work, speed, spread = self._flat, self._work, self.speed, self._spread
         w0, w1 = self._work_rows
-        # |x|^2 = x x + y y
-        np.multiply(flat, flat, work_flat)
-        np.add(*self._work_node_rows, self.r2)
+        if diameter is None:
+            # |x|^2 = x x + y y
+            np.multiply(self.nodes, self.nodes, work)
+            np.add(w0, w1, self.r2)
+        else:
+            spread = spread[1:]
         # chord^2 = |f_{i+1} - f_i|^2
-        fwd, here, chords = self._chords
-        np.subtract(fwd, here, chords)
-        np.multiply(chords, chords, chords)
+        np.subtract(*self._chord_ends, work)
+        np.multiply(work, work, work)
         np.add(w0, w1, self._chord2)
-        d1_flat, _ = periodic_derivatives(flat, self.h, self._stencil_out)
+        periodic_derivatives(flat, self._h, self._stencil_out)
         # speed = sqrt(d1x d1x + d1y d1y)
-        np.multiply(d1_flat, d1_flat, self._stencil_out[2])
+        np.multiply(self.d1, self.d1, work)
         np.add(w0, w1, speed)
         np.sqrt(speed, speed)
-        spread = self._spread
-        chord2_min, r2_min, speed_min = np.minimum.reduce(spread, 1).tolist()
-        _, r2_max, speed_max = np.maximum.reduce(spread, 1).tolist()
-        bound = _diameter_bound(r2_max)
+        lows = np.minimum.reduce(spread, 1).tolist()
+        highs = np.maximum.reduce(spread, 1).tolist()
+        chord2_min, speed_min, speed_max = lows[-2], lows[-1], highs[-1]
+        if diameter is None:
+            r2_min, bound = lows[0], _diameter_bound(highs[0])
+        else:
+            r2_min, bound = None, diameter
         min_chord = math.sqrt(chord2_min)
         if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
             _check_spacing(min_chord, _diameter(self.points()))
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
-        _, _, d1x, d1y, d2x, d2y = self._row_views
+        (d1x, d1y), (d2x, d2y) = self.d1, self._d2
         (tx, ty), (nx, ny), kappa = self.tangent, self.normal, self.curvature
         # tangent = d1 / speed
         np.divide(d1x, speed, tx)
         np.divide(d1y, speed, ty)
         # rounding is monotone, so min(speed) h and max(speed) h are the
         # smallest and largest weights exactly
-        self.spacing = speed_min * self.h
-        self.max_weight = speed_max * self.h
+        self.spacing = speed_min * self._h
+        self.max_weight = speed_max * self._h
         # curvature = (d1x d2y - d1y d2x) / speed**3; speed**3 is pow,
         # which can differ from speed * speed * speed in the last bit
         np.multiply(d1x, d2y, kappa)
@@ -544,8 +542,7 @@ class StepWorkspace:
         if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
             _check_origin(r2_min, _diameter(self.points()))
         self.r2_min = r2_min
-        x, y = self._row_views[:2]
-        (nx, ny), (vx, vy), (sq0, sq1) = self.normal, self.velocity, self._sq
+        (x, y), (nx, ny), (vx, vy), (sq0, sq1) = self.nodes, self.normal, self.velocity, self._sq
         dots, kappa, r2 = self.dots, self.curvature, self.r2
         # <x, n> = x nx + y ny
         np.multiply(x, nx, dots)
@@ -574,25 +571,9 @@ class StepWorkspace:
             cap = min(cap, h / (2.0 * vmax))
         self._cap = cap
 
-    def stable_dt(self, safety: float) -> float:
-        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
-        return safety * self._cap
-
-    def min_radius(self) -> float:
-        return math.sqrt(self.r2_min)
-
-    def max_curvature(self) -> float:
-        return self._kmax
-
-    def area(self) -> float:
-        if not self.closed:
-            raise CurveConfigError("enclosed area requires a closed curve")
-        (x, y), (d1x, d1y) = self.nodes, self.d1
-        return _closed_area(x, y, d1x, d1y, self.h)
-
     def frame(self) -> FrameData:
         """The frame, in (N, 2) and length-N arrays of its own."""
-        weight = self.speed * self.h if self._weight is None else self._weight.copy()
+        weight = self.speed * self._h if self._weight is None else self._weight.copy()
         return FrameData(
             tangent=self.tangent.T.copy(),
             normal=self.normal.T.copy(),
@@ -607,14 +588,9 @@ class StepWorkspace:
         terms.spacing, terms.r2_min = self.spacing, self.r2_min
         terms.r2, terms.dots = self.r2.copy(), self.dots.copy()
         terms.velocity = self.velocity.T.copy()
-        terms._cap, terms._kmax = self._cap, self._kmax
-        terms._d1 = self.d1.T.copy() if self.closed else None
-        terms._h = self.h
+        terms._cap, terms._kmax, terms._h = self._cap, self._kmax, self._h
+        terms._rows = (terms.points.T, self.d1.copy()) if self.closed else None
         return terms
-
-
-# the scratch workspaces of StepWorkspace.scratch, per thread
-_scratch = threading.local()
 
 
 def _diameter_bound(r2_max: float) -> float:
@@ -626,9 +602,9 @@ def _diameter_bound(r2_max: float) -> float:
 
 def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
     """Per-step geometry of the curve through ``points`` (an (N, 2) float64
-    array), by one update of a :class:`StepWorkspace`, whose guards it
+    array), by one update of a new :class:`StepWorkspace`, whose guards it
     raises."""
-    ws = StepWorkspace.scratch("one-shot", points, closed)
+    ws = StepWorkspace(points, closed)
     ws.update()
     return ws.terms()
 
@@ -637,15 +613,16 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     """Tangent, normal, signed curvature and arclength weight per node.
 
     Closed curves use 4th-order periodic central differences in the index
-    parameter (the frame of one :class:`StepWorkspace` update, without its
-    origin guard).  Open curves are differentiated per component with
+    parameter (the frame of a :class:`StepWorkspace`, with its spacing and
+    speed guards tested against the exact diameter, and without the origin
+    guard).  Open curves are differentiated per component with
     ``np.gradient`` (one-sided at component ends) and weighted by chord
     trapezoids, which is exact on the straight-line fixtures.
     """
     pts = curve.points
     if curve.closed:
-        ws = StepWorkspace.scratch("one-shot", pts)
-        ws._frame_closed()
+        ws = StepWorkspace(pts)
+        ws._frame_closed(curve.diameter)
         return ws.frame()
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
@@ -688,10 +665,11 @@ _I0E_B = (
 _I0E_TABLE = np.array([_I0E_A, (0.0,) * 5 + _I0E_B]).T
 
 
-def _chbevl(x: np.ndarray, coeffs) -> np.ndarray:
+def _chbevl(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Cephes chbevl: the Chebyshev series ``coeffs`` at x by Clenshaw's
     recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order.
-    Each coefficient is a float or an array of one per element of x."""
+    Row k of ``coeffs`` holds the k-th coefficient of each element's
+    series, shaped like x."""
     b0 = np.full_like(x, coeffs[0])
     b1 = np.zeros_like(x)
     b2 = np.empty_like(x)
@@ -711,21 +689,14 @@ def _i0e(x) -> np.ndarray:
     of order 0, per element of the float64 array x (Cephes ``i0e``): the
     series in x/2 - 2 up to |x| = 8 and in 32/|x| - 2 beyond, divided by
     sqrt|x| there, in one Clenshaw pass that takes each element's
-    coefficients from its column of _I0E_TABLE (or from one series'
-    table of floats when every element takes the same branch)."""
+    coefficients from its branch's column of _I0E_TABLE."""
     x = np.abs(np.asarray(x, dtype=np.float64))
     large = ~(x <= 8.0)  # also nan, which stays nan
     arg = x / 2.0
     # only where x > 8, so 32/x never divides by zero
     np.divide(32.0, x, out=arg, where=large)
     arg -= 2.0
-    if large.all():
-        coeffs = _I0E_B
-    elif large.any():
-        coeffs = _I0E_TABLE[:, large.astype(np.intp)]
-    else:
-        coeffs = _I0E_A
-    out = _chbevl(arg, coeffs)
+    out = _chbevl(arg, _I0E_TABLE[:, large.astype(np.intp)])
     np.divide(out, np.sqrt(x), out=out, where=large)
     return out
 
@@ -754,11 +725,6 @@ def swept_gaussian_density(
     return float(np.sum(weight * r * kernel) / (4.0 * tau))
 
 
-def _closed_area(x: np.ndarray, y: np.ndarray, d1x: np.ndarray, d1y: np.ndarray, h: float) -> float:
-    # add.reduce is the sum np.sum takes, without its wrapper
-    return 0.5 * float(np.add.reduce(x * d1y - y * d1x) * h)
-
-
 def enclosed_area(curve: PlaneCurve) -> float:
     """Signed enclosed area, 0.5 * loop integral of (x dy - y dx).
 
@@ -768,8 +734,8 @@ def enclosed_area(curve: PlaneCurve) -> float:
     """
     if not curve.closed:
         raise CurveConfigError("enclosed area requires a closed curve")
-    ws = StepWorkspace.scratch("one-shot", curve.points)
-    ws._frame_closed()
+    ws = StepWorkspace(curve.points)
+    ws._frame_closed(curve.diameter)
     return ws.area()
 
 
@@ -782,17 +748,9 @@ def enclosed_area(curve: PlaneCurve) -> float:
 # step leaves the node spacing uneven).
 # ---------------------------------------------------------------------------
 
-# 8-point Gauss-Legendre nodes and weights on [0, 1]: the floats of
-# 0.5 (x + 1) and 0.5 w for (x, w) = np.polynomial.legendre.leggauss(8),
-# written out so that importing the package does not load numpy.polynomial
-_GL_NODES = np.array([
-    0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
-    0.5917173212478248, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681,
-])
-_GL_WEIGHTS = np.array([
-    0.05061426814518853, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
-    0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.05061426814518853,
-])
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)  # map to [0, 1]
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # Newton's parameter rows: tau times this column is the 8 Gauss nodes of
 # [0, tau], then tau * 1.0, which is tau exactly
 _NEWTON_ROWS = np.append(_GL_NODES, 1.0)[:, None]

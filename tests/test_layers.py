@@ -84,20 +84,6 @@ def test_cli_import_loads_no_scipy():
     assert json.loads(out.stdout) == []
 
 
-def test_cli_import_loads_no_numpy_polynomial():
-    # every fresh CLI process pays for what lagflow imports; the Gauss
-    # table of resample is written out instead of computed by leggauss
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import lagflow.cli; "
-        "print('numpy.polynomial' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(SRC.parent)],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
-
-
 def test_geometry_is_a_leaf():
     assert lagflow_imports("geometry") == set()
 
