@@ -432,25 +432,32 @@ class StepWorkspace(_StepScalars):
         buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
         self.nodes[...] = points.T
-        self.d1, self._d2 = d1p[:, :n], d2p[:, :n]
+        self.d1 = d1p[:, :n]
+        # the rows x, y, d1x, d1y, d2x, d2y, made once: a view costs
+        # about what a small ufunc call does
+        self._row_views = (
+            buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
+        )
         self._rows = (self.nodes, self.d1)
         self.tangent, self.normal, self.velocity, self._sq = rows
         self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
         self.r2, self._chord2, self.speed, self.dots, self.curvature = lines[:5]
         self._weight = None
         # Flat, a padded array is one contiguous run, which the stencils
-        # take in one call each.  A value at flat index i of a stencil's
-        # output belongs to the buffer sample at i + 2, so node j of row r
-        # lands at [r, j]; the columns N..N+3 of an output mix the two
-        # rows and are never read, nor squared.
-        m = 2 * (n + 4) - 4
-        self._flat = buf.reshape(-1)
-        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work.reshape(-1)[:m])
+        # and differences take in one call each.  A value at flat index i
+        # of a stencil's output belongs to the buffer sample at i + 2, so
+        # node j of row r lands at [r, j]; the columns N..N+3 of an output
+        # mix the two rows and are never read, nor squared: their values
+        # scale with the coordinates, not with the curve's size.
+        flat, work_flat = buf.reshape(-1), work.reshape(-1)
+        m = len(flat) - 4
+        self._flat, self._work_flat = flat, work_flat
+        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m])
         self._pads = ((buf[:, :2], buf[:, n : n + 2]), (buf[:, n + 2 :], buf[:, 2:4]))
-        self._chord_ends = (buf[:, 3 : n + 3], buf[:, 2 : n + 2])
-        # work at the nodes' columns: unpadded, and as its two rows
-        self._work = work[:, :n]
+        self._chords = (flat[3:], flat[2:-1], work_flat[: m + 1])
+        # the rows of work at the nodes' columns, unpadded and padded
         self._work_rows = (work[0, :n], work[1, :n])
+        self._work_node_rows = (work[0, 2 : n + 2], work[1, 2 : n + 2])
 
     def points(self) -> np.ndarray:
         """The nodes as a new (N, 2) array."""
@@ -465,21 +472,26 @@ class StepWorkspace(_StepScalars):
         (lo_dst, lo_src), (hi_dst, hi_src) = self._pads
         np.copyto(lo_dst, lo_src)
         np.copyto(hi_dst, hi_src)
-        flat, work, speed, spread = self._flat, self._work, self.speed, self._spread
+        flat, speed, spread = self._flat, self.speed, self._spread
         w0, w1 = self._work_rows
         if diameter is None:
-            # |x|^2 = x x + y y
-            np.multiply(self.nodes, self.nodes, work)
-            np.add(w0, w1, self.r2)
+            # |x|^2 = x x + y y; the buffer holds only the nodes and their
+            # periodic copies, so its flat square overflows only with |x|^2
+            np.multiply(flat, flat, self._work_flat)
+            np.add(*self._work_node_rows, self.r2)
         else:
             spread = spread[1:]
-        # chord^2 = |f_{i+1} - f_i|^2
-        np.subtract(*self._chord_ends, work)
-        np.multiply(work, work, work)
+        # chord^2 = |f_{i+1} - f_i|^2, squared a row at a time
+        fwd, here, chords = self._chords
+        np.subtract(fwd, here, chords)
+        np.multiply(w0, w0, w0)
+        np.multiply(w1, w1, w1)
         np.add(w0, w1, self._chord2)
         periodic_derivatives(flat, self._h, self._stencil_out)
         # speed = sqrt(d1x d1x + d1y d1y)
-        np.multiply(self.d1, self.d1, work)
+        _, _, d1x, d1y, d2x, d2y = self._row_views
+        np.multiply(d1x, d1x, w0)
+        np.multiply(d1y, d1y, w1)
         np.add(w0, w1, speed)
         np.sqrt(speed, speed)
         lows = np.minimum.reduce(spread, 1).tolist()
@@ -494,7 +506,6 @@ class StepWorkspace(_StepScalars):
             _check_spacing(min_chord, _diameter(self.points()))
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
-        (d1x, d1y), (d2x, d2y) = self.d1, self._d2
         (tx, ty), (nx, ny), kappa = self.tangent, self.normal, self.curvature
         # tangent = d1 / speed
         np.divide(d1x, speed, tx)
@@ -542,7 +553,8 @@ class StepWorkspace(_StepScalars):
         if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
             _check_origin(r2_min, _diameter(self.points()))
         self.r2_min = r2_min
-        (x, y), (nx, ny), (vx, vy), (sq0, sq1) = self.nodes, self.normal, self.velocity, self._sq
+        x, y = self._row_views[:2]
+        (nx, ny), (vx, vy), (sq0, sq1) = self.normal, self.velocity, self._sq
         dots, kappa, r2 = self.dots, self.curvature, self.r2
         # <x, n> = x nx + y ny
         np.multiply(x, nx, dots)

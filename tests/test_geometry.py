@@ -617,21 +617,24 @@ class TestWorkspaceLoopOracle:
             assert redistributions > 0
 
 
-class TestOneShotResults:
-    """curve_terms, compute_frame and enclosed_area work in a workspace of
-    their own and return copies."""
+class TestWorkspaceResults:
+    """What a workspace hands out is a copy; its one-shot uses square no
+    coordinates that they do not need."""
 
-    def test_results_survive_the_next_call(self):
+    def test_snapshots_survive_the_next_update(self):
         a, b = ellipse(128), perturbed_star(128)
-        frame, terms = compute_frame(a), curve_terms(a.points)
-        want = {k: np.copy(getattr(frame, k)) for k in ("tangent", "normal", "curvature", "weight")}
-        velocity, dots = terms.velocity.copy(), terms.dots.copy()
-        compute_frame(b)
-        curve_terms(b.points)
-        enclosed_area(b)
-        for k, v in want.items():
-            assert np.array_equal(getattr(frame, k), v), k
-        assert np.array_equal(terms.velocity, velocity) and np.array_equal(terms.dots, dots)
+        ws = geometry.StepWorkspace(a.points)
+        ws.update()
+        terms, frame = ws.terms(), ws.frame()
+        kept = {k: np.copy(getattr(frame, k)) for k in ("tangent", "normal", "curvature", "weight")}
+        kept.update(velocity=terms.velocity.copy(), dots=terms.dots.copy(), r2=terms.r2.copy())
+        ws.nodes[...] = b.points.T
+        ws.update()
+        for k in ("tangent", "normal", "curvature", "weight"):
+            assert np.array_equal(getattr(frame, k), kept[k]), k
+        for k in ("velocity", "dots", "r2"):
+            assert np.array_equal(getattr(terms, k), kept[k]), k
+        assert np.array_equal(terms.points, a.points)
         assert terms.area() == enclosed_area(a)
 
     @pytest.mark.parametrize("radius", [1.0, 1e145])
