@@ -35,12 +35,11 @@ The workspace holds the nodes as a (2, N) array, x and y as contiguous
 rows, inside one buffer padded by two periodic samples per row end.  At
 the node counts of the flow (about 256) a step costs about one NumPy call
 per operation, whatever the arithmetic, so the layout decides the cost:
-the stencils run as single contiguous calls over the flat buffer, every
-per-component product is a contiguous row (a product over both rows is
-one call on a (2, N) view), no array is allocated per step, and the
-eight extrema a step needs come from two batched
-reductions.  An (N, 2) array would make each component a strided column
-view and each extremum its own reduction.
+the stencils, the chord differences and |x|^2 run as single contiguous
+calls over the flat buffer, every per-component product is a contiguous
+row, no array is allocated per step, and the eight extrema a step needs
+come from two batched reductions.  An (N, 2) array would make each
+component a strided column view and each extremum its own reduction.
 
 Aliasing rule: the workspace's arrays are overwritten by its next update,
 so they are valid only until then; a caller that keeps one copies it.
