@@ -42,6 +42,7 @@ from .geometry import (
     chord_weights,
     compute_frame,
     curve_pieces,
+    pad_periodic,
     swept_gaussian_density,
 )
 from .lagrangian import lagrangian_angle
@@ -768,7 +769,7 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
                 continue
             cols = np.ascontiguousarray(radii[keep].T)
             resolved += cols.shape[1]
-            worst_rate = max(worst_rate, float(radial_velocity(cols)[0].max()))
+            worst_rate = max(worst_rate, float(radial_velocity(pad_periodic(cols))[0].max()))
             violation, passed = _quadrant_violation(cols)
             ok_q = ok_q and bool(passed.all())
             worst_q = max(worst_q, 0.0, float(violation.max()))

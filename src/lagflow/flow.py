@@ -57,11 +57,21 @@ The radial twin (:func:`radial_evolve`) runs the same flow over the polar
 angle under the same rules, each defined once: the record interval, the
 stepping clock, the origin-contact radius and the report with its
 singular point and singular-time bracket.
+
+Both integrators step in place, in arrays made once per run.  evolve
+keeps its nodes in a StepWorkspace, writes each step into a buffer of
+its own and copies it back once it is finite; a Heun step writes its
+predictor straight into the nodes of a second workspace, which computes
+only the predictor's guards and velocity, not its step scalars.  The
+radial twin keeps r in a buffer padded by two periodic samples per end
+(_RadialWorkspace): :func:`radial_velocity` writes dr/dt and r' through
+its ``out`` arrays, and one reduction over the rows [r, r r + r' r',
+-|dr/dt|] gives min r and both step caps.  Every step equals, bit for
+bit, the allocating form that the tests keep as their oracle.
 """
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -342,43 +352,53 @@ def stability_dt(curve: PlaneCurve, safety: float) -> float:
     return curve_terms(curve.points, curve.closed).stable_dt(safety)
 
 
-# the Heun predictor's workspace, per thread (see _predictor_workspace)
-_predictor = threading.local()
-
-
-def _predictor_workspace(n: int, closed: bool) -> StepWorkspace:
-    """A StepWorkspace for the Heun predictor at N nodes, kept from step
-    to step so that a Heun step allocates none.  It carries nothing from
-    one use to the next: _advance writes all its nodes, updates it and
-    reads the velocity before it returns, and no caller ever sees it."""
-    ws = getattr(_predictor, "workspace", None)
-    if ws is None or ws.n != n or ws.closed != closed:
-        ws = _predictor.workspace = StepWorkspace(np.zeros((n, 2)), closed)
-    return ws
-
-
 def _advance(
-    pts: np.ndarray, closed: bool, vel: np.ndarray, dt: float, scheme: str, last
+    pts: np.ndarray,
+    vel: np.ndarray,
+    dt: float,
+    last,
+    out: np.ndarray,
+    finite: np.ndarray,
+    predictor: StepWorkspace | None = None,
 ) -> np.ndarray:
-    """Nodes after one step of ``scheme`` from ``pts`` with velocity ``vel``,
-    both (2, N) rows as a StepWorkspace holds them, as a new (2, N) array;
-    ``pts`` is left as it was.  ``last()`` gives the pre-step state for the
-    IntegrationError raised on non-finite values."""
-    if scheme == "euler":
-        new_pts = pts + dt * vel
-    else:  # heun
-        pred = pts + dt * vel
-        if not np.isfinite(pred).all():
+    """Nodes after one step from ``pts`` with velocity ``vel``, both (2, N)
+    rows as a StepWorkspace holds them, written into the (2, N) array
+    ``out`` and returned; ``pts`` is left as it was.  Without
+    ``predictor`` the step is Euler's.  With it, a StepWorkspace at the
+    same node count, the step is Heun's: the predictor nodes go straight
+    into ``predictor.nodes``, and its update_velocity gives their guards
+    and velocity, all the corrector reads.  ``finite``, a (2, N) bool
+    array, takes the finiteness checks; ``last()`` gives the pre-step
+    state for the IntegrationError raised on non-finite values."""
+    if predictor is None:
+        # pts + dt vel
+        np.multiply(vel, dt, out)
+        out += pts
+    else:
+        pred = predictor.nodes
+        np.multiply(vel, dt, pred)
+        pred += pts
+        if not np.isfinite(pred, finite).all():
             st = last()
             raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
-        predictor = _predictor_workspace(pred.shape[1], closed)
-        predictor.nodes[...] = pred
-        predictor.update()
-        new_pts = pts + 0.5 * dt * (vel + predictor.velocity)
-    if not np.isfinite(new_pts).all():
+        predictor.update_velocity()
+        # pts + 0.5 dt (vel + predictor velocity)
+        np.add(vel, predictor.velocity, out)
+        out *= 0.5 * dt
+        out += pts
+    if not np.isfinite(out, finite).all():
         st = last()
         raise IntegrationError(f"non-finite node positions at t={st.t:.6g}", last_state=st)
-    return new_pts
+    return out
+
+
+def _step_buffers(curve: PlaneCurve, scheme: str) -> tuple[np.ndarray, np.ndarray, StepWorkspace | None]:
+    """The arrays a stepping loop over ``curve``'s node count keeps for
+    :func:`_advance`: the new nodes, the finiteness mask and, for Heun,
+    the predictor's workspace."""
+    n = curve.node_count
+    predictor = StepWorkspace(curve.points, curve.closed) if scheme == "heun" else None
+    return np.empty((2, n)), np.empty((2, n), dtype=bool), predictor
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -392,7 +412,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         raise StepUnderflowError(
             f"stable step {dt:.3e} below floor {DT_MIN:.3e}", last_state=state
         )
-    new_pts = _advance(ws.nodes, curve.closed, ws.velocity, dt, config.scheme, lambda: state)
+    buffers = _step_buffers(curve, config.scheme)
+    new_pts = _advance(ws.nodes, ws.velocity, dt, lambda: state, *buffers)
     return FlowState(
         curve=PlaneCurve(new_pts.T, closed=curve.closed),
         t=state.t + dt,
@@ -639,8 +660,11 @@ def evolve(
     COORDINATE_SCALE raises CurveConfigError before the first step.
 
     The loop keeps the nodes in one StepWorkspace, which computes each
-    step's terms in place.  PlaneCurve, FlowState and CurveTerms objects
-    are built only for records, at the stop and for errors.
+    step's terms in place, and steps them through arrays it keeps from
+    step to step: the new nodes, and for Heun a second workspace that
+    computes only the predictor's guards and velocity.  PlaneCurve,
+    FlowState and CurveTerms objects are built only for records, at the
+    stop and for errors.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
@@ -668,9 +692,11 @@ def evolve(
     clock = _StepClock(state.t, snapshot_dt, stop.t_end)
     t, index = state.t, state.step_index
     budget_end = index + MAX_STEPS
-    # the nodes live in the workspace from step to step
+    # the nodes live in the workspace from step to step; the step's
+    # buffers and the Heun predictor's workspace are kept with it
     ws = StepWorkspace(curve.points, closed)
     nodes = ws.nodes
+    buffers = _step_buffers(curve, config.scheme)
 
     def state_at() -> FlowState:
         return FlowState(
@@ -743,8 +769,8 @@ def evolve(
             # _advance leaves the nodes as they were when it raises, so
             # state_at() is still the pre-step state there
             dt = clock.shorten(t, dt_auto)
-            new_nodes = _advance(nodes, closed, ws.velocity, dt, config.scheme, state_at)
-            nodes[...] = new_nodes
+            new_nodes = _advance(nodes, ws.velocity, dt, state_at, *buffers)
+            np.copyto(nodes, new_nodes)
             t = t + dt
             index += 1
             if closed and ws.max_weight > REDISTRIBUTE_RATIO * spread_floor * ws.spacing:
@@ -797,43 +823,100 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
-def radial_velocity(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dr/dt (see :func:`radial_rhs`) and r' of the positive profiles in
-    the columns of r, whose axis 0 runs over the uniform angle grid."""
-    h = 2.0 * np.pi / len(r)
-    d1, d2 = periodic_derivatives(pad_periodic(r), h)
+def radial_velocity(
+    p: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """dr/dt (see :func:`radial_rhs`) and r' of the positive profiles that
+    :func:`pad_periodic` padded into ``p``, along axis 0, which runs over
+    the uniform angle grid.  ``out`` gives the arrays (dr/dt, r', scratch,
+    scratch), each shaped like one unpadded profile set, to work in; by
+    default they are new."""
+    n = len(p) - 4
+    r = p[2 : n + 2]
+    if out is None:
+        out = tuple(np.empty_like(r) for _ in range(4))
+    rhs, d1, tmp, cube = out
+    periodic_derivatives(p, 2.0 * np.pi / n, (d1, rhs, tmp))
     # (r r'' - 2 r r - 3 r' r') / (r r' r' + r^3), worked in place: each
     # element sees the same operations, in the same order
-    rhs = d2
     rhs *= r
-    tmp = 2.0 * r
+    np.multiply(r, 2.0, tmp)
     tmp *= r
     rhs -= tmp
-    np.multiply(d1, 3.0, out=tmp)
+    np.multiply(d1, 3.0, tmp)
     tmp *= d1
     rhs -= tmp
-    np.multiply(r, d1, out=tmp)
+    np.multiply(r, d1, tmp)
     tmp *= d1
-    tmp += r**3
+    np.power(r, 3, cube)
+    tmp += cube
     rhs /= tmp
     return rhs, d1
 
 
-def _radial_rate(r: np.ndarray, r_min: float, safety: float) -> tuple[np.ndarray, float]:
-    """dr/dt of the profile r, whose minimum is r_min, and the largest
-    stable explicit step, both from one first difference r'."""
-    if r_min <= 0.0:
-        raise OriginContactError("radial profile touched zero")
-    rhs, d1 = radial_velocity(r)
-    h = 2.0 * np.pi / len(r)
-    # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
-    # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
-    # parametric solver
-    caps = [h * h * float((r * r + d1 * d1).min())]
-    rate = float(np.abs(rhs).max())
-    if rate > 0.0:
-        caps.append(0.5 * r_min / rate)
-    return rhs, safety * min(caps)
+class _RadialWorkspace:
+    """The radial twin's step in arrays kept from step to step: the
+    profile ``r`` inside a buffer padded by two periodic samples per end,
+    dr/dt (``rhs``) and r' written by :func:`radial_velocity` through its
+    ``out`` arrays, and the step's extrema, min r, min(r r + r' r') and
+    max |dr/dt|, from one reduction over the rows [r, r r + r' r',
+    -|dr/dt|]."""
+
+    def __init__(self, r: np.ndarray):
+        n = len(r)
+        self._h = 2.0 * np.pi / n
+        # row 0 is the padded profile; rows 1 and 2 hold r r + r' r' and
+        # -|dr/dt| at the profile's columns
+        lines = np.empty((3, n + 4))
+        self._minima = np.empty(3)
+        self._padded = lines[0]
+        self.r = lines[0, 2 : n + 2]
+        self.r[...] = r
+        self._extrema = lines[:, 2 : n + 2]
+        self._pads = ((lines[0, :2], lines[0, n : n + 2]), (lines[0, n + 2 :], lines[0, 2:4]))
+        work = np.empty((5, n))
+        self._out = tuple(work[:4])
+        self.rhs, self._d1, self._tmp, _, self._stepped = work
+        self._finite = np.empty(n, dtype=bool)
+
+    def update(self, safety: float) -> tuple[float, float]:
+        """dr/dt of the current profile, into ``rhs``; returns min r and
+        the largest stable explicit step, both from one first difference
+        r'."""
+        for dst, src in self._pads:
+            np.copyto(dst, src)
+        rhs, d1 = radial_velocity(self._padded, self._out)
+        _, caps, rates = self._extrema
+        np.multiply(self.r, self.r, caps)
+        np.multiply(d1, d1, self._tmp)
+        caps += self._tmp
+        # -|dr/dt| exactly, so that its minimum is -max|dr/dt|
+        np.copysign(rhs, -1.0, rates)
+        r_min, cap_min, neg_rate = np.minimum.reduce(self._extrema, 1, out=self._minima).tolist()
+        if r_min <= 0.0:
+            raise OriginContactError("radial profile touched zero")
+        rate = -neg_rate
+        h = self._h
+        # arclength spacing is h*sqrt(r^2 + r'^2); the r'' term has diffusion
+        # coefficient 1/(r^2 + r'^2), so this is the same h_min^2 cap as the
+        # parametric solver
+        cap = h * h * cap_min
+        if rate > 0.0:
+            cap = min(cap, 0.5 * r_min / rate)
+        return r_min, safety * cap
+
+    def advance(self, t: float, dt: float) -> None:
+        """r + dt dr/dt into ``r``.  A non-finite result raises
+        IntegrationError with the profile at t, which it leaves as it
+        was."""
+        stepped = self._stepped
+        np.multiply(self.rhs, dt, stepped)
+        stepped += self.r
+        if not np.isfinite(stepped, self._finite).all():
+            raise IntegrationError(
+                f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(self.r, t)
+            )
+        np.copyto(self.r, stepped)
 
 
 def radial_rhs(profile: RadialProfile) -> np.ndarray:
@@ -848,7 +931,7 @@ def radial_rhs(profile: RadialProfile) -> np.ndarray:
     dr/dt = -theta'/r with theta the angle field of the reconstructed
     curve — the cross-check used in the test suite.
     """
-    return _radial_rate(profile.r, float(profile.r.min()), 1.0)[0]
+    return radial_velocity(pad_periodic(profile.r))[0]
 
 
 def radial_evolve(
@@ -860,24 +943,31 @@ def radial_evolve(
     r_j (cos s_j, sin s_j): the same record interval (t_end/40 by
     default, as there is no c-constant), stops, origin-contact radius,
     singular point and bracket, and the same step rules SAFETY, DT_MIN
-    and MAX_STEPS, and the same COORDINATE_SCALE.  An IntegrationError
+    and MAX_STEPS, and the same COORDINATE_SCALE.  As in evolve, the
+    stops are tested before the step budget.  An IntegrationError
     carries the last usable RadialProfile.
+
+    The loop keeps the profile in a _RadialWorkspace, which computes each
+    step in place; RadialProfile objects are built only for records, at
+    the stop and for errors.
     """
-    r = profile.r
     t = float(profile.t)
-    check_scale(r)
+    check_scale(profile.r)
     _check_t_end(t_end, t, "t_end")
     snapshot_dt = _record_interval(snapshot_dt, t, t_end, None)
-    s = 2.0 * np.pi * np.arange(len(r)) / len(r)
+    n = len(profile.r)
+    s = 2.0 * np.pi * np.arange(n) / n
     unit = np.column_stack([np.cos(s), np.sin(s)])
-    contact_radius = ORIGIN_CONTACT_FACTOR * PlaneCurve(r[:, None] * unit).diameter
+    contact_radius = ORIGIN_CONTACT_FACTOR * PlaneCurve(profile.r[:, None] * unit).diameter
 
     profiles: list[RadialProfile] = []
     clock = _StepClock(t, snapshot_dt, t_end)
     trigger = None
-    for _ in range(MAX_STEPS):
-        r_min = float(r.min())
-        rhs, dt_auto = _radial_rate(r, r_min, SAFETY)
+    ws = _RadialWorkspace(profile.r)
+    r = ws.r
+    steps = 0
+    while True:
+        r_min, dt_auto = ws.update(SAFETY)
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
         if r_min < contact_radius:
@@ -888,18 +978,14 @@ def radial_evolve(
             break
         if _at_end(t, t_end):
             break
-        dt = clock.shorten(t, dt_auto)
-        stepped = r + dt * rhs
-        if not np.all(np.isfinite(stepped)):
+        if steps >= MAX_STEPS:
             raise IntegrationError(
-                f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(r, t)
+                f"radial step budget exhausted at t={t:.6g}", last_state=RadialProfile(r, t)
             )
-        r = stepped
+        dt = clock.shorten(t, dt_auto)
+        ws.advance(t, dt)
         t += dt
-    else:
-        raise IntegrationError(
-            f"radial step budget exhausted at t={t:.6g}", last_state=RadialProfile(r, t)
-        )
+        steps += 1
 
     if profiles[-1].t != t:
         profiles.append(RadialProfile(r, t))

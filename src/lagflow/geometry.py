@@ -46,6 +46,17 @@ so they are valid only until then; a caller that keeps one copies it.
 :meth:`StepWorkspace.terms` and :meth:`StepWorkspace.frame` return
 copies, in the (N, 2) layout of :class:`PlaneCurve`.
 
+The workspace keeps no normal: a step reads the normal n = (-ty, tx)
+only through <x, n> and the velocity, and takes both from the tangent.
+IEEE negation is exact and a - b is a + (-b), so <x, n> = x nx + y ny
+is the float y tx - x ty, and the x-component of the velocity,
+kappa nx - <x, n> nx / |x|^2, is the float <x, n> ty / |x|^2 - kappa ty.
+:meth:`StepWorkspace.frame` builds the normal, for records only.  An
+update is two parts: :meth:`StepWorkspace.update_velocity` (the guards,
+the frame, |x|^2, <x, n> and the velocity), which is all the Heun
+predictor computes, and the step scalars (the peaks and the step cap),
+which :meth:`StepWorkspace.update` adds.
+
 Every result equals, bit for bit, the plain (N, 2) expressions that
 ``tests/test_geometry.py`` keeps as its oracle: each element goes through
 the same operations in the same order, and min and max round nothing.
@@ -346,16 +357,21 @@ def chord_weights(pts: np.ndarray) -> np.ndarray:
     return w
 
 
+def _normal(tangent: np.ndarray) -> np.ndarray:
+    """The (N, 2) unit tangents rotated by +pi/2, as a new array."""
+    normal = np.empty_like(tangent)
+    np.negative(tangent[:, 1], out=normal[:, 0])
+    normal[:, 1] = tangent[:, 0]
+    return normal
+
+
 def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
     # d1x d2y - d1y d2x; speed**3 is pow, which can differ from
     # speed * speed * speed in the last bit
     curvature = d1[:, 0] * d2[:, 1]
     curvature -= d1[:, 1] * d2[:, 0]
     curvature /= speed**3
-    normal = np.empty_like(tangent)
-    np.negative(tangent[:, 1], out=normal[:, 0])
-    normal[:, 1] = tangent[:, 0]
-    return FrameData(tangent=tangent, normal=normal, curvature=curvature, weight=weight)
+    return FrameData(tangent=tangent, normal=_normal(tangent), curvature=curvature, weight=weight)
 
 
 class _StepScalars:
@@ -409,14 +425,15 @@ class StepWorkspace(_StepScalars):
     and the stable step.
 
     A caller writes the nodes into ``nodes``, a (2, N) view of the padded
-    buffer, and calls :meth:`update`.  The results then describe those
-    nodes: ``tangent``, ``normal``, ``velocity`` and ``d1`` as (2, N) rows;
+    buffer, and calls :meth:`update`, or :meth:`update_velocity` when it
+    needs only the guards and the velocity.  The results then describe
+    those nodes: ``tangent``, ``velocity`` and ``d1`` as (2, N) rows;
     ``curvature``, ``r2``, ``dots`` and ``speed`` as length-N arrays; the
     smallest arclength spacing ``spacing``, ``r2_min`` and the largest
-    arclength weight ``max_weight``; and the methods of the step scalars.
-    The comments give each result as the expression whose float it is.
-    Open curves take their frame from :func:`_open_frame` and share the
-    rest.
+    arclength weight ``max_weight``; and, after :meth:`update`, the
+    methods of the step scalars.  The comments give each result as the
+    expression whose float it is.  Open curves take their frame from
+    :func:`_open_frame` and share the rest.
     """
 
     def __init__(self, points: np.ndarray, closed: bool = True):
@@ -426,7 +443,7 @@ class StepWorkspace(_StepScalars):
         # (2, N) rows; the length-N arrays, which the extrema reduce as
         # rows [|x|^2, chord^2, speed] and [|<x, n>|, |kappa|, |v|^2]
         padded = np.empty((4, 2, n + 4))
-        rows = np.empty((4, 2, n))
+        rows = np.empty((3, 2, n))
         lines = np.empty((8, n))
         buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
@@ -438,8 +455,11 @@ class StepWorkspace(_StepScalars):
             buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
         )
         self._rows = (self.nodes, self.d1)
-        self.tangent, self.normal, self.velocity, self._sq = rows
+        self.tangent, self.velocity, self._sq = rows
         self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
+        # the reductions' results: the minima and maxima of the spread rows
+        # and the maxima of the peaks
+        self._lows, self._highs, self._peak_max = np.empty((3, 3))
         self.r2, self._chord2, self.speed, self.dots, self.curvature = lines[:5]
         self._weight = None
         # Flat, a padded array is one contiguous run, which the stencils
@@ -472,6 +492,7 @@ class StepWorkspace(_StepScalars):
         np.copyto(lo_dst, lo_src)
         np.copyto(hi_dst, hi_src)
         flat, speed, spread = self._flat, self.speed, self._spread
+        lows, highs = self._lows, self._highs
         w0, w1 = self._work_rows
         if diameter is None:
             # |x|^2 = x x + y y; the buffer holds only the nodes and their
@@ -479,7 +500,7 @@ class StepWorkspace(_StepScalars):
             np.multiply(flat, flat, self._work_flat)
             np.add(*self._work_node_rows, self.r2)
         else:
-            spread = spread[1:]
+            spread, lows, highs = spread[1:], lows[1:], highs[1:]
         # chord^2 = |f_{i+1} - f_i|^2, squared a row at a time
         fwd, here, chords = self._chords
         np.subtract(fwd, here, chords)
@@ -493,8 +514,8 @@ class StepWorkspace(_StepScalars):
         np.multiply(d1y, d1y, w1)
         np.add(w0, w1, speed)
         np.sqrt(speed, speed)
-        lows = np.minimum.reduce(spread, 1).tolist()
-        highs = np.maximum.reduce(spread, 1).tolist()
+        lows = np.minimum.reduce(spread, 1, out=lows).tolist()
+        highs = np.maximum.reduce(spread, 1, out=highs).tolist()
         chord2_min, speed_min, speed_max = lows[-2], lows[-1], highs[-1]
         if diameter is None:
             r2_min, bound = lows[0], _diameter_bound(highs[0])
@@ -505,7 +526,7 @@ class StepWorkspace(_StepScalars):
             _check_spacing(min_chord, _diameter(self.points()))
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
-        (tx, ty), (nx, ny), kappa = self.tangent, self.normal, self.curvature
+        (tx, ty), kappa = self.tangent, self.curvature
         # tangent = d1 / speed
         np.divide(d1x, speed, tx)
         np.divide(d1y, speed, ty)
@@ -520,9 +541,6 @@ class StepWorkspace(_StepScalars):
         kappa -= w0
         np.power(speed, 3, w0)
         kappa /= w0
-        # normal = the tangent rotated by +pi/2
-        np.negative(ty, nx)
-        np.copyto(ny, tx)
         self._weight = None
         return bound, r2_min
 
@@ -535,14 +553,34 @@ class StepWorkspace(_StepScalars):
         bound = _diameter_bound(float(r2.max()))
         self.spacing, frame = _open_frame(pts, curve_pieces(pts, False), bound)
         self.tangent[...] = frame.tangent.T
-        self.normal[...] = frame.normal.T
         self.curvature[...] = frame.curvature
         self._weight = frame.weight
         self.max_weight = float(frame.weight.max())
         return bound, float(r2.min())
 
     def update(self) -> None:
-        """Every per-step term at the current nodes.  Raises
+        """Every per-step term at the current nodes: :meth:`update_velocity`,
+        then the step scalars."""
+        self.update_velocity()
+        peaks, (sq0, sq1) = self._peaks, self._sq
+        np.absolute(self._dk, peaks[:2])
+        np.multiply(self.velocity, self.velocity, self._sq)
+        np.add(sq0, sq1, peaks[2])
+        dmax, self._kmax, v2max = np.maximum.reduce(peaks, 1, out=self._peak_max).tolist()
+        # the stable step over safety; safety <= 0.375 keeps the h^2 term
+        # inside the stencil stability limit
+        h = self.spacing
+        cap = h * h
+        if dmax > 0.0:
+            cap = min(cap, h * self.r2_min / (2.0 * dmax))
+        vmax = math.sqrt(v2max)
+        if vmax > 0.0:
+            cap = min(cap, h / (2.0 * vmax))
+        self._cap = cap
+
+    def update_velocity(self) -> None:
+        """The guards, the frame, |x|^2, <x, n> and the velocity at the
+        current nodes; the step scalars are left as they were.  Raises
         DegenerateCurveError on coincident nodes or vanishing speed, then
         OriginContactError when a node is within ORIGIN_GUARD_FACTOR x
         diameter of the origin, where the velocity is singular.  Both
@@ -553,41 +591,32 @@ class StepWorkspace(_StepScalars):
             _check_origin(r2_min, _diameter(self.points()))
         self.r2_min = r2_min
         x, y = self._row_views[:2]
-        (nx, ny), (vx, vy), (sq0, sq1) = self.normal, self.velocity, self._sq
+        (tx, ty), (vx, vy), sq0 = self.tangent, self.velocity, self._sq[0]
         dots, kappa, r2 = self.dots, self.curvature, self.r2
-        # <x, n> = x nx + y ny
-        np.multiply(x, nx, dots)
-        np.multiply(y, ny, sq0)
-        dots += sq0
+        # <x, n> = x nx + y ny with n = (-ty, tx), as y tx - x ty (see the
+        # module docstring)
+        np.multiply(y, tx, dots)
+        np.multiply(x, ty, sq0)
+        dots -= sq0
         # velocity = kappa n - (<x, n> n) / |x|^2, a row at a time: a
-        # broadcast over both rows costs more than two row calls
-        for n_row, v_row in ((nx, vx), (ny, vy)):
-            np.multiply(dots, n_row, sq0)
-            sq0 /= r2
-            np.multiply(kappa, n_row, v_row)
-            v_row -= sq0
-        peaks = self._peaks
-        np.absolute(self._dk, peaks[:2])
-        np.multiply(self.velocity, self.velocity, self._sq)
-        np.add(sq0, sq1, peaks[2])
-        dmax, self._kmax, v2max = np.maximum.reduce(peaks, 1).tolist()
-        # the stable step over safety; safety <= 0.375 keeps the h^2 term
-        # inside the stencil stability limit
-        h = self.spacing
-        cap = h * h
-        if dmax > 0.0:
-            cap = min(cap, h * r2_min / (2.0 * dmax))
-        vmax = math.sqrt(v2max)
-        if vmax > 0.0:
-            cap = min(cap, h / (2.0 * vmax))
-        self._cap = cap
+        # broadcast over both rows costs more than two row calls; with
+        # nx = -ty, vx is <x, n> ty / |x|^2 - kappa ty
+        np.multiply(dots, ty, sq0)
+        sq0 /= r2
+        np.multiply(kappa, ty, vx)
+        np.subtract(sq0, vx, vx)
+        np.multiply(dots, tx, sq0)
+        sq0 /= r2
+        np.multiply(kappa, tx, vy)
+        vy -= sq0
 
     def frame(self) -> FrameData:
         """The frame, in (N, 2) and length-N arrays of its own."""
         weight = self.speed * self._h if self._weight is None else self._weight.copy()
+        tangent = self.tangent.T.copy()
         return FrameData(
-            tangent=self.tangent.T.copy(),
-            normal=self.normal.T.copy(),
+            tangent=tangent,
+            normal=_normal(tangent),
             curvature=self.curvature.copy(),
             weight=weight,
         )

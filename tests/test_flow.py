@@ -22,6 +22,7 @@ from lagflow.flow import (
     StopConditions,
     TrajectoryRangeError,
     _advance,
+    _step_buffers,
     estimate_singular_time,
     evolve,
     make_state,
@@ -33,10 +34,15 @@ from lagflow.flow import (
 )
 from lagflow.geometry import (
     CurveConfigError,
+    DegenerateCurveError,
+    OriginContactError,
     PlaneCurve,
+    StepWorkspace,
     compute_frame,
     curve_pieces,
     curve_terms,
+    pad_periodic,
+    periodic_derivatives,
     resample,
 )
 from lagflow.scenarios import (
@@ -128,9 +134,33 @@ class TestStep:
         pts, m = np.vstack([h, -h]), len(h)
         terms = curve_terms(pts)
         # _advance takes and gives (2, N) rows, the StepWorkspace layout
-        new = _advance(pts.T, True, terms.velocity.T, terms.stable_dt(0.2), scheme, None).T
+        buffers = _step_buffers(PlaneCurve(pts), scheme)
+        new = _advance(pts.T, terms.velocity.T, terms.stable_dt(0.2), None, *buffers).T
         assert not np.array_equal(new, pts)
         assert np.array_equal(new[m:], -new[:m])
+
+    @pytest.mark.parametrize(
+        "target, error, message",
+        [
+            ("origin", OriginContactError, r"distance 0\.000e\+00 from the origin"),
+            ("node_0", DegenerateCurveError, r"spacing 0\.000e\+00"),
+        ],
+    )
+    def test_heun_predictor_keeps_both_guards(self, target, error, message):
+        # dt is a power of two, so dt * (v / dt) is v exactly: the predictor
+        # puts node 0 exactly on the origin, or node 1 exactly on node 0
+        # (1 - cos u and 0 - sin u are exact differences, by Sterbenz)
+        u = 2 * np.pi * np.arange(64) / 64
+        pts = np.array([np.cos(u), np.sin(u)])
+        dt = 0.25
+        vel = np.zeros_like(pts)
+        if target == "origin":
+            vel[:, 0] = -pts[:, 0] / dt
+        else:
+            vel[:, 1] = (pts[:, 0] - pts[:, 1]) / dt
+        buffers = _step_buffers(PlaneCurve(pts.T), "heun")
+        with pytest.raises(error, match=message):
+            _advance(pts, vel, dt, None, *buffers)
 
     def test_stability_cap_positive_and_modest(self):
         c = circle(256, rho=2.0)
@@ -638,10 +668,14 @@ class TestRadialTwin:
         assert report.singular_point.tolist() == [0.0, 0.0]
 
     def test_radial_non_finite_rate_keeps_last_state(self, monkeypatch):
-        def nan_rate(r, r_min, safety):
-            return np.full_like(r, np.nan), 1e-3
+        velocity = flow.radial_velocity
 
-        monkeypatch.setattr(flow, "_radial_rate", nan_rate)
+        def nan_rate(p, out=None):
+            rhs, d1 = velocity(p, out)
+            rhs[...] = np.nan
+            return rhs, d1
+
+        monkeypatch.setattr(flow, "radial_velocity", nan_rate)
         start = RadialProfile(np.full(32, 2.0), t=0.25)
         with pytest.raises(IntegrationError, match="non-finite") as info:
             radial_evolve(start, t_end=1.0, snapshot_dt=0.1)
@@ -681,6 +715,110 @@ class TestRadialTwin:
         assert not report.detected
         assert traj.profiles[-1].t == pytest.approx(0.5, abs=1e-9)
         assert traj.profiles[-1].r.mean() == pytest.approx(math.sqrt(2.0), abs=1e-3)
+
+
+class TestStepBudget:
+    """Both integrators test their stops before their step budget: a
+    budget of exactly the steps a run takes to t_end is enough, one step
+    fewer is not (refused up front when the record grid alone needs more
+    steps, else exhausted in the loop)."""
+
+    @staticmethod
+    def _last_time(integrator, t_end, snapshot_dt):
+        if integrator == "evolve":
+            traj, _ = evolve(
+                make_state(circle_curve(32, rho=2.0)),
+                stop=StopConditions(t_end=t_end),
+                recording=RecordingConfig(snapshot_dt),
+            )
+            return traj.states[-1].t
+        traj, _ = radial_evolve(RadialProfile(np.full(32, 2.0)), t_end=t_end, snapshot_dt=snapshot_dt)
+        return traj.profiles[-1].t
+
+    # (t_end, snapshot_dt, the steps both runs take, the error one fewer raises)
+    CASES = [(0.05, 0.01, 5, CurveConfigError), (0.1, 0.1, 4, IntegrationError)]
+
+    @pytest.mark.parametrize("t_end, snapshot_dt, steps, error", CASES)
+    @pytest.mark.parametrize("integrator", ["evolve", "radial_evolve"])
+    def test_budget_ending_at_t_end(self, monkeypatch, integrator, t_end, snapshot_dt, steps, error):
+        monkeypatch.setattr(flow, "MAX_STEPS", steps)
+        assert self._last_time(integrator, t_end, snapshot_dt) == pytest.approx(t_end, abs=1e-12)
+        monkeypatch.setattr(flow, "MAX_STEPS", steps - 1)
+        with pytest.raises(error, match="step budget"):
+            self._last_time(integrator, t_end, snapshot_dt)
+
+
+def _radial_oracle(r, t, t_end, snapshot_dt):
+    """The radial twin's loop with the allocating step it had before its
+    workspace, kept as a bit-identity oracle: pad_periodic and
+    periodic_derivatives, the rate as one expression, the two step caps,
+    then r + dt * rhs.  The stepping clock and the stops are flow's own.
+    Returns the (r, t, dt) before every step, the final r and t, and the
+    trigger."""
+    n = len(r)
+    h = 2.0 * np.pi / n
+    s = 2.0 * np.pi * np.arange(n) / n
+    contact = flow.ORIGIN_CONTACT_FACTOR * PlaneCurve(
+        r[:, None] * np.column_stack([np.cos(s), np.sin(s)])
+    ).diameter
+    clock = flow._StepClock(t, snapshot_dt, t_end)
+    steps = []
+    while True:
+        r_min = float(r.min())
+        d1, d2 = periodic_derivatives(pad_periodic(r), h)
+        rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
+        caps = [h * h * float((r * r + d1 * d1).min())]
+        rate = float(np.abs(rhs).max())
+        if rate > 0.0:
+            caps.append(0.5 * r_min / rate)
+        dt_auto = flow.SAFETY * min(caps)
+        if steps:
+            clock.on_grid(t)  # the loop asks only after its first record
+        if r_min < contact:
+            return steps, (r, t), "origin_contact"
+        if dt_auto < flow.DT_MIN:
+            return steps, (r, t), "step_underflow"
+        if flow._at_end(t, t_end):
+            return steps, (r, t), None
+        dt = clock.shorten(t, dt_auto)
+        steps.append((r, t, dt))
+        r = r + dt * rhs
+        t += dt
+
+
+class TestRadialLoopOracle:
+    """radial_evolve keeps its profile in one workspace; every step it
+    takes equals, bit for bit, the allocating step of _radial_oracle."""
+
+    PROFILES = {
+        "constant": lambda s: np.full(len(s), 2.0),
+        "star": lambda s: 2.0 + 0.3 * np.cos(3 * s) + 0.1 * np.sin(5 * s + 0.4),
+    }
+
+    @pytest.mark.parametrize(
+        "n, name, t_end",
+        [(32, "constant", None), (32, "star", None), (256, "constant", 0.02), (256, "star", 0.02)],
+    )
+    def test_steps_match_oracle(self, monkeypatch, n, name, t_end):
+        s = 2.0 * np.pi * np.arange(n) / n
+        start = RadialProfile(self.PROFILES[name](s), t=0.125)
+        stop = None if t_end is None else start.t + t_end
+        seen = []
+        advance = flow._RadialWorkspace.advance
+
+        def logged(ws, t, dt):
+            seen.append((ws.r.copy(), t, dt))
+            advance(ws, t, dt)
+
+        monkeypatch.setattr(flow._RadialWorkspace, "advance", logged)
+        traj, report = radial_evolve(start, t_end=stop, snapshot_dt=0.01)
+        want, (want_r, want_t), trigger = _radial_oracle(start.r, start.t, stop, 0.01)
+        assert report.trigger == trigger == (None if t_end else "origin_contact")
+        assert len(seen) == len(want) > 30
+        for k, ((r, t, dt), (r_k, t_k, dt_k)) in enumerate(zip(seen, want)):
+            assert np.array_equal(r, r_k) and t == t_k and dt == dt_k, k
+        assert np.array_equal(traj.profiles[-1].r, want_r)
+        assert traj.profiles[-1].t == want_t == report.t_low
 
 
 class TestScenarioBuilders:

@@ -592,12 +592,12 @@ class TestWorkspaceLoopOracle:
         seen = []
         advance = flow._advance
 
-        def logged(pts, closed, vel, dt, scheme, last):
+        def logged(pts, vel, dt, last, *buffers):
             st = last()
             # pts is the workspace's (2, N) view: kept only as a copy
             seen.append((pts.T.copy(), st.t, dt))
             assert np.array_equal(st.curve.points, seen[-1][0])
-            return advance(pts, closed, vel, dt, scheme, last)
+            return advance(pts, vel, dt, last, *buffers)
 
         monkeypatch.setattr(flow, "_advance", logged)
         monkeypatch.setattr(flow, "MAX_STEPS", steps)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +150,32 @@ def test_committed_digests_match():
     )
     assert "mismatch" not in done.stdout
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCRIPTS.parent.glob("BENCH_*.json")), ids=lambda p: p.name
+)
+def test_committed_perf_records_are_consistent(path):
+    # a BENCH_*.json holds perfbench's pairs of parent and change records;
+    # its summary must be what those records give
+    doc = json.loads(path.read_text())
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    for workload, entry in doc["workloads"].items():
+        pairs = entry["pairs"]
+        for pair in pairs:
+            for side in ("parent", "change"):
+                assert pair[side]["machine"]["commit"] == doc[f"{side}_commit"], (workload, side)
+        for metric, summary in entry["summary"].items():
+            values = {
+                side: [pair[side]["metrics"][metric] for pair in pairs] for side in ("parent", "change")
+            }
+            for side, row in values.items():
+                assert summary[side]["median"] == statistics.median(row), (workload, metric, side)
+            wins = losses = 0
+            for parent, change in zip(values["parent"], values["change"]):
+                if change != parent:
+                    won = change < parent if lower[metric] else change > parent
+                    wins, losses = wins + won, losses + (not won)
+            assert (summary["change_wins"], summary["change_losses"]) == (wins, losses), (workload, metric)
+            assert summary["pairs"] == len(pairs), (workload, metric)
