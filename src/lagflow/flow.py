@@ -874,9 +874,10 @@ class _RadialWorkspace:
         self.r[...] = r
         self._extrema = lines[:, 2 : n + 2]
         self._pads = ((lines[0, :2], lines[0, n : n + 2]), (lines[0, n + 2 :], lines[0, 2:4]))
+        # dr/dt, r' and two scratch rows for radial_velocity; r + dt dr/dt
         work = np.empty((5, n))
         self._out = tuple(work[:4])
-        self.rhs, self._d1, self._tmp, _, self._stepped = work
+        self.rhs, self._tmp, self._stepped = work[0], work[2], work[4]
         self._finite = np.empty(n, dtype=bool)
 
     def update(self, safety: float) -> tuple[float, float]:
