@@ -15,7 +15,10 @@ Prints one line per output, ``name sha256``:
   t_end 0.01;
 * ``analysis``     -- the ``analysis/`` directory after ``analyze`` density,
   rescale, cones, spectrum and lemmas on a normalized a=3 ellipse run with
-  N=128 and snapshot_dt 0.001.
+  N=128 and snapshot_dt 0.001;
+* ``analysis_x0``  -- the same run's ``analysis/`` directory after
+  ``analyze density --x0 0.3 -0.2``, a reference point off the origin,
+  where the density takes its Bessel factor.
 
 A ``lagflow run`` digest covers the exit status, diagnostics.csv, every
 snapshot (name and bytes) and the manifest's singularity and acceptance
@@ -143,7 +146,9 @@ def heun_ladder(work: str) -> str:
     return h.hexdigest()
 
 
-def analysis(work: str) -> str:
+def _analysis_digest(work: str, passes) -> str:
+    """The exit status of the analysis fixture run, then of each of
+    ``passes`` on it, and its ``analysis/`` directory."""
     code, run_dir = _run(
         work,
         {
@@ -156,13 +161,24 @@ def analysis(work: str) -> str:
     h = hashlib.sha256(f"exit {code}".encode())
     if run_dir is None:
         return h.hexdigest()
-    for sub, extra in ANALYZE_PASSES:
+    for sub, extra in passes:
         h.update(f"{sub} exit {_quiet_cli(['analyze', run_dir, sub, *extra])}".encode())
     _hash_dir(h, os.path.join(run_dir, "analysis"))
     return h.hexdigest()
 
 
-DIGESTS = {f.__name__: f for f in (circle_run, ellipse_run, cassini_run, heun_ladder, x_cone, analysis)}
+def analysis(work: str) -> str:
+    return _analysis_digest(work, ANALYZE_PASSES)
+
+
+def analysis_x0(work: str) -> str:
+    return _analysis_digest(work, [("density", ["--x0", "0.3", "-0.2"])])
+
+
+DIGESTS = {
+    f.__name__: f
+    for f in (circle_run, ellipse_run, cassini_run, heun_ladder, x_cone, analysis, analysis_x0)
+}
 
 
 def main(argv=None) -> int:
