@@ -20,6 +20,25 @@ Conventions that matter:
 * Angles are compared as exp(2i*theta): the two rays of one line carry
   theta values differing by pi, so only the doubled angle is a property
   of the line itself.
+
+The passes that visit every record (Theta along the run in
+:func:`monotonicity_check`, the polar profiles and the length-ratio
+probes of :func:`lemma_table`) run as array passes over blocks of
+records that share a node count.  One budget sizes every block: a block
+of N-node records holds BLOCK_BUDGET // (c N) of them, at least one,
+where c is the pass's largest per-node factor (the probe count, or the
+30 rows of the Bessel table gather off the origin), so each block array
+stays within a small multiple of BLOCK_BUDGET floats.  The one-record
+functions (:func:`gaussian_density`, :func:`local_density_ratio`,
+:func:`polar_profile`) call the same kernels with a block of one, so each
+quantity has one definition.  A value does not depend on its block:
+each element goes through the same operations in the same order as on
+its own, the row-wise dot products of :func:`_row_dot` included, a
+record's length ratio is accumulated left to right along its chords and
+its Theta is the pairwise np.sum of its own row.  A block fails as a
+loop over single records would: the first record that fails a frame
+guard is checked, and raises, on its own, and a record that cannot be
+read is refused only after the records before it are computed.
 """
 from __future__ import annotations
 
@@ -29,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import (
+    FlowState,
     RadialProfile,
     SingularityReport,
     Trajectory,
@@ -36,14 +56,16 @@ from .flow import (
     radial_velocity,
 )
 from .geometry import (
+    _I0E_TABLE,
     MIN_NODES,
     CurveConfigError,
     PlaneCurve,
     chord_weights,
+    closed_weights,
     compute_frame,
     curve_pieces,
     pad_periodic,
-    swept_gaussian_density,
+    swept_gaussian_densities,
 )
 from .lagrangian import lagrangian_angle
 
@@ -77,9 +99,10 @@ RESCALE_WINDOW = 10.0
 MERGE_TOL = 0.15
 # Equal bins of the angle spectrum over [0, 2*pi).
 SPECTRUM_BINS = 36
-# Closed records of one node count per array pass of the lemma table; it
-# bounds the pass's memory.
-LEMMA_BLOCK = 32
+# Elements per array pass over a block of records: a block of N-node
+# records holds BLOCK_BUDGET // (c N) of them, c the pass's per-node
+# factor (see the module docstring); it bounds each pass's memory.
+BLOCK_BUDGET = 8192
 # The four-quadrant radius pattern holds within QUADRANT_TOL times max r.
 QUADRANT_TOL = 1e-6
 
@@ -95,9 +118,30 @@ class DensitySample:
     value: float
 
 
+def _block_records(per_record: int) -> int:
+    """Records per block when each record counts ``per_record`` elements
+    (its nodes times the pass's per-node factor) against BLOCK_BUDGET."""
+    return max(1, BLOCK_BUDGET // max(per_record, 1))
+
+
+def _densities(curves: list[PlaneCurve], p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Gaussian densities at (p, t + tau) of curves that share a node count
+    and closedness, one tau each: closed curves take their weights from
+    one :func:`geometry.closed_weights` pass, open ones from their own
+    frames, and all go through one :func:`geometry.swept_gaussian_densities`
+    pass."""
+    pts = np.stack([c.points for c in curves])
+    if curves[0].closed:
+        weight = closed_weights(pts)
+    else:
+        weight = np.stack([compute_frame(c).weight for c in curves])
+    return swept_gaussian_densities(pts, weight, p, tau)
+
+
 def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample:
     """Backward-heat-kernel mass of the swept surface at (x0, T), with
-    tau = T - t; see :func:`geometry.swept_gaussian_density`.
+    tau = T - t; see :func:`geometry.swept_gaussian_density`.  The
+    one-record case of the block pass of :func:`monotonicity_check`.
 
     Calibration: a static line through x0 gives 1, two transverse lines
     give 2, the circle of radius 2*sqrt(tau) about the origin gives
@@ -107,8 +151,43 @@ def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample
     if tau <= 0.0:
         raise ValueError(f"evaluation time t={t:.6g} must precede T={T:.6g}")
     p = np.asarray(x0, dtype=np.float64).reshape(2)
-    value = swept_gaussian_density(curve.points, compute_frame(curve).weight, p, tau)
+    value = float(_densities([curve], p, np.array([tau]))[0])
     return DensitySample(x0=p, T=float(T), t=float(t), value=value)
+
+
+def _record_blocks(states, cutoff: float, per_node: int):
+    """The records before ``cutoff``, in blocks of consecutive records
+    that share a node count and closedness, of at most
+    _block_records(per_node N) records each.
+
+    Records are read in order as the blocks fill.  One that cannot be
+    read raises only after the block before it is yielded, so that block
+    is computed first, as a loop over single records would.
+    """
+    block: list[FlowState] = []
+    for k in range(len(states)):
+        try:
+            state = states[k]
+        except Exception:
+            # whatever reading raises, after the records before it
+            if block:
+                yield block
+            raise
+        if state.t >= cutoff:
+            continue
+        curve = state.curve
+        if block:
+            head = block[0].curve
+            if (
+                len(block) == _block_records(per_node * head.node_count)
+                or curve.node_count != head.node_count
+                or curve.closed != head.closed
+            ):
+                yield block
+                block = []
+        block.append(state)
+    if block:
+        yield block
 
 
 @dataclass(frozen=True)
@@ -134,16 +213,18 @@ def monotonicity_check(
 
     Records at or past T (or past ``t_max``) are skipped; by the
     monotonicity of the smooth flow the sequence should be nonincreasing
-    up to quadrature noise.
+    up to quadrature noise.  The values come from one array pass per
+    block of consecutive records (see :func:`_record_blocks`), each the
+    float of :func:`gaussian_density` on its record.
     """
     cutoff = T if t_max is None else min(T, t_max)
+    p = np.asarray(x0, dtype=np.float64).reshape(2)
+    per_node = len(_I0E_TABLE) if p.any() else 1
     times, values = [], []
-    for state in trajectory.states:
-        if state.t >= cutoff:
-            continue
-        sample = gaussian_density(state.curve, x0, T, state.t)
-        times.append(state.t)
-        values.append(sample.value)
+    for block in _record_blocks(trajectory.states, cutoff, per_node):
+        t = np.array([state.t for state in block])
+        values += _densities([state.curve for state in block], p, T - t).tolist()
+        times += t.tolist()
     values_arr = np.asarray(values)
     if len(values_arr) >= 2:
         max_increase = max(float(np.max(np.diff(values_arr))), 0.0)
@@ -198,37 +279,50 @@ def _clip_lengths(
     return lengths, A
 
 
-def _probe_ratios(
-    curve: PlaneCurve, centers: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local length ratios of one curve at the K probes (centers (K, 2),
-    positive deltas (K,)), and their under-resolved flags; see
-    :func:`local_density_ratio`.  One clip pass covers every probe."""
+def _segments(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end nodes, (M, 2) each, of the chords a length ratio
+    counts: every chord of a closed curve, closing chord last; the chords
+    inside each piece of an open one (never the jump chord between two
+    pieces)."""
     pts = curve.points
     if curve.closed:
-        idx = np.arange(len(pts))
-    else:
-        idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
-    k, m = len(centers), len(idx)
+        return pts, np.roll(pts, -1, axis=0)
+    idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
+    return pts[idx], pts[idx + 1]
+
+
+def _probe_ratios(
+    a: np.ndarray, b: np.ndarray, centers: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local length ratios, (B, K), of B polylines given by their M chords
+    [a, b] ((B, M, 2) each) at the K probes (centers (K, 2), positive
+    deltas (K,)), and their under-resolved flags; see
+    :func:`local_density_ratio`.  One clip pass covers every chord at
+    every probe, its rows ordered polyline, probe, chord."""
+    nb, m = a.shape[:2]
+    k = len(centers)
+    rows = (nb, k, m, 2)
     lengths, A = _clip_lengths(
-        np.tile(pts[idx], (k, 1)),
-        np.tile(pts[(idx + 1) % len(pts)], (k, 1)),
-        np.repeat(centers, m, axis=0),
-        np.repeat(deltas, m),
+        np.broadcast_to(a[:, None], rows).reshape(-1, 2),
+        np.broadcast_to(b[:, None], rows).reshape(-1, 2),
+        np.broadcast_to(centers[:, None], rows).reshape(-1, 2),
+        np.broadcast_to(deltas[:, None], rows[:3]).reshape(-1),
     )
-    lengths = lengths.reshape(k, m)
-    # left to right, as the segments run (np.sum adds pairwise, and
-    # Python's sum() compensates from 3.12 on); a missed segment adds an
+    lengths = lengths.reshape(rows[:3])
+    # left to right, as the chords run (np.sum adds pairwise, and
+    # Python's sum() compensates from 3.12 on); a missed chord adds an
     # exact zero
-    totals = np.add.accumulate(lengths, axis=1)[:, -1]
+    totals = np.add.accumulate(lengths, axis=2)[..., -1]
     # np.median of the hit chords: the mean of the two middle ones (one
     # middle one, added to itself, for an odd count)
     hit = lengths > 0.0
-    count = hit.sum(axis=1)
-    chords = np.sort(np.where(hit, np.sqrt(A[:m]), np.inf), axis=1)
-    rows = np.arange(k)
-    median = (chords[rows, np.maximum(count - 1, 0) // 2] + chords[rows, count // 2]) / 2.0
-    under = (count > 0) & (deltas <= 5.0 * median)
+    count = hit.sum(axis=2)
+    chords = np.sort(np.where(hit, np.sqrt(A.reshape(rows[:3])[:, :1]), np.inf), axis=2)
+    middle = (
+        np.take_along_axis(chords, (np.maximum(count - 1, 0) // 2)[..., None], axis=2)
+        + np.take_along_axis(chords, (count // 2)[..., None], axis=2)
+    )[..., 0] / 2.0
+    under = (count > 0) & (deltas <= 5.0 * middle)
     return totals / (2.0 * deltas), under
 
 
@@ -238,6 +332,7 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     Partial segments are clipped exactly, all in one array pass: every
     chord of a closed curve, closing chord last; the chords inside each
     piece of an open one (never the jump chord between two pieces).  The
+    one-record, one-probe case of the lemma table's block pass.  The
     result is flagged under-resolved when delta is not at least 5 local
     node spacings (the median chord in the disk), the scale below which a
     polyline stops resembling its curve.
@@ -245,8 +340,9 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     p = np.asarray(x0, dtype=np.float64).reshape(1, 2)
-    value, under = _probe_ratios(curve, p, np.array([delta], dtype=np.float64))
-    return DensityRatio(value=float(value[0]), under_resolved=bool(under[0]))
+    a, b = _segments(curve)
+    value, under = _probe_ratios(a[None], b[None], p, np.array([delta], dtype=np.float64))
+    return DensityRatio(value=float(value[0, 0]), under_resolved=bool(under[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -693,6 +789,26 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
 # ---------------------------------------------------------------------------
 
 
+def _blocks(records: list[np.ndarray], size: int):
+    """The (N, 2) node arrays ``records`` stacked in blocks of ``size``."""
+    for start in range(0, len(records), size):
+        yield np.stack(records[start : start + size])
+
+
+def _chord_blocks(groups: dict[int, list[np.ndarray]], curves: list[PlaneCurve], probes: int):
+    """The chords [a, b], (B, M, 2) each, of every record for the probe
+    pass: the closed records (``groups``, by node count) in blocks of one
+    node count, then the open ones, whose chords depend on their pieces,
+    one at a time in record order."""
+    for n, records in groups.items():
+        for block in _blocks(records, _block_records(probes * n)):
+            yield block, np.roll(block, -1, axis=1)
+    for curve in curves:
+        if not curve.closed:
+            a, b = _segments(curve)
+            yield a[None], b[None]
+
+
 def _drainage_check(diagnostics: dict[str, np.ndarray]) -> dict:
     # worst recorded drift from the drainage law c - 2t; fails when no
     # record has one (open curves, no c-constant)
@@ -751,17 +867,18 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     # angle grid still resolves (min r >= ~5 angular spacings x max r),
     # in array passes over blocks of records that share a node count;
     # the degenerate tail is skipped
+    curves = [st.curve for st in trajectory.states]
+    groups: dict[int, list[np.ndarray]] = {}
+    for curve in curves:
+        if curve.closed:
+            groups.setdefault(curve.node_count, []).append(curve.points)
     resolved = 0
     worst_rate = worst_q = -math.inf
     ok_q = True
-    groups: dict[int, list[np.ndarray]] = {}
-    for st in trajectory.states:
-        if st.curve.closed:
-            groups.setdefault(st.curve.node_count, []).append(st.curve.points)
     for n, records in groups.items():
         h = 2.0 * np.pi / n
-        for start in range(0, len(records), LEMMA_BLOCK):
-            radii, _ = _polar_radii(np.stack(records[start : start + LEMMA_BLOCK]), n)
+        for block in _blocks(records, _block_records(n)):
+            radii, _ = _polar_radii(block, n)
             radii = radii[np.isfinite(radii).all(axis=1)]
             rmin, rmax = radii.min(axis=1), radii.max(axis=1)
             keep = (rmin > 0.0) & ~(rmin < 5.0 * h * rmax)
@@ -794,8 +911,8 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     probes, windows = probes[windows > 0.0], windows[windows > 0.0]
     worst_ratio = 0.0
     count = 0
-    for st in trajectory.states:
-        values, under = _probe_ratios(st.curve, probes, windows)
+    for a, b in _chord_blocks(groups, curves, len(probes)):
+        values, under = _probe_ratios(a, b, probes, windows)
         resolved_values = values[~under]
         count += len(resolved_values)
         worst_ratio = max(worst_ratio, float(resolved_values.max(initial=0.0)))

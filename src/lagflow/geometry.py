@@ -27,7 +27,10 @@ is computed once per step by a :class:`StepWorkspace`, a persistent set
 of preallocated arrays that the flow loop keeps its nodes in from step to
 step.  :func:`curve_terms`, :func:`compute_frame` (closed curves) and
 :func:`enclosed_area` build a new workspace per call and return copies,
-so each quantity has one definition.  Its derived step quantities
+so each quantity has one definition.  :func:`closed_weights`, the frame's
+arclength weights of a whole block of closed curves in one array pass
+(for the analysis passes over a run's records), reuses the workspace's
+stencil and gives the floats of its frame.  Its derived step quantities
 (stable step, min |x|, max |kappa|, area) are defined once, for the
 workspace and its :class:`CurveTerms` snapshots alike.
 
@@ -96,10 +99,12 @@ __all__ = [
     "CurveTerms",
     "StepWorkspace",
     "chord_weights",
+    "closed_weights",
     "compute_frame",
     "curve_pieces",
     "curve_terms",
     "swept_gaussian_density",
+    "swept_gaussian_densities",
     "enclosed_area",
     "resample",
 ]
@@ -667,6 +672,38 @@ def compute_frame(curve: PlaneCurve) -> FrameData:
     return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
 
 
+def closed_weights(points: np.ndarray) -> np.ndarray:
+    """``compute_frame(curve).weight`` of each closed curve of the block
+    ``points`` (B, N, 2), in one array pass along the nodes: the d1
+    stencil of :func:`periodic_derivatives`, speed = sqrt(d1x d1x + d1y
+    d1y) and weight = speed h, the floats of the one-curve frame.
+
+    The spacing and vanishing-speed guards of :func:`compute_frame` are
+    first tested for the whole block against the bound 8 max|x| on each
+    diameter; each curve that fails there, in block order, is checked by
+    :func:`compute_frame` itself, whose exact test raises for the first
+    curve that fails it, with its message.
+    """
+    nb, n = points.shape[:2]
+    h = 2.0 * np.pi / n
+    # padded along the nodes, (B, N + 4, 2); the stencil runs along axis 0
+    # of its transpose, for every curve at once, and its output is laid
+    # out as the input, so d1 is a (B, N, 2) array again (d2 goes unused)
+    p = np.concatenate((points[:, -2:], points, points[:, :2]), axis=1)
+    d1 = periodic_derivatives(p.transpose(1, 0, 2), h)[0].transpose(1, 0, 2)
+    speed = _squared_norms(d1.reshape(-1, 2)).reshape(nb, n)
+    np.sqrt(speed, out=speed)
+    chords = p[:, 3 : n + 3] - p[:, 2 : n + 2]
+    min_chord = np.sqrt(_squared_norms(chords.reshape(-1, 2)).reshape(nb, n).min(axis=1))
+    r2_max = _squared_norms(points.reshape(-1, 2)).reshape(nb, n).max(axis=1)
+    bound = np.maximum(8.0 * np.sqrt(r2_max), 1e-150)  # _diameter_bound per curve
+    suspect = (min_chord < DEGENERACY_FACTOR * bound) | (speed.min(axis=1) <= 0.0)
+    for k in np.flatnonzero(suspect):
+        compute_frame(PlaneCurve(points[k]))
+    speed *= h
+    return speed
+
+
 # ---------------------------------------------------------------------------
 # I0e, ported from Cephes i0.c (Stephen L. Moshier, Cephes Math Library,
 # 1984, 1987, 2000), whose tables NumPy's i0 and SciPy's i0e also use.
@@ -750,19 +787,37 @@ def swept_gaussian_density(
 
         (4 pi tau)^{-1} (1/2) int exp(-|X - (x0, 0)|^2 / (4 tau)) dH^2.
 
+    The one-curve case of :func:`swept_gaussian_densities`.
+    """
+    return float(swept_gaussian_densities(points[None], weight[None], x0, np.array([tau]))[0])
+
+
+def swept_gaussian_densities(
+    points: np.ndarray, weight: np.ndarray, x0: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """:func:`swept_gaussian_density` of each curve of a block, in one
+    array pass: nodes (B, N, 2), weights (B, N) and times tau (B,).
+
     The azimuthal integral is a modified Bessel function, taken in its
     exponentially scaled form so the exponent -(|gamma| - |x0|)^2 / (4 tau)
     never overflows.  At x0 = 0 the Bessel factor is exactly 1 and its
     argument is +-0, so the kernel is exp(-|gamma|^2 / (4 tau)), the same
-    float the full expression gives, and is computed as that.
+    float the full expression gives, and is computed as that.  Off x0 = 0
+    the Bessel table gather holds 30 entries per node.
+
+    Every element goes through the same operations whatever the block,
+    the products <gamma, x0> are one matrix-vector product per curve, and
+    each curve's sum is the pairwise np.sum of its row, so a value does
+    not depend on the curves beside it.
     """
-    r = np.linalg.norm(points, axis=1)
+    r = np.linalg.norm(points, axis=2)
+    scale = (4.0 * tau)[:, None]
     if x0.any():
-        b = (points @ x0) / (2.0 * tau)
-        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+        b = (points @ x0) / (2.0 * tau)[:, None]
+        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / scale + np.abs(b))
     else:
-        kernel = np.exp(-(r * r) / (4.0 * tau))
-    return float(np.sum(weight * r * kernel) / (4.0 * tau))
+        kernel = np.exp(-(r * r) / scale)
+    return np.sum(weight * r * kernel, axis=1) / (4.0 * tau)
 
 
 def enclosed_area(curve: PlaneCurve) -> float:

@@ -255,9 +255,10 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
     The manifest (unless the caller has read it with ``read_manifest`` and
     passes it), diagnostics.csv and the snapshot file list are read here;
     the snapshots are read on demand (see ``Trajectory.states``).  A
-    snapshot list that is not snapshot_000000.json onwards, one file per
-    diagnostics row, raises RunLoadError, and so does a snapshot that
-    cannot be parsed or whose t is not its row's, when it is read.
+    diagnostics.csv without a row, or a snapshot list that is not
+    snapshot_000000.json onwards, one file per diagnostics row, raises
+    RunLoadError, and so does a snapshot that cannot be parsed or whose t
+    is not its row's, when it is read.
     """
     if manifest is None:
         manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
@@ -270,6 +271,8 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
         raise RunLoadError(f"diagnostics.csv: no {exc} column") from exc
     except (OSError, ValueError) as exc:
         raise RunLoadError(f"diagnostics.csv: {exc}") from exc
+    if len(times) == 0:
+        raise RunLoadError("diagnostics.csv: no records")
     try:
         names = {f for f in os.listdir(os.path.join(run_dir, "snapshots")) if f.endswith(".json")}
     except OSError as exc:

@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from lagflow import analysis
 from lagflow.analysis import (
-    LEMMA_BLOCK,
     DensityRatio,
     _clip_lengths,
     _drainage_check,
     _periodic_spline,
+    _polar_radii,
+    _probe_ratios,
+    _segments,
     angle_spectrum,
     cone_decomposition,
     gaussian_density,
@@ -44,7 +47,16 @@ from lagflow.flow import (
     radial_rhs,
 )
 from lagflow.cli import main
-from lagflow.geometry import CurveConfigError, CurveError, PlaneCurve, curve_pieces
+from lagflow.geometry import (
+    CurveConfigError,
+    CurveError,
+    DegenerateCurveError,
+    PlaneCurve,
+    _i0e,
+    closed_weights,
+    compute_frame,
+    curve_pieces,
+)
 from lagflow.runio import load_trajectory, read_manifest, read_snapshot
 from lagflow.scenarios import ellipse_curve, line_pair_curve, x_cone_curve
 
@@ -741,20 +753,25 @@ class TestLemmaTableOracle:
         assert json.dumps(table) == json.dumps(_looped_lemma_table(trajectory))
         return table
 
-    def test_dense_small_ellipse_run(self):
+    def test_dense_small_ellipse_run(self, monkeypatch):
         traj, _ = evolve(make_state(ellipse_curve(32, a=2.0)), recording=RecordingConfig(snapshot_dt=0.02))
-        assert len(traj.states) > LEMMA_BLOCK
+        self._assert_same(traj)
+        # blocks of 32 records at N = 32
+        monkeypatch.setattr(analysis, "BLOCK_BUDGET", 32 * 32)
+        assert len(traj.states) > 32
         table = self._assert_same(traj)
         assert table["radius_nonincreasing"]["passed"] is True
 
-    def test_mixed_node_counts(self):
+    def test_mixed_node_counts(self, monkeypatch):
         # N = 64 and N = 128 interleaved, more records of one count than a
         # block holds, with records that have no profile (off-center, not
-        # star-shaped) or are not resolved (a deep dip at the origin)
+        # star-shaped) or are not resolved (a deep dip at the origin); a
+        # polar block holds 32 records of N = 64
+        monkeypatch.setattr(analysis, "BLOCK_BUDGET", 32 * 64)
         u = 2 * np.pi * np.arange(128) / 128
         dip = PlaneCurve(np.column_stack([np.cos(u), np.sin(u)]) * (0.02 + np.cos(u) ** 2)[:, None])
         curves = []
-        for k in range(LEMMA_BLOCK + 20):
+        for k in range(32 + 20):
             curves.append(ellipse(64, a=3.0 - 0.01 * k, b=2.0 + 0.005 * k))
             if k % 3 == 0:
                 curves.append(perturbed_circle(128))
@@ -783,6 +800,182 @@ class TestLemmaTableOracle:
         assert table["density_ratio_bound"]["passed"] is True
         only_coarse = self._assert_same(_records([coarse]))
         assert only_coarse["density_ratio_bound"]["passed"] is None
+
+
+def _record_probe_ratios(curve, centers, deltas):
+    # the length-ratio kernel as it ran one record at a time: the oracle
+    # for the block pass
+    pts = curve.points
+    if curve.closed:
+        idx = np.arange(len(pts))
+    else:
+        idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
+    k, m = len(centers), len(idx)
+    lengths, A = _clip_lengths(
+        np.tile(pts[idx], (k, 1)),
+        np.tile(pts[(idx + 1) % len(pts)], (k, 1)),
+        np.repeat(centers, m, axis=0),
+        np.repeat(deltas, m),
+    )
+    lengths = lengths.reshape(k, m)
+    totals = np.add.accumulate(lengths, axis=1)[:, -1]
+    hit = lengths > 0.0
+    count = hit.sum(axis=1)
+    chords = np.sort(np.where(hit, np.sqrt(A[:m]), np.inf), axis=1)
+    rows = np.arange(k)
+    median = (chords[rows, np.maximum(count - 1, 0) // 2] + chords[rows, count // 2]) / 2.0
+    under = (count > 0) & (deltas <= 5.0 * median)
+    return totals / (2.0 * deltas), under
+
+
+def _record_density(curve, x0, T, t):
+    # Theta of one record as it was computed one record at a time: the
+    # frame's weights and the one-curve density; the oracle for the
+    # block pass
+    points, weight = curve.points, compute_frame(curve).weight
+    x0 = np.asarray(x0, dtype=np.float64)
+    tau = T - t
+    r = np.linalg.norm(points, axis=1)
+    if x0.any():
+        b = (points @ x0) / (2.0 * tau)
+        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / (4.0 * tau) + np.abs(b))
+    else:
+        kernel = np.exp(-(r * r) / (4.0 * tau))
+    return float(np.sum(weight * r * kernel) / (4.0 * tau))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _block_test_curves():
+    # 10 records of N = 64, then N = 96, open N = 128 and N = 64 again
+    curves = [ellipse(64, a=3.0 - 0.05 * k, b=2.0 + 0.02 * k) for k in range(10)]
+    curves += [perturbed_circle(96) for _ in range(4)]
+    curves += [x_cone_curve(128), line_pair_curve(128), x_cone_curve(128, truncation=3.0)]
+    curves += [ellipse(64, a=2.5, b=2.0 - 0.1 * k) for k in range(5)]
+    return curves
+
+
+class TestBlockKernelOracle:
+    """The block passes give, record for record, the floats of the kernels
+    as they ran one record at a time, whatever the block size."""
+
+    @staticmethod
+    def set_block(monkeypatch, records, per_node=1):
+        # blocks of ``records`` records at N = 64 (None: the default budget)
+        if records is not None:
+            monkeypatch.setattr(analysis, "BLOCK_BUDGET", records * per_node * 64)
+
+    @pytest.mark.parametrize("records", [1, 3, None])
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, -0.2)])
+    @pytest.mark.parametrize("T, t_max", [(1.0, None), (0.15, None), (1.0, 0.195)])
+    def test_theta_matches_record_loop(self, monkeypatch, records, x0, T, t_max):
+        # 10 records of N = 64 in blocks of 3 leave a block of one; T and
+        # t_max each cut the run short
+        self.set_block(monkeypatch, records, 1 if x0 == (0.0, 0.0) else 30)
+        traj = _records(_block_test_curves())
+        rep = monotonicity_check(traj, x0, T, t_max=t_max)
+        cutoff = T if t_max is None else min(T, t_max)
+        kept = [st for st in traj.states if st.t < cutoff]
+        assert 0 < len(kept) < len(traj.states) or cutoff == 1.0
+        assert _bits(rep.times) == _bits([st.t for st in kept])
+        assert _bits(rep.values) == _bits([_record_density(st.curve, x0, T, st.t) for st in kept])
+        for st in kept:
+            assert gaussian_density(st.curve, x0, T, st.t).value == _record_density(st.curve, x0, T, st.t)
+
+    def test_closed_weights_match_frames(self):
+        # a small circle far from the origin fails the block's bound on its
+        # diameter, and passes the exact test of compute_frame
+        u = 2 * np.pi * np.arange(64) / 64
+        far = np.column_stack([1e9 + 1e-3 * np.cos(u), 1e-3 * np.sin(u)])
+        pts = np.stack([ellipse(64).points, far, perturbed_circle(64).points])
+        weight = closed_weights(pts)
+        for k in range(len(pts)):
+            assert _bits(weight[k]) == _bits(compute_frame(PlaneCurve(pts[k])).weight)
+
+    def test_closed_weights_raise_for_first_failing_record(self):
+        # record 1 has a vanishing speed at node 4 (nodes 5, 6 fold back
+        # onto 3, 2), record 3 coincident nodes: the block raises record
+        # 1's error, and record 3's without record 1
+        fold = ellipse(64).points.copy()
+        fold[5], fold[6] = fold[3], fold[2]
+        twin = ellipse(64).points.copy()
+        twin[1] = twin[0]
+        good = ellipse(64).points
+        for block, record in (([good, fold, good, twin], fold), ([good, good, twin], twin)):
+            with pytest.raises(DegenerateCurveError) as scalar:
+                compute_frame(PlaneCurve(record))
+            with pytest.raises(DegenerateCurveError) as blocked:
+                closed_weights(np.stack(block))
+            assert str(blocked.value) == str(scalar.value)
+        assert "vanishing parametric speed" in str(
+            pytest.raises(DegenerateCurveError, closed_weights, np.stack([good, fold, twin])).value
+        )
+
+    @pytest.mark.parametrize("records", [1, 3, None])
+    def test_probe_ratios_match_record_loop(self, monkeypatch, records):
+        curves = _block_test_curves()
+        pts0 = curves[0].points
+        centers = np.vstack([pts0[::8], [[0.5, 0.1]]])
+        deltas = np.concatenate([np.full(8, 0.6), [3.0]])
+        closed = np.stack([c.points for c in curves[:10]])
+        values, under = _probe_ratios(closed, np.roll(closed, -1, axis=1), centers, deltas)
+        for k, curve in enumerate(curves):
+            expected = _record_probe_ratios(curve, centers, deltas)
+            if k < 10:
+                got = values[k], under[k]
+            else:
+                a, b = _segments(curve)
+                got = tuple(x[0] for x in _probe_ratios(a[None], b[None], centers, deltas))
+            assert _bits(got[0]) == _bits(expected[0])
+            assert np.array_equal(got[1], expected[1])
+            ratio = local_density_ratio(curve, centers[-1], deltas[-1])
+            assert _bits(ratio.value) == _bits(expected[0][-1])
+        assert under.any() and not under.all()
+        # and through the lemma table, in blocks of 1 or 3 records of N = 64
+        # (1, or 1 and 2 at its 8 probes) or the default
+        self.set_block(monkeypatch, records, 8)
+        traj = _records(curves)
+        probes = pts0[:: len(pts0) // 8][:8]
+        windows = np.array([0.25 * float(np.linalg.norm(p)) for p in probes])
+        resolved = []
+        for curve in curves:
+            v, u = _record_probe_ratios(curve, probes, windows)
+            resolved.extend(v[~u])
+        row = lemma_table(traj)["density_ratio_bound"]
+        assert _bits(row["value"]) == _bits(max(resolved))
+
+    def test_polar_radii_match_one_record_blocks(self):
+        # star-shaped records, and records without a profile (off-center,
+        # a double turn, nodes out of angular order)
+        u = 2 * np.pi * np.arange(64) / 64
+        swapped = ellipse(64).points.copy()
+        swapped[[10, 11]] = swapped[[11, 10]]
+        records = [
+            ellipse(64),
+            perturbed_circle(64),
+            circle(64, rho=1.0, center=(3.0, 0.0)),
+            PlaneCurve(ellipse(64).points[::-1]),
+            PlaneCurve(np.column_stack([np.cos(2 * u + 0.01), np.sin(2 * u + 0.01)])),
+            PlaneCurve(swapped),
+            ellipse(64, a=1.5, b=1.0),
+        ]
+        pts = np.stack([c.points for c in records])
+        for samples in (64, 37):
+            radii, errors = _polar_radii(pts, samples)
+            for k in range(len(pts)):
+                one, one_error = _polar_radii(pts[k][None], samples)
+                assert _bits(radii[k]) == _bits(one[0])
+                assert errors[k] == one_error[0]
+        assert sum(e is None for e in errors) == 4
+
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_lemma_table_independent_of_block_size(self, monkeypatch, records):
+        traj = _records(_block_test_curves()[:14])
+        default = json.dumps(lemma_table(traj))
+        self.set_block(monkeypatch, records)
+        assert json.dumps(lemma_table(traj)) == default
 
 
 class _EagerTrajectory(Trajectory):

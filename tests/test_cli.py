@@ -701,6 +701,32 @@ class TestDamagedRun:
             fh.write("0.5,1.0\n")
         self.assert_refused(run_copy, "density", capsys, "diagnostics.csv: ")
 
+    @pytest.mark.parametrize("subcommand", ["density", "rescale", "cones", "spectrum", "lemmas"])
+    def test_diagnostics_without_records(self, run_copy, capsys, subcommand):
+        # a header and no rows, and no snapshots: no pass has a record
+        path = run_copy / "diagnostics.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        shutil.rmtree(run_copy / "snapshots")
+        (run_copy / "snapshots").mkdir()
+        self.assert_refused(run_copy, subcommand, capsys, "diagnostics.csv: no records")
+
+    def test_failing_record_before_unreadable_one(self, run_copy, capsys):
+        # record 2 has coincident nodes and record 3 does not parse, in
+        # one block of the density pass: record 2 fails first, as in a
+        # loop over single records; the lemma table reads every record
+        # before it computes
+        degenerate, truncated = self.snapshot(run_copy, 2), self.snapshot(run_copy, 3)
+        doc = json.loads(degenerate.read_text())
+        doc["points"][1] = doc["points"][0]
+        degenerate.write_text(json.dumps(doc))
+        truncated.write_text(truncated.read_text()[:100])
+        assert len(os.listdir(run_copy / "snapshots")) <= ana._block_records(64)
+        assert main(["analyze", str(run_copy), "density"]) == 4
+        assert capsys.readouterr().err == (
+            "analysis out of range: minimum node spacing 0.000e+00 is below 1e-12 x diameter\n"
+        )
+        self.assert_refused(run_copy, "lemmas", capsys, f"snapshots/{truncated.name}: Expecting")
+
 
 class TestAnalyze:
     def test_density(self, circle_run, capsys):
