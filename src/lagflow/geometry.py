@@ -811,13 +811,13 @@ def swept_gaussian_densities(
     not depend on the curves beside it.
     """
     r = np.linalg.norm(points, axis=2)
-    scale = (4.0 * tau)[:, None]
+    four_tau = 4.0 * tau
     if x0.any():
         b = (points @ x0) / (2.0 * tau)[:, None]
-        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / scale + np.abs(b))
+        kernel = _i0e(b) * np.exp(-(r * r + float(x0 @ x0)) / four_tau[:, None] + np.abs(b))
     else:
-        kernel = np.exp(-(r * r) / scale)
-    return np.sum(weight * r * kernel, axis=1) / (4.0 * tau)
+        kernel = np.exp(-(r * r) / four_tau[:, None])
+    return np.sum(weight * r * kernel, axis=1) / four_tau
 
 
 def enclosed_area(curve: PlaneCurve) -> float:

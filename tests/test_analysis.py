@@ -970,13 +970,6 @@ class TestBlockKernelOracle:
                 assert errors[k] == one_error[0]
         assert sum(e is None for e in errors) == 4
 
-    @pytest.mark.parametrize("records", [1, 3])
-    def test_lemma_table_independent_of_block_size(self, monkeypatch, records):
-        traj = _records(_block_test_curves()[:14])
-        default = json.dumps(lemma_table(traj))
-        self.set_block(monkeypatch, records)
-        assert json.dumps(lemma_table(traj)) == default
-
 
 class _EagerTrajectory(Trajectory):
     # the loader before records were read on demand: every snapshot
