@@ -26,9 +26,9 @@ The passes that visit every record (Theta along the run in
 probes of :func:`lemma_table`) run as array passes over blocks of
 records that share a node count.  One budget sizes every block: a block
 of N-node records holds BLOCK_BUDGET // (c N) of them, at least one,
-where c is the pass's largest per-node factor (the probe count, or the
-30 rows of the Bessel table gather off the origin), so each block array
-stays within a small multiple of BLOCK_BUDGET floats.  The one-record
+where c is the pass's per-node factor (the probe count of the
+length-ratio pass, 1 for the others), so each block array stays within
+a small multiple of BLOCK_BUDGET floats.  The one-record
 functions (:func:`gaussian_density`, :func:`local_density_ratio`,
 :func:`polar_profile`) call the same kernels with a block of one, so each
 quantity has one definition.  A value does not depend on its block:
@@ -56,7 +56,6 @@ from .flow import (
     radial_velocity,
 )
 from .geometry import (
-    _I0E_TABLE,
     MIN_NODES,
     CurveConfigError,
     PlaneCurve,
@@ -219,9 +218,8 @@ def monotonicity_check(
     """
     cutoff = T if t_max is None else min(T, t_max)
     p = np.asarray(x0, dtype=np.float64).reshape(2)
-    per_node = len(_I0E_TABLE) if p.any() else 1
     times, values = [], []
-    for block in _record_blocks(trajectory.states, cutoff, per_node):
+    for block in _record_blocks(trajectory.states, cutoff, 1):
         t = np.array([state.t for state in block])
         values += _densities([state.curve for state in block], p, T - t).tolist()
         times += t.tolist()
@@ -253,19 +251,15 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _clip_lengths(
-    a: np.ndarray, b: np.ndarray, center: np.ndarray, delta
-) -> tuple[np.ndarray, np.ndarray]:
+def _clip_lengths(f: np.ndarray, d: np.ndarray, A: np.ndarray, delta) -> np.ndarray:
     """Exact length of each segment [a_i, b_i] inside the disk
-    B_delta(center), and the squared segment lengths A_i; ``center`` and
-    ``delta`` are one disk, or one per segment.
+    B_delta(center), the segments given as rows f = a - center and
+    d = b - a with A = _row_dot(d, d); ``delta`` is one radius, or one
+    per segment.
 
-    Solves |a + u (b - a) - center|^2 = delta^2 for u and clips the root
-    interval to [0, 1]; zero-length, tangent and missing segments get 0.
+    Solves |f + u d|^2 = delta^2 for u and clips the root interval to
+    [0, 1]; zero-length, tangent and missing segments get 0.
     """
-    d = b - a
-    f = a - center
-    A = _row_dot(d, d)
     B = 2.0 * _row_dot(f, d)
     C = _row_dot(f, f) - delta * delta
     disc = B * B - 4.0 * A * C
@@ -276,7 +270,7 @@ def _clip_lengths(
     hi = np.minimum((-B[cut] + sq) / two_a, 1.0)
     lengths = np.zeros(len(A))
     lengths[cut] = np.where(hi > lo, (hi - lo) * np.sqrt(A[cut]), 0.0)
-    return lengths, A
+    return lengths
 
 
 def _segments(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -298,17 +292,19 @@ def _probe_ratios(
     [a, b] ((B, M, 2) each) at the K probes (centers (K, 2), positive
     deltas (K,)), and their under-resolved flags; see
     :func:`local_density_ratio`.  One clip pass covers every chord at
-    every probe, its rows ordered polyline, probe, chord."""
+    every probe, its rows ordered polyline, probe, chord; each chord's
+    d = b - a and A = <d, d> are computed once, for all probes."""
     nb, m = a.shape[:2]
     k = len(centers)
     rows = (nb, k, m, 2)
-    lengths, A = _clip_lengths(
-        np.broadcast_to(a[:, None], rows).reshape(-1, 2),
-        np.broadcast_to(b[:, None], rows).reshape(-1, 2),
-        np.broadcast_to(centers[:, None], rows).reshape(-1, 2),
+    d = b - a
+    A = _row_dot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(nb, 1, m)
+    lengths = _clip_lengths(
+        (a[:, None] - centers[:, None]).reshape(-1, 2),
+        np.broadcast_to(d[:, None], rows).reshape(-1, 2),
+        np.broadcast_to(A, rows[:3]).reshape(-1),
         np.broadcast_to(deltas[:, None], rows[:3]).reshape(-1),
-    )
-    lengths = lengths.reshape(rows[:3])
+    ).reshape(rows[:3])
     # left to right, as the chords run (np.sum adds pairwise, and
     # Python's sum() compensates from 3.12 on); a missed chord adds an
     # exact zero
@@ -317,7 +313,7 @@ def _probe_ratios(
     # middle one, added to itself, for an odd count)
     hit = lengths > 0.0
     count = hit.sum(axis=2)
-    chords = np.sort(np.where(hit, np.sqrt(A.reshape(rows[:3])[:, :1]), np.inf), axis=2)
+    chords = np.sort(np.where(hit, np.sqrt(A), np.inf), axis=2)
     middle = (
         np.take_along_axis(chords, (np.maximum(count - 1, 0) // 2)[..., None], axis=2)
         + np.take_along_axis(chords, (count // 2)[..., None], axis=2)
@@ -789,26 +785,6 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
 # ---------------------------------------------------------------------------
 
 
-def _blocks(records: list[np.ndarray], size: int):
-    """The (N, 2) node arrays ``records`` stacked in blocks of ``size``."""
-    for start in range(0, len(records), size):
-        yield np.stack(records[start : start + size])
-
-
-def _chord_blocks(groups: dict[int, list[np.ndarray]], curves: list[PlaneCurve], probes: int):
-    """The chords [a, b], (B, M, 2) each, of every record for the probe
-    pass: the closed records (``groups``, by node count) in blocks of one
-    node count, then the open ones, whose chords depend on their pieces,
-    one at a time in record order."""
-    for n, records in groups.items():
-        for block in _blocks(records, _block_records(probes * n)):
-            yield block, np.roll(block, -1, axis=1)
-    for curve in curves:
-        if not curve.closed:
-            a, b = _segments(curve)
-            yield a[None], b[None]
-
-
 def _drainage_check(diagnostics: dict[str, np.ndarray]) -> dict:
     # worst recorded drift from the drainage law c - 2t; fails when no
     # record has one (open curves, no c-constant)
@@ -865,31 +841,29 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
 
     # polar profiles of the closed records whose radial dip the uniform
     # angle grid still resolves (min r >= ~5 angular spacings x max r),
-    # in array passes over blocks of records that share a node count;
+    # in array passes over blocks of records (see :func:`_record_blocks`);
     # the degenerate tail is skipped
-    curves = [st.curve for st in trajectory.states]
-    groups: dict[int, list[np.ndarray]] = {}
-    for curve in curves:
-        if curve.closed:
-            groups.setdefault(curve.node_count, []).append(curve.points)
+    states = trajectory.states
     resolved = 0
     worst_rate = worst_q = -math.inf
     ok_q = True
-    for n, records in groups.items():
+    for block in _record_blocks(states, math.inf, 1):
+        if not block[0].curve.closed:
+            continue
+        n = block[0].curve.node_count
         h = 2.0 * np.pi / n
-        for block in _blocks(records, _block_records(n)):
-            radii, _ = _polar_radii(block, n)
-            radii = radii[np.isfinite(radii).all(axis=1)]
-            rmin, rmax = radii.min(axis=1), radii.max(axis=1)
-            keep = (rmin > 0.0) & ~(rmin < 5.0 * h * rmax)
-            if not keep.any():
-                continue
-            cols = np.ascontiguousarray(radii[keep].T)
-            resolved += cols.shape[1]
-            worst_rate = max(worst_rate, float(radial_velocity(pad_periodic(cols))[0].max()))
-            violation, passed = _quadrant_violation(cols)
-            ok_q = ok_q and bool(passed.all())
-            worst_q = max(worst_q, 0.0, float(violation.max()))
+        radii, _ = _polar_radii(np.stack([st.curve.points for st in block]), n)
+        radii = radii[np.isfinite(radii).all(axis=1)]
+        rmin, rmax = radii.min(axis=1), radii.max(axis=1)
+        keep = (rmin > 0.0) & ~(rmin < 5.0 * h * rmax)
+        if not keep.any():
+            continue
+        cols = np.ascontiguousarray(radii[keep].T)
+        resolved += cols.shape[1]
+        worst_rate = max(worst_rate, float(radial_velocity(pad_periodic(cols))[0].max()))
+        violation, passed = _quadrant_violation(cols)
+        ok_q = ok_q and bool(passed.all())
+        worst_q = max(worst_q, 0.0, float(violation.max()))
     results["radius_nonincreasing"] = {
         "passed": bool(resolved) and worst_rate <= 1e-6,
         "value": worst_rate if resolved else float("nan"),
@@ -898,24 +872,31 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
         "passed": bool(resolved) and ok_q,
         "value": worst_q if resolved else float("nan"),
     }
-    if not trajectory.states[0].curve.closed:
+    if not states[0].curve.closed:
         # the drainage law and the polar profile exist on closed curves only
         for row in results.values():
             row["passed"] = None
 
     # Fixed off-origin base points: the bound rules out singularities away
     # from the origin, so the probes must stay put while the curve moves.
-    pts0 = trajectory.states[0].curve.points
+    pts0 = states[0].curve.points
     probes = pts0[:: max(len(pts0) // 8, 1)][:8]
     windows = np.array([0.25 * float(np.linalg.norm(probe)) for probe in probes])
     probes, windows = probes[windows > 0.0], windows[windows > 0.0]
     worst_ratio = 0.0
     count = 0
-    for a, b in _chord_blocks(groups, curves, len(probes)):
-        values, under = _probe_ratios(a, b, probes, windows)
-        resolved_values = values[~under]
-        count += len(resolved_values)
-        worst_ratio = max(worst_ratio, float(resolved_values.max(initial=0.0)))
+    for block in _record_blocks(states, math.inf, len(probes)):
+        if block[0].curve.closed:
+            pts = np.stack([st.curve.points for st in block])
+            chords = [(pts, np.roll(pts, -1, axis=1))]
+        else:
+            # an open record's chords depend on its pieces: one at a time
+            chords = [(a[None], b[None]) for a, b in (_segments(st.curve) for st in block)]
+        for a, b in chords:
+            values, under = _probe_ratios(a, b, probes, windows)
+            resolved_values = values[~under]
+            count += len(resolved_values)
+            worst_ratio = max(worst_ratio, float(resolved_values.max(initial=0.0)))
     results["density_ratio_bound"] = {
         "passed": (worst_ratio <= 1.55) if count else None,
         "value": worst_ratio if count else float("nan"),

@@ -59,10 +59,13 @@ stepping clock, the origin-contact radius and the report with its
 singular point and singular-time bracket.
 
 Both integrators step in place, in arrays made once per run.  evolve
-keeps its nodes in a StepWorkspace, writes each step into a buffer of
-its own and copies it back once it is finite; a Heun step writes its
-predictor straight into the nodes of a second workspace, which computes
-only the predictor's guards and velocity, not its step scalars.  The
+keeps its nodes in a StepWorkspace, the one holder of a step's geometry:
+a record's diagnostics row and the stop report read it right after its
+update, and no copy of its terms is made.  evolve writes each step
+into a buffer of its own and copies it back once it is finite; a Heun
+step writes its predictor straight into the nodes of a second
+workspace, which computes only the predictor's guards and velocity, not
+its step scalars.  The
 radial twin keeps r in a buffer padded by two periodic samples per end
 (_RadialWorkspace): :func:`radial_velocity` writes dr/dt and r' through
 its ``out`` arrays, and one reduction over the rows [r, r r + r' r',
@@ -81,7 +84,6 @@ from .geometry import (
     MIN_NODES,
     CurveConfigError,
     CurveError,
-    CurveTerms,
     OriginContactError,
     PlaneCurve,
     StepWorkspace,
@@ -344,7 +346,7 @@ def make_state(curve: PlaneCurve, t: float = 0.0) -> FlowState:
 
 def velocity(curve: PlaneCurve) -> np.ndarray:
     """kappa*n - x_perp/|x|^2 per node, shape (N, 2), as the step uses it."""
-    return curve_terms(curve.points, curve.closed).velocity
+    return curve_terms(curve.points, curve.closed).velocity.T.copy()
 
 
 def stability_dt(curve: PlaneCurve, safety: float) -> float:
@@ -422,9 +424,10 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     )
 
 
-def _diagnostics_row(state: FlowState, terms: CurveTerms, dt_auto: float) -> dict[str, float]:
+def _diagnostics_row(state: FlowState, ws: StepWorkspace, dt_auto: float) -> dict[str, float]:
+    """The diagnostics of ``state``, whose nodes ``ws`` has just updated."""
     curve = state.curve
-    frame = terms.frame
+    frame = ws.frame()
     nan = float("nan")
     row = {
         "t": state.t,
@@ -433,18 +436,18 @@ def _diagnostics_row(state: FlowState, terms: CurveTerms, dt_auto: float) -> dic
         "liouville_integral": nan,
         "maslov_integral": nan,
         "monotone_defect": nan,
-        "max_curvature": terms.max_curvature(),
-        "min_radius": terms.min_radius(),
+        "max_curvature": ws.max_curvature(),
+        "min_radius": ws.min_radius(),
         "gaussian_density_origin": nan,
         "angle_min": nan,
         "angle_max": nan,
     }
-    # curve_terms has rejected every node where the angle field is singular
+    # the update has rejected every node where the angle field is singular
     angle = lagrangian_angle(curve, frame)
     row["angle_min"] = float(angle.theta.min())
     row["angle_max"] = float(angle.theta.max())
     if curve.closed:
-        row["area"] = terms.area()
+        row["area"] = ws.area()
         try:
             md = monotone_data(curve, frame, angle)
         except NonMonotoneError:
@@ -662,9 +665,10 @@ def evolve(
     The loop keeps the nodes in one StepWorkspace, which computes each
     step's terms in place, and steps them through arrays it keeps from
     step to step: the new nodes, and for Heun a second workspace that
-    computes only the predictor's guards and velocity.  PlaneCurve,
-    FlowState and CurveTerms objects are built only for records, at the
-    stop and for errors.
+    computes only the predictor's guards and velocity.  PlaneCurve and
+    FlowState objects are built only for records, at the stop and for
+    errors; a record and the stop report read the workspace right after
+    its update.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
@@ -703,19 +707,18 @@ def evolve(
             curve=PlaneCurve(nodes.T, closed=closed), t=t, initial_constant=c0, step_index=index
         )
 
-    def record(terms: CurveTerms, dt_auto: float) -> None:
+    def record(dt_auto: float) -> None:
         nonlocal last_recorded_min_r
         st = state_at()
-        row = _diagnostics_row(st, terms, dt_auto)
+        row = _diagnostics_row(st, ws, dt_auto)
         for k in DIAGNOSTIC_COLUMNS:
             columns[k].append(row[k])
         states.append(st)
         last_recorded_min_r = row["min_radius"]
 
     def finish(dt_auto, trigger) -> tuple[Trajectory, SingularityReport]:
-        terms = ws.terms()
         if not states or states[-1].t != t:
-            record(terms, dt_auto)
+            record(dt_auto)
         # c/2 tightens the extrapolated bracket only on a once-winding
         # curve (a nan Maslov integral drops it too)
         once_winding = abs(columns["maslov_integral"][-1] - 4.0 * math.pi) < 1e-3
@@ -726,8 +729,8 @@ def evolve(
             diagnostics["min_radius"],
             dt_auto,
             states[-1],
-            terms.points[int(np.abs(terms.frame.curvature).argmax())].copy(),
-            terms.max_curvature(),
+            nodes[:, int(np.abs(ws.curvature).argmax())].copy(),
+            ws.max_curvature(),
             critical if once_winding else None,
         )
         return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c0), report
@@ -748,7 +751,7 @@ def evolve(
                 and abs(ws.area()) < TAIL_AREA_FRACTION * area0
             )
             if not states or on_grid or tail_hit:
-                record(ws.terms(), dt_auto)
+                record(dt_auto)
 
             # --- stop checks (before stepping) ---------------------------
             if closed and min_r < contact_radius:

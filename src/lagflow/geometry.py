@@ -9,10 +9,10 @@ differences, so tangents, curvature and arclength weights converge at
 Sign conventions, fixed here and relied on by every other module:
 
 * a counterclockwise curve encloses positive area;
-* ``FrameData.normal`` is the unit tangent rotated by +pi/2, which points
-  inward for counterclockwise curves;
+* the normal n is the unit tangent rotated by +pi/2, n = (-ty, tx), which
+  points inward for counterclockwise curves;
 * curvature is signed, kappa = (x'y'' - y'x'') / |gamma'|^3, so the
-  curvature vector kappa * normal is orientation independent (a circle
+  curvature vector kappa * n is orientation independent (a circle
   always points at its own center).
 
 Open polylines serve as analysis fixtures (truncated lines and cones) and
@@ -25,14 +25,14 @@ Everything a flow step needs from the geometry of its curve (degeneracy
 and origin guards, frame, |x|^2, <x, n>, the velocity and the stable step)
 is computed once per step by a :class:`StepWorkspace`, a persistent set
 of preallocated arrays that the flow loop keeps its nodes in from step to
-step.  :func:`curve_terms`, :func:`compute_frame` (closed curves) and
-:func:`enclosed_area` build a new workspace per call and return copies,
-so each quantity has one definition.  :func:`closed_weights`, the frame's
-arclength weights of a whole block of closed curves in one array pass
-(for the analysis passes over a run's records), reuses the workspace's
-stencil and gives the floats of its frame.  Its derived step quantities
-(stable step, min |x|, max |kappa|, area) are defined once, for the
-workspace and its :class:`CurveTerms` snapshots alike.
+step.  The workspace is the one object that holds a curve's per-step
+geometry, closed or open: the flow's records read it right after its
+update, and :func:`curve_terms`, :func:`compute_frame` and
+:func:`enclosed_area` build a new workspace per call, so each quantity
+has one definition.  :func:`closed_weights`, the frame's arclength
+weights of a whole block of closed curves in one array pass (for the
+analysis passes over a run's records), reuses the workspace's stencil
+and gives the floats of its frame.
 
 The workspace holds the nodes as a (2, N) array, x and y as contiguous
 rows, inside one buffer padded by two periodic samples per row end.  At
@@ -46,16 +46,15 @@ component a strided column view and each extremum its own reduction.
 
 Aliasing rule: the workspace's arrays are overwritten by its next update,
 so they are valid only until then; a caller that keeps one copies it.
-:meth:`StepWorkspace.terms` and :meth:`StepWorkspace.frame` return
-copies, in the (N, 2) layout of :class:`PlaneCurve`.
+:meth:`StepWorkspace.frame` returns copies, in the (N, 2) layout of
+:class:`PlaneCurve`.
 
-The workspace keeps no normal: a step reads the normal n = (-ty, tx)
-only through <x, n> and the velocity, and takes both from the tangent.
-IEEE negation is exact and a - b is a + (-b), so <x, n> = x nx + y ny
-is the float y tx - x ty, and the x-component of the velocity,
+Nothing holds a normal: a step reads n = (-ty, tx) only through <x, n>
+and the velocity, and takes both from the tangent.  IEEE negation is
+exact and a - b is a + (-b), so <x, n> = x nx + y ny is the float
+y tx - x ty, and the x-component of the velocity,
 kappa nx - <x, n> nx / |x|^2, is the float <x, n> ty / |x|^2 - kappa ty.
-:meth:`StepWorkspace.frame` builds the normal, for records only.  An
-update is two parts: :meth:`StepWorkspace.update_velocity` (the guards,
+An update is two parts: :meth:`StepWorkspace.update_velocity` (the guards,
 the frame, |x|^2, <x, n> and the velocity), which is all the Heun
 predictor computes, and the step scalars (the peaks and the step cap),
 which :meth:`StepWorkspace.update` adds.
@@ -96,7 +95,6 @@ __all__ = [
     "OriginContactError",
     "PlaneCurve",
     "FrameData",
-    "CurveTerms",
     "StepWorkspace",
     "chord_weights",
     "closed_weights",
@@ -177,11 +175,10 @@ class PlaneCurve:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Per-node frame: unit tangent, +pi/2 normal, signed curvature and
-    arclength weight (weights sum to the curve length)."""
+    """Per-node frame: unit tangent, signed curvature and arclength weight
+    (weights sum to the curve length)."""
 
     tangent: np.ndarray
-    normal: np.ndarray
     curvature: np.ndarray
     weight: np.ndarray
 
@@ -261,13 +258,6 @@ def _check_spacing(min_chord: float, diameter: float) -> None:
         )
 
 
-def _check_spacing_within(min_chord: float, bound: float, pts: np.ndarray) -> None:
-    """_check_spacing against the diameter of ``pts``, which is computed
-    only when min_chord fails against ``bound``, an upper bound on it."""
-    if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
-        _check_spacing(min_chord, _diameter(pts))
-
-
 def _check_origin(r2_min: float, diameter: float) -> None:
     if r2_min <= (ORIGIN_GUARD_FACTOR * max(diameter, 1e-300)) ** 2:
         raise OriginContactError(
@@ -321,37 +311,6 @@ def periodic_derivatives(
     return d1, d2
 
 
-def _open_frame(
-    pts: np.ndarray, pieces: list[np.ndarray], bound: float
-) -> tuple[float, FrameData]:
-    """Smallest within-piece chord and the frame of an open curve;
-    ``bound`` is an upper bound on the diameter."""
-    # jumps in open fixtures are legitimate; only within-piece spacings count
-    min_chord = float(
-        min((_open_chords(pts[p]).min() for p in pieces if len(p) >= 2), default=np.inf)
-    )
-    _check_spacing_within(min_chord, bound, pts)
-    n = len(pts)
-    tangent = np.zeros_like(pts)
-    d1 = np.zeros_like(pts)
-    d2 = np.zeros_like(pts)
-    speed = np.zeros(n)
-    weight = np.zeros(n)
-    for p in pieces:
-        seg = pts[p]
-        if len(p) < 2:
-            raise DegenerateCurveError("single-node component in open curve")
-        g1 = np.gradient(seg, axis=0)
-        g2 = np.gradient(g1, axis=0)
-        sp = np.linalg.norm(g1, axis=1)
-        if sp.min() <= 0.0:
-            raise DegenerateCurveError("vanishing parametric speed")
-        d1[p], d2[p], speed[p] = g1, g2, sp
-        tangent[p] = g1 / sp[:, None]
-        weight[p] = chord_weights(seg)
-    return min_chord, _frame_data(tangent, d1, d2, speed, weight)
-
-
 def chord_weights(pts: np.ndarray) -> np.ndarray:
     """Arclength weight per node of one open polyline component: half of
     each adjacent chord (trapezoids, exact on straight lines)."""
@@ -362,83 +321,27 @@ def chord_weights(pts: np.ndarray) -> np.ndarray:
     return w
 
 
-def _normal(tangent: np.ndarray) -> np.ndarray:
-    """The (N, 2) unit tangents rotated by +pi/2, as a new array."""
-    normal = np.empty_like(tangent)
-    np.negative(tangent[:, 1], out=normal[:, 0])
-    normal[:, 1] = tangent[:, 0]
-    return normal
-
-
-def _frame_data(tangent, d1, d2, speed, weight) -> FrameData:
-    # d1x d2y - d1y d2x; speed**3 is pow, which can differ from
-    # speed * speed * speed in the last bit
-    curvature = d1[:, 0] * d2[:, 1]
-    curvature -= d1[:, 1] * d2[:, 0]
-    curvature /= speed**3
-    return FrameData(tangent=tangent, normal=_normal(tangent), curvature=curvature, weight=weight)
-
-
-class _StepScalars:
-    """The quantities a flow step derives from one workspace update, for
-    :class:`StepWorkspace` and its :class:`CurveTerms` snapshots alike:
-    each has this one definition.  Reads ``closed``, ``r2_min``, the step
-    cap ``_cap`` (the stable step over safety), ``_kmax`` (max |kappa|),
-    the index step ``_h`` and ``_rows``, the (2, N) node and first
-    derivative rows."""
-
-    __slots__ = ()
-
-    def stable_dt(self, safety: float) -> float:
-        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
-        return safety * self._cap
-
-    def min_radius(self) -> float:
-        return math.sqrt(self.r2_min)
-
-    def max_curvature(self) -> float:
-        return self._kmax
-
-    def area(self) -> float:
-        if not self.closed:
-            raise CurveConfigError("enclosed area requires a closed curve")
-        (x, y), (d1x, d1y) = self._rows
-        return 0.5 * float(np.sum(x * d1y - y * d1x) * self._h)
-
-
-class CurveTerms(_StepScalars):
-    """The geometry of one curve as a flow step needs it: frame, smallest
-    arclength spacing h (the smallest weight on a closed curve, taken as
-    min |gamma'| times the index step; the smallest within-piece chord on
-    an open one), |x|^2 (``r2``) and its minimum (``r2_min``), <x, n>
-    (``dots``), the flow velocity kappa n - <x, n> n / |x|^2, the stable
-    step, min |x|, max |kappa| and, on closed curves, the enclosed area.
-    A snapshot of a :class:`StepWorkspace`, with (N, 2) arrays that it
-    owns; build one with :func:`curve_terms`."""
-
-    __slots__ = (
-        "points", "closed", "frame", "spacing", "r2", "r2_min", "dots", "velocity",
-        "_cap", "_kmax", "_h", "_rows",
-    )
-
-
-class StepWorkspace(_StepScalars):
+class StepWorkspace:
     """Per-step geometry of a curve with a fixed node count, computed in
     preallocated arrays (see the module docstring for the layout and the
     aliasing rule): the one code that computes the degeneracy and origin
-    guards, the frame of a closed curve, |x|^2, <x, n>, the flow velocity
-    and the stable step.
+    guards, the frame, |x|^2, <x, n>, the flow velocity and the stable
+    step.
 
     A caller writes the nodes into ``nodes``, a (2, N) view of the padded
     buffer, and calls :meth:`update`, or :meth:`update_velocity` when it
     needs only the guards and the velocity.  The results then describe
-    those nodes: ``tangent``, ``velocity`` and ``d1`` as (2, N) rows;
-    ``curvature``, ``r2``, ``dots`` and ``speed`` as length-N arrays; the
-    smallest arclength spacing ``spacing``, ``r2_min`` and the largest
-    arclength weight ``max_weight``; and, after :meth:`update`, the
-    methods of the step scalars.  The comments give each result as the
-    expression whose float it is.  Open curves take their frame from
-    :func:`_open_frame` and share the rest.
+    those nodes: ``tangent`` and ``velocity`` as (2, N) rows;
+    ``curvature``, ``r2`` (|x|^2) and ``dots`` (<x, n>) as length-N
+    arrays; the smallest arclength spacing ``spacing`` (the smallest
+    weight on a closed curve, taken as min |gamma'| times the index step;
+    the smallest within-piece chord on an open one), ``r2_min`` and the
+    largest arclength weight ``max_weight``; :meth:`frame`; and, after
+    :meth:`update`, the step scalars :meth:`stable_dt`,
+    :meth:`min_radius`, :meth:`max_curvature` and, on a closed curve,
+    :meth:`area`.  The comments give each result as the expression whose
+    float it is.  A closed curve's frame comes from :meth:`_frame_closed`,
+    an open one's from :meth:`_frame_open`, and the rest is shared.
     """
 
     def __init__(self, points: np.ndarray, closed: bool = True):
@@ -453,20 +356,19 @@ class StepWorkspace(_StepScalars):
         buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
         self.nodes[...] = points.T
-        self.d1 = d1p[:, :n]
         # the rows x, y, d1x, d1y, d2x, d2y, made once: a view costs
         # about what a small ufunc call does
         self._row_views = (
             buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
         )
-        self._rows = (self.nodes, self.d1)
         self.tangent, self.velocity, self._sq = rows
         self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
         # the reductions' results: the minima and maxima of the spread rows
         # and the maxima of the peaks
         self._lows, self._highs, self._peak_max = np.empty((3, 3))
         self.r2, self._chord2, self.speed, self.dots, self.curvature = lines[:5]
-        self._weight = None
+        # a closed curve's weights are speed h; an open one's are chords
+        self._weight = None if closed else np.empty(n)
         # Flat, a padded array is one contiguous run, which the stencils
         # and differences take in one call each.  A value at flat index i
         # of a stencil's output belongs to the buffer sample at i + 2, so
@@ -486,6 +388,13 @@ class StepWorkspace(_StepScalars):
     def points(self) -> np.ndarray:
         """The nodes as a new (N, 2) array."""
         return np.ascontiguousarray(self.nodes.T)
+
+    def _check_spacing_within(self, min_chord: float, bound: float) -> None:
+        """_check_spacing against the diameter of the nodes, which is
+        computed only when min_chord fails against ``bound``, an upper
+        bound on it."""
+        if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
+            _check_spacing(min_chord, _diameter(self.points()))
 
     def _frame_closed(self, diameter: float | None = None) -> tuple[float, float | None]:
         """Spacing guard, frame and vanishing-speed guard of a closed curve,
@@ -526,9 +435,7 @@ class StepWorkspace(_StepScalars):
             r2_min, bound = lows[0], _diameter_bound(highs[0])
         else:
             r2_min, bound = None, diameter
-        min_chord = math.sqrt(chord2_min)
-        if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
-            _check_spacing(min_chord, _diameter(self.points()))
+        self._check_spacing_within(math.sqrt(chord2_min), bound)
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
         (tx, ty), kappa = self.tangent, self.curvature
@@ -546,22 +453,45 @@ class StepWorkspace(_StepScalars):
         kappa -= w0
         np.power(speed, 3, w0)
         kappa /= w0
-        self._weight = None
         return bound, r2_min
 
-    def _frame_open(self) -> tuple[float, float]:
-        """Guards, frame and |x|^2 of an open curve, as _frame_closed."""
+    def _frame_open(self, diameter: float | None = None) -> tuple[float, float | None]:
+        """Spacing guard, frame and vanishing-speed guard of an open curve,
+        and |x|^2 unless its exact ``diameter`` is given; returns as
+        :meth:`_frame_closed`.  Each piece of :func:`curve_pieces` is
+        differentiated with ``np.gradient`` (one-sided at its ends) and
+        weighted by chord trapezoids, and only within-piece chords count
+        for the spacing: jumps in open fixtures are legitimate."""
         pts = self.points()
-        (x, y), r2 = self.nodes, self.r2
-        np.multiply(x, x, r2)
-        r2 += y * y
-        bound = _diameter_bound(float(r2.max()))
-        self.spacing, frame = _open_frame(pts, curve_pieces(pts, False), bound)
-        self.tangent[...] = frame.tangent.T
-        self.curvature[...] = frame.curvature
-        self._weight = frame.weight
-        self.max_weight = float(frame.weight.max())
-        return bound, float(r2.min())
+        if diameter is None:
+            (x, y), r2 = self.nodes, self.r2
+            np.multiply(x, x, r2)
+            r2 += y * y
+            r2_min, bound = float(r2.min()), _diameter_bound(float(r2.max()))
+        else:
+            r2_min, bound = None, diameter
+        pieces = curve_pieces(pts, False)
+        self.spacing = float(
+            min((_open_chords(pts[p]).min() for p in pieces if len(p) >= 2), default=np.inf)
+        )
+        self._check_spacing_within(self.spacing, bound)
+        (tx, ty), kappa, weight = self.tangent, self.curvature, self._weight
+        for p in pieces:
+            if len(p) < 2:
+                raise DegenerateCurveError("single-node component in open curve")
+            seg = pts[p]
+            d1 = np.gradient(seg, axis=0)
+            d2 = np.gradient(d1, axis=0)
+            speed = np.linalg.norm(d1, axis=1)
+            if speed.min() <= 0.0:
+                raise DegenerateCurveError("vanishing parametric speed")
+            tx[p] = d1[:, 0] / speed
+            ty[p] = d1[:, 1] / speed
+            # (d1x d2y - d1y d2x) / speed**3, as on a closed curve
+            kappa[p] = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+            weight[p] = chord_weights(seg)
+        self.max_weight = float(weight.max())
+        return bound, r2_min
 
     def update(self) -> None:
         """Every per-step term at the current nodes: :meth:`update_velocity`,
@@ -617,25 +547,27 @@ class StepWorkspace(_StepScalars):
 
     def frame(self) -> FrameData:
         """The frame, in (N, 2) and length-N arrays of its own."""
-        weight = self.speed * self._h if self._weight is None else self._weight.copy()
-        tangent = self.tangent.T.copy()
+        weight = self.speed * self._h if self.closed else self._weight.copy()
         return FrameData(
-            tangent=tangent,
-            normal=_normal(tangent),
-            curvature=self.curvature.copy(),
-            weight=weight,
+            tangent=self.tangent.T.copy(), curvature=self.curvature.copy(), weight=weight
         )
 
-    def terms(self) -> CurveTerms:
-        """A CurveTerms of the last update, with arrays of its own."""
-        terms = CurveTerms()
-        terms.points, terms.closed, terms.frame = self.points(), self.closed, self.frame()
-        terms.spacing, terms.r2_min = self.spacing, self.r2_min
-        terms.r2, terms.dots = self.r2.copy(), self.dots.copy()
-        terms.velocity = self.velocity.T.copy()
-        terms._cap, terms._kmax, terms._h = self._cap, self._kmax, self._h
-        terms._rows = (terms.points.T, self.d1.copy()) if self.closed else None
-        return terms
+    def stable_dt(self, safety: float) -> float:
+        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
+        return safety * self._cap
+
+    def min_radius(self) -> float:
+        return math.sqrt(self.r2_min)
+
+    def max_curvature(self) -> float:
+        return self._kmax
+
+    def area(self) -> float:
+        """The enclosed area, 0.5 * sum(x d1y - y d1x) h."""
+        if not self.closed:
+            raise CurveConfigError("enclosed area requires a closed curve")
+        x, y, d1x, d1y = self._row_views[:4]
+        return 0.5 * float(np.sum(x * d1y - y * d1x) * self._h)
 
 
 def _diameter_bound(r2_max: float) -> float:
@@ -645,31 +577,28 @@ def _diameter_bound(r2_max: float) -> float:
     return max(8.0 * math.sqrt(r2_max), 1e-150)
 
 
-def curve_terms(points: np.ndarray, closed: bool = True) -> CurveTerms:
+def curve_terms(points: np.ndarray, closed: bool = True) -> StepWorkspace:
     """Per-step geometry of the curve through ``points`` (an (N, 2) float64
-    array), by one update of a new :class:`StepWorkspace`, whose guards it
-    raises."""
+    array): a new :class:`StepWorkspace` after one :meth:`update
+    <StepWorkspace.update>`, whose guards it raises."""
     ws = StepWorkspace(points, closed)
     ws.update()
-    return ws.terms()
+    return ws
 
 
 def compute_frame(curve: PlaneCurve) -> FrameData:
-    """Tangent, normal, signed curvature and arclength weight per node.
+    """Tangent, signed curvature and arclength weight per node: the frame
+    of a :class:`StepWorkspace`, with its spacing and speed guards tested
+    against the exact diameter, and without the origin guard.
 
     Closed curves use 4th-order periodic central differences in the index
-    parameter (the frame of a :class:`StepWorkspace`, with its spacing and
-    speed guards tested against the exact diameter, and without the origin
-    guard).  Open curves are differentiated per component with
+    parameter.  Open curves are differentiated per component with
     ``np.gradient`` (one-sided at component ends) and weighted by chord
     trapezoids, which is exact on the straight-line fixtures.
     """
-    pts = curve.points
-    if curve.closed:
-        ws = StepWorkspace(pts)
-        ws._frame_closed(curve.diameter)
-        return ws.frame()
-    return _open_frame(pts, curve_pieces(pts, False), curve.diameter)[1]
+    ws = StepWorkspace(curve.points, curve.closed)
+    (ws._frame_closed if curve.closed else ws._frame_open)(curve.diameter)
+    return ws.frame()
 
 
 def closed_weights(points: np.ndarray) -> np.ndarray:
@@ -736,17 +665,9 @@ _I0E_B = (
 )
 
 
-# _I0E_B padded with five leading zeros to the length of _I0E_A, as the
-# columns of one table: a leading zero coefficient leaves Clenshaw's state
-# at b0 = b1 = +0, so the padded series gives the same float as _I0E_B
-_I0E_TABLE = np.array([_I0E_A, (0.0,) * 5 + _I0E_B]).T
-
-
-def _chbevl(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     """Cephes chbevl: the Chebyshev series ``coeffs`` at x by Clenshaw's
-    recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order.
-    Row k of ``coeffs`` holds the k-th coefficient of each element's
-    series, shaped like x."""
+    recurrence b0 = x b1 - b2 + c, each element in Cephes' operation order."""
     b0 = np.full_like(x, coeffs[0])
     b1 = np.zeros_like(x)
     b2 = np.empty_like(x)
@@ -764,17 +685,18 @@ def _chbevl(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _i0e(x) -> np.ndarray:
     """exp(-|x|) I0(x), the exponentially scaled modified Bessel function
     of order 0, per element of the float64 array x (Cephes ``i0e``): the
-    series in x/2 - 2 up to |x| = 8 and in 32/|x| - 2 beyond, divided by
-    sqrt|x| there, in one Clenshaw pass that takes each element's
-    coefficients from its branch's column of _I0E_TABLE."""
+    series in x/2 - 2 on the elements up to |x| = 8, and the series in
+    32/|x| - 2, divided by sqrt|x|, on the others."""
     x = np.abs(np.asarray(x, dtype=np.float64))
-    large = ~(x <= 8.0)  # also nan, which stays nan
-    arg = x / 2.0
-    # only where x > 8, so 32/x never divides by zero
-    np.divide(32.0, x, out=arg, where=large)
-    arg -= 2.0
-    out = _chbevl(arg, _I0E_TABLE[:, large.astype(np.intp)])
-    np.divide(out, np.sqrt(x), out=out, where=large)
+    out = np.empty_like(x)
+    small = x <= 8.0
+    large = ~small  # also nan, which stays nan
+    # a branch with no elements is skipped: its series is ~80 NumPy calls
+    if small.any():
+        out[small] = _chbevl(x[small] / 2.0 - 2.0, _I0E_A)
+    if large.any():
+        xl = x[large]
+        out[large] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
     return out
 
 
@@ -802,8 +724,7 @@ def swept_gaussian_densities(
     exponentially scaled form so the exponent -(|gamma| - |x0|)^2 / (4 tau)
     never overflows.  At x0 = 0 the Bessel factor is exactly 1 and its
     argument is +-0, so the kernel is exp(-|gamma|^2 / (4 tau)), the same
-    float the full expression gives, and is computed as that.  Off x0 = 0
-    the Bessel table gather holds 30 entries per node.
+    float the full expression gives, and is computed as that.
 
     Every element goes through the same operations whatever the block,
     the products <gamma, x0> are one matrix-vector product per curve, and

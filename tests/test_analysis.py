@@ -24,6 +24,7 @@ from lagflow.analysis import (
     _periodic_spline,
     _polar_radii,
     _probe_ratios,
+    _row_dot,
     _segments,
     angle_spectrum,
     cone_decomposition,
@@ -326,8 +327,13 @@ class TestClipOracle:
     }
 
     @staticmethod
-    def _assert_bit_equal(a, b, center, delta):
-        lengths, A = _clip_lengths(a, b, center, delta)
+    def _clip(a, b, center, delta):
+        d = b - a
+        A = _row_dot(d, d)
+        return _clip_lengths(a - center, d, A, delta), A
+
+    def _assert_bit_equal(self, a, b, center, delta):
+        lengths, A = self._clip(a, b, center, delta)
         for i in range(len(a)):
             assert lengths[i] == _segment_clip_length(a[i], b[i], center, delta)
             assert A[i] == float((b[i] - a[i]) @ (b[i] - a[i]))
@@ -338,7 +344,7 @@ class TestClipOracle:
         center = np.zeros(2)
         self._assert_bit_equal(a, b, center, 1.0)
         # the fixtures hit the branch they are named after
-        lengths, _ = _clip_lengths(a, b, center, 1.0)
+        lengths, _ = self._clip(a, b, center, 1.0)
         got = dict(zip(self.EDGE_CASES, lengths.tolist()))
         assert got["zero_length"] == got["tangent"] == got["outside"] == 0.0
         assert got["starts_on_circle_outward"] == 0.0
@@ -803,20 +809,19 @@ class TestLemmaTableOracle:
 
 
 def _record_probe_ratios(curve, centers, deltas):
-    # the length-ratio kernel as it ran one record at a time: the oracle
-    # for the block pass
+    # the length-ratio kernel as it ran one record at a time, with each
+    # chord's squared length computed once per probe: the oracle for the
+    # block pass
     pts = curve.points
     if curve.closed:
         idx = np.arange(len(pts))
     else:
         idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
     k, m = len(centers), len(idx)
-    lengths, A = _clip_lengths(
-        np.tile(pts[idx], (k, 1)),
-        np.tile(pts[(idx + 1) % len(pts)], (k, 1)),
-        np.repeat(centers, m, axis=0),
-        np.repeat(deltas, m),
-    )
+    a = np.tile(pts[idx], (k, 1))
+    d = np.tile(pts[(idx + 1) % len(pts)], (k, 1)) - a
+    A = _row_dot(d, d)
+    lengths = _clip_lengths(a - np.repeat(centers, m, axis=0), d, A, np.repeat(deltas, m))
     lengths = lengths.reshape(k, m)
     totals = np.add.accumulate(lengths, axis=1)[:, -1]
     hit = lengths > 0.0
@@ -873,7 +878,7 @@ class TestBlockKernelOracle:
     def test_theta_matches_record_loop(self, monkeypatch, records, x0, T, t_max):
         # 10 records of N = 64 in blocks of 3 leave a block of one; T and
         # t_max each cut the run short
-        self.set_block(monkeypatch, records, 1 if x0 == (0.0, 0.0) else 30)
+        self.set_block(monkeypatch, records)
         traj = _records(_block_test_curves())
         rep = monotonicity_check(traj, x0, T, t_max=t_max)
         cutoff = T if t_max is None else min(T, t_max)

@@ -135,7 +135,7 @@ class TestStep:
         terms = curve_terms(pts)
         # _advance takes and gives (2, N) rows, the StepWorkspace layout
         buffers = _step_buffers(PlaneCurve(pts), scheme)
-        new = _advance(pts.T, terms.velocity.T, terms.stable_dt(0.2), None, *buffers).T
+        new = _advance(pts.T, terms.velocity, terms.stable_dt(0.2), None, *buffers).T
         assert not np.array_equal(new, pts)
         assert np.array_equal(new[m:], -new[:m])
 
@@ -181,7 +181,8 @@ def step_caps(c):
     else:
         h = min(np.linalg.norm(np.diff(pts[p], axis=0), axis=1).min() for p in curve_pieces(pts, False))
     r2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    dmax = np.abs(pts[:, 0] * frame.normal[:, 0] + pts[:, 1] * frame.normal[:, 1]).max()
+    normal = np.column_stack([-frame.tangent[:, 1], frame.tangent[:, 0]])
+    dmax = np.abs(pts[:, 0] * normal[:, 0] + pts[:, 1] * normal[:, 1]).max()
     vmax = np.linalg.norm(velocity(c), axis=1).max()
     return [
         h * h,
@@ -213,7 +214,7 @@ class TestCurveTermsViews:
 
     def test_velocity_is_the_kernel_velocity(self, name):
         c = CAP_CURVES[name][0]()
-        assert np.array_equal(velocity(c), curve_terms(c.points, c.closed).velocity)
+        assert np.array_equal(velocity(c), curve_terms(c.points, c.closed).velocity.T)
 
     @pytest.mark.parametrize("safety", [0.2, 0.37])
     def test_stability_dt_matches_step_cap(self, name, safety):
@@ -326,7 +327,7 @@ class TestEvolve:
         traj, report = evolve(make_state(curve), stop=StopConditions(t_end=0.05))
         assert report.trigger == "curvature_blowup"
         last = traj.states[-1].curve.points
-        kappa = np.abs(curve_terms(last).frame.curvature)
+        kappa = np.abs(curve_terms(last).curvature)
         assert np.sort(kappa)[-1] > 1.1 * np.sort(kappa)[-2]
         assert np.array_equal(report.singular_point, last[kappa.argmax()])
         assert np.linalg.norm(report.singular_point) > 0.5

@@ -114,6 +114,22 @@ def test_only_geometry_splits_curves(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_imported(module):
+    # a leading underscore marks a name as its own module's business; a
+    # kernel another module needs is public, so its one home is visible
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "lagflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_public_names_are_defined(module):
     # a name left in __all__ after its definition was deleted breaks
     # "from lagflow.<module> import *" only when someone tries it
