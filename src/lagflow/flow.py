@@ -174,6 +174,9 @@ MAX_STEPS = 2_000_000
 # overflows them from L ~ 1e77; at 1e50 each stays far inside its range.
 COORDINATE_SCALE = 1e50
 _ORIGIN = np.zeros(2)
+# whether every element of a bool array is true: the reduction that
+# ndarray.all runs, without its Python-level wrapper
+_all_true = np.logical_and.reduce
 
 
 class IntegrationError(RuntimeError):
@@ -380,7 +383,7 @@ def _advance(
         pred = predictor.nodes
         np.multiply(vel, dt, pred)
         pred += pts
-        if not np.isfinite(pred, finite).all():
+        if not _all_true(np.isfinite(pred, finite), None):
             st = last()
             raise IntegrationError(f"non-finite predictor at t={st.t:.6g}", last_state=st)
         predictor.update_velocity()
@@ -388,7 +391,7 @@ def _advance(
         np.add(vel, predictor.velocity, out)
         out *= 0.5 * dt
         out += pts
-    if not np.isfinite(out, finite).all():
+    if not _all_true(np.isfinite(out, finite), None):
         st = last()
         raise IntegrationError(f"non-finite node positions at t={st.t:.6g}", last_state=st)
     return out
@@ -668,7 +671,8 @@ def evolve(
     computes only the predictor's guards and velocity.  PlaneCurve and
     FlowState objects are built only for records, at the stop and for
     errors; a record and the stop report read the workspace right after
-    its update.
+    its update.  The loop binds what it calls once, as the run starts,
+    and reads the step scalars as the workspace's attributes.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
@@ -700,7 +704,7 @@ def evolve(
     # buffers and the Heun predictor's workspace are kept with it
     ws = StepWorkspace(curve.points, closed)
     nodes = ws.nodes
-    buffers = _step_buffers(curve, config.scheme)
+    stepped, finite, predictor = _step_buffers(curve, config.scheme)
 
     def state_at() -> FlowState:
         return FlowState(
@@ -735,28 +739,34 @@ def evolve(
         )
         return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c0), report
 
+    # what every step calls, bound once: the stages that tests and the
+    # benchmark's tracer replace (StepWorkspace.update, _advance) are
+    # looked up here, as the run starts
+    update, advance, on_grid, shorten = ws.update, _advance, clock.on_grid, clock.shorten
+    vel = ws.velocity
     try:
         while True:
-            ws.update()
-            dt_auto = ws.stable_dt(SAFETY)
-            min_r = ws.min_radius()
+            update()
+            dt_auto = SAFETY * ws.cap
+            min_r = math.sqrt(ws.r2_min)
+            spacing = ws.spacing
             if spread_floor is None:
-                spread_floor = ws.max_weight / ws.spacing
+                spread_floor = ws.max_weight / spacing
 
             # --- recording at the current state -------------------------
-            on_grid = clock.on_grid(t)
+            grid_hit = on_grid(t)
             tail_hit = (
                 closed
                 and min_r <= TAIL_RADIUS_RATIO * last_recorded_min_r
                 and abs(ws.area()) < TAIL_AREA_FRACTION * area0
             )
-            if not states or on_grid or tail_hit:
+            if not states or grid_hit or tail_hit:
                 record(dt_auto)
 
             # --- stop checks (before stepping) ---------------------------
             if closed and min_r < contact_radius:
                 return finish(dt_auto, "origin_contact")
-            if ws.max_curvature() * ws.spacing > CURVATURE_BLOWUP_PRODUCT:
+            if ws.kmax * spacing > CURVATURE_BLOWUP_PRODUCT:
                 return finish(dt_auto, "curvature_blowup")
             if dt_auto < DT_MIN:
                 return finish(dt_auto, "step_underflow")
@@ -771,12 +781,12 @@ def evolve(
             # --- one step, shortened to land on the grid / t_end --------
             # _advance leaves the nodes as they were when it raises, so
             # state_at() is still the pre-step state there
-            dt = clock.shorten(t, dt_auto)
-            new_nodes = _advance(nodes, ws.velocity, dt, state_at, *buffers)
-            np.copyto(nodes, new_nodes)
+            dt = shorten(t, dt_auto)
+            new_nodes = advance(nodes, vel, dt, state_at, stepped, finite, predictor)
+            nodes[...] = new_nodes
             t = t + dt
             index += 1
-            if closed and ws.max_weight > REDISTRIBUTE_RATIO * spread_floor * ws.spacing:
+            if closed and ws.max_weight > REDISTRIBUTE_RATIO * spread_floor * spacing:
                 # through the public resample, which validates its output
                 nodes[...] = resample(PlaneCurve(new_nodes.T, closed=True), n).points.T
                 spread_floor = None
@@ -871,32 +881,35 @@ class _RadialWorkspace:
         # row 0 is the padded profile; rows 1 and 2 hold r r + r' r' and
         # -|dr/dt| at the profile's columns
         lines = np.empty((3, n + 4))
-        self._minima = np.empty(3)
-        self._padded = lines[0]
-        self.r = lines[0, 2 : n + 2]
+        padded, extrema = lines[0], lines[:, 2 : n + 2]
+        self.r = extrema[0]
         self.r[...] = r
-        self._extrema = lines[:, 2 : n + 2]
-        self._pads = ((lines[0, :2], lines[0, n : n + 2]), (lines[0, n + 2 :], lines[0, 2:4]))
         # dr/dt, r' and two scratch rows for radial_velocity; r + dt dr/dt
         work = np.empty((5, n))
-        self._out = tuple(work[:4])
-        self.rhs, self._tmp, self._stepped = work[0], work[2], work[4]
-        self._finite = np.empty(n, dtype=bool)
+        self.rhs = work[0]
+        # every view a step touches, made once and unpacked by each stage
+        self._update_views = (
+            padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], padded, tuple(work[:4]),
+            self.r, extrema[1], extrema[2], work[2], extrema, np.empty(3),
+        )
+        self._advance_views = (self.rhs, self.r, work[4], np.empty(n, dtype=bool))
 
     def update(self, safety: float) -> tuple[float, float]:
         """dr/dt of the current profile, into ``rhs``; returns min r and
         the largest stable explicit step, both from one first difference
         r'."""
-        for dst, src in self._pads:
-            np.copyto(dst, src)
-        rhs, d1 = radial_velocity(self._padded, self._out)
-        _, caps, rates = self._extrema
-        np.multiply(self.r, self.r, caps)
-        np.multiply(d1, d1, self._tmp)
-        caps += self._tmp
+        lo_pad, lo_src, hi_pad, hi_src, padded, out, r, caps, rates, tmp, extrema, minima = (
+            self._update_views
+        )
+        lo_pad[...] = lo_src
+        hi_pad[...] = hi_src
+        rhs, d1 = radial_velocity(padded, out)
+        np.multiply(r, r, caps)
+        np.multiply(d1, d1, tmp)
+        caps += tmp
         # -|dr/dt| exactly, so that its minimum is -max|dr/dt|
         np.copysign(rhs, -1.0, rates)
-        r_min, cap_min, neg_rate = np.minimum.reduce(self._extrema, 1, out=self._minima).tolist()
+        r_min, cap_min, neg_rate = np.minimum.reduce(extrema, 1, out=minima).tolist()
         if r_min <= 0.0:
             raise OriginContactError("radial profile touched zero")
         rate = -neg_rate
@@ -913,14 +926,14 @@ class _RadialWorkspace:
         """r + dt dr/dt into ``r``.  A non-finite result raises
         IntegrationError with the profile at t, which it leaves as it
         was."""
-        stepped = self._stepped
-        np.multiply(self.rhs, dt, stepped)
-        stepped += self.r
-        if not np.isfinite(stepped, self._finite).all():
+        rhs, r, stepped, finite = self._advance_views
+        np.multiply(rhs, dt, stepped)
+        stepped += r
+        if not _all_true(np.isfinite(stepped, finite), None):
             raise IntegrationError(
-                f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(self.r, t)
+                f"non-finite radial profile at t={t:.6g}", last_state=RadialProfile(r, t)
             )
-        np.copyto(self.r, stepped)
+        r[...] = stepped
 
 
 def radial_rhs(profile: RadialProfile) -> np.ndarray:

@@ -44,6 +44,18 @@ row, no array is allocated per step, and the eight extrema a step needs
 come from two batched reductions.  An (N, 2) array would make each
 component a strided column view and each extremum its own reduction.
 
+The Python around those calls is the rest of a step's cost, so it is
+kept flat.  The workspace makes every view a step touches once, in its
+constructor, and :meth:`StepWorkspace.update`, :meth:`update_velocity
+<StepWorkspace.update_velocity>` and :meth:`_frame_closed
+<StepWorkspace._frame_closed>` each unpack one prebuilt tuple of them; no
+per-step helper builds a view (the stencils read shifted views made once
+by :func:`_stencil_views`), and the pads are filled by slice assignment.
+The step scalars ``cap``, ``r2_min``, ``spacing``, ``max_weight`` and
+``kmax`` are plain attributes, which the flow loop reads as such.  The
+views stay valid because the buffers are never replaced: a caller
+writes new nodes into ``nodes`` in place.
+
 Aliasing rule: the workspace's arrays are overwritten by its next update,
 so they are valid only until then; a caller that keeps one copies it.
 :meth:`StepWorkspace.frame` returns copies, in the (N, 2) layout of
@@ -284,31 +296,49 @@ def pad_periodic(f: np.ndarray) -> np.ndarray:
     return np.concatenate((f[-2:], f, f[:2]))
 
 
+def _stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shifted samples f[i+1], f[i-1], f[i+2], f[i-2] and f[i] of the
+    periodic samples that :func:`pad_periodic` padded into ``p``, as views
+    of ``p``; :func:`_stencils` reads them."""
+    n = len(p) - 4
+    return p[3 : n + 3], p[1 : n + 1], p[4:], p[:n], p[2 : n + 2]
+
+
+def _stencils(
+    views: tuple[np.ndarray, ...], h: float, d1: np.ndarray, d2: np.ndarray, tmp: np.ndarray
+) -> None:
+    """4th-order first and second derivatives, at grid spacing h, from the
+    shifted samples ``views`` of :func:`_stencil_views`, into d1 and d2,
+    with tmp as scratch; all three are shaped like one unpadded sample
+    set.  A caller that steps one buffer builds its views once."""
+    fwd, back, far, near, here = views
+    np.subtract(fwd, back, d1)
+    d1 *= 8.0
+    np.subtract(far, near, tmp)
+    d1 -= tmp
+    d1 /= 12.0 * h
+    np.add(fwd, back, d2)
+    d2 *= 16.0
+    np.add(far, near, tmp)
+    d2 -= tmp
+    np.multiply(here, 30.0, tmp)
+    d2 -= tmp
+    d2 /= 12.0 * h * h
+
+
 def periodic_derivatives(
     p: np.ndarray, h: float, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """4th-order first and second derivatives, at grid spacing h, of the
-    periodic samples that :func:`pad_periodic` padded into ``p``.  ``out``
-    gives the arrays (d1, d2, scratch), shaped like one unpadded sample
-    set, to work in; by default they are new."""
-    n = len(p) - 4
-    fwd, back, far, near = p[3 : n + 3], p[1 : n + 1], p[4:], p[:n]
+    periodic samples that :func:`pad_periodic` padded into ``p``: the
+    :func:`_stencils` of its :func:`_stencil_views`.  ``out`` gives the
+    arrays (d1, d2, scratch), shaped like one unpadded sample set, to work
+    in; by default they are new."""
+    views = _stencil_views(p)
     if out is None:
-        out = (np.empty_like(fwd), np.empty_like(fwd), np.empty_like(fwd))
-    d1, d2, tmp = out
-    np.subtract(fwd, back, out=d1)
-    d1 *= 8.0
-    np.subtract(far, near, out=tmp)
-    d1 -= tmp
-    d1 /= 12.0 * h
-    np.add(fwd, back, out=d2)
-    d2 *= 16.0
-    np.add(far, near, out=tmp)
-    d2 -= tmp
-    np.multiply(p[2 : n + 2], 30.0, out=tmp)
-    d2 -= tmp
-    d2 /= 12.0 * h * h
-    return d1, d2
+        out = (np.empty_like(views[0]), np.empty_like(views[0]), np.empty_like(views[0]))
+    _stencils(views, h, *out)
+    return out[0], out[1]
 
 
 def chord_weights(pts: np.ndarray) -> np.ndarray:
@@ -337,16 +367,19 @@ class StepWorkspace:
     weight on a closed curve, taken as min |gamma'| times the index step;
     the smallest within-piece chord on an open one), ``r2_min`` and the
     largest arclength weight ``max_weight``; :meth:`frame`; and, after
-    :meth:`update`, the step scalars :meth:`stable_dt`,
-    :meth:`min_radius`, :meth:`max_curvature` and, on a closed curve,
-    :meth:`area`.  The comments give each result as the expression whose
-    float it is.  A closed curve's frame comes from :meth:`_frame_closed`,
+    :meth:`update`, the step cap ``cap`` (the stable step before its
+    safety factor) and ``kmax`` (max |kappa|).  :meth:`stable_dt`,
+    :meth:`min_radius` and :meth:`max_curvature` give the step scalars
+    to one-shot callers, and :meth:`area` the enclosed area of a closed
+    curve.  The comments give each result as the expression whose float
+    it is.  A closed curve's frame comes from :meth:`_frame_closed`,
     an open one's from :meth:`_frame_open`, and the rest is shared.
     """
 
     def __init__(self, points: np.ndarray, closed: bool = True):
         n = len(points)
-        self.n, self.closed, self._h = n, closed, 2.0 * np.pi / n
+        h = 2.0 * np.pi / n
+        self.n, self.closed, self._h = n, closed, h
         # three blocks: the padded nodes, d1, d2 and a work array; the
         # (2, N) rows; the length-N arrays, which the extrema reduce as
         # rows [|x|^2, chord^2, speed] and [|<x, n>|, |kappa|, |v|^2]
@@ -356,19 +389,16 @@ class StepWorkspace:
         buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
         self.nodes[...] = points.T
-        # the rows x, y, d1x, d1y, d2x, d2y, made once: a view costs
-        # about what a small ufunc call does
-        self._row_views = (
-            buf[0, 2 : n + 2], buf[1, 2 : n + 2], d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n],
-        )
-        self.tangent, self.velocity, self._sq = rows
-        self._spread, self._dk, self._peaks = lines[0:3], lines[3:5], lines[5:8]
-        # the reductions' results: the minima and maxima of the spread rows
-        # and the maxima of the peaks
-        self._lows, self._highs, self._peak_max = np.empty((3, 3))
-        self.r2, self._chord2, self.speed, self.dots, self.curvature = lines[:5]
+        self.tangent, self.velocity, sq = rows
+        self.r2, chord2, self.speed, self.dots, self.curvature = lines[:5]
         # a closed curve's weights are speed h; an open one's are chords
         self._weight = None if closed else np.empty(n)
+        # Every view a step touches is made here, once: a view costs about
+        # what a small ufunc call does.  Each stage unpacks its own tuple.
+        x, y = buf[0, 2 : n + 2], buf[1, 2 : n + 2]
+        d1x, d1y, d2x, d2y = d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n]
+        (tx, ty), (vx, vy), (sq0, sq1) = self.tangent, self.velocity, sq
+        w0, w1 = work[0, :n], work[1, :n]
         # Flat, a padded array is one contiguous run, which the stencils
         # and differences take in one call each.  A value at flat index i
         # of a stencil's output belongs to the buffer sample at i + 2, so
@@ -377,13 +407,26 @@ class StepWorkspace:
         # scale with the coordinates, not with the curve's size.
         flat, work_flat = buf.reshape(-1), work.reshape(-1)
         m = len(flat) - 4
-        self._flat, self._work_flat = flat, work_flat
-        self._stencil_out = (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m])
-        self._pads = ((buf[:, :2], buf[:, n : n + 2]), (buf[:, n + 2 :], buf[:, 2:4]))
-        self._chords = (flat[3:], flat[2:-1], work_flat[: m + 1])
-        # the rows of work at the nodes' columns, unpadded and padded
-        self._work_rows = (work[0, :n], work[1, :n])
-        self._work_node_rows = (work[0, 2 : n + 2], work[1, 2 : n + 2])
+        # the reductions' results: the minima and maxima of the spread
+        # rows [|x|^2, chord^2, speed], and the maxima of the peaks; with
+        # an exact diameter, |x|^2 is left out
+        spread, peaks = lines[0:3], lines[5:8]
+        lows, highs, peak_max = np.empty((3, 3))
+        self._closed_views = (
+            # each pad and the samples it copies
+            buf[:, :2], buf[:, n : n + 2], buf[:, n + 2 :], buf[:, 2:4],
+            # |x|^2: the flat square, then its rows at the nodes' columns
+            flat, work_flat, work[0, 2 : n + 2], work[1, 2 : n + 2], self.r2,
+            # chord^2: the flat difference, then its rows
+            flat[3:], flat[2:-1], work_flat[: m + 1], w0, w1, chord2,
+            # the flat stencils' inputs, outputs and grid spacing
+            _stencil_views(flat), d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m], h,
+            d1x, d1y, d2x, d2y, self.speed, tx, ty, self.curvature,
+            (spread, lows, highs), (spread[1:], lows[1:], highs[1:]),
+        )
+        self._velocity_views = (x, y, tx, ty, vx, vy, sq0, self.dots, self.curvature, self.r2)
+        self._peak_views = (lines[3:5], peaks[:2], self.velocity, sq, sq0, sq1, peaks[2], peaks, peak_max)
+        self._area_views = (x, y, d1x, d1y)
 
     def points(self) -> np.ndarray:
         """The nodes as a new (N, 2) array."""
@@ -402,28 +445,28 @@ class StepWorkspace:
         ``diameter``, or else the bound 8 max|x| on it; returns the value
         they tested and min |x|^2 (None when ``diameter`` is given, where
         the curve's coordinates are never squared)."""
-        (lo_dst, lo_src), (hi_dst, hi_src) = self._pads
-        np.copyto(lo_dst, lo_src)
-        np.copyto(hi_dst, hi_src)
-        flat, speed, spread = self._flat, self.speed, self._spread
-        lows, highs = self._lows, self._highs
-        w0, w1 = self._work_rows
+        (
+            lo_pad, lo_src, hi_pad, hi_src, flat, work_flat, wx, wy, r2,
+            fwd, here, chords, w0, w1, chord2, stencil, d1f, d2f, tmpf, h,
+            d1x, d1y, d2x, d2y, speed, tx, ty, kappa, with_r2, without_r2,
+        ) = self._closed_views
+        lo_pad[...] = lo_src
+        hi_pad[...] = hi_src
         if diameter is None:
             # |x|^2 = x x + y y; the buffer holds only the nodes and their
             # periodic copies, so its flat square overflows only with |x|^2
-            np.multiply(flat, flat, self._work_flat)
-            np.add(*self._work_node_rows, self.r2)
+            np.multiply(flat, flat, work_flat)
+            np.add(wx, wy, r2)
+            spread, lows, highs = with_r2
         else:
-            spread, lows, highs = spread[1:], lows[1:], highs[1:]
+            spread, lows, highs = without_r2
         # chord^2 = |f_{i+1} - f_i|^2, squared a row at a time
-        fwd, here, chords = self._chords
         np.subtract(fwd, here, chords)
         np.multiply(w0, w0, w0)
         np.multiply(w1, w1, w1)
-        np.add(w0, w1, self._chord2)
-        periodic_derivatives(flat, self._h, self._stencil_out)
+        np.add(w0, w1, chord2)
+        _stencils(stencil, h, d1f, d2f, tmpf)
         # speed = sqrt(d1x d1x + d1y d1y)
-        _, _, d1x, d1y, d2x, d2y = self._row_views
         np.multiply(d1x, d1x, w0)
         np.multiply(d1y, d1y, w1)
         np.add(w0, w1, speed)
@@ -438,14 +481,13 @@ class StepWorkspace:
         self._check_spacing_within(math.sqrt(chord2_min), bound)
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
-        (tx, ty), kappa = self.tangent, self.curvature
         # tangent = d1 / speed
         np.divide(d1x, speed, tx)
         np.divide(d1y, speed, ty)
         # rounding is monotone, so min(speed) h and max(speed) h are the
         # smallest and largest weights exactly
-        self.spacing = speed_min * self._h
-        self.max_weight = speed_max * self._h
+        self.spacing = speed_min * h
+        self.max_weight = speed_max * h
         # curvature = (d1x d2y - d1y d2x) / speed**3; speed**3 is pow,
         # which can differ from speed * speed * speed in the last bit
         np.multiply(d1x, d2y, kappa)
@@ -497,11 +539,11 @@ class StepWorkspace:
         """Every per-step term at the current nodes: :meth:`update_velocity`,
         then the step scalars."""
         self.update_velocity()
-        peaks, (sq0, sq1) = self._peaks, self._sq
-        np.absolute(self._dk, peaks[:2])
-        np.multiply(self.velocity, self.velocity, self._sq)
-        np.add(sq0, sq1, peaks[2])
-        dmax, self._kmax, v2max = np.maximum.reduce(peaks, 1, out=self._peak_max).tolist()
+        dk, abs_dk, velocity, sq, sq0, sq1, v2, peaks, peak_max = self._peak_views
+        np.absolute(dk, abs_dk)
+        np.multiply(velocity, velocity, sq)
+        np.add(sq0, sq1, v2)
+        dmax, self.kmax, v2max = np.maximum.reduce(peaks, 1, out=peak_max).tolist()
         # the stable step over safety; safety <= 0.375 keeps the h^2 term
         # inside the stencil stability limit
         h = self.spacing
@@ -511,7 +553,7 @@ class StepWorkspace:
         vmax = math.sqrt(v2max)
         if vmax > 0.0:
             cap = min(cap, h / (2.0 * vmax))
-        self._cap = cap
+        self.cap = cap
 
     def update_velocity(self) -> None:
         """The guards, the frame, |x|^2, <x, n> and the velocity at the
@@ -525,9 +567,7 @@ class StepWorkspace:
         if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
             _check_origin(r2_min, _diameter(self.points()))
         self.r2_min = r2_min
-        x, y = self._row_views[:2]
-        (tx, ty), (vx, vy), sq0 = self.tangent, self.velocity, self._sq[0]
-        dots, kappa, r2 = self.dots, self.curvature, self.r2
+        x, y, tx, ty, vx, vy, sq0, dots, kappa, r2 = self._velocity_views
         # <x, n> = x nx + y ny with n = (-ty, tx), as y tx - x ty (see the
         # module docstring)
         np.multiply(y, tx, dots)
@@ -554,20 +594,21 @@ class StepWorkspace:
 
     def stable_dt(self, safety: float) -> float:
         """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
-        return safety * self._cap
+        return safety * self.cap
 
     def min_radius(self) -> float:
         return math.sqrt(self.r2_min)
 
     def max_curvature(self) -> float:
-        return self._kmax
+        return self.kmax
 
     def area(self) -> float:
         """The enclosed area, 0.5 * sum(x d1y - y d1x) h."""
         if not self.closed:
             raise CurveConfigError("enclosed area requires a closed curve")
-        x, y, d1x, d1y = self._row_views[:4]
-        return 0.5 * float(np.sum(x * d1y - y * d1x) * self._h)
+        x, y, d1x, d1y = self._area_views
+        # np.add.reduce is the reduction np.sum runs, without its wrapper
+        return 0.5 * float(np.add.reduce(x * d1y - y * d1x) * self._h)
 
 
 def _diameter_bound(r2_max: float) -> float:

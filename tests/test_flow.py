@@ -6,6 +6,7 @@ against closed forms.  Lines through the origin are stationary, which
 pins the zero of the velocity field.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -574,6 +575,45 @@ class TestRedistributionTrigger:
         assert report.detected
         assert len(calls) >= 1
         assert np.all(np.diff(calls) >= 2)
+
+
+class TestStepCallBudget:
+    """At the flow's node counts a step is about fifty NumPy calls, and the
+    Python around them is a fifth of its time; the Python-level calls of a
+    step are counted, deterministically, so that overhead cannot creep
+    back unseen."""
+
+    # A steady-state Euler step of a closed curve calls StepWorkspace's
+    # update, update_velocity, _frame_closed, geometry's _stencils and its
+    # two guard helpers, the clock's on_grid and shorten, _at_end and
+    # _advance; a step that takes the tail check also calls area.
+    CALLS_PER_STEP = 11
+
+    def test_steady_state_euler_step(self):
+        count, starts, records = [0], [], []
+        advance, diagnostics = flow._advance.__code__, flow._diagnostics_row.__code__
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+                if frame.f_code is advance:
+                    starts.append(count[0])
+                elif frame.f_code is diagnostics:
+                    records.append(len(starts))
+
+        # one record at the start, then tail records from t = 0.75 on
+        state = make_state(circle_curve(64, rho=2.0))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            evolve(state, stop=StopConditions(t_end=0.9), recording=RecordingConfig(snapshot_dt=1.0))
+        finally:
+            sys.setprofile(previous)
+        # the calls from each _advance to the next one: one whole step
+        window = np.diff(starts[10:111])
+        assert len(window) == 100
+        assert not [k for k in records if 10 < k <= 110]
+        assert window.max() <= self.CALLS_PER_STEP
 
 
 class TestSingularTimeEstimate:

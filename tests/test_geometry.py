@@ -633,6 +633,47 @@ class TestWorkspaceResults:
         for k in ("tangent", "curvature", "weight"):
             assert np.array_equal(getattr(frame, k), kept[k]), k
 
+    # A workspace makes its views once, in its constructor.  evolve writes
+    # a resampled curve into the nodes in place, so those views must
+    # follow the nodes: the next update gives a fresh workspace's floats.
+    @pytest.mark.parametrize(
+        "before, after",
+        [(ellipse(128), perturbed_star(128)), (parabola(128), line_pair_curve(128, phi=0.3))],
+        ids=["closed", "open"],
+    )
+    def test_views_follow_overwritten_nodes(self, before, after):
+        ws = geometry.StepWorkspace(before.points, before.closed)
+        ws.update()
+        ws.nodes[...] = after.points.T
+        ws.update()
+        fresh = geometry.curve_terms(after.points, after.closed)
+        for name in ("tangent", "velocity", "curvature", "r2", "dots"):
+            assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
+        for name in ("spacing", "max_weight", "r2_min", "cap", "kmax"):
+            assert getattr(ws, name) == getattr(fresh, name), name
+        frame, want = ws.frame(), fresh.frame()
+        for name in ("tangent", "curvature", "weight"):
+            assert np.array_equal(getattr(frame, name), getattr(want, name)), name
+        if after.closed:
+            assert ws.area() == fresh.area()
+
+    def test_views_follow_overwritten_nodes_in_the_exact_diameter_frame(self):
+        # compute_frame's branch, which leaves |x|^2 out of its extrema,
+        # before and after an update that takes them all
+        a, b = ellipse(128), perturbed_star(128)
+        ws = geometry.StepWorkspace(a.points)
+        ws._frame_closed(a.diameter)
+        ws.nodes[...] = b.points.T
+        ws.update()
+        fresh = geometry.curve_terms(b.points)
+        assert np.array_equal(ws.velocity, fresh.velocity)
+        assert (ws.r2_min, ws.cap) == (fresh.r2_min, fresh.cap)
+        ws.nodes[...] = a.points.T
+        ws._frame_closed(a.diameter)
+        frame, want = ws.frame(), compute_frame(a)
+        for name in ("tangent", "curvature", "weight"):
+            assert np.array_equal(getattr(frame, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("radius", [1.0, 1e145])
     def test_far_curve_frame_does_not_square_coordinates(self, radius):
         # |x|^2 overflows beyond about 1.34e154, but the frame and the area

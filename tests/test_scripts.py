@@ -152,15 +152,14 @@ def test_committed_digests_match():
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize(
-    "path", sorted(SCRIPTS.parent.glob("BENCH_*.json")), ids=lambda p: p.name
-)
-def test_committed_perf_records_are_consistent(path):
-    # a BENCH_*.json holds perfbench's pairs of parent and change records;
-    # its summary must be what those records give
-    doc = json.loads(path.read_text())
+def _end_to_end_lower() -> dict[str, bool]:
+    """BENCHMARK.json's end-to-end metrics: whether lower is better."""
     spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+
+
+def _check_perf_record(doc, lower):
+    """A BENCH_*.json document's summary is what its pairs give."""
     for workload, entry in doc["workloads"].items():
         pairs = entry["pairs"]
         for pair in pairs:
@@ -179,3 +178,51 @@ def test_committed_perf_records_are_consistent(path):
                     wins, losses = wins + won, losses + (not won)
             assert (summary["change_wins"], summary["change_losses"]) == (wins, losses), (workload, metric)
             assert summary["pairs"] == len(pairs), (workload, metric)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCRIPTS.parent.glob("BENCH_*.json")), ids=lambda p: p.name
+)
+def test_committed_perf_records_are_consistent(path):
+    # a BENCH_*.json holds perfbench's pairs of parent and change records;
+    # its summary must be what those records give
+    _check_perf_record(json.loads(path.read_text()), _end_to_end_lower())
+
+
+def test_pair_runner_summary_follows_the_record_rules():
+    # synthetic pairs through perf_pairs.summarize: the document it builds
+    # passes the committed records' check, with ties counting for neither
+    # side and pass_ratio, where higher is better, won by the larger value
+    module = load_script("perf_pairs")
+    lower = _end_to_end_lower()
+    walls = [(1.0, 0.8), (1.2, 0.9), (0.9, 0.9), (1.1, 1.3), (1.05, 0.85)]
+    ratios = [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (0.75, 1.0)]
+
+    def record(commit, wall, ratio):
+        metrics = {name: 1.0 for name in lower}
+        metrics.update(wall_s=wall, pass_ratio=ratio)
+        return {"metrics": metrics, "machine": {"commit": commit}}
+
+    pairs = [
+        {
+            "index": i,
+            "first": "parent" if i % 2 == 0 else "change",
+            "parent": record("p" * 40, wp, rp),
+            "change": record("c" * 40, wc, rc),
+        }
+        for i, ((wp, wc), (rp, rc)) in enumerate(zip(walls, ratios))
+    ]
+    summary = module.summarize(pairs, lower)
+    assert list(summary) == list(lower)
+    doc = {
+        "parent_commit": "p" * 40,
+        "change_commit": "c" * 40,
+        "workloads": {"synthetic": {"summary": summary, "pairs": pairs}},
+    }
+    _check_perf_record(doc, lower)
+    wall = summary["wall_s"]
+    assert (wall["change_wins"], wall["change_losses"], wall["pairs"]) == (3, 1, 5)
+    assert wall["parent"] == {"q1": 1.0, "median": 1.05, "q3": 1.1}
+    assert wall["median_ratio"] == 0.9 / 1.05
+    assert (summary["pass_ratio"]["change_wins"], summary["pass_ratio"]["change_losses"]) == (2, 1)
+    assert (summary["setup_s"]["change_wins"], summary["setup_s"]["change_losses"]) == (0, 0)
