@@ -64,6 +64,7 @@ from .geometry import (
     compute_frame,
     curve_pieces,
     pad_periodic,
+    stencil_views,
     swept_gaussian_densities,
 )
 from .lagrangian import lagrangian_angle
@@ -860,7 +861,8 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
             continue
         cols = np.ascontiguousarray(radii[keep].T)
         resolved += cols.shape[1]
-        worst_rate = max(worst_rate, float(radial_velocity(pad_periodic(cols))[0].max()))
+        rate = radial_velocity(stencil_views(pad_periodic(cols)))[0]
+        worst_rate = max(worst_rate, float(rate.max()))
         violation, passed = _quadrant_violation(cols)
         ok_q = ok_q and bool(passed.all())
         worst_q = max(worst_q, 0.0, float(violation.max()))

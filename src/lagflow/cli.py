@@ -157,7 +157,7 @@ def _build_curve(resolved: dict) -> PlaneCurve:
             curve, _ = read_snapshot(path)
         except FileNotFoundError:
             raise ConfigError(f"snapshot file not found: {path}")
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"bad snapshot file {path}: {exc}")
         if curve.closed and curve.node_count != resolution:
             curve = resample(curve, resolution)

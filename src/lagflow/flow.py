@@ -65,12 +65,14 @@ update, and no copy of its terms is made.  evolve writes each step
 into a buffer of its own and copies it back once it is finite; a Heun
 step writes its predictor straight into the nodes of a second
 workspace, which computes only the predictor's guards and velocity, not
-its step scalars.  The
-radial twin keeps r in a buffer padded by two periodic samples per end
-(_RadialWorkspace): :func:`radial_velocity` writes dr/dt and r' through
-its ``out`` arrays, and one reduction over the rows [r, r r + r' r',
--|dr/dt|] gives min r and both step caps.  Every step equals, bit for
-bit, the allocating form that the tests keep as their oracle.
+its step scalars.  The radial twin keeps r in a buffer padded by two
+periodic samples per end (_RadialWorkspace), whose stencil views it
+makes once for :func:`radial_velocity`; one reduction over the rows
+[r, r r + r' r', -|dr/dt|] gives min r and the step cap.  Both
+workspaces' updates take no argument and leave the step scalars as
+attributes (``cap`` is the step before SAFETY), read only as such.
+Every step equals, bit for bit, the allocating form that the tests keep
+as their oracle.
 """
 from __future__ import annotations
 
@@ -93,6 +95,7 @@ from .geometry import (
     pad_periodic,
     periodic_derivatives,
     resample,
+    stencil_views,
     swept_gaussian_density,
 )
 from .lagrangian import NonMonotoneError, drainage_defect, lagrangian_angle, monotone_data
@@ -243,7 +246,10 @@ class FlowState:
 
     ``initial_constant`` is the c-constant of the run's initial curve
     (nan when undefined); it rides along so drift from the drainage law
-    can be measured at any later state.
+    can be measured at any later state.  ``step_index`` counts the steps
+    since :func:`make_state` in a state from :func:`evolve` or
+    :func:`step`; in one read back by ``runio.load_trajectory`` it is the
+    record index k, as snapshots store no step count.
     """
 
     curve: PlaneCurve
@@ -354,7 +360,7 @@ def velocity(curve: PlaneCurve) -> np.ndarray:
 
 def stability_dt(curve: PlaneCurve, safety: float) -> float:
     """Largest explicit step the current geometry supports."""
-    return curve_terms(curve.points, curve.closed).stable_dt(safety)
+    return safety * curve_terms(curve.points, curve.closed).cap
 
 
 def _advance(
@@ -412,7 +418,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     curve = state.curve
     ws = StepWorkspace(curve.points, curve.closed)
     ws.update()
-    dt = ws.stable_dt(SAFETY)
+    dt = SAFETY * ws.cap
     if dt < DT_MIN:
         raise StepUnderflowError(
             f"stable step {dt:.3e} below floor {DT_MIN:.3e}", last_state=state
@@ -439,8 +445,8 @@ def _diagnostics_row(state: FlowState, ws: StepWorkspace, dt_auto: float) -> dic
         "liouville_integral": nan,
         "maslov_integral": nan,
         "monotone_defect": nan,
-        "max_curvature": ws.max_curvature(),
-        "min_radius": ws.min_radius(),
+        "max_curvature": ws.kmax,
+        "min_radius": math.sqrt(ws.r2_min),
         "gaussian_density_origin": nan,
         "angle_min": nan,
         "angle_max": nan,
@@ -734,7 +740,7 @@ def evolve(
             dt_auto,
             states[-1],
             nodes[:, int(np.abs(ws.curvature).argmax())].copy(),
-            ws.max_curvature(),
+            ws.kmax,
             critical if once_winding else None,
         )
         return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c0), report
@@ -837,19 +843,18 @@ class RadialTrajectory:
 
 
 def radial_velocity(
-    p: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+    views: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """dr/dt (see :func:`radial_rhs`) and r' of the positive profiles that
-    :func:`pad_periodic` padded into ``p``, along axis 0, which runs over
-    the uniform angle grid.  ``out`` gives the arrays (dr/dt, r', scratch,
-    scratch), each shaped like one unpadded profile set, to work in; by
-    default they are new."""
-    n = len(p) - 4
-    r = p[2 : n + 2]
+    """dr/dt (see :func:`radial_rhs`) and r' of positive profiles, padded
+    by :func:`pad_periodic` along axis 0 (the uniform angle grid), from
+    their :func:`stencil_views` ``views``.  ``out`` gives the arrays
+    (dr/dt, r', scratch, scratch), each shaped like one unpadded profile
+    set, to work in; by default they are new."""
+    r = views[4]
     if out is None:
         out = tuple(np.empty_like(r) for _ in range(4))
     rhs, d1, tmp, cube = out
-    periodic_derivatives(p, 2.0 * np.pi / n, (d1, rhs, tmp))
+    periodic_derivatives(views, 2.0 * np.pi / len(r), (d1, rhs, tmp))
     # (r r'' - 2 r r - 3 r' r') / (r r' r' + r^3), worked in place: each
     # element sees the same operations, in the same order
     rhs *= r
@@ -868,12 +873,13 @@ def radial_velocity(
 
 
 class _RadialWorkspace:
-    """The radial twin's step in arrays kept from step to step: the
-    profile ``r`` inside a buffer padded by two periodic samples per end,
-    dr/dt (``rhs``) and r' written by :func:`radial_velocity` through its
-    ``out`` arrays, and the step's extrema, min r, min(r r + r' r') and
-    max |dr/dt|, from one reduction over the rows [r, r r + r' r',
-    -|dr/dt|]."""
+    """The radial twin's step in arrays kept from step to step, on the
+    step contract of StepWorkspace: the profile ``r`` inside a buffer
+    padded by two periodic samples per end, with its stencil views made
+    once; dr/dt (``rhs``) and r' from :func:`radial_velocity`; and the
+    step scalars ``r_min`` and ``cap`` (the step before its safety
+    factor), attributes set by :meth:`update` from one reduction over
+    the rows [r, r r + r' r', -|dr/dt|]."""
 
     def __init__(self, r: np.ndarray):
         n = len(r)
@@ -889,21 +895,20 @@ class _RadialWorkspace:
         self.rhs = work[0]
         # every view a step touches, made once and unpacked by each stage
         self._update_views = (
-            padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], padded, tuple(work[:4]),
-            self.r, extrema[1], extrema[2], work[2], extrema, np.empty(3),
+            padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], stencil_views(padded),
+            tuple(work[:4]), self.r, extrema[1], extrema[2], work[2], extrema, np.empty(3),
         )
         self._advance_views = (self.rhs, self.r, work[4], np.empty(n, dtype=bool))
 
-    def update(self, safety: float) -> tuple[float, float]:
-        """dr/dt of the current profile, into ``rhs``; returns min r and
-        the largest stable explicit step, both from one first difference
-        r'."""
-        lo_pad, lo_src, hi_pad, hi_src, padded, out, r, caps, rates, tmp, extrema, minima = (
+    def update(self) -> None:
+        """dr/dt of the current profile, into ``rhs``, and the step scalars
+        ``r_min`` and ``cap``, both from one first difference r'."""
+        lo_pad, lo_src, hi_pad, hi_src, views, out, r, caps, rates, tmp, extrema, minima = (
             self._update_views
         )
         lo_pad[...] = lo_src
         hi_pad[...] = hi_src
-        rhs, d1 = radial_velocity(padded, out)
+        rhs, d1 = radial_velocity(views, out)
         np.multiply(r, r, caps)
         np.multiply(d1, d1, tmp)
         caps += tmp
@@ -920,7 +925,7 @@ class _RadialWorkspace:
         cap = h * h * cap_min
         if rate > 0.0:
             cap = min(cap, 0.5 * r_min / rate)
-        return r_min, safety * cap
+        self.r_min, self.cap = r_min, cap
 
     def advance(self, t: float, dt: float) -> None:
         """r + dt dr/dt into ``r``.  A non-finite result raises
@@ -948,7 +953,7 @@ def radial_rhs(profile: RadialProfile) -> np.ndarray:
     dr/dt = -theta'/r with theta the angle field of the reconstructed
     curve — the cross-check used in the test suite.
     """
-    return radial_velocity(pad_periodic(profile.r))[0]
+    return radial_velocity(stencil_views(pad_periodic(profile.r)))[0]
 
 
 def radial_evolve(
@@ -984,10 +989,11 @@ def radial_evolve(
     r = ws.r
     steps = 0
     while True:
-        r_min, dt_auto = ws.update(SAFETY)
+        ws.update()
+        dt_auto = SAFETY * ws.cap
         if not profiles or clock.on_grid(t):
             profiles.append(RadialProfile(r, t))
-        if r_min < contact_radius:
+        if ws.r_min < contact_radius:
             trigger = "origin_contact"
             break
         if dt_auto < DT_MIN:

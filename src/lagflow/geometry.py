@@ -49,10 +49,11 @@ kept flat.  The workspace makes every view a step touches once, in its
 constructor, and :meth:`StepWorkspace.update`, :meth:`update_velocity
 <StepWorkspace.update_velocity>` and :meth:`_frame_closed
 <StepWorkspace._frame_closed>` each unpack one prebuilt tuple of them; no
-per-step helper builds a view (the stencils read shifted views made once
-by :func:`_stencil_views`), and the pads are filled by slice assignment.
-The step scalars ``cap``, ``r2_min``, ``spacing``, ``max_weight`` and
-``kmax`` are plain attributes, which the flow loop reads as such.  The
+per-step helper builds a view, and the pads are filled by slice
+assignment.  The stencils' one entry point, :func:`periodic_derivatives`,
+takes the shifted views of :func:`stencil_views`, which a stepping
+caller builds once.  The step scalars ``cap``, ``r2_min``, ``spacing``,
+``max_weight`` and ``kmax`` are plain attributes, read only as such.  The
 views stay valid because the buffers are never replaced: a caller
 writes new nodes into ``nodes`` in place.
 
@@ -296,22 +297,28 @@ def pad_periodic(f: np.ndarray) -> np.ndarray:
     return np.concatenate((f[-2:], f, f[:2]))
 
 
-def _stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
+def stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
     """The shifted samples f[i+1], f[i-1], f[i+2], f[i-2] and f[i] of the
     periodic samples that :func:`pad_periodic` padded into ``p``, as views
-    of ``p``; :func:`_stencils` reads them."""
+    of ``p``; :func:`periodic_derivatives` reads them.  A caller that
+    steps one buffer builds its views once."""
     n = len(p) - 4
     return p[3 : n + 3], p[1 : n + 1], p[4:], p[:n], p[2 : n + 2]
 
 
-def _stencils(
-    views: tuple[np.ndarray, ...], h: float, d1: np.ndarray, d2: np.ndarray, tmp: np.ndarray
-) -> None:
+def periodic_derivatives(
+    views: tuple[np.ndarray, ...],
+    h: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """4th-order first and second derivatives, at grid spacing h, from the
-    shifted samples ``views`` of :func:`_stencil_views`, into d1 and d2,
-    with tmp as scratch; all three are shaped like one unpadded sample
-    set.  A caller that steps one buffer builds its views once."""
+    shifted samples ``views`` of :func:`stencil_views`.  ``out`` gives the
+    arrays (d1, d2, scratch), shaped like one unpadded sample set, to work
+    in; by default they are new."""
     fwd, back, far, near, here = views
+    if out is None:
+        out = (np.empty_like(here), np.empty_like(here), np.empty_like(here))
+    d1, d2, tmp = out
     np.subtract(fwd, back, d1)
     d1 *= 8.0
     np.subtract(far, near, tmp)
@@ -324,21 +331,7 @@ def _stencils(
     np.multiply(here, 30.0, tmp)
     d2 -= tmp
     d2 /= 12.0 * h * h
-
-
-def periodic_derivatives(
-    p: np.ndarray, h: float, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """4th-order first and second derivatives, at grid spacing h, of the
-    periodic samples that :func:`pad_periodic` padded into ``p``: the
-    :func:`_stencils` of its :func:`_stencil_views`.  ``out`` gives the
-    arrays (d1, d2, scratch), shaped like one unpadded sample set, to work
-    in; by default they are new."""
-    views = _stencil_views(p)
-    if out is None:
-        out = (np.empty_like(views[0]), np.empty_like(views[0]), np.empty_like(views[0]))
-    _stencils(views, h, *out)
-    return out[0], out[1]
+    return d1, d2
 
 
 def chord_weights(pts: np.ndarray) -> np.ndarray:
@@ -368,9 +361,8 @@ class StepWorkspace:
     the smallest within-piece chord on an open one), ``r2_min`` and the
     largest arclength weight ``max_weight``; :meth:`frame`; and, after
     :meth:`update`, the step cap ``cap`` (the stable step before its
-    safety factor) and ``kmax`` (max |kappa|).  :meth:`stable_dt`,
-    :meth:`min_radius` and :meth:`max_curvature` give the step scalars
-    to one-shot callers, and :meth:`area` the enclosed area of a closed
+    safety factor) and ``kmax`` (max |kappa|); the step scalars are
+    attributes only.  :meth:`area` gives the enclosed area of a closed
     curve.  The comments give each result as the expression whose float
     it is.  A closed curve's frame comes from :meth:`_frame_closed`,
     an open one's from :meth:`_frame_open`, and the rest is shared.
@@ -420,7 +412,7 @@ class StepWorkspace:
             # chord^2: the flat difference, then its rows
             flat[3:], flat[2:-1], work_flat[: m + 1], w0, w1, chord2,
             # the flat stencils' inputs, outputs and grid spacing
-            _stencil_views(flat), d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m], h,
+            stencil_views(flat), (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m]), h,
             d1x, d1y, d2x, d2y, self.speed, tx, ty, self.curvature,
             (spread, lows, highs), (spread[1:], lows[1:], highs[1:]),
         )
@@ -447,7 +439,7 @@ class StepWorkspace:
         the curve's coordinates are never squared)."""
         (
             lo_pad, lo_src, hi_pad, hi_src, flat, work_flat, wx, wy, r2,
-            fwd, here, chords, w0, w1, chord2, stencil, d1f, d2f, tmpf, h,
+            fwd, here, chords, w0, w1, chord2, stencil, stencil_out, h,
             d1x, d1y, d2x, d2y, speed, tx, ty, kappa, with_r2, without_r2,
         ) = self._closed_views
         lo_pad[...] = lo_src
@@ -465,7 +457,7 @@ class StepWorkspace:
         np.multiply(w0, w0, w0)
         np.multiply(w1, w1, w1)
         np.add(w0, w1, chord2)
-        _stencils(stencil, h, d1f, d2f, tmpf)
+        periodic_derivatives(stencil, h, stencil_out)
         # speed = sqrt(d1x d1x + d1y d1y)
         np.multiply(d1x, d1x, w0)
         np.multiply(d1y, d1y, w1)
@@ -592,16 +584,6 @@ class StepWorkspace:
             tangent=self.tangent.T.copy(), curvature=self.curvature.copy(), weight=weight
         )
 
-    def stable_dt(self, safety: float) -> float:
-        """safety * min(h^2, h min|x|^2 / (2 max|<x,n>|), h / (2 max|v|))."""
-        return safety * self.cap
-
-    def min_radius(self) -> float:
-        return math.sqrt(self.r2_min)
-
-    def max_curvature(self) -> float:
-        return self.kmax
-
     def area(self) -> float:
         """The enclosed area, 0.5 * sum(x d1y - y d1x) h."""
         if not self.closed:
@@ -660,7 +642,7 @@ def closed_weights(points: np.ndarray) -> np.ndarray:
     # of its transpose, for every curve at once, and its output is laid
     # out as the input, so d1 is a (B, N, 2) array again (d2 goes unused)
     p = np.concatenate((points[:, -2:], points, points[:, :2]), axis=1)
-    d1 = periodic_derivatives(p.transpose(1, 0, 2), h)[0].transpose(1, 0, 2)
+    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), h)[0].transpose(1, 0, 2)
     speed = _squared_norms(d1.reshape(-1, 2)).reshape(nb, n)
     np.sqrt(speed, out=speed)
     chords = p[:, 3 : n + 3] - p[:, 2 : n + 2]

@@ -258,7 +258,8 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
     diagnostics.csv without a row, or a snapshot list that is not
     snapshot_000000.json onwards, one file per diagnostics row, raises
     RunLoadError, and so does a snapshot that cannot be parsed or whose t
-    is not its row's, when it is read.
+    is not its row's, when it is read.  Record k's state has step_index
+    k, not a step count, which snapshots do not store.
     """
     if manifest is None:
         manifest = read_manifest(os.path.join(run_dir, "manifest.json"))

@@ -565,6 +565,34 @@ class TestCustomScenario:
         assert main(["run", "--config", cfg]) == 1
         assert "path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["json_array", "null_t", "directory"])
+    def test_unreadable_snapshot_is_bad_config(self, tmp_path, capsys, kind):
+        # each of these ended in a TypeError or IsADirectoryError traceback
+        snap = tmp_path / "seed.json"
+        if kind == "directory":
+            snap.mkdir()
+        elif kind == "json_array":
+            snap.write_text("[1, 2, 3]")
+        else:
+            write_snapshot(str(snap), circle_curve(64, rho=1.0), 0.0)
+            doc = json.loads(snap.read_text())
+            doc["t"] = None
+            snap.write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path / "c.json", scenario={"name": "custom", "params": {"path": str(snap)}}
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"bad config: bad snapshot file {snap}: ")
+        assert not (tmp_path / "r").exists()
+
+    def test_missing_snapshot_file_is_not_found(self, tmp_path, capsys):
+        snap = tmp_path / "absent.json"
+        cfg = write_config(
+            tmp_path / "c.json", scenario={"name": "custom", "params": {"path": str(snap)}}
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"bad config: snapshot file not found: {snap}\n"
+
 
 class TestVerify:
     def test_clean_run_verifies(self, circle_run, capsys):

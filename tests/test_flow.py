@@ -45,6 +45,7 @@ from lagflow.geometry import (
     pad_periodic,
     periodic_derivatives,
     resample,
+    stencil_views,
 )
 from lagflow.scenarios import (
     cassini_curve,
@@ -136,7 +137,7 @@ class TestStep:
         terms = curve_terms(pts)
         # _advance takes and gives (2, N) rows, the StepWorkspace layout
         buffers = _step_buffers(PlaneCurve(pts), scheme)
-        new = _advance(pts.T, terms.velocity, terms.stable_dt(0.2), None, *buffers).T
+        new = _advance(pts.T, terms.velocity, 0.2 * terms.cap, None, *buffers).T
         assert not np.array_equal(new, pts)
         assert np.array_equal(new[m:], -new[:m])
 
@@ -584,36 +585,67 @@ class TestStepCallBudget:
     back unseen."""
 
     # A steady-state Euler step of a closed curve calls StepWorkspace's
-    # update, update_velocity, _frame_closed, geometry's _stencils and its
-    # two guard helpers, the clock's on_grid and shorten, _at_end and
-    # _advance; a step that takes the tail check also calls area.
+    # update, update_velocity, _frame_closed, geometry's
+    # periodic_derivatives and its two guard helpers, the clock's on_grid
+    # and shorten, _at_end and _advance; a step that takes the tail check
+    # also calls area.
     CALLS_PER_STEP = 11
+    # A steady-state radial step calls _RadialWorkspace's update and
+    # advance, radial_velocity, geometry's periodic_derivatives, the
+    # clock's on_grid and shorten, and _at_end.
+    RADIAL_CALLS_PER_STEP = 7
 
-    def test_steady_state_euler_step(self):
+    @staticmethod
+    def _step_starts(step_code, run, record_code=None):
+        """The running count of Python-level calls at each call of
+        ``step_code`` during ``run()``, and the number of those calls made
+        before each call of ``record_code``."""
         count, starts, records = [0], [], []
-        advance, diagnostics = flow._advance.__code__, flow._diagnostics_row.__code__
 
         def profile(frame, event, arg):
             if event == "call":
                 count[0] += 1
-                if frame.f_code is advance:
+                if frame.f_code is step_code:
                     starts.append(count[0])
-                elif frame.f_code is diagnostics:
+                elif frame.f_code is record_code:
                     records.append(len(starts))
 
-        # one record at the start, then tail records from t = 0.75 on
-        state = make_state(circle_curve(64, rho=2.0))
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            evolve(state, stop=StopConditions(t_end=0.9), recording=RecordingConfig(snapshot_dt=1.0))
+            run()
         finally:
             sys.setprofile(previous)
+        return starts, records
+
+    def test_steady_state_euler_step(self):
+        # one record at the start, then tail records from t = 0.75 on
+        state = make_state(circle_curve(64, rho=2.0))
+        starts, records = self._step_starts(
+            flow._advance.__code__,
+            lambda: evolve(
+                state, stop=StopConditions(t_end=0.9), recording=RecordingConfig(snapshot_dt=1.0)
+            ),
+            flow._diagnostics_row.__code__,
+        )
         # the calls from each _advance to the next one: one whole step
         window = np.diff(starts[10:111])
         assert len(window) == 100
         assert not [k for k in records if 10 < k <= 110]
         assert window.max() <= self.CALLS_PER_STEP
+
+    def test_steady_state_radial_step(self):
+        # one record at the start and none after it, as snapshot_dt
+        # exceeds the run
+        start = RadialProfile(np.full(64, 2.0))
+        starts, _ = self._step_starts(
+            flow._RadialWorkspace.advance.__code__,
+            lambda: radial_evolve(start, t_end=0.9, snapshot_dt=1.0),
+        )
+        # the calls from each advance to the next one: one whole step
+        window = np.diff(starts[10:111])
+        assert len(window) == 100
+        assert window.max() <= self.RADIAL_CALLS_PER_STEP
 
 
 class TestSingularTimeEstimate:
@@ -711,8 +743,8 @@ class TestRadialTwin:
     def test_radial_non_finite_rate_keeps_last_state(self, monkeypatch):
         velocity = flow.radial_velocity
 
-        def nan_rate(p, out=None):
-            rhs, d1 = velocity(p, out)
+        def nan_rate(views, out=None):
+            rhs, d1 = velocity(views, out)
             rhs[...] = np.nan
             return rhs, d1
 
@@ -791,11 +823,11 @@ class TestStepBudget:
 
 def _radial_oracle(r, t, t_end, snapshot_dt):
     """The radial twin's loop with the allocating step it had before its
-    workspace, kept as a bit-identity oracle: pad_periodic and
-    periodic_derivatives, the rate as one expression, the two step caps,
-    then r + dt * rhs.  The stepping clock and the stops are flow's own.
-    Returns the (r, t, dt) before every step, the final r and t, and the
-    trigger."""
+    workspace, kept as a bit-identity oracle: periodic_derivatives of the
+    stencil_views of pad_periodic, the rate as one expression, the two
+    step caps, then r + dt * rhs.  The stepping clock and the stops are
+    flow's own.  Returns the (r, t, dt) before every step, the final r
+    and t, and the trigger."""
     n = len(r)
     h = 2.0 * np.pi / n
     s = 2.0 * np.pi * np.arange(n) / n
@@ -806,7 +838,7 @@ def _radial_oracle(r, t, t_end, snapshot_dt):
     steps = []
     while True:
         r_min = float(r.min())
-        d1, d2 = periodic_derivatives(pad_periodic(r), h)
+        d1, d2 = periodic_derivatives(stencil_views(pad_periodic(r)), h)
         rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
         caps = [h * h * float((r * r + d1 * d1).min())]
         rate = float(np.abs(rhs).max())

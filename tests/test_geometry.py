@@ -516,8 +516,8 @@ class TestCurveTermsOracle:
             assert np.array_equal(getattr(terms, name), want[name]), name
         assert np.array_equal(terms.velocity.T, want["velocity"])
         assert terms.spacing == want["spacing"]
-        assert terms.stable_dt(0.2) == want["stable_dt"]
-        assert terms.min_radius() == want["min_radius"]
+        assert 0.2 * terms.cap == want["stable_dt"]
+        assert math.sqrt(terms.r2_min) == want["min_radius"]
         if curve.closed:
             assert terms.area() == want["area"]
         else:
