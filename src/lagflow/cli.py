@@ -43,6 +43,7 @@ from .flow import (
 from .geometry import MIN_NODES, CurveError, PlaneCurve, resample
 from .lagrangian import normalize
 from .runio import (
+    RECORDS_FILE,
     RunLoadError,
     file_sha256,
     load_trajectory,
@@ -53,6 +54,7 @@ from .runio import (
     write_decomposition,
     write_diagnostics_csv,
     write_json,
+    write_records,
     write_snapshot,
     write_svg,
 )
@@ -238,10 +240,13 @@ def _cmd_run(args) -> int:
     files = {}
     if trajectory is not None:
         manifest["initial_constant"] = trajectory.initial_constant
+        manifest["closed"] = trajectory.states[0].curve.closed
         for k, st in enumerate(trajectory.states):
             rel = os.path.join("snapshots", snapshot_name(k))
             write_snapshot(os.path.join(run_dir, rel), st.curve, st.t)
             files[rel] = None
+        write_records(os.path.join(run_dir, RECORDS_FILE), trajectory.states)
+        files[RECORDS_FILE] = None
         write_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"), trajectory.diagnostics)
         files["diagnostics.csv"] = None
         write_svg(

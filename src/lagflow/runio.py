@@ -7,8 +7,15 @@ whenever they matter), dict keys are sorted, and no timestamps enter
 the diagnostics or snapshot files.
 
 A run directory holds one snapshot file per diagnostics row: snapshot k
-is row k, at the same time t.  ``load_trajectory`` reads the rows up
-front and each snapshot only when a pass first asks for it.
+is row k, at the same time t.  It also holds ``records.npy``, every
+record's nodes as one float64 (K, N, 2) array in record order, listed
+with its sha256 in the manifest's ``files`` like every other output.
+``load_trajectory`` reads the rows up front and each record only when a
+pass first asks for it.  Record k comes from ``records.npy`` when that
+array, diagnostics.csv and snapshot k all hash to the manifest's values,
+without parsing the snapshot; otherwise from the snapshot's JSON.  The
+JSON snapshots stay the human-readable record, the one that a ``custom``
+scenario reads, and ``verify`` stays the integrity check.
 """
 from __future__ import annotations
 
@@ -24,9 +31,12 @@ import numpy as np
 from .flow import DIAGNOSTIC_COLUMNS, FlowState, Trajectory
 from .geometry import PlaneCurve
 
+RECORDS_FILE = "records.npy"
+
 __all__ = [
     "write_snapshot",
     "read_snapshot",
+    "write_records",
     "write_csv",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
@@ -38,6 +48,7 @@ __all__ = [
     "load_trajectory",
     "RunLoadError",
     "snapshot_name",
+    "RECORDS_FILE",
 ]
 
 
@@ -50,10 +61,36 @@ def write_snapshot(path: str, curve: PlaneCurve, t: float) -> None:
 
 
 def read_snapshot(path: str) -> tuple[PlaneCurve, float]:
+    """The curve and time of the snapshot at ``path``.  A ``closed`` that
+    is not a JSON boolean, or a ``t`` that is not a number, raises
+    ValueError naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
     pts = np.asarray(doc["points"], dtype=np.float64)
-    return PlaneCurve(pts, closed=bool(doc["closed"])), float(doc["t"])
+    closed = doc["closed"]
+    if not isinstance(closed, bool):
+        raise ValueError("'closed' is not true or false")
+    curve = PlaneCurve(pts, closed=closed)
+    t = doc["t"]
+    if not _is_number(t):
+        raise ValueError("'t' is not a number")
+    return curve, float(t)
+
+
+def write_records(path: str, states: Sequence[FlowState]) -> None:
+    """Every state's nodes as one float64 (K, N, 2) array, in order, in
+    the .npy format that ``np.save`` writes (the same bytes), written a
+    record at a time, so no copy of the whole array is made."""
+    first = states[0].curve.points
+    header = {
+        "descr": np.lib.format.dtype_to_descr(first.dtype),
+        "fortran_order": False,
+        "shape": (len(states), *first.shape),
+    }
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for st in states:
+            fh.write(st.curve.points.tobytes())
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
@@ -131,6 +168,9 @@ def _manifest_fault(manifest: dict) -> str | None:
     files = manifest.get("files")
     if files is not None and not isinstance(files, dict):
         return "'files' is not an object"
+    closed = manifest.get("closed")
+    if closed is not None and not isinstance(closed, bool):
+        return "'closed' is not true or false"
     c = manifest.get("initial_constant")
     if c is not None and not _is_number(c):
         return "'initial_constant' is not a number"
@@ -213,14 +253,27 @@ class RunLoadError(Exception):
 
 
 class _SnapshotStates(Sequence[FlowState]):
-    """The records of a run directory as a Sequence[FlowState]: snapshot
-    k is parsed on first access, checked against diagnostics row k's
-    time, and kept."""
+    """The records of a run directory as a Sequence[FlowState]: record k
+    is read on first access and kept.  It is built from ``rows[k]``, its
+    nodes from the verified records.npy (``rows`` is None without one),
+    when snapshot k's bytes hash to ``hashes``'s value; otherwise snapshot
+    k is parsed and checked against diagnostics row k's time."""
 
-    def __init__(self, run_dir: str, times: np.ndarray, initial_constant: float):
+    def __init__(
+        self,
+        run_dir: str,
+        times: np.ndarray,
+        initial_constant: float,
+        rows: list[bytes | None] | None,
+        closed: bool | None,
+        hashes: Mapping[str, str],
+    ):
         self._run_dir = run_dir
         self._times = times
         self._c = initial_constant
+        self._rows = rows
+        self._closed = closed
+        self._hashes = hashes
         self._states: list[FlowState | None] = [None] * len(times)
 
     def __len__(self) -> int:
@@ -236,8 +289,16 @@ class _SnapshotStates(Sequence[FlowState]):
 
     def _read(self, k: int) -> FlowState:
         rel = os.path.join("snapshots", snapshot_name(k))
+        path = os.path.join(self._run_dir, rel)
+        if self._rows is not None and _sha256_or_none(path) == self._hashes.get(rel):
+            nodes = np.frombuffer(self._rows[k], np.float64).reshape(-1, 2)
+            # the curve keeps its own copy: the row is needed no more
+            self._rows[k] = None
+            curve = PlaneCurve(nodes, closed=self._closed)
+            t = float(self._times[k])
+            return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
         try:
-            curve, t = read_snapshot(os.path.join(self._run_dir, rel))
+            curve, t = read_snapshot(path)
         except KeyError as exc:
             raise RunLoadError(f"{rel}: no {exc} entry") from exc
         except (OSError, TypeError, ValueError) as exc:
@@ -249,17 +310,66 @@ class _SnapshotStates(Sequence[FlowState]):
         return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
 
 
+def _sha256_or_none(path: str) -> str | None:
+    try:
+        return file_sha256(path)
+    except OSError:
+        return None
+
+
+def _verified_records(run_dir: str, manifest: dict, count: int) -> list[bytes] | None:
+    """Each record's nodes from records.npy, as the bytes of its (N, 2)
+    float64 row, when the manifest lists the file and a boolean
+    ``closed``, diagnostics.csv and records.npy hash to the manifest's
+    values, and the array is a C-order float64 (count, N, 2); else None.
+    The file is hashed as its rows are read, so its bytes are held once."""
+    files = manifest.get("files") or {}
+    if not isinstance(manifest.get("closed"), bool) or RECORDS_FILE not in files:
+        return None
+    if _sha256_or_none(os.path.join(run_dir, "diagnostics.csv")) != files.get("diagnostics.csv"):
+        return None
+    try:
+        with open(os.path.join(run_dir, RECORDS_FILE), "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if fortran_order or dtype != np.float64 or len(shape) != 3:
+                return None
+            if (shape[0], shape[2]) != (count, 2):
+                return None
+            header = fh.tell()
+            fh.seek(0)
+            digest = hashlib.sha256(fh.read(header))
+            rows = [fh.read(16 * shape[1]) for _ in range(count)]
+            for row in rows:
+                digest.update(row)
+            digest.update(fh.read())
+    except (OSError, ValueError):
+        return None
+    # a short last row passes only a manifest edited to match the file
+    if digest.hexdigest() != files[RECORDS_FILE] or len(rows[-1]) != 16 * shape[1]:
+        return None
+    return rows
+
+
 def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
     """Rebuild a Trajectory from a run directory.
 
     The manifest (unless the caller has read it with ``read_manifest`` and
     passes it), diagnostics.csv and the snapshot file list are read here;
-    the snapshots are read on demand (see ``Trajectory.states``).  A
-    diagnostics.csv without a row, or a snapshot list that is not
-    snapshot_000000.json onwards, one file per diagnostics row, raises
-    RunLoadError, and so does a snapshot that cannot be parsed or whose t
-    is not its row's, when it is read.  Record k's state has step_index
-    k, not a step count, which snapshots do not store.
+    the records are read on demand (see ``Trajectory.states``).  When the
+    manifest lists records.npy and a boolean ``closed``, and records.npy
+    (hashed here, once) and diagnostics.csv hash to the manifest's
+    values, record k is row k of that array whenever snapshot k's bytes
+    hash to the manifest's value: the snapshot is read once and not
+    parsed, t is diagnostics row k's and ``closed`` the manifest's.  In
+    every other case snapshot k is parsed, as for a run without
+    records.npy; both give the same state.  A diagnostics.csv without a
+    row, or a snapshot list that is not snapshot_000000.json onwards, one
+    file per diagnostics row, raises RunLoadError, and so does a parsed
+    snapshot that cannot be read or whose t is not its row's, when it is
+    read.  Record k's state has step_index k, not a step count, which
+    snapshots do not store.
     """
     if manifest is None:
         manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
@@ -287,6 +397,12 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
             f"{os.path.join('snapshots', name)}: {fault}; {len(names)} snapshot file(s) "
             f"against {len(times)} diagnostics row(s)"
         )
-    return Trajectory(
-        states=_SnapshotStates(run_dir, times, c), diagnostics=diagnostics, initial_constant=c
+    states = _SnapshotStates(
+        run_dir,
+        times,
+        c,
+        _verified_records(run_dir, manifest, len(times)),
+        manifest.get("closed"),
+        manifest.get("files") or {},
     )
+    return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c)

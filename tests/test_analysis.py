@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from lagflow import analysis
+from lagflow import analysis, runio
 from lagflow.analysis import (
     DensityRatio,
     _clip_lengths,
@@ -1056,3 +1056,42 @@ class TestOnDemandLoadOracle:
         eager = _eager_trajectory(ellipse_run)
         assert not isinstance(lazy.states, list)
         assert json.dumps(_as_json(run(lazy, x0, T))) == json.dumps(_as_json(run(eager, x0, T)))
+
+
+RECORD_RUNS = {
+    "circle": ({"name": "circle", "params": {"rho": 1.0}}, {}, 2),
+    "ellipse": ({"name": "ellipse", "params": {"a": 3.0}}, {"snapshot_dt": 0.05}, 2),
+    "x_cone": ({"name": "x_cone", "params": {}}, {"snapshot_dt": 0.002}, 0),
+}
+
+
+@pytest.fixture(scope="module", params=list(RECORD_RUNS))
+def record_run(request, tmp_path_factory):
+    scenario, recording, code = RECORD_RUNS[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    doc = {"scenario": scenario, "resolution": 48, "recording": recording}
+    if request.param == "x_cone":
+        doc["stop"] = {"t_end": 0.01}
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(root)]) == code
+    (run_dir,) = [p for p in root.iterdir() if p.is_dir()]
+    return str(run_dir)
+
+
+class TestRecordArrayOracle:
+    def test_served_record_is_the_parsed_record(self, record_run, monkeypatch):
+        # records.npy serves every record of an intact run, bit for bit
+        # the state that the snapshot's JSON gives
+        eager = _eager_trajectory(record_run).states
+        monkeypatch.setattr(runio, "read_snapshot", None)
+        served = load_trajectory(record_run).states
+        assert len(served) == len(eager) > 2
+        for a, b in zip(served, eager):
+            assert a.curve.points.shape == b.curve.points.shape
+            assert a.curve.points.tobytes() == b.curve.points.tobytes()
+            assert type(a.t) is type(b.t) is float
+            assert a.t.hex() == b.t.hex()
+            assert a.curve.closed is b.curve.closed
+            assert a.step_index == b.step_index
+        assert served[0].curve.closed is not os.path.basename(record_run).startswith("x_cone")

@@ -56,6 +56,15 @@ def load_manifest(run_dir):
         return json.load(fh)
 
 
+def drop_records(run_dir):
+    """Make ``run_dir`` a run from before records.npy: the file, its hash
+    and the manifest's ``closed`` are gone."""
+    manifest = load_manifest(run_dir)
+    del manifest["files"][runio.RECORDS_FILE], manifest["closed"]
+    write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    os.remove(os.path.join(run_dir, runio.RECORDS_FILE))
+
+
 class TestScenariosList:
     def test_table_contents(self, capsys):
         assert main(["scenarios", "list"]) == 0
@@ -585,6 +594,26 @@ class TestCustomScenario:
         assert capsys.readouterr().err.startswith(f"bad config: bad snapshot file {snap}: ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("closed", "false", "'closed' is not true or false"), ("t", "0.5", "'t' is not a number")],
+    )
+    def test_snapshot_field_of_wrong_type_is_bad_config(
+        self, tmp_path, capsys, field, value, message
+    ):
+        # read as closed=True and t=0.5 before the fields were checked
+        snap = tmp_path / "seed.json"
+        write_snapshot(str(snap), circle_curve(64, rho=1.0), 0.0)
+        doc = json.loads(snap.read_text())
+        doc[field] = value
+        snap.write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path / "c.json", scenario={"name": "custom", "params": {"path": str(snap)}}
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"bad config: bad snapshot file {snap}: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_missing_snapshot_file_is_not_found(self, tmp_path, capsys):
         snap = tmp_path / "absent.json"
         cfg = write_config(
@@ -695,6 +724,17 @@ class TestDamagedRun:
             f"snapshots/{last.name}: t={doc['t']!r} differs from diagnostics row",
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("closed", "false", "'closed' is not true or false"), ("t", "0.5", "'t' is not a number")],
+    )
+    def test_snapshot_field_of_wrong_type(self, run_copy, capsys, field, value, message):
+        first = self.snapshot(run_copy, 0)
+        doc = json.loads(first.read_text())
+        doc[field] = value
+        first.write_text(json.dumps(doc))
+        self.assert_refused(run_copy, "density", capsys, f"snapshots/{first.name}: {message}")
+
     @pytest.mark.parametrize("text, cause", [("{", "Expecting"), ("[]", "not a JSON object")])
     def test_bad_manifest(self, run_copy, capsys, text, cause):
         (run_copy / "manifest.json").write_text(text)
@@ -754,6 +794,138 @@ class TestDamagedRun:
             "analysis out of range: minimum node spacing 0.000e+00 is below 1e-12 x diameter\n"
         )
         self.assert_refused(run_copy, "lemmas", capsys, f"snapshots/{truncated.name}: Expecting")
+
+
+def analysis_files(run_dir):
+    out = run_dir / "analysis"
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestRecordArray:
+    """records.npy serves the records that hash to the manifest, and every
+    other case takes the JSON path with the same outputs."""
+
+    PASSES = [
+        ("density", []),
+        ("rescale", ["--sigma", "2", "4", "--s", "-1"]),
+        ("cones", ["--sigma", "2", "--s", "-1", "--R", "2.5"]),
+        ("spectrum", []),
+        ("lemmas", []),
+    ]
+
+    @pytest.fixture
+    def copies(self, circle_run, tmp_path):
+        def copy(name):
+            run_dir = tmp_path / name
+            shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+            return run_dir
+
+        return copy
+
+    def run_passes(self, run_dir):
+        for subcommand, extra in self.PASSES:
+            assert main(["analyze", str(run_dir), subcommand, *extra]) == 0
+        return analysis_files(run_dir)
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        parsed = []
+        read_snapshot = runio.read_snapshot
+
+        def counting(path):
+            parsed.append(os.path.basename(path))
+            return read_snapshot(path)
+
+        monkeypatch.setattr(runio, "read_snapshot", counting)
+        return parsed
+
+    def test_run_lists_records_and_closed(self, circle_run, tmp_path):
+        manifest = load_manifest(circle_run)
+        assert manifest["closed"] is True
+        assert manifest["files"]["records.npy"] == runio.file_sha256(circle_run / "records.npy")
+        nodes = np.load(circle_run / "records.npy")
+        np.save(tmp_path / "saved.npy", nodes)
+        assert (tmp_path / "saved.npy").read_bytes() == (circle_run / "records.npy").read_bytes()
+        names = sorted(os.listdir(circle_run / "snapshots"))
+        assert nodes.dtype == np.float64
+        assert nodes.shape == (len(names), 64, 2)
+        for k, name in enumerate(names):
+            curve, _ = read_snapshot(os.path.join(circle_run, "snapshots", name))
+            assert nodes[k].tobytes() == curve.points.tobytes()
+
+    def test_two_runs_write_identical_records(self, circle_run, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "other")]) == 2
+        other = tmp_path / "other" / circle_run.name
+        assert (other / "records.npy").read_bytes() == (circle_run / "records.npy").read_bytes()
+
+    def test_passes_write_identical_files_without_records(self, copies, monkeypatch):
+        intact, older = copies("intact"), copies("older")
+        drop_records(older)
+        parsed = self.count_parses(monkeypatch)
+        outputs = self.run_passes(intact)
+        assert parsed == []
+        assert self.run_passes(older) == outputs
+        assert parsed
+        assert len(outputs) == 6
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped_float", "wrong_shape", "float32"])
+    def test_damaged_records_fall_back_to_json(self, copies, monkeypatch, capsys, damage):
+        intact, damaged = copies("intact"), copies("damaged")
+        path = damaged / "records.npy"
+        data = bytearray(path.read_bytes())
+        if damage == "truncated":
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "flipped_float":
+            data[-3] ^= 0x10
+            path.write_bytes(data)
+        else:
+            # saved with its hash, so only the array check refuses it
+            nodes = np.load(path)
+            np.save(path, nodes[:-1] if damage == "wrong_shape" else nodes.astype(np.float32))
+            manifest = load_manifest(damaged)
+            manifest["files"]["records.npy"] = runio.file_sha256(path)
+            write_json(str(damaged / "manifest.json"), manifest)
+        outputs = self.run_passes(intact)
+        parsed = self.count_parses(monkeypatch)
+        assert self.run_passes(damaged) == outputs
+        assert sorted(set(parsed)) == sorted(os.listdir(damaged / "snapshots"))
+        verified = main(["verify", str(damaged)])
+        assert verified == (0 if damage in ("wrong_shape", "float32") else 1)
+        if verified:
+            assert "hash mismatch: records.npy" in capsys.readouterr().out
+
+    def test_edited_diagnostics_falls_back_to_json(self, copies, monkeypatch):
+        # a blank line parses to the same rows but changes the hash
+        intact, edited = copies("intact"), copies("edited")
+        with open(edited / "diagnostics.csv", "a") as fh:
+            fh.write("\n")
+        outputs = self.run_passes(intact)
+        parsed = self.count_parses(monkeypatch)
+        assert self.run_passes(edited) == outputs
+        assert sorted(set(parsed)) == sorted(os.listdir(edited / "snapshots"))
+
+    def test_edited_snapshot_alone_is_parsed(self, copies, monkeypatch):
+        # the same values, laid out differently
+        intact, edited = copies("intact"), copies("edited")
+        name = runio.snapshot_name(3)
+        snap = edited / "snapshots" / name
+        snap.write_text(json.dumps(json.loads(snap.read_text()), indent=1))
+        outputs = self.run_passes(intact)
+        parsed = self.count_parses(monkeypatch)
+        assert self.run_passes(edited) == outputs
+        assert set(parsed) == {name}
+
+    def test_closed_must_be_a_boolean(self, copies, capsys):
+        run_dir = copies("run")
+        manifest = load_manifest(run_dir)
+        manifest["closed"] = "true"
+        write_json(str(run_dir / "manifest.json"), manifest)
+        cause = "manifest.json: 'closed' is not true or false"
+        assert main(["analyze", str(run_dir), "density"]) == 4
+        assert capsys.readouterr().err == f"cannot load run: {cause}\n"
+        assert main(["verify", str(run_dir)]) == 1
+        assert f"cannot verify {run_dir}: {cause}" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -973,34 +1145,48 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "ghost"), "density"]) == 4
         assert "cannot load" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "subcommand, extra, max_reads",
-        [
-            ("rescale", ["--sigma", "4", "8", "16"], 6),
-            ("cones", ["--sigma", "4", "8", "16"], 6),
-            ("spectrum", [], 2),
-            ("density", [], None),
-            ("lemmas", [], None),
-        ],
-    )
+    PASSES = [
+        ("rescale", ["--sigma", "4", "8", "16"], 6),
+        ("cones", ["--sigma", "4", "8", "16"], 6),
+        ("spectrum", [], 2),
+        ("density", [], None),
+        ("lemmas", [], None),
+    ]
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """The snapshot names of the records a pass materializes, and of
+        the snapshots it parses."""
+        records, parsed = [], []
+        materialize, read_snapshot = runio._SnapshotStates._read, runio.read_snapshot
+
+        def counting_record(states, k):
+            records.append(runio.snapshot_name(k))
+            return materialize(states, k)
+
+        def counting_parse(path):
+            parsed.append(os.path.basename(path))
+            return read_snapshot(path)
+
+        monkeypatch.setattr(runio._SnapshotStates, "_read", counting_record)
+        monkeypatch.setattr(runio, "read_snapshot", counting_parse)
+        return records, parsed
+
+    @pytest.mark.parametrize("subcommand, extra, max_reads", PASSES)
     def test_each_pass_reads_only_what_it_uses(
         self, circle_run, monkeypatch, subcommand, extra, max_reads
     ):
         # a view interpolates between two records, so each sigma and the
         # spectrum read at most two; density and lemmas walk every record
-        # and parse each one once; the manifest is parsed once
-        reads, manifests = [], []
-        read_snapshot, read_manifest = runio.read_snapshot, runio.read_manifest
-
-        def counting(path):
-            reads.append(os.path.basename(path))
-            return read_snapshot(path)
+        # and read each one once; the manifest is parsed once
+        reads, _ = self.count_reads(monkeypatch)
+        manifests = []
+        read_manifest = runio.read_manifest
 
         def counting_manifest(path):
             manifests.append(path)
             return read_manifest(path)
 
-        monkeypatch.setattr(runio, "read_snapshot", counting)
         for module in (runio, cli):
             monkeypatch.setattr(module, "read_manifest", counting_manifest)
         assert main(["analyze", str(circle_run), subcommand, *extra]) == 0
@@ -1010,6 +1196,30 @@ class TestAnalyze:
             assert sorted(reads) == sorted(os.listdir(circle_run / "snapshots"))
         else:
             assert 0 < len(reads) <= max_reads
+
+    def test_intact_run_parses_no_snapshot(self, circle_run, monkeypatch):
+        # every record comes from records.npy
+        records, parsed = self.count_reads(monkeypatch)
+        for subcommand, extra, _ in self.PASSES:
+            assert main(["analyze", str(circle_run), subcommand, *extra]) == 0
+        assert records
+        assert parsed == []
+
+    @pytest.mark.parametrize("subcommand, extra, max_reads", PASSES)
+    def test_run_without_records_parses_each_snapshot_once(
+        self, circle_run, tmp_path, monkeypatch, subcommand, extra, max_reads
+    ):
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        drop_records(run_dir)
+        records, parsed = self.count_reads(monkeypatch)
+        assert main(["analyze", str(run_dir), subcommand, *extra]) == 0
+        assert parsed == records
+        assert len(parsed) == len(set(parsed))
+        if max_reads is None:
+            assert sorted(parsed) == sorted(os.listdir(run_dir / "snapshots"))
+        else:
+            assert 0 < len(parsed) <= max_reads
 
     def test_missing_T_without_detection(self, tmp_path, capsys):
         cfg = write_config(
