@@ -796,6 +796,25 @@ class TestDamagedRun:
         self.assert_refused(run_copy, "lemmas", capsys, f"snapshots/{truncated.name}: Expecting")
 
 
+def count_reads(monkeypatch):
+    """The snapshot names of the records that passes materialize, and of
+    the snapshots they parse, from here on."""
+    records, parsed = [], []
+    materialize, read_snapshot = runio._SnapshotStates._read, runio.read_snapshot
+
+    def counting_record(states, k):
+        records.append(runio.snapshot_name(k))
+        return materialize(states, k)
+
+    def counting_parse(path):
+        parsed.append(os.path.basename(path))
+        return read_snapshot(path)
+
+    monkeypatch.setattr(runio._SnapshotStates, "_read", counting_record)
+    monkeypatch.setattr(runio, "read_snapshot", counting_parse)
+    return records, parsed
+
+
 def analysis_files(run_dir):
     out = run_dir / "analysis"
     return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
@@ -827,18 +846,6 @@ class TestRecordArray:
             assert main(["analyze", str(run_dir), subcommand, *extra]) == 0
         return analysis_files(run_dir)
 
-    @staticmethod
-    def count_parses(monkeypatch):
-        parsed = []
-        read_snapshot = runio.read_snapshot
-
-        def counting(path):
-            parsed.append(os.path.basename(path))
-            return read_snapshot(path)
-
-        monkeypatch.setattr(runio, "read_snapshot", counting)
-        return parsed
-
     def test_run_lists_records_and_closed(self, circle_run, tmp_path):
         manifest = load_manifest(circle_run)
         assert manifest["closed"] is True
@@ -862,7 +869,7 @@ class TestRecordArray:
     def test_passes_write_identical_files_without_records(self, copies, monkeypatch):
         intact, older = copies("intact"), copies("older")
         drop_records(older)
-        parsed = self.count_parses(monkeypatch)
+        _, parsed = count_reads(monkeypatch)
         outputs = self.run_passes(intact)
         assert parsed == []
         assert self.run_passes(older) == outputs
@@ -887,7 +894,7 @@ class TestRecordArray:
             manifest["files"]["records.npy"] = runio.file_sha256(path)
             write_json(str(damaged / "manifest.json"), manifest)
         outputs = self.run_passes(intact)
-        parsed = self.count_parses(monkeypatch)
+        _, parsed = count_reads(monkeypatch)
         assert self.run_passes(damaged) == outputs
         assert sorted(set(parsed)) == sorted(os.listdir(damaged / "snapshots"))
         verified = main(["verify", str(damaged)])
@@ -901,7 +908,7 @@ class TestRecordArray:
         with open(edited / "diagnostics.csv", "a") as fh:
             fh.write("\n")
         outputs = self.run_passes(intact)
-        parsed = self.count_parses(monkeypatch)
+        _, parsed = count_reads(monkeypatch)
         assert self.run_passes(edited) == outputs
         assert sorted(set(parsed)) == sorted(os.listdir(edited / "snapshots"))
 
@@ -912,7 +919,7 @@ class TestRecordArray:
         snap = edited / "snapshots" / name
         snap.write_text(json.dumps(json.loads(snap.read_text()), indent=1))
         outputs = self.run_passes(intact)
-        parsed = self.count_parses(monkeypatch)
+        _, parsed = count_reads(monkeypatch)
         assert self.run_passes(edited) == outputs
         assert set(parsed) == {name}
 
@@ -1153,25 +1160,6 @@ class TestAnalyze:
         ("lemmas", [], None),
     ]
 
-    @staticmethod
-    def count_reads(monkeypatch):
-        """The snapshot names of the records a pass materializes, and of
-        the snapshots it parses."""
-        records, parsed = [], []
-        materialize, read_snapshot = runio._SnapshotStates._read, runio.read_snapshot
-
-        def counting_record(states, k):
-            records.append(runio.snapshot_name(k))
-            return materialize(states, k)
-
-        def counting_parse(path):
-            parsed.append(os.path.basename(path))
-            return read_snapshot(path)
-
-        monkeypatch.setattr(runio._SnapshotStates, "_read", counting_record)
-        monkeypatch.setattr(runio, "read_snapshot", counting_parse)
-        return records, parsed
-
     @pytest.mark.parametrize("subcommand, extra, max_reads", PASSES)
     def test_each_pass_reads_only_what_it_uses(
         self, circle_run, monkeypatch, subcommand, extra, max_reads
@@ -1179,7 +1167,7 @@ class TestAnalyze:
         # a view interpolates between two records, so each sigma and the
         # spectrum read at most two; density and lemmas walk every record
         # and read each one once; the manifest is parsed once
-        reads, _ = self.count_reads(monkeypatch)
+        reads, _ = count_reads(monkeypatch)
         manifests = []
         read_manifest = runio.read_manifest
 
@@ -1199,7 +1187,7 @@ class TestAnalyze:
 
     def test_intact_run_parses_no_snapshot(self, circle_run, monkeypatch):
         # every record comes from records.npy
-        records, parsed = self.count_reads(monkeypatch)
+        records, parsed = count_reads(monkeypatch)
         for subcommand, extra, _ in self.PASSES:
             assert main(["analyze", str(circle_run), subcommand, *extra]) == 0
         assert records
@@ -1212,7 +1200,7 @@ class TestAnalyze:
         run_dir = tmp_path / "run"
         shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
         drop_records(run_dir)
-        records, parsed = self.count_reads(monkeypatch)
+        records, parsed = count_reads(monkeypatch)
         assert main(["analyze", str(run_dir), subcommand, *extra]) == 0
         assert parsed == records
         assert len(parsed) == len(set(parsed))
