@@ -35,7 +35,10 @@ quantity has one definition.  A value does not depend on its block:
 each element goes through the same operations in the same order as on
 its own, the row-wise dot products of :func:`_row_dot` included, a
 record's length ratio is accumulated left to right along its chords and
-its Theta is the pairwise np.sum of its own row.  A block fails as a
+its Theta is the pairwise np.sum of its own row.  The length-ratio pass
+clips only the chords whose bounding box reaches a probe's disk box,
+padded by the margin rule of :func:`_disk_reach`; a skipped chord's clip
+is exactly 0, and it adds that exact 0 to the probe's total.  A block fails as a
 loop over single records would: the first record that fails a frame
 guard is checked, and raises, on its own, and a record that cannot be
 read is refused only after the records before it are computed.
@@ -286,50 +289,94 @@ def _segments(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
     return pts[idx], pts[idx + 1]
 
 
+def _disk_reach(extent: float, centers: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Half-widths (K,) of the probes' disk boxes, padded for the box test
+    of :func:`_probe_ratios`; ``extent`` is the block's largest |dx| plus
+    its largest |dy| over its chords.
+
+    The margin rule: the pad, 1e-6 (delta + extent + extent^2/delta +
+    |center|_inf), skips a chord only where its clip is exactly 0.  Off
+    the padded box every point of the chord lies more than the pad from
+    the disk along one axis, while the clip's rounding moves a root of
+    |f + u d| = delta along the chord by ~1e-7 (|f| + delta) at most, and
+    the spurious root pair of a line that just misses the disk sits within
+    ~1e-15 |f|^2/delta of it (|f| <= delta + extent near the box); the
+    |center| term covers the rounding of the box's own bounds.  A generous
+    pad costs only candidates, which the exact clip sends to 0."""
+    return deltas + 1e-6 * (
+        deltas + extent + extent * extent / deltas + np.abs(centers).max(axis=1, initial=0.0)
+    )
+
+
 def _probe_ratios(
     a: np.ndarray, b: np.ndarray, centers: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local length ratios, (B, K), of B polylines given by their M chords
     [a, b] ((B, M, 2) each) at the K probes (centers (K, 2), positive
     deltas (K,)), and their under-resolved flags; see
-    :func:`local_density_ratio`.  One clip pass covers every chord at
-    every probe, its rows ordered polyline, probe, chord; each chord's
-    d = b - a and A = <d, d> are computed once, for all probes."""
+    :func:`local_density_ratio`.
+
+    A box test picks the candidate (polyline, probe, chord) triples: the
+    chord's bounding box must reach the probe's disk box padded by the
+    margin of :func:`_disk_reach`.  The candidates alone go through one
+    clip pass, ordered polyline, probe, chord; a skipped chord adds the
+    exact 0 its clip would, so every float is that of clipping every
+    chord at every probe."""
     nb, m = a.shape[:2]
     k = len(centers)
-    rows = (nb, k, m, 2)
-    d = b - a
-    A = _row_dot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(nb, 1, m)
-    lengths = _clip_lengths(
-        (a[:, None] - centers[:, None]).reshape(-1, 2),
-        np.broadcast_to(d[:, None], rows).reshape(-1, 2),
-        np.broadcast_to(A, rows[:3]).reshape(-1),
-        np.broadcast_to(deltas[:, None], rows[:3]).reshape(-1),
-    ).reshape(rows[:3])
+    # one comparison per coordinate and side: (B, 1, M) boxes against
+    # (K, 1) padded disk boxes
+    low = [np.minimum(a[..., i], b[..., i])[:, None] for i in (0, 1)]
+    high = [np.maximum(a[..., i], b[..., i])[:, None] for i in (0, 1)]
+    extent = sum(np.fmax.reduce(high[i] - low[i], axis=None, initial=0.0) for i in (0, 1))
+    reach = _disk_reach(extent, centers, deltas)[:, None]
+    near = high[0] >= centers[:, :1] - reach
+    near &= low[0] <= centers[:, :1] + reach
+    near &= high[1] >= centers[:, 1:] - reach
+    near &= low[1] <= centers[:, 1:] + reach
+    rec, probe, chord = np.nonzero(near)
+    at = rec * m + chord
+    start = np.take(a.reshape(-1, 2), at, axis=0)
+    d = np.take(b.reshape(-1, 2), at, axis=0) - start
+    A = _row_dot(d, d)
+    lengths = _clip_lengths(start - np.take(centers, probe, axis=0), d, A, np.take(deltas, probe))
+    # each (polyline, probe) group's candidates, in chord order, as one
+    # zero-padded row of ``rows``
+    group = rec * k + probe
+    size = np.bincount(group, minlength=nb * k)
+    width = max(size.max(initial=0), 1)
+    cell = np.arange(len(group)) + (group * width - (np.cumsum(size) - size)[group])
+    rows = np.zeros((nb * k, width))
+    rows.reshape(-1)[cell] = lengths
     # left to right, as the chords run (np.sum adds pairwise, and
-    # Python's sum() compensates from 3.12 on); a missed chord adds an
-    # exact zero
-    totals = np.add.accumulate(lengths, axis=2)[..., -1]
+    # Python's sum() compensates from 3.12 on); a chord outside the disk
+    # and the padding add exact zeros
+    totals = np.add.accumulate(rows, axis=1)[:, -1].reshape(nb, k)
     # np.median of the hit chords: the mean of the two middle ones (one
     # middle one, added to itself, for an odd count)
     hit = lengths > 0.0
-    count = hit.sum(axis=2)
-    chords = np.sort(np.where(hit, np.sqrt(A), np.inf), axis=2)
+    count = np.bincount(group[hit], minlength=nb * k)
+    rows[:] = np.inf
+    rows.reshape(-1)[cell[hit]] = np.sqrt(A[hit])
+    rows.sort(axis=1)
     middle = (
-        np.take_along_axis(chords, (np.maximum(count - 1, 0) // 2)[..., None], axis=2)
-        + np.take_along_axis(chords, (count // 2)[..., None], axis=2)
-    )[..., 0] / 2.0
-    under = (count > 0) & (deltas <= 5.0 * middle)
+        np.take_along_axis(rows, (np.maximum(count - 1, 0) // 2)[:, None], axis=1)
+        + np.take_along_axis(rows, (count // 2)[:, None], axis=1)
+    )[:, 0].reshape(nb, k) / 2.0
+    under = (count.reshape(nb, k) > 0) & (deltas <= 5.0 * middle)
     return totals / (2.0 * deltas), under
 
 
 def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     """Curve length inside the disk of radius delta about x0, over 2*delta.
 
-    Partial segments are clipped exactly, all in one array pass: every
+    Partial segments are clipped exactly, in one array pass: every
     chord of a closed curve, closing chord last; the chords inside each
-    piece of an open one (never the jump chord between two pieces).  The
-    one-record, one-probe case of the lemma table's block pass.  The
+    piece of an open one (never the jump chord between two pieces).  A
+    box test first skips the chords whose bounding box misses the disk's
+    box padded by the margin rule of :func:`_disk_reach`; their clip is
+    exactly 0, and each adds that exact 0.  The one-record, one-probe
+    case of the lemma table's block pass.  The
     result is flagged under-resolved when delta is not at least 5 local
     node spacings (the median chord in the disk), the scale below which a
     polyline stops resembling its curve.

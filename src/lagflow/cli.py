@@ -429,7 +429,14 @@ def _cmd_verify(args) -> int:
         if not os.path.exists(path):
             print(f"missing: {rel}")
             bad += 1
-        elif file_sha256(path) != expect:
+            continue
+        try:
+            digest = file_sha256(path)
+        except OSError as exc:
+            print(f"unreadable: {rel} ({exc.strerror or exc})")
+            bad += 1
+            continue
+        if digest != expect:
             print(f"hash mismatch: {rel}")
             bad += 1
     if bad:

@@ -238,9 +238,12 @@ def write_svg(path: str, curves: Iterable[PlaneCurve]) -> None:
 def file_sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
+        # a buffered read comes back short only at the end of the file
+        while True:
+            chunk = fh.read(1 << 16)
             h.update(chunk)
-    return h.hexdigest()
+            if len(chunk) < 1 << 16:
+                return h.hexdigest()
 
 
 def snapshot_name(index: int) -> str:

@@ -976,6 +976,185 @@ class TestBlockKernelOracle:
         assert sum(e is None for e in errors) == 4
 
 
+def _dense_probe_ratios(a, b, centers, deltas):
+    # the length-ratio block pass without its box test: every chord
+    # clipped at every probe, its rows ordered polyline, probe, chord;
+    # the oracle for analysis._probe_ratios
+    nb, m = a.shape[:2]
+    k = len(centers)
+    rows = (nb, k, m, 2)
+    d = b - a
+    A = _row_dot(d.reshape(-1, 2), d.reshape(-1, 2)).reshape(nb, 1, m)
+    lengths = _clip_lengths(
+        (a[:, None] - centers[:, None]).reshape(-1, 2),
+        np.broadcast_to(d[:, None], rows).reshape(-1, 2),
+        np.broadcast_to(A, rows[:3]).reshape(-1),
+        np.broadcast_to(deltas[:, None], rows[:3]).reshape(-1),
+    ).reshape(rows[:3])
+    totals = np.add.accumulate(lengths, axis=2)[..., -1]
+    hit = lengths > 0.0
+    count = hit.sum(axis=2)
+    chords = np.sort(np.where(hit, np.sqrt(A), np.inf), axis=2)
+    middle = (
+        np.take_along_axis(chords, (np.maximum(count - 1, 0) // 2)[..., None], axis=2)
+        + np.take_along_axis(chords, (count // 2)[..., None], axis=2)
+    )[..., 0] / 2.0
+    under = (count > 0) & (deltas <= 5.0 * middle)
+    return totals / (2.0 * deltas), under
+
+
+def _lemma_probes(curve):
+    # the lemma table's eight probes and windows on an initial curve
+    probes = curve.points[:: max(curve.node_count // 8, 1)][:8]
+    windows = np.array([0.25 * float(np.linalg.norm(p)) for p in probes])
+    return probes[windows > 0.0], windows[windows > 0.0]
+
+
+def _one_chord_each(a, b):
+    # polylines of one chord each, as a block: (M, 1, 2) starts and ends
+    return np.asarray(a, dtype=np.float64)[:, None], np.asarray(b, dtype=np.float64)[:, None]
+
+
+class TestProbeBoxTestOracle:
+    """The box test of _probe_ratios skips only chords whose clip is
+    exactly 0: its values and flags are those of clipping every chord at
+    every probe, to the last bit."""
+
+    @staticmethod
+    def assert_dense(a, b, centers, deltas):
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        values, under = _probe_ratios(a, b, centers, deltas)
+        want_values, want_under = _dense_probe_ratios(a, b, centers, deltas)
+        assert values.shape == under.shape == (a.shape[0], len(centers))
+        assert np.array_equal(values, want_values) and _bits(values) == _bits(want_values)
+        assert np.array_equal(under, want_under)
+        return values, under
+
+    @staticmethod
+    def clipped_rows(monkeypatch):
+        # the row count of each clip pass, that is the candidates
+        counts = []
+        clip = analysis._clip_lengths
+
+        def counting(f, *args):
+            counts.append(len(f))
+            return clip(f, *args)
+
+        monkeypatch.setattr(analysis, "_clip_lengths", counting)
+        return counts
+
+    def test_closed_blocks_of_an_ellipse_run(self, monkeypatch):
+        # the lemma table's probes, and large windows at the origin whose
+        # disks hold whole late records
+        traj, _ = evolve(make_state(ellipse_curve(64)), recording=RecordingConfig(snapshot_dt=0.01))
+        probes, windows = _lemma_probes(traj.states[0].curve)
+        centers = np.vstack([probes, [[0.0, 0.0], [0.4, -0.1]]])
+        deltas = np.concatenate([windows, [2.5, 3.5]])
+        counts = self.clipped_rows(monkeypatch)
+        blocks = list(analysis._record_blocks(traj.states, math.inf, len(centers)))
+        assert len(blocks) > 2
+        for block in blocks:
+            pts = np.stack([st.curve.points for st in block])
+            values, under = self.assert_dense(pts, np.roll(pts, -1, axis=1), centers, deltas)
+            assert values[:, -2:].all()
+        # the box test skipped most chord-probe pairs, and kept some
+        assert 0 < sum(counts) < 0.5 * len(traj.states) * len(centers) * 64
+
+    @pytest.mark.parametrize("truncation", [None, 3.0])
+    def test_x_cone_open_pieces(self, truncation):
+        curve = x_cone_curve(128) if truncation is None else x_cone_curve(128, truncation=truncation)
+        a, b = _segments(curve)
+        assert len(curve_pieces(curve.points, False)) > 1
+        centers = np.vstack([curve.points[::9], [[0.0, 0.0]]])
+        deltas = np.concatenate([np.linspace(0.05, 1.5, len(centers) - 1), [0.7]])
+        values, _ = self.assert_dense(a[None], b[None], centers, deltas)
+        assert values.all()
+
+    @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2, 2.4])
+    def test_near_tangent_chords(self, angle):
+        # chords along the tangent of the disk at angle, at 1 -+ rel times
+        # delta from its center, from well before to well after the tangent
+        # point, or ending just short of it
+        center, delta = np.array([0.3, -0.2]), 0.7
+        normal = np.array([math.cos(angle), math.sin(angle)])
+        tangent = np.array([-normal[1], normal[0]])
+        starts, ends, outside, through = [], [], [], []
+        for rel in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+            for sign in (1.0, -1.0):
+                foot = center + delta * (1.0 + sign * rel) * normal
+                for u0, u1 in ((-0.5, 0.5), (-0.5, -1e-7), (1e-7, 0.5), (-1e-9, 1e-9)):
+                    starts.append(foot + u0 * tangent)
+                    ends.append(foot + u1 * tangent)
+                    outside.append(sign > 0.0)
+                    through.append(sign < 0.0 and rel >= 1e-9 and u0 < 0.0 < u1)
+        values, _ = self.assert_dense(*_one_chord_each(starts, ends), center, [delta])
+        assert not values[outside, 0].any()
+        assert values[through, 0].all()
+
+    def test_chords_touching_the_padded_box(self, monkeypatch):
+        # horizontal chords whose box touches a side of the padded disk box
+        # exactly are candidates, those one float farther out are not; all
+        # clip to 0
+        center, delta, length = np.array([0.3, -0.2]), np.array([0.7]), 0.25
+        reach = analysis._disk_reach(length, center[None], delta)[0]
+        right, left = center[0] + reach, center[0] - reach
+        touching = [(right, right + length), (left - length, left)]
+        beyond = [
+            (np.nextafter(right, np.inf), np.nextafter(right, np.inf) + length),
+            (np.nextafter(left, -np.inf) - length, np.nextafter(left, -np.inf)),
+        ]
+        counts = self.clipped_rows(monkeypatch)
+        for chords, candidates in ((touching, 2), (beyond, 0)):
+            starts = [(x0, center[1]) for x0, _ in chords]
+            ends = [(x1, center[1]) for _, x1 in chords]
+            values, under = self.assert_dense(*_one_chord_each(starts, ends), center, delta)
+            assert counts.pop() == candidates
+            assert not values.any() and not under.any()
+
+    def test_zero_probes(self):
+        pts = ellipse(64).points[None]
+        values, under = self.assert_dense(pts, np.roll(pts, -1, axis=1), np.empty((0, 2)), np.empty(0))
+        assert values.shape == (1, 0)
+
+    def test_block_without_a_candidate(self, monkeypatch):
+        # one probe beyond each side of the records' box, each ruled out by
+        # one of the four comparisons alone
+        pts = np.stack([ellipse(64).points, perturbed_circle(64).points])
+        centers = [[10.0, 0.0], [-10.0, 0.5], [0.2, 10.0], [-0.3, -10.0]]
+        counts = self.clipped_rows(monkeypatch)
+        values, under = self.assert_dense(pts, np.roll(pts, -1, axis=1), centers, [1.0, 2.0, 1.5, 3.0])
+        assert counts == [0]
+        assert not values.any() and not under.any()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_perturbed_records(self, seed):
+        # an ellipse and a circle under a small even-mode radial wave, as
+        # seeded benchmark runs start, and uneven nodes
+        rng = np.random.default_rng(seed)
+        curves = []
+        for base in (ellipse_curve(128), circle(128, rho=1.5)):
+            u = np.arctan2(base.points[:, 1], base.points[:, 0])
+            wave = 1.0 + 1e-3 * rng.uniform(0.5, 1.0) * np.cos(2 * rng.integers(1, 4) * u + rng.uniform(0, 2 * np.pi))
+            curves.append(base.points * wave[:, None])
+        curves.append(perturbed_circle(128).points)
+        pts = np.stack(curves)
+        probes, windows = _lemma_probes(PlaneCurve(pts[0]))
+        self.assert_dense(pts, np.roll(pts, -1, axis=1), probes, windows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_chords_and_probes(self, seed):
+        # chords of every length around probes of every scale, far from
+        # the origin too
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(6, 200, 2)) * 10.0 ** rng.uniform(-2, 2, (6, 200, 1))
+        b = a + rng.normal(size=(6, 200, 2)) * 10.0 ** rng.uniform(-4, 1, (6, 200, 1))
+        centers = rng.normal(size=(12, 2)) * 10.0 ** rng.uniform(-2, 3, (12, 1))
+        deltas = 10.0 ** rng.uniform(-3, 1, 12)
+        values, _ = self.assert_dense(a, b, centers, deltas)
+        assert values.any()
+
+
 class _EagerTrajectory(Trajectory):
     # the loader before records were read on demand: every snapshot
     # parsed up front, the times taken from the records themselves

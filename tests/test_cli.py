@@ -644,6 +644,41 @@ class TestVerify:
         assert main(["verify", str(copy)]) == 1
         assert "missing: curve.svg" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", ["directory", "no_read_permission"])
+    def test_unreadable_file_reported(self, circle_run, tmp_path, capsys, monkeypatch, damage):
+        # a listed file that exists but cannot be read fails verification
+        # with a line naming it, and the files after it are still checked
+        copy = tmp_path / "unreadable"
+        shutil.copytree(circle_run, copy)
+        rel = "snapshots/snapshot_000003.json"
+        path = copy / rel
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+            reason = "Is a directory"
+        else:
+            path.chmod(0)
+            reason = "Permission denied"
+            if os.access(path, os.R_OK):
+                # a privileged user reads past the mode bits: deny the open
+                def denying_open(file, *args, **kwargs):
+                    if os.fspath(file) == str(path):
+                        raise PermissionError(13, reason, str(path))
+                    return open(file, *args, **kwargs)
+
+                monkeypatch.setattr(runio, "open", denying_open, raising=False)
+        with open(copy / "diagnostics.csv", "a") as fh:
+            fh.write("tamper\n")
+        try:
+            assert main(["verify", str(copy)]) == 1
+        finally:
+            path.chmod(0o755)
+        out = capsys.readouterr()
+        assert f"unreadable: {rel} ({reason})" in out.out
+        assert "hash mismatch: diagnostics.csv" in out.out
+        assert "2 file(s) failed verification" in out.err
+        assert "Traceback" not in out.err
+
     def test_no_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
 
