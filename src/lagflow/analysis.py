@@ -38,10 +38,10 @@ record's length ratio is accumulated left to right along its chords and
 its Theta is the pairwise np.sum of its own row.  The length-ratio pass
 clips only the chords whose bounding box reaches a probe's disk box,
 padded by the margin rule of :func:`_disk_reach`; a skipped chord's clip
-is exactly 0, and it adds that exact 0 to the probe's total.  A block fails as a
-loop over single records would: the first record that fails a frame
-guard is checked, and raises, on its own, and a record that cannot be
-read is refused only after the records before it are computed.
+is exactly 0, and it adds that exact 0 to the probe's total.  A block
+fails as a loop over single records would: the first record that fails
+a frame guard is checked, and raises, on its own, and a record that
+cannot be read is refused only after the records before it are computed.
 """
 from __future__ import annotations
 
@@ -376,10 +376,10 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     box test first skips the chords whose bounding box misses the disk's
     box padded by the margin rule of :func:`_disk_reach`; their clip is
     exactly 0, and each adds that exact 0.  The one-record, one-probe
-    case of the lemma table's block pass.  The
-    result is flagged under-resolved when delta is not at least 5 local
-    node spacings (the median chord in the disk), the scale below which a
-    polyline stops resembling its curve.
+    case of the lemma table's block pass.  The result is flagged
+    under-resolved when delta is not at least 5 local node spacings (the
+    median chord in the disk), the scale below which a polyline stops
+    resembling its curve.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")

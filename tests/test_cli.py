@@ -4,6 +4,7 @@ All runs here use deliberately tiny resolutions so the whole module stays
 fast; physical accuracy at these settings is checked elsewhere.
 """
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -678,6 +679,15 @@ class TestVerify:
         assert "hash mismatch: diagnostics.csv" in out.out
         assert "2 file(s) failed verification" in out.err
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536, 3 * 65536 + 7])
+    def test_file_hash_reads_to_the_end(self, tmp_path, size):
+        # sizes on and either side of the read size, which a hash that
+        # stopped early or read one chunk too few would get wrong
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert runio.file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
 
     def test_no_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
