@@ -25,10 +25,14 @@ The passes that visit every record (Theta along the run in
 :func:`monotonicity_check`, the polar profiles and the length-ratio
 probes of :func:`lemma_table`) run as array passes over blocks of
 records that share a node count.  One budget sizes every block: a block
-of N-node records holds BLOCK_BUDGET // (c N) of them, at least one,
-where c is the pass's per-node factor (the probe count of the
-length-ratio pass, 1 for the others), so each block array stays within
-a small multiple of BLOCK_BUDGET floats.  The one-record
+of N-node records holds BLOCK_BUDGET // N of them, at least one, so each
+block array stays within a small multiple of BLOCK_BUDGET floats (the
+length-ratio pass's candidate mask holds one bool per node and probe).
+A block is a slab (t, nodes, closed), nodes a (B, N, 2) array: the
+records that a loaded run serves from its verified records.npy come as
+views of those rows, with no curve object per record, and every other
+record, an in-memory trajectory's included, one state at a time,
+stacked into the slab (see :func:`_record_blocks`).  The one-record
 functions (:func:`gaussian_density`, :func:`local_density_ratio`,
 :func:`polar_profile`) call the same kernels with a block of one, so each
 quantity has one definition.  A value does not depend on its block:
@@ -51,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import (
-    FlowState,
     RadialProfile,
     SingularityReport,
     Trajectory,
@@ -103,8 +106,8 @@ MERGE_TOL = 0.15
 # Equal bins of the angle spectrum over [0, 2*pi).
 SPECTRUM_BINS = 36
 # Elements per array pass over a block of records: a block of N-node
-# records holds BLOCK_BUDGET // (c N) of them, c the pass's per-node
-# factor (see the module docstring); it bounds each pass's memory.
+# records holds BLOCK_BUDGET // N of them (see the module docstring); it
+# bounds each pass's memory.
 BLOCK_BUDGET = 8192
 # The four-quadrant radius pattern holds within QUADRANT_TOL times max r.
 QUADRANT_TOL = 1e-6
@@ -121,23 +124,22 @@ class DensitySample:
     value: float
 
 
-def _block_records(per_record: int) -> int:
-    """Records per block when each record counts ``per_record`` elements
-    (its nodes times the pass's per-node factor) against BLOCK_BUDGET."""
-    return max(1, BLOCK_BUDGET // max(per_record, 1))
+def _block_records(nodes: int) -> int:
+    """Records per block of ``nodes``-node records: each counts its nodes
+    against BLOCK_BUDGET."""
+    return max(1, BLOCK_BUDGET // max(nodes, 1))
 
 
-def _densities(curves: list[PlaneCurve], p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Gaussian densities at (p, t + tau) of curves that share a node count
-    and closedness, one tau each: closed curves take their weights from
-    one :func:`geometry.closed_weights` pass, open ones from their own
-    frames, and all go through one :func:`geometry.swept_gaussian_densities`
-    pass."""
-    pts = np.stack([c.points for c in curves])
-    if curves[0].closed:
+def _densities(pts: np.ndarray, closed: bool, p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Gaussian densities at (p, t + tau) of the curves pts (B, N, 2), all
+    closed or all open, one tau each: closed curves take their weights
+    from one :func:`geometry.closed_weights` pass, open ones from their
+    own frames, and all go through one
+    :func:`geometry.swept_gaussian_densities` pass."""
+    if closed:
         weight = closed_weights(pts)
     else:
-        weight = np.stack([compute_frame(c).weight for c in curves])
+        weight = np.stack([compute_frame(PlaneCurve(c, closed=False)).weight for c in pts])
     return swept_gaussian_densities(pts, weight, p, tau)
 
 
@@ -154,43 +156,91 @@ def gaussian_density(curve: PlaneCurve, x0, T: float, t: float) -> DensitySample
     if tau <= 0.0:
         raise ValueError(f"evaluation time t={t:.6g} must precede T={T:.6g}")
     p = np.asarray(x0, dtype=np.float64).reshape(2)
-    value = float(_densities([curve], p, np.array([tau]))[0])
+    value = float(_densities(curve.points[None], curve.closed, p, np.array([tau]))[0])
     return DensitySample(x0=p, T=float(T), t=float(t), value=value)
 
 
-def _record_blocks(states, cutoff: float, per_node: int):
-    """The records before ``cutoff``, in blocks of consecutive records
-    that share a node count and closedness, of at most
-    _block_records(per_node N) records each.
+def _curve_rows(nodes: np.ndarray) -> int:
+    """How many leading rows of ``nodes`` (B, N, 2) PlaneCurve would take
+    as curves: none for a wrong shape or fewer than MIN_NODES nodes, else
+    the rows before the first that holds a non-finite value (checked a
+    block at a time)."""
+    if nodes.ndim != 3 or nodes.shape[2] != 2 or nodes.shape[1] < MIN_NODES:
+        return 0
+    step = _block_records(nodes.shape[1])
+    for at in range(0, len(nodes), step):
+        finite = np.isfinite(nodes[at : at + step]).all(axis=(1, 2))
+        if not finite.all():
+            return at + int(finite.argmin())
+    return len(nodes)
 
-    Records are read in order as the blocks fill.  One that cannot be
-    read raises only after the block before it is yielded, so that block
-    is computed first, as a loop over single records would.
+
+def _record_blocks(states, cutoff: float):
+    """The records before ``cutoff`` as slabs (t, nodes, closed): the
+    times (B,) and nodes (B, N, 2) of consecutive records that share a
+    node count and closedness, at most _block_records(N) of them.
+
+    Records are read in order as the blocks fill.  Where ``states`` has a
+    ``slab`` method (see :class:`flow.Trajectory`), each run of records it
+    serves comes as rows it already holds: a block inside one run is a
+    view of them, and only a block that joins pieces is a copy.  A run is
+    validated as PlaneCurve would validate each row (:func:`_curve_rows`)
+    and cut before the first row that fails; that record, and every one
+    not served, is read by indexing, as a FlowState, so a row that fails
+    raises PlaneCurve's error.  A record that cannot be read raises only
+    after the block before it is yielded, so that block is computed
+    first, as a loop over single records would.
     """
-    block: list[FlowState] = []
-    for k in range(len(states)):
-        try:
-            state = states[k]
-        except Exception:
-            # whatever reading raises, after the records before it
-            if block:
-                yield block
-            raise
-        if state.t >= cutoff:
-            continue
-        curve = state.curve
-        if block:
-            head = block[0].curve
-            if (
-                len(block) == _block_records(per_node * head.node_count)
-                or curve.node_count != head.node_count
-                or curve.closed != head.closed
-            ):
-                yield block
-                block = []
-        block.append(state)
-    if block:
-        yield block
+    slab = getattr(states, "slab", None)
+    times: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []
+    head, size, cap = None, 0, 0
+    k = 0
+    while k < len(states):
+        served = slab(k) if slab is not None else None
+        if served is not None:
+            t, nodes, closed = served
+            count = _curve_rows(nodes)
+            t, nodes = t[:count], nodes[:count]
+        if served is None or not count:
+            try:
+                state = states[k]
+            except Exception:
+                # whatever reading raises, after the records before it
+                if pieces:
+                    yield _joined(times, pieces, head[1])
+                raise
+            t, nodes, closed = np.array([state.t]), state.curve.points[None], state.curve.closed
+        k += len(nodes)
+        shape = (nodes.shape[1], closed)
+        while len(t):
+            # the rows that fit the block, less those past the cutoff
+            take = _block_records(shape[0])
+            if pieces and shape == head and size < cap:
+                take = cap - size
+            piece_t, piece = t[:take], nodes[:take]
+            t, nodes = t[take:], nodes[take:]
+            keep = ~(piece_t >= cutoff)
+            if not keep.all():
+                piece_t, piece = piece_t[keep], piece[keep]
+            if not len(piece_t):
+                continue
+            if pieces and (size == cap or shape != head):
+                yield _joined(times, pieces, head[1])
+                times, pieces, size = [], [], 0
+            head, cap = shape, _block_records(shape[0])
+            times.append(piece_t)
+            pieces.append(piece)
+            size += len(piece_t)
+    if pieces:
+        yield _joined(times, pieces, head[1])
+
+
+def _joined(times: list[np.ndarray], pieces: list[np.ndarray], closed: bool):
+    # one slab of the block's pieces: the piece itself when there is one
+    if len(pieces) == 1:
+        return times[0], pieces[0], closed
+    return np.concatenate(times), np.concatenate(pieces), closed
 
 
 @dataclass(frozen=True)
@@ -223,9 +273,8 @@ def monotonicity_check(
     cutoff = T if t_max is None else min(T, t_max)
     p = np.asarray(x0, dtype=np.float64).reshape(2)
     times, values = [], []
-    for block in _record_blocks(trajectory.states, cutoff, 1):
-        t = np.array([state.t for state in block])
-        values += _densities([state.curve for state in block], p, T - t).tolist()
+    for t, nodes, closed in _record_blocks(trajectory.states, cutoff):
+        values += _densities(nodes, closed, p, T - t).tolist()
         times += t.tolist()
     values_arr = np.asarray(values)
     if len(values_arr) >= 2:
@@ -277,13 +326,12 @@ def _clip_lengths(f: np.ndarray, d: np.ndarray, A: np.ndarray, delta) -> np.ndar
     return lengths
 
 
-def _segments(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
+def _segments(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Start and end nodes, (M, 2) each, of the chords a length ratio
-    counts: every chord of a closed curve, closing chord last; the chords
-    inside each piece of an open one (never the jump chord between two
-    pieces)."""
-    pts = curve.points
-    if curve.closed:
+    counts on the curve with nodes pts (N, 2): every chord of a closed
+    curve, closing chord last; the chords inside each piece of an open
+    one (never the jump chord between two pieces)."""
+    if closed:
         return pts, np.roll(pts, -1, axis=0)
     idx = np.concatenate([piece[:-1] for piece in curve_pieces(pts, False)])
     return pts[idx], pts[idx + 1]
@@ -335,23 +383,29 @@ def _probe_ratios(
     near &= high[1] >= centers[:, 1:] - reach
     near &= low[1] <= centers[:, 1:] + reach
     rec, probe, chord = np.nonzero(near)
+    del low, high, near
     at = rec * m + chord
     start = np.take(a.reshape(-1, 2), at, axis=0)
     d = np.take(b.reshape(-1, 2), at, axis=0) - start
+    del chord, at
     A = _row_dot(d, d)
-    lengths = _clip_lengths(start - np.take(centers, probe, axis=0), d, A, np.take(deltas, probe))
+    start -= np.take(centers, probe, axis=0)
+    lengths = _clip_lengths(start, d, A, np.take(deltas, probe))
+    del start, d
     # each (polyline, probe) group's candidates, in chord order, as one
     # zero-padded row of ``rows``
     group = rec * k + probe
+    del rec, probe
     size = np.bincount(group, minlength=nb * k)
     width = max(size.max(initial=0), 1)
     cell = np.arange(len(group)) + (group * width - (np.cumsum(size) - size)[group])
     rows = np.zeros((nb * k, width))
     rows.reshape(-1)[cell] = lengths
     # left to right, as the chords run (np.sum adds pairwise, and
-    # Python's sum() compensates from 3.12 on); a chord outside the disk
-    # and the padding add exact zeros
-    totals = np.add.accumulate(rows, axis=1)[:, -1].reshape(nb, k)
+    # Python's sum() compensates from 3.12 on), in place; a chord outside
+    # the disk and the padding add exact zeros
+    np.add.accumulate(rows, axis=1, out=rows)
+    totals = rows[:, -1].reshape(nb, k).copy()
     # np.median of the hit chords: the mean of the two middle ones (one
     # middle one, added to itself, for an odd count)
     hit = lengths > 0.0
@@ -384,7 +438,7 @@ def local_density_ratio(curve: PlaneCurve, x0, delta: float) -> DensityRatio:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     p = np.asarray(x0, dtype=np.float64).reshape(1, 2)
-    a, b = _segments(curve)
+    a, b = _segments(curve.points, curve.closed)
     value, under = _probe_ratios(a[None], b[None], p, np.array([delta], dtype=np.float64))
     return DensityRatio(value=float(value[0, 0]), under_resolved=bool(under[0, 0]))
 
@@ -892,15 +946,18 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
     # in array passes over blocks of records (see :func:`_record_blocks`);
     # the degenerate tail is skipped
     states = trajectory.states
+    first = None
     resolved = 0
     worst_rate = worst_q = -math.inf
     ok_q = True
-    for block in _record_blocks(states, math.inf, 1):
-        if not block[0].curve.closed:
+    for _, nodes, closed in _record_blocks(states, math.inf):
+        if first is None:
+            first = nodes[0].copy(), closed
+        if not closed:
             continue
-        n = block[0].curve.node_count
+        n = nodes.shape[1]
         h = 2.0 * np.pi / n
-        radii, _ = _polar_radii(np.stack([st.curve.points for st in block]), n)
+        radii, _ = _polar_radii(nodes, n)
         radii = radii[np.isfinite(radii).all(axis=1)]
         rmin, rmax = radii.min(axis=1), radii.max(axis=1)
         keep = (rmin > 0.0) & ~(rmin < 5.0 * h * rmax)
@@ -921,26 +978,30 @@ def lemma_table(trajectory: Trajectory) -> dict[str, dict]:
         "passed": bool(resolved) and ok_q,
         "value": worst_q if resolved else float("nan"),
     }
-    if not states[0].curve.closed:
+    # record 0 heads the first block, unless its t of inf kept it out
+    if first is None or trajectory.times[0] >= math.inf:
+        first = states[0].curve.points, states[0].curve.closed
+    pts0, closed0 = first
+    if not closed0:
         # the drainage law and the polar profile exist on closed curves only
         for row in results.values():
             row["passed"] = None
 
     # Fixed off-origin base points: the bound rules out singularities away
     # from the origin, so the probes must stay put while the curve moves.
-    pts0 = states[0].curve.points
     probes = pts0[:: max(len(pts0) // 8, 1)][:8]
     windows = np.array([0.25 * float(np.linalg.norm(probe)) for probe in probes])
     probes, windows = probes[windows > 0.0], windows[windows > 0.0]
     worst_ratio = 0.0
     count = 0
-    for block in _record_blocks(states, math.inf, len(probes)):
-        if block[0].curve.closed:
-            pts = np.stack([st.curve.points for st in block])
-            chords = [(pts, np.roll(pts, -1, axis=1))]
+    # the probe count K <= 8 enters only the (B, K, M) bool candidate mask
+    # of _probe_ratios: K bools per node of a block, 64 KiB at most
+    for _, nodes, closed in _record_blocks(states, math.inf):
+        if closed:
+            chords = [(nodes, np.roll(nodes, -1, axis=1))]
         else:
             # an open record's chords depend on its pieces: one at a time
-            chords = [(a[None], b[None]) for a, b in (_segments(st.curve) for st in block)]
+            chords = [(a[None], b[None]) for a, b in (_segments(pts, False) for pts in nodes)]
         for a, b in chords:
             values, under = _probe_ratios(a, b, probes, windows)
             resolved_values = values[~under]

@@ -294,6 +294,16 @@ class Trajectory:
     record times are read without touching the states.  ``states`` is a
     list from ``evolve``; ``runio.load_trajectory`` gives a sequence that
     reads each record from disk on first access.
+
+    That sequence also serves records without a FlowState each:
+    ``states.slab(k)`` is records k onwards, up to the first that the
+    run's verified records.npy does not serve, as a slab (t, nodes,
+    closed): their times (B,), their nodes as a read-only (B, N, 2) view
+    of the rows the sequence holds, and their closedness; it is None when
+    record k is not served.  The passes that walk every record
+    (``analysis.monotonicity_check`` and ``analysis.lemma_table``) read
+    served records through it, and every other record (one not served, a
+    row that is not a valid curve, any record of a list) by indexing.
     """
 
     states: Sequence[FlowState]

@@ -10,11 +10,15 @@ A run directory holds one snapshot file per diagnostics row: snapshot k
 is row k, at the same time t.  It also holds ``records.npy``, every
 record's nodes as one float64 (K, N, 2) array in record order, listed
 with its sha256 in the manifest's ``files`` like every other output.
-``load_trajectory`` reads the rows up front and each record only when a
-pass first asks for it.  Record k comes from ``records.npy`` when that
-array, diagnostics.csv and snapshot k all hash to the manifest's values,
-without parsing the snapshot; otherwise from the snapshot's JSON.  The
-JSON snapshots stay the human-readable record, the one that a ``custom``
+``load_trajectory`` reads the rows up front, into one array, and each
+record only when a pass first asks for it.  Record k comes from
+``records.npy`` when that array, diagnostics.csv and snapshot k all hash
+to the manifest's values, without parsing the snapshot; otherwise from
+the snapshot's JSON.  Snapshot k is hashed at most once per load.  The
+block passes of ``analysis`` take runs of such records as slabs, views
+of the rows with no FlowState each (``Trajectory`` documents the
+``slab`` method); every other record goes per record, parsed.  The JSON
+snapshots stay the human-readable record, the one that a ``custom``
 scenario reads, and ``verify`` stays the integrity check.
 """
 from __future__ import annotations
@@ -256,27 +260,36 @@ class RunLoadError(Exception):
 
 
 class _SnapshotStates(Sequence[FlowState]):
-    """The records of a run directory as a Sequence[FlowState]: record k
-    is read on first access and kept.  It is built from ``rows[k]``, its
-    nodes from the verified records.npy (``rows`` is None without one),
-    when snapshot k's bytes hash to ``hashes``'s value; otherwise snapshot
-    k is parsed and checked against diagnostics row k's time."""
+    """The records of a run directory as a Sequence[FlowState].
+
+    Record k is served by ``nodes[k]``, row k of the verified records.npy
+    (``nodes`` is None without one), when snapshot k's bytes hash to
+    ``hashes``'s value; each snapshot is hashed at most once, when its
+    record is first asked for, and the result is kept.  Indexing builds
+    record k's FlowState on first access and keeps it.  :meth:`slab`
+    hands a run of served records to the block passes as a view of the
+    rows, with no FlowState; a record goes per record, through indexing,
+    when its snapshot does not verify or the run has no verified
+    records.npy, and is then parsed from its snapshot and checked against
+    diagnostics row k's time.
+    """
 
     def __init__(
         self,
         run_dir: str,
         times: np.ndarray,
         initial_constant: float,
-        rows: list[bytes | None] | None,
+        nodes: np.ndarray | None,
         closed: bool | None,
         hashes: Mapping[str, str],
     ):
         self._run_dir = run_dir
         self._times = times
         self._c = initial_constant
-        self._rows = rows
+        self._nodes = nodes
         self._closed = closed
         self._hashes = hashes
+        self._served: list[bool | None] = [None] * len(times)
         self._states: list[FlowState | None] = [None] * len(times)
 
     def __len__(self) -> int:
@@ -290,18 +303,40 @@ class _SnapshotStates(Sequence[FlowState]):
             self._states[k] = self._read(k)
         return self._states[k]
 
+    def slab(self, start: int) -> tuple[np.ndarray, np.ndarray, bool] | None:
+        """Records ``start`` onwards, up to the first that records.npy does
+        not serve, as (t, nodes, closed): their times (B,) from
+        diagnostics.csv, their nodes as a read-only (B, N, 2) view of the
+        verified rows, and the manifest's ``closed``; None when record
+        ``start`` is not served.  The rows are the floats indexing gives,
+        unchecked: a row that PlaneCurve would refuse raises only when
+        indexed."""
+        end = start
+        while end < len(self) and self._serves(end):
+            end += 1
+        if end == start:
+            return None
+        return self._times[start:end], self._nodes[start:end], self._closed
+
+    def _serves(self, k: int) -> bool:
+        # whether row k of records.npy is record k: snapshot k hashes to
+        # the manifest's value, checked once
+        if self._nodes is None:
+            return False
+        if self._served[k] is None:
+            rel = os.path.join("snapshots", snapshot_name(k))
+            path = os.path.join(self._run_dir, rel)
+            self._served[k] = _sha256_or_none(path) == self._hashes.get(rel)
+        return self._served[k]
+
     def _read(self, k: int) -> FlowState:
-        rel = os.path.join("snapshots", snapshot_name(k))
-        path = os.path.join(self._run_dir, rel)
-        if self._rows is not None and _sha256_or_none(path) == self._hashes.get(rel):
-            nodes = np.frombuffer(self._rows[k], np.float64).reshape(-1, 2)
-            # the curve keeps its own copy: the row is needed no more
-            self._rows[k] = None
-            curve = PlaneCurve(nodes, closed=self._closed)
+        if self._serves(k):
+            curve = PlaneCurve(self._nodes[k], closed=self._closed)
             t = float(self._times[k])
             return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
+        rel = os.path.join("snapshots", snapshot_name(k))
         try:
-            curve, t = read_snapshot(path)
+            curve, t = read_snapshot(os.path.join(self._run_dir, rel))
         except KeyError as exc:
             raise RunLoadError(f"{rel}: no {exc} entry") from exc
         except (OSError, TypeError, ValueError) as exc:
@@ -320,12 +355,13 @@ def _sha256_or_none(path: str) -> str | None:
         return None
 
 
-def _verified_records(run_dir: str, manifest: dict, count: int) -> list[bytes] | None:
-    """Each record's nodes from records.npy, as the bytes of its (N, 2)
-    float64 row, when the manifest lists the file and a boolean
+def _verified_records(run_dir: str, manifest: dict, count: int) -> np.ndarray | None:
+    """Every record's nodes from records.npy, as one read-only float64
+    (count, N, 2) array, when the manifest lists the file and a boolean
     ``closed``, diagnostics.csv and records.npy hash to the manifest's
     values, and the array is a C-order float64 (count, N, 2); else None.
-    The file is hashed as its rows are read, so its bytes are held once."""
+    The file is read into the array a row at a time, each row hashed as
+    it is read, so its bytes are held once."""
     files = manifest.get("files") or {}
     if not isinstance(manifest.get("closed"), bool) or RECORDS_FILE not in files:
         return None
@@ -341,18 +377,27 @@ def _verified_records(run_dir: str, manifest: dict, count: int) -> list[bytes] |
             if (shape[0], shape[2]) != (count, 2):
                 return None
             header = fh.tell()
+            width = 16 * shape[1]
+            # a file cut short of its header's shape (whose hash matches only
+            # an edited manifest) is refused before the array is allocated
+            if os.fstat(fh.fileno()).st_size < header + count * width:
+                return None
             fh.seek(0)
             digest = hashlib.sha256(fh.read(header))
-            rows = [fh.read(16 * shape[1]) for _ in range(count)]
-            for row in rows:
+            nodes = np.empty(shape)
+            rows = memoryview(nodes).cast("B")
+            for k in range(count):
+                row = rows[k * width : (k + 1) * width]
+                if fh.readinto(row) != width:
+                    return None
                 digest.update(row)
             digest.update(fh.read())
     except (OSError, ValueError):
         return None
-    # a short last row passes only a manifest edited to match the file
-    if digest.hexdigest() != files[RECORDS_FILE] or len(rows[-1]) != 16 * shape[1]:
+    if digest.hexdigest() != files[RECORDS_FILE]:
         return None
-    return rows
+    nodes.setflags(write=False)
+    return nodes
 
 
 def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
@@ -362,17 +407,18 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
     passes it), diagnostics.csv and the snapshot file list are read here;
     the records are read on demand (see ``Trajectory.states``).  When the
     manifest lists records.npy and a boolean ``closed``, and records.npy
-    (hashed here, once) and diagnostics.csv hash to the manifest's
-    values, record k is row k of that array whenever snapshot k's bytes
-    hash to the manifest's value: the snapshot is read once and not
-    parsed, t is diagnostics row k's and ``closed`` the manifest's.  In
-    every other case snapshot k is parsed, as for a run without
-    records.npy; both give the same state.  A diagnostics.csv without a
-    row, or a snapshot list that is not snapshot_000000.json onwards, one
-    file per diagnostics row, raises RunLoadError, and so does a parsed
-    snapshot that cannot be read or whose t is not its row's, when it is
-    read.  Record k's state has step_index k, not a step count, which
-    snapshots do not store.
+    (read and hashed here, once) and diagnostics.csv hash to the
+    manifest's values, record k is row k of that array whenever snapshot
+    k's bytes hash to the manifest's value: the snapshot is read and
+    hashed once, and not parsed, t is diagnostics row k's and ``closed``
+    the manifest's.  Such records are served by indexing and, as slabs
+    of rows, by ``states.slab``.  In every other case snapshot k is
+    parsed, as for a run without records.npy; both give the same state.
+    A diagnostics.csv without a row, or a snapshot list that is not
+    snapshot_000000.json onwards, one file per diagnostics row, raises
+    RunLoadError, and so does a parsed snapshot that cannot be read or
+    whose t is not its row's, when it is read.  Record k's state has
+    step_index k, not a step count, which snapshots do not store.
     """
     if manifest is None:
         manifest = read_manifest(os.path.join(run_dir, "manifest.json"))

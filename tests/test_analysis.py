@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -867,10 +868,10 @@ class TestBlockKernelOracle:
     as they ran one record at a time, whatever the block size."""
 
     @staticmethod
-    def set_block(monkeypatch, records, per_node=1):
+    def set_block(monkeypatch, records):
         # blocks of ``records`` records at N = 64 (None: the default budget)
         if records is not None:
-            monkeypatch.setattr(analysis, "BLOCK_BUDGET", records * per_node * 64)
+            monkeypatch.setattr(analysis, "BLOCK_BUDGET", records * 64)
 
     @pytest.mark.parametrize("records", [1, 3, None])
     @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, -0.2)])
@@ -931,7 +932,7 @@ class TestBlockKernelOracle:
             if k < 10:
                 got = values[k], under[k]
             else:
-                a, b = _segments(curve)
+                a, b = _segments(curve.points, curve.closed)
                 got = tuple(x[0] for x in _probe_ratios(a[None], b[None], centers, deltas))
             assert _bits(got[0]) == _bits(expected[0])
             assert np.array_equal(got[1], expected[1])
@@ -939,8 +940,8 @@ class TestBlockKernelOracle:
             assert _bits(ratio.value) == _bits(expected[0][-1])
         assert under.any() and not under.all()
         # and through the lemma table, in blocks of 1 or 3 records of N = 64
-        # (1, or 1 and 2 at its 8 probes) or the default
-        self.set_block(monkeypatch, records, 8)
+        # or the default
+        self.set_block(monkeypatch, records)
         traj = _records(curves)
         probes = pts0[:: len(pts0) // 8][:8]
         windows = np.array([0.25 * float(np.linalg.norm(p)) for p in probes])
@@ -1052,10 +1053,11 @@ class TestProbeBoxTestOracle:
         centers = np.vstack([probes, [[0.0, 0.0], [0.4, -0.1]]])
         deltas = np.concatenate([windows, [2.5, 3.5]])
         counts = self.clipped_rows(monkeypatch)
-        blocks = list(analysis._record_blocks(traj.states, math.inf, len(centers)))
+        # blocks of 12 records: the budget of one probe per center
+        monkeypatch.setattr(analysis, "BLOCK_BUDGET", analysis.BLOCK_BUDGET // len(centers))
+        blocks = list(analysis._record_blocks(traj.states, math.inf))
         assert len(blocks) > 2
-        for block in blocks:
-            pts = np.stack([st.curve.points for st in block])
+        for _, pts, _ in blocks:
             values, under = self.assert_dense(pts, np.roll(pts, -1, axis=1), centers, deltas)
             assert values[:, -2:].all()
         # the box test skipped most chord-probe pairs, and kept some
@@ -1064,7 +1066,7 @@ class TestProbeBoxTestOracle:
     @pytest.mark.parametrize("truncation", [None, 3.0])
     def test_x_cone_open_pieces(self, truncation):
         curve = x_cone_curve(128) if truncation is None else x_cone_curve(128, truncation=truncation)
-        a, b = _segments(curve)
+        a, b = _segments(curve.points, curve.closed)
         assert len(curve_pieces(curve.points, False)) > 1
         centers = np.vstack([curve.points[::9], [[0.0, 0.0]]])
         deltas = np.concatenate([np.linspace(0.05, 1.5, len(centers) - 1), [0.7]])
@@ -1274,3 +1276,138 @@ class TestRecordArrayOracle:
             assert a.curve.closed is b.curve.closed
             assert a.step_index == b.step_index
         assert served[0].curve.closed is not os.path.basename(record_run).startswith("x_cone")
+
+
+def _per_record_blocks(states, cutoff):
+    # the block iterator's oracle: one state at a time, a new block at a
+    # change of node count or closedness and when the budget is full
+    blocks, block = [], []
+    for st in states:
+        if st.t >= cutoff:
+            continue
+        head = block[0].curve if block else None
+        if head is not None and (
+            len(block) == max(1, analysis.BLOCK_BUDGET // head.node_count)
+            or st.curve.node_count != head.node_count
+            or st.curve.closed != head.closed
+        ):
+            blocks.append(block)
+            block = []
+        block.append(st)
+    if block:
+        blocks.append(block)
+    return [
+        (np.array([st.t for st in b]), np.stack([st.curve.points for st in b]), b[0].curve.closed)
+        for b in blocks
+    ]
+
+
+def _assert_same_blocks(blocks, expected):
+    assert len(blocks) == len(expected) > 0
+    for (t, nodes, closed), (want_t, want_nodes, want_closed) in zip(blocks, expected):
+        assert _bits(t) == _bits(want_t)
+        assert np.array_equal(nodes, want_nodes) and nodes.tobytes() == want_nodes.tobytes()
+        assert closed is want_closed
+
+
+class TestSlabBlocks:
+    """The block passes read slabs: a loaded run's served records come as
+    views of the verified records.npy rows, every other record one state
+    at a time, and each slab holds the floats of the per-record blocks."""
+
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_served_blocks_are_views_of_the_rows(self, record_run, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "BLOCK_BUDGET", budget)
+        eager = _eager_trajectory(record_run).states
+        monkeypatch.setattr(runio, "read_snapshot", None)
+        states = load_trajectory(record_run).states
+        rows = states.slab(0)[1]
+        assert len(rows) == len(states)
+        blocks = list(analysis._record_blocks(states, math.inf))
+        _assert_same_blocks(blocks, _per_record_blocks(eager, math.inf))
+        for _, nodes, _ in blocks:
+            assert np.shares_memory(nodes, rows)
+            assert not nodes.flags.writeable
+
+    def test_cutoff_inside_the_served_rows(self, record_run, monkeypatch):
+        # the block that the cutoff cuts is a copy, and no record past it
+        # is in a block
+        monkeypatch.setattr(analysis, "BLOCK_BUDGET", 1024)
+        eager = _eager_trajectory(record_run).states
+        states = load_trajectory(record_run).states
+        cutoff = float(states.slab(0)[0][len(states) // 2])
+        blocks = list(analysis._record_blocks(states, cutoff))
+        _assert_same_blocks(blocks, _per_record_blocks(eager, cutoff))
+        assert sum(len(t) for t, _, _ in blocks) == len(states) // 2
+
+    def test_block_passes_match_eager_loader(self, record_run, monkeypatch):
+        # the x_cone run is open: its density weights come from one frame
+        # per record, its length ratios from one clip pass per record
+        eager = _eager_trajectory(record_run)
+        monkeypatch.setattr(runio, "read_snapshot", None)
+        lazy = load_trajectory(record_run)
+        T = float(eager.times[-1]) + 0.01
+        for x0 in ((0.0, 0.0), (0.3, -0.2)):
+            got, want = monotonicity_check(lazy, x0, T), monotonicity_check(eager, x0, T)
+            assert json.dumps(_as_json(got)) == json.dumps(_as_json(want))
+        assert json.dumps(lemma_table(lazy)) == json.dumps(lemma_table(eager))
+
+    def test_each_snapshot_is_hashed_once_per_load(self, record_run, monkeypatch):
+        # the block passes, then indexing, ask for every record again
+        hashed = []
+        file_sha256 = runio.file_sha256
+
+        def counting(path):
+            hashed.append(os.path.basename(path))
+            return file_sha256(path)
+
+        monkeypatch.setattr(runio, "file_sha256", counting)
+        traj = load_trajectory(record_run)
+        del hashed[:]
+        monotonicity_check(traj, (0.0, 0.0), float(traj.times[-1]) + 0.01)
+        lemma_table(traj)
+        for k in (0, len(traj.states) // 2, -1):
+            traj.states[k]
+        assert sorted(hashed) == sorted(os.listdir(os.path.join(record_run, "snapshots")))
+
+    def test_density_materializes_no_state(self, record_run, monkeypatch):
+        def refuse(states, k):
+            raise AssertionError(f"record {k} built as a FlowState")
+
+        monkeypatch.setattr(runio._SnapshotStates, "_read", refuse)
+        traj = load_trajectory(record_run)
+        rep = monotonicity_check(traj, (0.0, 0.0), float(traj.times[-1]) + 0.01)
+        assert len(rep.values) == len(traj.states)
+
+    def test_run_without_records_is_served_per_record(self, record_run, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(record_run, run_dir)
+        os.remove(run_dir / runio.RECORDS_FILE)
+        states = load_trajectory(str(run_dir)).states
+        assert states.slab(0) is None
+        blocks = list(analysis._record_blocks(states, math.inf))
+        _assert_same_blocks(blocks, _per_record_blocks(_eager_trajectory(record_run).states, math.inf))
+
+    @pytest.mark.parametrize("records", [1, 3, None])
+    @pytest.mark.parametrize("cutoff", [math.inf, 0.075, 0.155])
+    def test_in_memory_blocks(self, monkeypatch, records, cutoff):
+        # a list of states has no slabs: each block stacks its states, cut
+        # at node counts, closedness, the budget and the cutoff
+        if records is not None:
+            monkeypatch.setattr(analysis, "BLOCK_BUDGET", records * 64)
+        traj = _records(_block_test_curves())
+        blocks = list(analysis._record_blocks(traj.states, cutoff))
+        _assert_same_blocks(blocks, _per_record_blocks(traj.states, cutoff))
+
+    def test_skipped_record_keeps_its_block_open(self):
+        # a record at or past the cutoff is read and left out, and does not
+        # end the block, whatever its node count or closedness
+        traj = _records(_block_test_curves())
+        states = list(traj.states)
+        for k in (4, 11, 15):
+            states[k] = dataclasses.replace(states[k], t=9.0)
+        blocks = list(analysis._record_blocks(states, 1.0))
+        _assert_same_blocks(blocks, _per_record_blocks(states, 1.0))
+        # the open records 14 and 16 share a block across record 15
+        assert [len(t) for t, _, _ in blocks] == [9, 3, 2, 5]

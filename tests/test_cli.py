@@ -842,20 +842,36 @@ class TestDamagedRun:
 
 
 def count_reads(monkeypatch):
-    """The snapshot names of the records that passes materialize, and of
-    the snapshots they parse, from here on."""
+    """The snapshot names of the records that passes are served, from here
+    on: each record the first time a loaded run hands it out as a row of
+    a slab, and each time ``_SnapshotStates._read`` builds its FlowState;
+    and the names of the snapshots they parse."""
     records, parsed = [], []
-    materialize, read_snapshot = runio._SnapshotStates._read, runio.read_snapshot
+    materialize, slab = runio._SnapshotStates._read, runio._SnapshotStates.slab
+    read_snapshot = runio.read_snapshot
+    slabbed = {}
 
     def counting_record(states, k):
         records.append(runio.snapshot_name(k))
         return materialize(states, k)
+
+    def counting_slab(states, start):
+        served = slab(states, start)
+        if served is not None:
+            # keyed by the loaded run, which the entry keeps alive
+            seen = slabbed.setdefault(id(states), (states, set()))[1]
+            for k in range(start, start + len(served[1])):
+                if k not in seen:
+                    seen.add(k)
+                    records.append(runio.snapshot_name(k))
+        return served
 
     def counting_parse(path):
         parsed.append(os.path.basename(path))
         return read_snapshot(path)
 
     monkeypatch.setattr(runio._SnapshotStates, "_read", counting_record)
+    monkeypatch.setattr(runio._SnapshotStates, "slab", counting_slab)
     monkeypatch.setattr(runio, "read_snapshot", counting_parse)
     return records, parsed
 
@@ -978,6 +994,98 @@ class TestRecordArray:
         assert capsys.readouterr().err == f"cannot load run: {cause}\n"
         assert main(["verify", str(run_dir)]) == 1
         assert f"cannot verify {run_dir}: {cause}" in capsys.readouterr().err
+
+
+class TestSlabs:
+    """density and lemmas read the served records as slabs of records.npy
+    rows, and write the bytes of the per-record path."""
+
+    @pytest.fixture
+    def copies(self, circle_run, tmp_path):
+        def copy(name):
+            run_dir = tmp_path / name
+            shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+            return run_dir
+
+        return copy
+
+    @staticmethod
+    def block_passes(run_dir):
+        for subcommand in ("density", "lemmas"):
+            assert main(["analyze", str(run_dir), subcommand]) == 0
+        return analysis_files(run_dir)
+
+    @staticmethod
+    def blocks(run_dir):
+        return list(ana._record_blocks(load_trajectory(str(run_dir)).states, math.inf))
+
+    def test_outputs_are_the_per_record_bytes(self, copies):
+        intact, older = copies("intact"), copies("older")
+        drop_records(older)
+        outputs = self.block_passes(intact)
+        assert sorted(outputs) == ["density.csv", "lemmas.json"]
+        assert self.block_passes(older) == outputs
+
+    def test_snapshot_edited_mid_block_alone_is_parsed(self, copies, monkeypatch):
+        # the run's records make one block; record k, in its middle, is
+        # laid out differently, so it is parsed and joins the rows around it
+        intact, edited = copies("intact"), copies("edited")
+        k = len(os.listdir(intact / "snapshots")) // 2
+        name = runio.snapshot_name(k)
+        snap = edited / "snapshots" / name
+        snap.write_text(json.dumps(json.loads(snap.read_text()), indent=1))
+        outputs = self.block_passes(intact)
+        (want,) = self.blocks(intact)
+        records, parsed = count_reads(monkeypatch)
+        assert self.block_passes(edited) == outputs
+        # each pass loads the run, and is served each record once
+        assert parsed == [name, name]
+        assert sorted(records) == sorted(2 * os.listdir(edited / "snapshots"))
+        (got,) = self.blocks(edited)
+        assert got[1].tobytes() == want[1].tobytes() and got[0].tobytes() == want[0].tobytes()
+        assert not np.shares_memory(got[1], want[1])
+
+    @pytest.mark.parametrize("subcommand", ["density", "lemmas"])
+    def test_non_finite_row_is_refused_after_the_records_before_it(
+        self, copies, monkeypatch, capsys, subcommand
+    ):
+        # records.npy saved with a nan in row k and its hash: the records
+        # before k are computed, then record k raises PlaneCurve's error
+        run_dir = copies("run")
+        path = run_dir / "records.npy"
+        nodes = np.load(path)
+        k = len(nodes) // 2
+        nodes[k, 5, 1] = np.nan
+        np.save(path, nodes)
+        manifest = load_manifest(run_dir)
+        manifest["files"]["records.npy"] = runio.file_sha256(path)
+        write_json(str(run_dir / "manifest.json"), manifest)
+        computed = []
+        polar_radii = ana._polar_radii
+
+        def counting(pts, samples):
+            computed.append(len(pts))
+            return polar_radii(pts, samples)
+
+        monkeypatch.setattr(ana, "_polar_radii", counting)
+        densities = ana._densities
+        monkeypatch.setattr(
+            ana, "_densities", lambda pts, *a: computed.append(len(pts)) or densities(pts, *a)
+        )
+        assert main(["analyze", str(run_dir), subcommand]) == 4
+        assert capsys.readouterr().err == "analysis out of range: points contain non-finite values\n"
+        assert computed == [k]
+
+    def test_density_builds_no_state(self, circle_run, monkeypatch):
+        records, parsed = count_reads(monkeypatch)
+        built = []
+        materialize = runio._SnapshotStates._read
+        monkeypatch.setattr(
+            runio._SnapshotStates, "_read", lambda states, k: built.append(k) or materialize(states, k)
+        )
+        assert main(["analyze", str(circle_run), "density"]) == 0
+        assert built == [] and parsed == []
+        assert sorted(records) == sorted(os.listdir(circle_run / "snapshots"))
 
 
 class TestAnalyze:
