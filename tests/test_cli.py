@@ -1019,13 +1019,6 @@ class TestSlabs:
     def blocks(run_dir):
         return list(ana._record_blocks(load_trajectory(str(run_dir)).states, math.inf))
 
-    def test_outputs_are_the_per_record_bytes(self, copies):
-        intact, older = copies("intact"), copies("older")
-        drop_records(older)
-        outputs = self.block_passes(intact)
-        assert sorted(outputs) == ["density.csv", "lemmas.json"]
-        assert self.block_passes(older) == outputs
-
     def test_snapshot_edited_mid_block_alone_is_parsed(self, copies, monkeypatch):
         # the run's records make one block; record k, in its middle, is
         # laid out differently, so it is parsed and joins the rows around it
