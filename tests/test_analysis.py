@@ -1387,7 +1387,8 @@ class TestSlabBlocks:
         states = load_trajectory(str(run_dir)).states
         assert states.slab(0) is None
         blocks = list(analysis._record_blocks(states, math.inf))
-        _assert_same_blocks(blocks, _per_record_blocks(_eager_trajectory(record_run).states, math.inf))
+        eager = _eager_trajectory(record_run).states
+        _assert_same_blocks(blocks, _per_record_blocks(eager, math.inf))
 
     @pytest.mark.parametrize("records", [1, 3, None])
     @pytest.mark.parametrize("cutoff", [math.inf, 0.075, 0.155])

@@ -1053,29 +1053,32 @@ class TestSlabs:
         manifest = load_manifest(run_dir)
         manifest["files"]["records.npy"] = runio.file_sha256(path)
         write_json(str(run_dir / "manifest.json"), manifest)
+        # the records that reach a block kernel: the polar profiles' for
+        # lemmas, the densities' for density
         computed = []
-        polar_radii = ana._polar_radii
+        for name in ("_polar_radii", "_densities"):
+            kernel = getattr(ana, name)
 
-        def counting(pts, samples):
-            computed.append(len(pts))
-            return polar_radii(pts, samples)
+            def counting(pts, *args, kernel=kernel):
+                computed.append(len(pts))
+                return kernel(pts, *args)
 
-        monkeypatch.setattr(ana, "_polar_radii", counting)
-        densities = ana._densities
-        monkeypatch.setattr(
-            ana, "_densities", lambda pts, *a: computed.append(len(pts)) or densities(pts, *a)
-        )
+            monkeypatch.setattr(ana, name, counting)
         assert main(["analyze", str(run_dir), subcommand]) == 4
-        assert capsys.readouterr().err == "analysis out of range: points contain non-finite values\n"
+        err = capsys.readouterr().err
+        assert err == "analysis out of range: points contain non-finite values\n"
         assert computed == [k]
 
     def test_density_builds_no_state(self, circle_run, monkeypatch):
         records, parsed = count_reads(monkeypatch)
         built = []
         materialize = runio._SnapshotStates._read
-        monkeypatch.setattr(
-            runio._SnapshotStates, "_read", lambda states, k: built.append(k) or materialize(states, k)
-        )
+
+        def building(states, k):
+            built.append(k)
+            return materialize(states, k)
+
+        monkeypatch.setattr(runio._SnapshotStates, "_read", building)
         assert main(["analyze", str(circle_run), "density"]) == 0
         assert built == [] and parsed == []
         assert sorted(records) == sorted(os.listdir(circle_run / "snapshots"))
