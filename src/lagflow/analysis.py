@@ -741,25 +741,27 @@ def quadrant_monotonicity(profile: RadialProfile) -> QuadrantReport:
     return QuadrantReport(passed=bool(passed[0]), worst_violation=max(0.0, float(violation[0])))
 
 
-def _periodic_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """Knot slopes of the periodic cubic splines with knot spacings dx and
-    secant slopes ``slope`` (axis 0 along the knots, one column each):
-    scipy's condensed cyclic system, the tridiagonal system of all but the
-    last two knots for two right-hand sides, solved by the elimination of
-    LAPACK's ?gtsv (which solve_banded calls for a (1, 1) band), then the
-    second-to-last slope from the closing row."""
+def _cyclic_system(dx: np.ndarray, slope: np.ndarray):
+    """Diagonal, superdiagonal, subdiagonal and the two right-hand sides
+    (d, du, dl, b) of scipy's condensed cyclic system of the periodic
+    splines with knot spacings dx and secant slopes ``slope``."""
     m = len(dx) - 1                        # unknowns of the condensed system
     d = np.empty((m,) + dx.shape[1:])
     d[0] = 2.0 * (dx[-1] + dx[0])
     d[1:] = 2.0 * (dx[: m - 1] + dx[1:m])
     du = np.concatenate([dx[-1:], dx[: m - 2]])
     dl = dx[1:m]
-    fill = np.zeros_like(du)               # second superdiagonal of a row interchange
     b = np.zeros((m, 2) + dx.shape[1:])
     b[0, 0] = 3.0 * (dx[0] * slope[-1] + dx[-1] * slope[0])
     b[1:, 0] = 3.0 * (dx[1:m] * slope[: m - 1] + dx[: m - 1] * slope[1:m])
     b[0, 1] = -dx[0]
     b[-1, 1] = -dx[-3]
+    return d, du, dl, b
+
+
+def _pivoted_elimination(d, du, dl, fill, b) -> None:
+    """?gtsv's forward elimination with its row interchanges, in place."""
+    m = len(d)
     for i in range(m - 1):
         swap = np.abs(d[i]) < np.abs(dl[i])
         if not swap.any():
@@ -779,6 +781,35 @@ def _periodic_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
         top = b[i].copy()
         b[i] = np.where(swap, b[i + 1], top)
         b[i + 1] = np.where(swap, top - fact * b[i + 1], b[i + 1] - fact * top)
+
+
+def _periodic_slopes(dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot slopes of the periodic cubic splines with knot spacings dx and
+    secant slopes ``slope`` (axis 0 along the knots, one column each):
+    scipy's condensed cyclic system, the tridiagonal system of all but the
+    last two knots for two right-hand sides, solved by the elimination of
+    LAPACK's ?gtsv (which solve_banded calls for a (1, 1) band), then the
+    second-to-last slope from the closing row.
+
+    The elimination runs without row interchanges for every column
+    first.  Its pivots are then tested against ?gtsv's rule, |d[i]| <
+    |dl[i]|, in one comparison, and only the columns that would have
+    interchanged rows at some step are eliminated again from the start,
+    with the interchanges.  The columns are independent, so every column
+    gets ?gtsv's operations and its bits."""
+    d, du, dl, b = _cyclic_system(dx, slope)
+    m = len(d)
+    for i in range(m - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    fill = np.zeros_like(du)               # second superdiagonal of a row interchange
+    redo = np.flatnonzero((np.abs(d[:-1]) < np.abs(dl)).any(axis=0))
+    if len(redo):
+        rd, rdu, rdl, rb = _cyclic_system(dx[:, redo], slope[:, redo])
+        rfill = np.zeros_like(rdu)
+        _pivoted_elimination(rd, rdu, rdl, rfill, rb)
+        d[:, redo], du[:, redo], fill[:, redo], b[..., redo] = rd, rdu, rfill, rb
     b[-1] /= d[-1]
     b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
     for i in range(m - 3, -1, -1):

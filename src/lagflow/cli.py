@@ -7,7 +7,8 @@ step underflow without a singularity bracket), 1 = malformed config.
 ``analyze`` exits 4 when the requested times fall outside the recorded
 span, a coordinate of the request is invalid, or a record it reads is
 missing or damaged.  ``verify`` exits 1 on
-any hash mismatch.
+any hash mismatch, and on a listed file that is missing or unreadable
+(as is one that is not a regular file).
 
 The output root is, in order of preference: ``--out``, the
 ``LAGFLOW_RUNS`` environment variable, or ``./runs``.
@@ -424,14 +425,14 @@ def _cmd_verify(args) -> int:
         print(f"cannot verify {args.run_dir}: {exc}", file=sys.stderr)
         return 1
     bad = 0
+    root = os.path.join(args.run_dir, "")
     for rel, expect in sorted((manifest.get("files") or {}).items()):
-        path = os.path.join(args.run_dir, rel)
-        if not os.path.exists(path):
+        try:
+            digest = file_sha256(root + rel)
+        except FileNotFoundError:
             print(f"missing: {rel}")
             bad += 1
             continue
-        try:
-            digest = file_sha256(path)
         except OSError as exc:
             print(f"unreadable: {rel} ({exc.strerror or exc})")
             bad += 1

@@ -10,23 +10,30 @@ A run directory holds one snapshot file per diagnostics row: snapshot k
 is row k, at the same time t.  It also holds ``records.npy``, every
 record's nodes as one float64 (K, N, 2) array in record order, listed
 with its sha256 in the manifest's ``files`` like every other output.
-``load_trajectory`` reads the rows up front, into one array, and each
-record only when a pass first asks for it.  Record k comes from
-``records.npy`` when that array, diagnostics.csv and snapshot k all hash
-to the manifest's values, without parsing the snapshot; otherwise from
+``load_trajectory`` reads the rows up front, all of them into one array
+with one read, hashed there, and each record only when a pass first asks
+for it.  Record k comes from ``records.npy`` when that array,
+diagnostics.csv and snapshot k all hash to the manifest's values,
+without parsing the snapshot; otherwise from
 the snapshot's JSON.  Snapshot k is hashed at most once per load.  The
 block passes of ``analysis`` take runs of such records as slabs, views
 of the rows with no FlowState each (``Trajectory`` documents the
 ``slab`` method); every other record goes per record, parsed.  The JSON
 snapshots stay the human-readable record, the one that a ``custom``
 scenario reads, and ``verify`` stays the integrity check.
+
+Every run file is read through one opener, ``_open_run_file``, which
+refuses at once a file that is not regular: a FIFO would wait for a
+writer, and a device may never end.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import os
+import stat
 from collections.abc import Sequence
 from typing import Iterable, Mapping
 
@@ -68,7 +75,7 @@ def read_snapshot(path: str) -> tuple[PlaneCurve, float]:
     """The curve and time of the snapshot at ``path``.  A ``closed`` that
     is not a JSON boolean, or a ``t`` that is not a number, raises
     ValueError naming the field."""
-    with open(path) as fh:
+    with open(_open_run_file(path)) as fh:
         doc = json.load(fh)
     pts = np.asarray(doc["points"], dtype=np.float64)
     closed = doc["closed"]
@@ -113,7 +120,7 @@ def write_diagnostics_csv(path: str, diagnostics: Mapping[str, np.ndarray]) -> N
 
 
 def read_diagnostics_csv(path: str) -> dict[str, np.ndarray]:
-    with open(path) as fh:
+    with open(_open_run_file(path)) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     data = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(header)))
@@ -149,7 +156,7 @@ def read_manifest(path: str) -> dict:
     RunLoadError("manifest.json: ...")."""
     name = os.path.basename(path)
     try:
-        with open(path) as fh:
+        with open(_open_run_file(path)) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise RunLoadError(f"{name}: {exc}") from exc
@@ -239,15 +246,41 @@ def write_svg(path: str, curves: Iterable[PlaneCurve]) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _open_run_file(path: str) -> int:
+    """A read-only descriptor of the regular file at ``path``, the one way
+    this module opens a run file for reading.  The open does not block,
+    so a FIFO is refused at once instead of waiting for a writer: a
+    directory raises IsADirectoryError, and any other file that is not
+    regular (a FIFO, a device, a socket) OSError("not a regular file")."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        mode = os.fstat(fd).st_mode
+    except BaseException:
+        os.close(fd)
+        raise
+    if stat.S_ISREG(mode):
+        return fd
+    os.close(fd)
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    raise OSError("not a regular file")
+
+
 def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        # a buffered read comes back short only at the end of the file
+    """The sha256 hex digest of the regular file at ``path``.  A path that
+    is not a regular file raises OSError at once (see _open_run_file):
+    hashing a FIFO or a device would wait for a writer or never end."""
+    fd = _open_run_file(path)
+    try:
+        h = hashlib.sha256()
+        # a read of a regular file comes back short only at its end
         while True:
-            chunk = fh.read(1 << 16)
+            chunk = os.read(fd, 1 << 16)
             h.update(chunk)
             if len(chunk) < 1 << 16:
                 return h.hexdigest()
+    finally:
+        os.close(fd)
 
 
 def snapshot_name(index: int) -> str:
@@ -283,7 +316,10 @@ class _SnapshotStates(Sequence[FlowState]):
         closed: bool | None,
         hashes: Mapping[str, str],
     ):
-        self._run_dir = run_dir
+        # snapshot k is at self._dir + snapshot_name(k), listed in the
+        # manifest as self._rel + snapshot_name(k)
+        self._rel = os.path.join("snapshots", "")
+        self._dir = os.path.join(run_dir, self._rel)
         self._times = times
         self._c = initial_constant
         self._nodes = nodes
@@ -324,9 +360,9 @@ class _SnapshotStates(Sequence[FlowState]):
         if self._nodes is None:
             return False
         if self._served[k] is None:
-            rel = os.path.join("snapshots", snapshot_name(k))
-            path = os.path.join(self._run_dir, rel)
-            self._served[k] = _sha256_or_none(path) == self._hashes.get(rel)
+            name = snapshot_name(k)
+            digest = _sha256_or_none(self._dir + name)
+            self._served[k] = digest == self._hashes.get(self._rel + name)
         return self._served[k]
 
     def _read(self, k: int) -> FlowState:
@@ -334,9 +370,10 @@ class _SnapshotStates(Sequence[FlowState]):
             curve = PlaneCurve(self._nodes[k], closed=self._closed)
             t = float(self._times[k])
             return FlowState(curve=curve, t=t, initial_constant=self._c, step_index=k)
-        rel = os.path.join("snapshots", snapshot_name(k))
+        name = snapshot_name(k)
+        rel = self._rel + name
         try:
-            curve, t = read_snapshot(os.path.join(self._run_dir, rel))
+            curve, t = read_snapshot(self._dir + name)
         except KeyError as exc:
             raise RunLoadError(f"{rel}: no {exc} entry") from exc
         except (OSError, TypeError, ValueError) as exc:
@@ -360,15 +397,16 @@ def _verified_records(run_dir: str, manifest: dict, count: int) -> np.ndarray | 
     (count, N, 2) array, when the manifest lists the file and a boolean
     ``closed``, diagnostics.csv and records.npy hash to the manifest's
     values, and the array is a C-order float64 (count, N, 2); else None.
-    The file is read into the array a row at a time, each row hashed as
-    it is read, so its bytes are held once."""
+    The rows are read into the array in one read and hashed there, so the
+    file's bytes are held once."""
     files = manifest.get("files") or {}
     if not isinstance(manifest.get("closed"), bool) or RECORDS_FILE not in files:
         return None
     if _sha256_or_none(os.path.join(run_dir, "diagnostics.csv")) != files.get("diagnostics.csv"):
         return None
     try:
-        with open(os.path.join(run_dir, RECORDS_FILE), "rb") as fh:
+        fd = _open_run_file(os.path.join(run_dir, RECORDS_FILE))
+        with open(fd, "rb", buffering=0) as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
                 return None
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -377,20 +415,22 @@ def _verified_records(run_dir: str, manifest: dict, count: int) -> np.ndarray | 
             if (shape[0], shape[2]) != (count, 2):
                 return None
             header = fh.tell()
-            width = 16 * shape[1]
+            size = count * 16 * shape[1]
             # a file cut short of its header's shape (whose hash matches only
             # an edited manifest) is refused before the array is allocated
-            if os.fstat(fh.fileno()).st_size < header + count * width:
+            if os.fstat(fd).st_size < header + size:
                 return None
-            fh.seek(0)
-            digest = hashlib.sha256(fh.read(header))
+            digest = hashlib.sha256(os.pread(fd, header, 0))
             nodes = np.empty(shape)
-            rows = memoryview(nodes).cast("B")
-            for k in range(count):
-                row = rows[k * width : (k + 1) * width]
-                if fh.readinto(row) != width:
+            # one read fills the rows of a file under 2 GiB, where Linux
+            # caps a read; a larger one takes more, and one cut short fails
+            rows, done = memoryview(nodes).cast("B"), 0
+            while done < size:
+                got = fh.readinto(rows[done:])
+                if not got:
                     return None
-                digest.update(row)
+                done += got
+            digest.update(rows)
             digest.update(fh.read())
     except (OSError, ValueError):
         return None

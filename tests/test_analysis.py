@@ -670,6 +670,37 @@ class TestPolarProfile:
         for k in range(rows):
             assert np.array_equal(got[k], CubicSpline(x[k], y[k], bc_type="periodic")(at[k]))
 
+    def test_spline_kernel_block_mixing_interchanges(self, monkeypatch):
+        # one block of rows that need no row interchange, rows that need
+        # several, and a row whose only one is at the last elimination
+        # step: only the rows that interchange are eliminated again with
+        # the interchanges, and every row is scipy's bit for bit
+        rng = np.random.default_rng(5)
+        n = 40
+        dx = rng.uniform(0.8, 1.2, size=(7, n))
+        dx[[1, 4]] *= rng.choice([0.02, 1.0], size=(2, n))
+        dx[5, n - 2] = 50.0
+        first = [_first_interchange(row) for row in dx]
+        assert first[0] is first[2] is first[3] is first[6] is None
+        assert first[1] is not None and first[4] is not None
+        assert first[5] == n - 3                  # the last step, m - 2
+        pivoted = []
+        elimination = analysis._pivoted_elimination
+
+        def counting(d, *args):
+            pivoted.append(d.shape[1])
+            elimination(d, *args)
+
+        monkeypatch.setattr(analysis, "_pivoted_elimination", counting)
+        x = np.concatenate([np.zeros((len(dx), 1)), np.cumsum(dx, axis=1)], axis=1) - 3.0
+        y = rng.normal(size=x.shape)
+        y[:, -1] = y[:, 0]
+        at = rng.uniform(-60.0, 60.0, size=(len(dx), 300))
+        got = _periodic_spline(x, y, at)
+        assert pivoted == [3]
+        for k in range(len(dx)):
+            assert np.array_equal(got[k], CubicSpline(x[k], y[k], bc_type="periodic")(at[k]))
+
     def test_angles_not_monotone_rejected(self):
         pts = ellipse(64).points.copy()
         pts[[10, 11]] = pts[[11, 10]]
@@ -681,6 +712,20 @@ class TestPolarProfile:
         u = 4 * np.pi * np.arange(65) / 65
         with pytest.raises(CurveConfigError, match="expected a single turn"):
             polar_profile(PlaneCurve(np.column_stack([np.cos(u), np.sin(u)])))
+
+
+def _first_interchange(dx):
+    # the first step at which ?gtsv's elimination of the condensed cyclic
+    # system of the knot spacings dx interchanges rows, or None; before
+    # it the elimination is the one without interchanges
+    m = len(dx) - 1
+    d = [2.0 * (dx[-1] + dx[0])] + [2.0 * (dx[i - 1] + dx[i]) for i in range(1, m)]
+    du = [dx[-1], *dx[: m - 2]]
+    for i in range(m - 1):
+        if abs(d[i]) < abs(dx[i + 1]):
+            return i
+        d[i + 1] -= dx[i + 1] / d[i] * du[i]
+    return None
 
 
 def _looped_lemma_table(trajectory):

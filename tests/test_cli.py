@@ -3,6 +3,7 @@
 All runs here use deliberately tiny resolutions so the whole module stays
 fast; physical accuracy at these settings is checked elsewhere.
 """
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import warnings
 
 import numpy as np
@@ -64,6 +66,24 @@ def drop_records(run_dir):
     del manifest["files"][runio.RECORDS_FILE], manifest["closed"]
     write_json(os.path.join(run_dir, "manifest.json"), manifest)
     os.remove(os.path.join(run_dir, runio.RECORDS_FILE))
+
+
+@contextlib.contextmanager
+def hang_guard(seconds=5):
+    """Fail the test, instead of hanging the suite, when the block is still
+    running after ``seconds``: a read that waits on a FIFO for a writer,
+    or hashes a device that never ends, is interrupted."""
+
+    def hung(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestScenariosList:
@@ -662,12 +682,14 @@ class TestVerify:
             reason = "Permission denied"
             if os.access(path, os.R_OK):
                 # a privileged user reads past the mode bits: deny the open
-                def denying_open(file, *args, **kwargs):
+                open_run_file = runio._open_run_file
+
+                def denying_open(file):
                     if os.fspath(file) == str(path):
                         raise PermissionError(13, reason, str(path))
-                    return open(file, *args, **kwargs)
+                    return open_run_file(file)
 
-                monkeypatch.setattr(runio, "open", denying_open, raising=False)
+                monkeypatch.setattr(runio, "_open_run_file", denying_open)
         with open(copy / "diagnostics.csv", "a") as fh:
             fh.write("tamper\n")
         try:
@@ -688,6 +710,18 @@ class TestVerify:
         path = tmp_path / "blob"
         path.write_bytes(data)
         assert runio.file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["fifo", "link_to_dev_zero"])
+    def test_file_hash_refuses_non_regular_file(self, tmp_path, kind):
+        # a FIFO would wait for a writer and /dev/zero never ends: both are
+        # refused at the open
+        path = tmp_path / "blob"
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.symlink_to("/dev/zero")
+        with hang_guard(), pytest.raises(OSError, match="not a regular file"):
+            runio.file_sha256(str(path))
 
     def test_no_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
@@ -879,6 +913,75 @@ def count_reads(monkeypatch):
 def analysis_files(run_dir):
     out = run_dir / "analysis"
     return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestNonRegularFile:
+    """A run file that is not a regular file is refused at once: here a
+    FIFO, which an open for reading would wait on for a writer."""
+
+    SNAPSHOT = "snapshots/" + runio.snapshot_name(3)
+
+    @pytest.fixture
+    def fifo_run(self, circle_run, tmp_path):
+        def make(rel):
+            run_dir = tmp_path / "run"
+            shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+            (run_dir / rel).unlink()
+            os.mkfifo(run_dir / rel)
+            return run_dir
+
+        return make
+
+    @pytest.mark.parametrize("rel", [SNAPSHOT, "diagnostics.csv", "records.npy"])
+    def test_verify_reports_it_unreadable(self, fifo_run, capsys, rel):
+        run_dir = fifo_run(rel)
+        with hang_guard():
+            assert main(["verify", str(run_dir)]) == 1
+        out = capsys.readouterr()
+        assert f"unreadable: {rel} (not a regular file)" in out.out
+        assert "1 file(s) failed verification" in out.err
+
+    def test_verify_refuses_a_fifo_manifest(self, fifo_run, capsys):
+        run_dir = fifo_run("manifest.json")
+        with hang_guard():
+            assert main(["verify", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"cannot verify {run_dir}: manifest.json: not a regular file\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rel, subcommand",
+        [
+            (SNAPSHOT, "density"),
+            (SNAPSHOT, "lemmas"),
+            ("diagnostics.csv", "density"),
+            ("diagnostics.csv", "spectrum"),
+            ("manifest.json", "density"),
+            ("manifest.json", "spectrum"),
+        ],
+    )
+    def test_analyze_refuses_it(self, fifo_run, capsys, rel, subcommand):
+        run_dir = fifo_run(rel)
+        with hang_guard():
+            assert main(["analyze", str(run_dir), subcommand]) == 4
+        assert capsys.readouterr().err == f"cannot load run: {rel}: not a regular file\n"
+
+    def test_pass_that_skips_it_succeeds(self, fifo_run):
+        # spectrum reads only the records around the last time
+        run_dir = fifo_run(self.SNAPSHOT)
+        with hang_guard():
+            assert main(["analyze", str(run_dir), "spectrum"]) == 0
+
+    def test_fifo_records_fall_back_to_json(self, circle_run, fifo_run, tmp_path, monkeypatch):
+        intact = tmp_path / "intact"
+        shutil.copytree(circle_run, intact, ignore=shutil.ignore_patterns("analysis"))
+        assert main(["analyze", str(intact), "density"]) == 0
+        run_dir = fifo_run("records.npy")
+        _, parsed = count_reads(monkeypatch)
+        with hang_guard():
+            assert main(["analyze", str(run_dir), "density"]) == 0
+        assert sorted(parsed) == sorted(os.listdir(run_dir / "snapshots"))
+        assert analysis_files(run_dir) == analysis_files(intact)
 
 
 class TestRecordArray:
