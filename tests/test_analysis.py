@@ -681,7 +681,7 @@ class TestPolarProfile:
         dx[[1, 4]] *= rng.choice([0.02, 1.0], size=(2, n))
         dx[5, n - 2] = 50.0
         first = [_first_interchange(row) for row in dx]
-        assert first[0] is first[2] is first[3] is first[6] is None
+        assert [first[k] for k in (0, 2, 3, 6)] == [None] * 4
         assert first[1] is not None and first[4] is not None
         assert first[5] == n - 3                  # the last step, m - 2
         pivoted = []
