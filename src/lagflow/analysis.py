@@ -50,6 +50,7 @@ cannot be read is refused only after the records before it are computed.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -918,7 +919,7 @@ def polar_profile(curve: PlaneCurve, samples: int | None = None, t: float = 0.0)
 # ---------------------------------------------------------------------------
 
 
-def _drainage_check(diagnostics: dict[str, np.ndarray]) -> dict:
+def _drainage_check(diagnostics: Mapping[str, np.ndarray]) -> dict:
     # worst recorded drift from the drainage law c - 2t; fails when no
     # record has one (open curves, no c-constant)
     defect = diagnostics["monotone_defect"]

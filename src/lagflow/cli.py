@@ -447,6 +447,21 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _NumberToken:
+    """argparse's test for a token that starts with "-" and is a value,
+    not an option: every token that float() reads.  Python 3.11's own
+    test takes only integers and decimals such as -0.001, so it read
+    -1e-3 as an option."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagflow",
@@ -468,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--s", type=float, default=-1.0, help="rescaled time, negative")
     p_an.add_argument("--R", type=float, default=1.0, help="decomposition ball radius")
     p_an.add_argument("--t", type=float, default=None, help="snapshot time for spectrum")
+    # a negative value may be written in exponent form: --x0 -1e-3 0
+    p_an._negative_number_matcher = _NumberToken
     p_an.set_defaults(func=_cmd_analyze)
 
     p_sc = sub.add_parser("scenarios", help="describe the built-in scenarios")

@@ -77,7 +77,7 @@ as their oracle.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +95,7 @@ from .geometry import (
     pad_periodic,
     periodic_derivatives,
     resample,
+    stencil_constants,
     stencil_views,
     swept_gaussian_density,
 )
@@ -293,7 +294,9 @@ class Trajectory:
     ``diagnostics["t"][k]`` is the same float as ``states[k].t``, so the
     record times are read without touching the states.  ``states`` is a
     list from ``evolve``; ``runio.load_trajectory`` gives a sequence that
-    reads each record from disk on first access.
+    reads each record from disk on first access, and ``diagnostics`` may
+    then be a read-only Mapping whose columns are parsed when first read
+    (see ``runio.read_diagnostics_csv``).
 
     That sequence also serves records without a FlowState each:
     ``states.slab(k)`` is records k onwards, up to the first that the
@@ -307,7 +310,7 @@ class Trajectory:
     """
 
     states: Sequence[FlowState]
-    diagnostics: dict[str, np.ndarray]
+    diagnostics: Mapping[str, np.ndarray]
     initial_constant: float
 
     @property
@@ -852,31 +855,39 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
+def _radial_constants(n: int) -> tuple:
+    """The constants of :func:`radial_velocity` on n angles: the
+    :func:`stencil_constants` of the spacing 2 pi / n, then 2 and 3 as
+    0-d float64 arrays."""
+    return stencil_constants(2.0 * np.pi / n), np.array(2.0), np.array(3.0)
+
+
 def radial_velocity(
-    views: tuple[np.ndarray, ...], out: tuple[np.ndarray, ...] | None = None
+    views: tuple[np.ndarray, ...], out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """dr/dt (see :func:`radial_rhs`) and r' of positive profiles, padded
     by :func:`pad_periodic` along axis 0 (the uniform angle grid), from
     their :func:`stencil_views` ``views``.  ``out`` gives the arrays
     (dr/dt, r', scratch, scratch), each shaped like one unpadded profile
-    set, to work in; by default they are new."""
+    set, to work in, then the :func:`_radial_constants` of its angle
+    count; by default they are all new."""
     r = views[4]
     if out is None:
-        out = tuple(np.empty_like(r) for _ in range(4))
-    rhs, d1, tmp, cube = out
-    periodic_derivatives(views, 2.0 * np.pi / len(r), (d1, rhs, tmp))
+        out = (*(np.empty_like(r) for _ in range(4)), _radial_constants(len(r)))
+    rhs, d1, tmp, cube, (constants, two, three) = out
+    periodic_derivatives(views, constants, (d1, rhs, tmp))
     # (r r'' - 2 r r - 3 r' r') / (r r' r' + r^3), worked in place: each
     # element sees the same operations, in the same order
     rhs *= r
-    np.multiply(r, 2.0, tmp)
+    np.multiply(r, two, tmp)
     tmp *= r
     rhs -= tmp
-    np.multiply(d1, 3.0, tmp)
+    np.multiply(d1, three, tmp)
     tmp *= d1
     rhs -= tmp
     np.multiply(r, d1, tmp)
     tmp *= d1
-    np.power(r, 3, cube)
+    np.power(r, three, cube)
     tmp += cube
     rhs /= tmp
     return rhs, d1
@@ -900,22 +911,25 @@ class _RadialWorkspace:
         padded, extrema = lines[0], lines[:, 2 : n + 2]
         self.r = extrema[0]
         self.r[...] = r
-        # dr/dt, r' and two scratch rows for radial_velocity; r + dt dr/dt
+        # dr/dt, r' and two scratch rows for radial_velocity, with its
+        # constants; r + dt dr/dt
         work = np.empty((5, n))
         self.rhs = work[0]
         # every view a step touches, made once and unpacked by each stage
         self._update_views = (
             padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], stencil_views(padded),
-            tuple(work[:4]), self.r, extrema[1], extrema[2], work[2], extrema, np.empty(3),
+            (*work[:4], _radial_constants(n)), self.r, extrema[1], extrema[2], work[2], extrema,
+            np.empty(3), np.array(-1.0),
         )
         self._advance_views = (self.rhs, self.r, work[4], np.empty(n, dtype=bool))
 
     def update(self) -> None:
         """dr/dt of the current profile, into ``rhs``, and the step scalars
         ``r_min`` and ``cap``, both from one first difference r'."""
-        lo_pad, lo_src, hi_pad, hi_src, views, out, r, caps, rates, tmp, extrema, minima = (
-            self._update_views
-        )
+        (
+            lo_pad, lo_src, hi_pad, hi_src, views, out, r, caps, rates, tmp, extrema, minima,
+            minus_one,
+        ) = self._update_views
         lo_pad[...] = lo_src
         hi_pad[...] = hi_src
         rhs, d1 = radial_velocity(views, out)
@@ -923,7 +937,7 @@ class _RadialWorkspace:
         np.multiply(d1, d1, tmp)
         caps += tmp
         # -|dr/dt| exactly, so that its minimum is -max|dr/dt|
-        np.copysign(rhs, -1.0, rates)
+        np.copysign(rhs, minus_one, rates)
         r_min, cap_min, neg_rate = np.minimum.reduce(extrema, 1, out=minima).tolist()
         if r_min <= 0.0:
             raise OriginContactError("radial profile touched zero")

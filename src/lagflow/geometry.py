@@ -51,11 +51,14 @@ constructor, and :meth:`StepWorkspace.update`, :meth:`update_velocity
 <StepWorkspace._frame_closed>` each unpack one prebuilt tuple of them; no
 per-step helper builds a view, and the pads are filled by slice
 assignment.  The stencils' one entry point, :func:`periodic_derivatives`,
-takes the shifted views of :func:`stencil_views`, which a stepping
-caller builds once.  The step scalars ``cap``, ``r2_min``, ``spacing``,
-``max_weight`` and ``kmax`` are plain attributes, read only as such.  The
-views stay valid because the buffers are never replaced: a caller
-writes new nodes into ``nodes`` in place.
+takes the shifted views of :func:`stencil_views` and the constants of
+:func:`stencil_constants`, which a stepping caller builds once: NumPy
+takes a 0-d float64 array as an operand without the conversion that a
+Python float costs on every call, and the floats are the same.  The
+step scalars ``cap``, ``r2_min``, ``spacing``, ``max_weight`` and
+``kmax`` are plain attributes, read only as such.  The views stay valid
+because the buffers are never replaced: a caller writes new nodes into
+``nodes`` in place.
 
 Aliasing rule: the workspace's arrays are overwritten by its next update,
 so they are valid only until then; a caller that keeps one copies it.
@@ -306,31 +309,39 @@ def stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
     return p[3 : n + 3], p[1 : n + 1], p[4:], p[:n], p[2 : n + 2]
 
 
+def stencil_constants(h: float) -> tuple[np.ndarray, ...]:
+    """The constants of :func:`periodic_derivatives` at grid spacing h,
+    8, 16, 30, 12 h and 12 h h, as 0-d float64 arrays."""
+    return tuple(np.array(c) for c in (8.0, 16.0, 30.0, 12.0 * h, 12.0 * h * h))
+
+
 def periodic_derivatives(
     views: tuple[np.ndarray, ...],
-    h: float,
+    constants: tuple[np.ndarray, ...],
     out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """4th-order first and second derivatives, at grid spacing h, from the
-    shifted samples ``views`` of :func:`stencil_views`.  ``out`` gives the
-    arrays (d1, d2, scratch), shaped like one unpadded sample set, to work
-    in; by default they are new."""
+    """4th-order first and second derivatives, at the grid spacing h of
+    ``constants`` (``stencil_constants(h)``), from the shifted samples
+    ``views`` of :func:`stencil_views`.  ``out`` gives the arrays (d1, d2,
+    scratch), shaped like one unpadded sample set, to work in; by default
+    they are new."""
     fwd, back, far, near, here = views
+    eight, sixteen, thirty, twelve_h, twelve_h2 = constants
     if out is None:
         out = (np.empty_like(here), np.empty_like(here), np.empty_like(here))
     d1, d2, tmp = out
     np.subtract(fwd, back, d1)
-    d1 *= 8.0
+    d1 *= eight
     np.subtract(far, near, tmp)
     d1 -= tmp
-    d1 /= 12.0 * h
+    d1 /= twelve_h
     np.add(fwd, back, d2)
-    d2 *= 16.0
+    d2 *= sixteen
     np.add(far, near, tmp)
     d2 -= tmp
-    np.multiply(here, 30.0, tmp)
+    np.multiply(here, thirty, tmp)
     d2 -= tmp
-    d2 /= 12.0 * h * h
+    d2 /= twelve_h2
     return d1, d2
 
 
@@ -411,8 +422,9 @@ class StepWorkspace:
             flat, work_flat, work[0, 2 : n + 2], work[1, 2 : n + 2], self.r2,
             # chord^2: the flat difference, then its rows
             flat[3:], flat[2:-1], work_flat[: m + 1], w0, w1, chord2,
-            # the flat stencils' inputs, outputs and grid spacing
-            stencil_views(flat), (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m]), h,
+            # the flat stencils' inputs, outputs and constants
+            stencil_views(flat), (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m]),
+            stencil_constants(h), h, np.array(3.0),
             d1x, d1y, d2x, d2y, self.speed, tx, ty, self.curvature,
             (spread, lows, highs), (spread[1:], lows[1:], highs[1:]),
         )
@@ -439,7 +451,7 @@ class StepWorkspace:
         the curve's coordinates are never squared)."""
         (
             lo_pad, lo_src, hi_pad, hi_src, flat, work_flat, wx, wy, r2,
-            fwd, here, chords, w0, w1, chord2, stencil, stencil_out, h,
+            fwd, here, chords, w0, w1, chord2, stencil, stencil_out, constants, h, three,
             d1x, d1y, d2x, d2y, speed, tx, ty, kappa, with_r2, without_r2,
         ) = self._closed_views
         lo_pad[...] = lo_src
@@ -457,7 +469,7 @@ class StepWorkspace:
         np.multiply(w0, w0, w0)
         np.multiply(w1, w1, w1)
         np.add(w0, w1, chord2)
-        periodic_derivatives(stencil, h, stencil_out)
+        periodic_derivatives(stencil, constants, stencil_out)
         # speed = sqrt(d1x d1x + d1y d1y)
         np.multiply(d1x, d1x, w0)
         np.multiply(d1y, d1y, w1)
@@ -485,7 +497,7 @@ class StepWorkspace:
         np.multiply(d1x, d2y, kappa)
         np.multiply(d1y, d2x, w0)
         kappa -= w0
-        np.power(speed, 3, w0)
+        np.power(speed, three, w0)
         kappa /= w0
         return bound, r2_min
 
@@ -642,7 +654,8 @@ def closed_weights(points: np.ndarray) -> np.ndarray:
     # of its transpose, for every curve at once, and its output is laid
     # out as the input, so d1 is a (B, N, 2) array again (d2 goes unused)
     p = np.concatenate((points[:, -2:], points, points[:, :2]), axis=1)
-    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), h)[0].transpose(1, 0, 2)
+    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), stencil_constants(h))[0]
+    d1 = d1.transpose(1, 0, 2)
     speed = _squared_norms(d1.reshape(-1, 2)).reshape(nb, n)
     np.sqrt(speed, out=speed)
     chords = p[:, 3 : n + 3] - p[:, 2 : n + 2]

@@ -10,17 +10,20 @@ A run directory holds one snapshot file per diagnostics row: snapshot k
 is row k, at the same time t.  It also holds ``records.npy``, every
 record's nodes as one float64 (K, N, 2) array in record order, listed
 with its sha256 in the manifest's ``files`` like every other output.
-``load_trajectory`` reads the rows up front, all of them into one array
-with one read, hashed there, and each record only when a pass first asks
-for it.  Record k comes from ``records.npy`` when that array,
-diagnostics.csv and snapshot k all hash to the manifest's values,
-without parsing the snapshot; otherwise from
-the snapshot's JSON.  Snapshot k is hashed at most once per load.  The
-block passes of ``analysis`` take runs of such records as slabs, views
-of the rows with no FlowState each (``Trajectory`` documents the
-``slab`` method); every other record goes per record, parsed.  The JSON
-snapshots stay the human-readable record, the one that a ``custom``
-scenario reads, and ``verify`` stays the integrity check.
+``load_trajectory`` reads diagnostics.csv once and hashes those bytes;
+when they hash to the manifest's value it parses the ``t`` column up
+front and every other column when a pass first reads it, and otherwise
+every column up front.  It reads the rows of records.npy up front, all
+of them into one array with one read, hashed there, and each record only
+when a pass first asks for it.  Record k comes from ``records.npy`` when
+that array, diagnostics.csv and snapshot k all hash to the manifest's
+values, without parsing the snapshot; otherwise from the snapshot's
+JSON.  Snapshot k is hashed at most once per load.  The block passes of
+``analysis`` take runs of such records as slabs, views of the rows with
+no FlowState each (``Trajectory`` documents the ``slab`` method); every
+other record goes per record, parsed.  The JSON snapshots stay the
+human-readable record, the one that a ``custom`` scenario reads, and
+``verify`` stays the integrity check.
 
 Every run file is read through one opener, ``_open_run_file``, which
 refuses at once a file that is not regular: a FIFO would wait for a
@@ -51,6 +54,7 @@ __all__ = [
     "write_csv",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
+    "Diagnostics",
     "write_json",
     "read_manifest",
     "write_decomposition",
@@ -119,12 +123,78 @@ def write_diagnostics_csv(path: str, diagnostics: Mapping[str, np.ndarray]) -> N
     write_csv(path, DIAGNOSTIC_COLUMNS, [diagnostics[name] for name in DIAGNOSTIC_COLUMNS])
 
 
-def read_diagnostics_csv(path: str) -> dict[str, np.ndarray]:
-    with open(_open_run_file(path)) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(header)))
-    return {name: data[:, j] for j, name in enumerate(header)}
+def read_diagnostics_csv(path: str, sha256: str | None = None) -> Diagnostics:
+    """The columns of the diagnostics CSV at ``path``, by header name.
+
+    The file is read once and its bytes hashed; ``sha256`` of the result
+    is that digest.  When it equals ``sha256`` the bytes are the file that
+    was listed under it, and each column is parsed the first time it is
+    read; otherwise (or with no ``sha256``) every column is parsed here.
+    Blank lines are skipped.  A value that does not parse, or a row
+    without a field of the column, raises
+    RunLoadError("<file name>: ...") when its column is parsed."""
+    fd = _open_run_file(path)
+    with open(fd, "rb", buffering=0) as fh:
+        data = fh.readall()
+    digest = hashlib.sha256(data).hexdigest()
+    head, _, body = data.decode().partition("\n")
+    rows = [line for raw in body.splitlines() if (line := raw.strip())]
+    diagnostics = Diagnostics(os.path.basename(path), head.strip().split(","), rows, digest)
+    if digest != sha256:
+        # bytes that no manifest vouches for are parsed, and refused, here
+        for name in diagnostics:
+            diagnostics[name]
+    return diagnostics
+
+
+class Diagnostics(Mapping[str, np.ndarray]):
+    """The read-only columns of a diagnostics CSV (see
+    :func:`read_diagnostics_csv`), each a read-only float64 array parsed
+    from the file's lines when first read and then kept; the lines are
+    dropped once every column is parsed."""
+
+    def __init__(self, name: str, header: list[str], rows: list[str], sha256: str):
+        self._name = name
+        self._index = {column: j for j, column in enumerate(header)}
+        self._width = len(header)
+        self._rows: list[str] | None = rows
+        self._columns: dict[str, np.ndarray] = {}
+        self.sha256 = sha256
+
+    def __getitem__(self, column: str) -> np.ndarray:
+        try:
+            return self._columns[column]
+        except KeyError:
+            j = self._index[column]
+        try:
+            values = _parse_column(self._rows, j, self._width)
+        except ValueError as exc:
+            raise RunLoadError(f"{self._name}: {exc}") from exc
+        values.setflags(write=False)
+        self._columns[column] = values
+        if len(self._columns) == len(self._index):
+            self._rows = None
+        return values
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def _parse_column(rows: list[str], j: int, width: int) -> np.ndarray:
+    """Field j of every comma-separated row, as float64: the floats that
+    np.asarray makes of the strings.  The last of ``width`` columns takes
+    the rest of its row, so a row with a field too many does not parse."""
+    cut = j + 1 if j + 1 < width else j
+    try:
+        fields = [row.split(",", cut)[j] for row in rows]
+    except IndexError:
+        k = next(k for k, row in enumerate(rows) if row.count(",") < j)
+        fields = rows[k].count(",") + 1
+        raise ValueError(f"row {k} has {fields} field(s), the header {width}") from None
+    return np.asarray(fields, dtype=np.float64)
 
 
 def _json_safe(obj):
@@ -392,17 +462,20 @@ def _sha256_or_none(path: str) -> str | None:
         return None
 
 
-def _verified_records(run_dir: str, manifest: dict, count: int) -> np.ndarray | None:
+def _verified_records(
+    run_dir: str, manifest: dict, count: int, diagnostics_sha256: str
+) -> np.ndarray | None:
     """Every record's nodes from records.npy, as one read-only float64
     (count, N, 2) array, when the manifest lists the file and a boolean
-    ``closed``, diagnostics.csv and records.npy hash to the manifest's
+    ``closed``, diagnostics.csv (whose digest the caller has taken, as
+    ``diagnostics_sha256``) and records.npy hash to the manifest's
     values, and the array is a C-order float64 (count, N, 2); else None.
     The rows are read into the array in one read and hashed there, so the
     file's bytes are held once."""
     files = manifest.get("files") or {}
     if not isinstance(manifest.get("closed"), bool) or RECORDS_FILE not in files:
         return None
-    if _sha256_or_none(os.path.join(run_dir, "diagnostics.csv")) != files.get("diagnostics.csv"):
+    if diagnostics_sha256 != files.get("diagnostics.csv"):
         return None
     try:
         fd = _open_run_file(os.path.join(run_dir, RECORDS_FILE))
@@ -445,27 +518,35 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
 
     The manifest (unless the caller has read it with ``read_manifest`` and
     passes it), diagnostics.csv and the snapshot file list are read here;
-    the records are read on demand (see ``Trajectory.states``).  When the
-    manifest lists records.npy and a boolean ``closed``, and records.npy
-    (read and hashed here, once) and diagnostics.csv hash to the
-    manifest's values, record k is row k of that array whenever snapshot
-    k's bytes hash to the manifest's value: the snapshot is read and
-    hashed once, and not parsed, t is diagnostics row k's and ``closed``
-    the manifest's.  Such records are served by indexing and, as slabs
-    of rows, by ``states.slab``.  In every other case snapshot k is
-    parsed, as for a run without records.npy; both give the same state.
-    A diagnostics.csv without a row, or a snapshot list that is not
-    snapshot_000000.json onwards, one file per diagnostics row, raises
+    the records are read on demand (see ``Trajectory.states``).
+    diagnostics.csv is read once and hashed; when it hashes to the
+    manifest's value its ``t`` column is parsed here and every other
+    column when a pass first reads it (``Trajectory.diagnostics`` is then
+    a read-only Mapping), and otherwise every column is parsed here.
+    When the manifest lists records.npy and a boolean ``closed``, and
+    records.npy (read and hashed here, once) and diagnostics.csv hash to
+    the manifest's values, record k is row k of that array whenever
+    snapshot k's bytes hash to the manifest's value: the snapshot is read
+    and hashed once, and not parsed, t is diagnostics row k's and
+    ``closed`` the manifest's.  Such records are served by indexing and,
+    as slabs of rows, by ``states.slab``.  In every other case snapshot k
+    is parsed, as for a run without records.npy; both give the same
+    state.  A diagnostics.csv without a row, or a snapshot list that is
+    not snapshot_000000.json onwards, one file per diagnostics row, raises
     RunLoadError, and so does a parsed snapshot that cannot be read or
-    whose t is not its row's, when it is read.  Record k's state has
+    whose t is not its row's, when it is read, and a diagnostics column
+    that does not parse, when it is parsed.  Record k's state has
     step_index k, not a step count, which snapshots do not store.
     """
     if manifest is None:
         manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
     c = manifest.get("initial_constant")
     c = float("nan") if c is None else float(c)
+    files = manifest.get("files") or {}
     try:
-        diagnostics = read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
+        diagnostics = read_diagnostics_csv(
+            os.path.join(run_dir, "diagnostics.csv"), files.get("diagnostics.csv")
+        )
         times = diagnostics["t"]
     except KeyError as exc:
         raise RunLoadError(f"diagnostics.csv: no {exc} column") from exc
@@ -490,8 +571,8 @@ def load_trajectory(run_dir: str, manifest: dict | None = None) -> Trajectory:
         run_dir,
         times,
         c,
-        _verified_records(run_dir, manifest, len(times)),
+        _verified_records(run_dir, manifest, len(times), diagnostics.sha256),
         manifest.get("closed"),
-        manifest.get("files") or {},
+        files,
     )
     return Trajectory(states=states, diagnostics=diagnostics, initial_constant=c)

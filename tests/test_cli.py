@@ -1099,6 +1099,148 @@ class TestRecordArray:
         assert f"cannot verify {run_dir}: {cause}" in capsys.readouterr().err
 
 
+def eager_columns(path):
+    """The columns of a diagnostics CSV as the whole table parses at once:
+    one np.asarray over every row's fields."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    table = np.asarray(rows, dtype=np.float64)
+    return {name: table[:, j] for j, name in enumerate(header)}
+
+
+def count_parsed_columns(monkeypatch):
+    """The names of the diagnostics columns parsed from here on, in order."""
+    parsed = []
+    parse = runio._parse_column
+
+    def counting_parse(rows, j, width):
+        parsed.append(DIAGNOSTIC_COLUMNS[j])
+        return parse(rows, j, width)
+
+    monkeypatch.setattr(runio, "_parse_column", counting_parse)
+    return parsed
+
+
+class TestDiagnosticsColumns:
+    """A load reads diagnostics.csv once; when its bytes hash to the
+    manifest's value, ``t`` is parsed at load and every other column when
+    a pass first reads it, to the floats of a whole-table parse."""
+
+    @pytest.fixture
+    def copy(self, circle_run, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        return run_dir
+
+    @pytest.fixture
+    def open_run(self, tmp_path):
+        # a stationary open curve: its area and integral columns hold nan
+        cfg = write_config(
+            tmp_path / "c.json", scenario={"name": "x_cone", "params": {}}, stop={"t_end": 0.01}
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        (run_dir,) = [p for p in (tmp_path / "r").iterdir() if p.is_dir()]
+        return run_dir
+
+    @pytest.mark.parametrize("run", ["circle_run", "open_run"])
+    def test_columns_equal_whole_table_parse(self, request, run):
+        run_dir = request.getfixturevalue(run)
+        path = run_dir / "diagnostics.csv"
+        expected = eager_columns(path)
+        if run == "open_run":
+            assert np.isnan(expected["area"]).all() and np.isnan(expected["monotone_defect"]).all()
+        verified = load_trajectory(str(run_dir)).diagnostics
+        eager = runio.read_diagnostics_csv(str(path))
+        assert verified.sha256 == eager.sha256 == load_manifest(run_dir)["files"]["diagnostics.csv"]
+        for columns in (verified, eager):
+            assert list(columns) == list(DIAGNOSTIC_COLUMNS)
+            for name in DIAGNOSTIC_COLUMNS:
+                assert columns[name].dtype == np.float64
+                assert columns[name].tobytes() == expected[name].tobytes()
+                assert not columns[name].flags.writeable
+            with pytest.raises(TypeError):
+                columns["t"] = expected["t"]
+
+    def test_verified_load_parses_only_what_passes_read(self, copy, monkeypatch):
+        parsed = count_parsed_columns(monkeypatch)
+        diagnostics = load_trajectory(str(copy)).diagnostics
+        assert parsed == ["t"]
+        assert diagnostics["t"] is diagnostics["t"]
+        assert parsed == ["t"]
+        for subcommand in ("density", "spectrum"):
+            parsed.clear()
+            assert main(["analyze", str(copy), subcommand]) == 0
+            assert parsed == ["t"]
+        parsed.clear()
+        assert main(["analyze", str(copy), "lemmas"]) == 0
+        assert parsed == ["t", "monotone_defect"]
+
+    def test_edited_file_is_parsed_at_load(self, copy, monkeypatch):
+        # a blank line parses to the same rows but changes the hash
+        with open(copy / "diagnostics.csv", "a") as fh:
+            fh.write("\n")
+        parsed = count_parsed_columns(monkeypatch)
+        load_trajectory(str(copy))
+        assert parsed == list(DIAGNOSTIC_COLUMNS)
+
+    def test_each_load_opens_the_file_once(self, copy, monkeypatch):
+        opened = []
+        open_run_file = runio._open_run_file
+
+        def counting_open(path):
+            opened.append(os.path.basename(path))
+            return open_run_file(path)
+
+        monkeypatch.setattr(runio, "_open_run_file", counting_open)
+        for subcommand in ("density", "lemmas"):
+            opened.clear()
+            assert main(["analyze", str(copy), subcommand]) == 0
+            assert opened.count("diagnostics.csv") == 1
+
+    def edit_value(self, run_dir, column, value):
+        path = run_dir / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[DIAGNOSTIC_COLUMNS.index(column)] = value
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_bad_value_under_edited_manifest(self, copy, capsys):
+        # the manifest lists the edited file's hash: only a pass that
+        # reads the column finds the value
+        self.edit_value(copy, "monotone_defect", "0.5x")
+        manifest = load_manifest(copy)
+        manifest["files"]["diagnostics.csv"] = runio.file_sha256(copy / "diagnostics.csv")
+        write_json(str(copy / "manifest.json"), manifest)
+        assert main(["analyze", str(copy), "density"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(copy), "lemmas"]) == 4
+        assert capsys.readouterr().err == (
+            "cannot load run: diagnostics.csv: could not convert string to float: '0.5x'\n"
+        )
+
+    def test_bad_value_refused_at_load(self, copy, capsys):
+        self.edit_value(copy, "monotone_defect", "0.5x")
+        assert main(["analyze", str(copy), "density"]) == 4
+        assert capsys.readouterr().err == (
+            "cannot load run: diagnostics.csv: could not convert string to float: '0.5x'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [("0.5,1.0", "row 1 has 2 field(s), the header 11"), ("1.0," * 11 + "1.0", "'1.0,1.0'")],
+        ids=["short", "long"],
+    )
+    def test_ragged_row_refused_at_load(self, copy, capsys, row, fault):
+        path = copy / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(copy), "spectrum"]) == 4
+        assert fault in capsys.readouterr().err
+
+
 class TestSlabs:
     """density and lemmas read the served records as slabs of records.npy
     rows, and write the bytes of the per-record path."""
@@ -1249,6 +1391,33 @@ class TestAnalyze:
         assert main(["analyze", str(circle_run), subcommand, "--s", "-1", *extra]) == 4
         assert message in capsys.readouterr().err
         assert set(os.listdir(out_dir)) <= before
+
+    def test_negative_values_in_exponent_form(self, circle_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(circle_run, run_dir, ignore=shutil.ignore_patterns("analysis"))
+        assert main(["analyze", str(run_dir), "density", "--x0", "-1e-3", "0"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for s in ("-0.001", "-1e-3"):
+            shutil.rmtree(run_dir / "analysis")
+            assert main(["analyze", str(run_dir), "rescale", "--sigma", "2", "--s", s]) == 0
+            outputs.append((capsys.readouterr().out, analysis_files(run_dir)))
+        assert outputs[0] == outputs[1]
+        assert list(outputs[0][1]) == ["rescaled_s-0.001_sigma2.json"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--x0", "-foo", "0"], "argument --x0: expected 2 arguments"),
+            (["--s", "-1e-3x"], "argument --s: expected one argument"),
+            (["--T", "1e-3x"], "argument --T: invalid float value: '1e-3x'"),
+        ],
+    )
+    def test_non_numbers_still_refused(self, circle_run, capsys, extra, message):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(circle_run), "density", *extra])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_refused_request_makes_no_analysis_dir(self, circle_run, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -45,6 +45,7 @@ from lagflow.geometry import (
     pad_periodic,
     periodic_derivatives,
     resample,
+    stencil_constants,
     stencil_views,
 )
 from lagflow.scenarios import (
@@ -838,7 +839,7 @@ def _radial_oracle(r, t, t_end, snapshot_dt):
     steps = []
     while True:
         r_min = float(r.min())
-        d1, d2 = periodic_derivatives(stencil_views(pad_periodic(r)), h)
+        d1, d2 = periodic_derivatives(stencil_views(pad_periodic(r)), stencil_constants(h))
         rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
         caps = [h * h * float((r * r + d1 * d1).min())]
         rate = float(np.abs(rhs).max())
