@@ -142,8 +142,7 @@ def read_diagnostics_csv(path: str, sha256: str | None = None) -> Diagnostics:
     diagnostics = Diagnostics(os.path.basename(path), head.strip().split(","), rows, digest)
     if digest != sha256:
         # bytes that no manifest vouches for are parsed, and refused, here
-        for name in diagnostics:
-            diagnostics[name]
+        diagnostics._parse(list(diagnostics))
     return diagnostics
 
 
@@ -165,16 +164,8 @@ class Diagnostics(Mapping[str, np.ndarray]):
         try:
             return self._columns[column]
         except KeyError:
-            j = self._index[column]
-        try:
-            values = _parse_column(self._rows, j, self._width)
-        except ValueError as exc:
-            raise RunLoadError(f"{self._name}: {exc}") from exc
-        values.setflags(write=False)
-        self._columns[column] = values
-        if len(self._columns) == len(self._index):
-            self._rows = None
-        return values
+            self._parse([column])
+        return self._columns[column]
 
     def __iter__(self):
         return iter(self._index)
@@ -182,19 +173,34 @@ class Diagnostics(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self._index)
 
+    def _parse(self, columns: list[str]) -> None:
+        """Parse the header's ``columns`` together, and keep them."""
+        index = [self._index[column] for column in columns]
+        try:
+            values = _parse_columns(self._rows, index, self._width)
+        except ValueError as exc:
+            raise RunLoadError(f"{self._name}: {exc}") from exc
+        for column, array in zip(columns, values):
+            array.setflags(write=False)
+            self._columns[column] = array
+        if len(self._columns) == len(self._index):
+            self._rows = None
 
-def _parse_column(rows: list[str], j: int, width: int) -> np.ndarray:
-    """Field j of every comma-separated row, as float64: the floats that
-    np.asarray makes of the strings.  The last of ``width`` columns takes
-    the rest of its row, so a row with a field too many does not parse."""
-    cut = j + 1 if j + 1 < width else j
+
+def _parse_columns(rows: list[str], index: list[int], width: int) -> list[np.ndarray]:
+    """Fields ``index`` of every comma-separated row, a float64 array per
+    field: the floats that np.asarray makes of the strings.  Each row is
+    split once, up to the last field asked for; the last of ``width``
+    columns takes the rest of its row, so a row with a field too many does
+    not parse."""
+    last = max(index)
+    cut = last + 1 if last + 1 < width else last
+    split = [row.split(",", cut) for row in rows]
     try:
-        fields = [row.split(",", cut)[j] for row in rows]
+        return [np.asarray([fields[j] for fields in split], dtype=np.float64) for j in index]
     except IndexError:
-        k = next(k for k, row in enumerate(rows) if row.count(",") < j)
-        fields = rows[k].count(",") + 1
-        raise ValueError(f"row {k} has {fields} field(s), the header {width}") from None
-    return np.asarray(fields, dtype=np.float64)
+        k = next(k for k, fields in enumerate(split) if len(fields) <= last)
+        raise ValueError(f"row {k} has {len(split[k])} field(s), the header {width}") from None
 
 
 def _json_safe(obj):

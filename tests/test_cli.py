@@ -1112,13 +1112,13 @@ def eager_columns(path):
 def count_parsed_columns(monkeypatch):
     """The names of the diagnostics columns parsed from here on, in order."""
     parsed = []
-    parse = runio._parse_column
+    parse = runio._parse_columns
 
-    def counting_parse(rows, j, width):
-        parsed.append(DIAGNOSTIC_COLUMNS[j])
-        return parse(rows, j, width)
+    def counting_parse(rows, index, width):
+        parsed.extend(DIAGNOSTIC_COLUMNS[j] for j in index)
+        return parse(rows, index, width)
 
-    monkeypatch.setattr(runio, "_parse_column", counting_parse)
+    monkeypatch.setattr(runio, "_parse_columns", counting_parse)
     return parsed
 
 
