@@ -2,16 +2,19 @@
 """Run perfbench on two commits in alternating pairs and write BENCH_<TAG>.json.
 
 Each commit is checked out as a clean, detached git worktree under
-``.perfbench/pairs/``.  For each workload of BENCHMARK.json in turn, pair i
-runs ``python3 perfbench/run.py --workload W --seed 0 --seconds 20 --trace 0``
-once in each worktree, the parent first when i is even.  A pair keeps the
-record that run.py wrote to ``.perfbench/results/`` of each worktree.  The
+``.perfbench/pairs/``.  For each workload in turn (every workload of
+BENCHMARK.json, or those named by ``--workload``), pair i runs
+``python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0``
+once in each worktree, the parent first when i is even; S is ``--seed``,
+0 by default, and the record's command names it.  A pair keeps the record
+that run.py wrote to ``.perfbench/results/`` of each worktree.  The
 summary gives each end-to-end metric's median and quartiles per side, and
 the pairs the change won and lost, ties counting for neither.  The
 worktrees are removed at the end.
 
 Usage, from the repository root:
     python3 scripts/perf_pairs.py --parent REV --change REV --pairs K --tag TAG
+        [--seed S] [--workload W ...]
 """
 
 import argparse
@@ -24,8 +27,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-ARGS = ("--seed", "0", "--seconds", "20", "--trace", "0")
-COMMAND = "python3 perfbench/run.py --workload <workload> " + " ".join(ARGS)
+ARGS = ("--seconds", "20", "--trace", "0")
 WHAT = (
     "perfbench end-to-end records (--trace 0) of the parent and the change, run in "
     "alternating pairs from two clean checkouts on one host; pair i ran the parent first "
@@ -70,11 +72,11 @@ def summarize(pairs: list[dict], lower: dict[str, bool]) -> dict[str, dict]:
     return summary
 
 
-def run_once(tree: str, workload: str) -> dict:
+def run_once(tree: str, workload: str, seed: int) -> dict:
     """One perfbench run in the worktree ``tree``, and the record it wrote."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, *ARGS]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *ARGS]
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    with open(os.path.join(tree, ".perfbench", "results", f"{workload}-seed0-trace0.json")) as fh:
+    with open(os.path.join(tree, ".perfbench", "results", f"{workload}-seed{seed}-trace0.json")) as fh:
         return json.load(fh)
 
 
@@ -84,13 +86,26 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="the commit measured as the change")
     ap.add_argument("--pairs", type=int, required=True, help="pairs per workload")
     ap.add_argument("--tag", required=True, help="writes BENCH_<TAG>.json at the repository root")
+    ap.add_argument("--seed", type=int, default=0, help="the workload seed of every run (default 0)")
+    ap.add_argument(
+        "--workload",
+        action="append",
+        help="a workload to run, repeatable (default: every workload of BENCHMARK.json)",
+    )
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
-    commits = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}") for side in SIDES}
+    if args.seed < 0:
+        ap.error("--seed must be a non-negative integer")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    known = [entry["name"] for entry in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(known))
+    if unknown:
+        ap.error(f"unknown workload(s) {', '.join(unknown)}; choices: {', '.join(known)}")
+    chosen = [w for w in known if w in args.workload] if args.workload else known
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    commits = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}") for side in SIDES}
     trees = {side: os.path.join(ROOT, ".perfbench", "pairs", side) for side in SIDES}
     for tree in trees.values():
         if os.path.exists(tree):
@@ -101,12 +116,11 @@ def main(argv=None) -> int:
         for side in SIDES:
             git("worktree", "add", "--detach", trees[side], commits[side])
         workloads = {}
-        for spec_entry in spec["workloads"]:
-            workload = spec_entry["name"]
+        for workload in chosen:
             pairs = []
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                records = {side: run_once(trees[side], workload) for side in order}
+                records = {side: run_once(trees[side], workload, args.seed) for side in order}
                 for side in SIDES:
                     if records[side]["machine"]["commit"] != commits[side]:
                         raise RuntimeError(f"{workload} pair {i}: the {side} record is not of {commits[side]}")
@@ -119,7 +133,7 @@ def main(argv=None) -> int:
             subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=False)
     doc = {
         "what": WHAT,
-        "command": COMMAND,
+        "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} " + " ".join(ARGS),
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "workloads": workloads,

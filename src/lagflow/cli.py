@@ -59,7 +59,7 @@ from .runio import (
     write_snapshot,
     write_svg,
 )
-from .scenarios import SCENARIOS, build_scenario, scenario_table
+from .scenarios import MAX_RESOLUTION, SCENARIOS, build_scenario, scenario_table
 
 __all__ = ["main", "ConfigError", "resolve_config", "RUNS_ENV_VAR"]
 
@@ -131,8 +131,14 @@ def resolve_config(raw: dict) -> dict:
         if not isinstance(v, want) or isinstance(v, bool):
             raise ConfigError(f"'scenario.params.{k}' has the wrong type")
     resolution = raw.get("resolution", 256)
-    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < MIN_NODES:
-        raise ConfigError(f"'resolution' must be an integer >= {MIN_NODES}")
+    if (
+        not isinstance(resolution, int)
+        or isinstance(resolution, bool)
+        or not MIN_NODES <= resolution <= MAX_RESOLUTION
+    ):
+        raise ConfigError(
+            f"'resolution' must be an integer from {MIN_NODES} to {MAX_RESOLUTION}"
+        )
     norm = raw.get("normalize", False)
     if not isinstance(norm, bool):
         raise ConfigError("'normalize' must be true or false")

@@ -65,9 +65,18 @@ update, and no copy of its terms is made.  evolve writes each step
 into a buffer of its own and copies it back once it is finite; a Heun
 step writes its predictor straight into the nodes of a second
 workspace, which computes only the predictor's guards and velocity, not
-its step scalars.  The radial twin keeps r in a buffer padded by two
-periodic samples per end (_RadialWorkspace), whose stencil views it
-makes once for :func:`radial_velocity`; one reduction over the rows
+its step scalars.  evolve also carries a lower bound on the smallest
+chord from step to step, the spacing guard's rule of geometry's module
+docstring: an Euler step lowers the floor of its update by 2 dt vmax and
+a rounding slack (StepWorkspace.chord_floor_after), and hands the result
+to the next update, which skips its chord pass while the floor clears
+the guard's threshold.  The Heun predictor gets the same floor; the
+chord pass runs on the first update, after each redistribution, after
+each Heun corrector (whose predictor's peak speed is not computed) and
+whenever the floor falls below the threshold.  The radial twin keeps r in a
+buffer padded by two periodic samples per end (_RadialWorkspace), whose
+stencil views and work arrays it makes once for
+:func:`radial_velocity`; one reduction over the rows
 [r, r r + r' r', -|dr/dt|] gives min r and the step cap.  Both
 workspaces' updates take no argument and leave the step scalars as
 attributes (``cap`` is the step before SAFETY), read only as such.
@@ -96,6 +105,7 @@ from .geometry import (
     periodic_derivatives,
     resample,
     stencil_constants,
+    stencil_out,
     stencil_views,
     swept_gaussian_density,
 )
@@ -691,7 +701,10 @@ def evolve(
     FlowState objects are built only for records, at the stop and for
     errors; a record and the stop report read the workspace right after
     its update.  The loop binds what it calls once, as the run starts,
-    and reads the step scalars as the workspace's attributes.
+    and reads the step scalars as the workspace's attributes.  After an
+    Euler step it hands the workspace a lower bound on the smallest chord
+    (see the module docstring), so that most updates skip the chord pass;
+    the spacing guard raises on exactly the steps it raised on without.
     """
     config = config or FlowConfig()
     stop = stop or StopConditions()
@@ -762,7 +775,7 @@ def evolve(
     # benchmark's tracer replace (StepWorkspace.update, _advance) are
     # looked up here, as the run starts
     update, advance, on_grid, shorten = ws.update, _advance, clock.on_grid, clock.shorten
-    vel = ws.velocity
+    floor_after, vel = ws.chord_floor_after, ws.velocity
     try:
         while True:
             update()
@@ -801,6 +814,12 @@ def evolve(
             # _advance leaves the nodes as they were when it raises, so
             # state_at() is still the pre-step state there
             dt = shorten(t, dt_auto)
+            # the smallest chord after nodes + dt vel is at least floor:
+            # Euler's new nodes and Heun's predictor get it, while the
+            # corrector's nodes and a redistribution's get the chord pass
+            floor = floor_after(dt)
+            if predictor is not None:
+                predictor.carried_floor, floor = floor, None
             new_nodes = advance(nodes, vel, dt, state_at, stepped, finite, predictor)
             nodes[...] = new_nodes
             t = t + dt
@@ -808,7 +827,8 @@ def evolve(
             if closed and ws.max_weight > REDISTRIBUTE_RATIO * spread_floor * spacing:
                 # through the public resample, which validates its output
                 nodes[...] = resample(PlaneCurve(new_nodes.T, closed=True), n).points.T
-                spread_floor = None
+                spread_floor = floor = None
+            ws.carried_floor = floor
     except CurveError as exc:
         raise IntegrationError(
             f"{type(exc).__name__} at t={t:.6g}: {exc}", last_state=state_at()
@@ -855,11 +875,12 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
-def _radial_constants(n: int) -> tuple:
-    """The constants of :func:`radial_velocity` on n angles: the
-    :func:`stencil_constants` of the spacing 2 pi / n, then 2 and 3 as
-    0-d float64 arrays."""
-    return stencil_constants(2.0 * np.pi / n), np.array(2.0), np.array(3.0)
+def _radial_constants(shape: tuple[int, ...]) -> tuple:
+    """The constants of :func:`radial_velocity` for profiles shaped
+    ``shape``, whose axis 0 is the angle grid: the
+    :func:`stencil_constants` of the spacing 2 pi / shape[0], then 2 and
+    3 as 0-d float64 arrays."""
+    return stencil_constants(2.0 * np.pi / shape[0], shape), np.array(2.0), np.array(3.0)
 
 
 def radial_velocity(
@@ -867,15 +888,18 @@ def radial_velocity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """dr/dt (see :func:`radial_rhs`) and r' of positive profiles, padded
     by :func:`pad_periodic` along axis 0 (the uniform angle grid), from
-    their :func:`stencil_views` ``views``.  ``out`` gives the arrays
-    (dr/dt, r', scratch, scratch), each shaped like one unpadded profile
-    set, to work in, then the :func:`_radial_constants` of its angle
-    count; by default they are all new."""
+    their :func:`stencil_views` ``views``.  ``out`` gives the arrays to
+    work in, the :func:`stencil_out` of one unpadded profile set, and the
+    :func:`_radial_constants` of its shape; by default they are new.
+    Both results are views of the stencil's output: r' is its d1 half,
+    and dr/dt is worked in place of r''."""
     r = views[4]
     if out is None:
-        out = (*(np.empty_like(r) for _ in range(4)), _radial_constants(len(r)))
-    rhs, d1, tmp, cube, (constants, two, three) = out
-    periodic_derivatives(views, constants, (d1, rhs, tmp))
+        out = (stencil_out(r.shape), _radial_constants(r.shape))
+    stencil_work, (constants, two, three) = out
+    periodic_derivatives(views, constants, stencil_work)
+    # the stencil's scratch halves are free once it returns
+    _, _, d1, rhs, tmp, cube = stencil_work
     # (r r'' - 2 r r - 3 r' r') / (r r' r' + r^3), worked in place: each
     # element sees the same operations, in the same order
     rhs *= r
@@ -911,17 +935,18 @@ class _RadialWorkspace:
         padded, extrema = lines[0], lines[:, 2 : n + 2]
         self.r = extrema[0]
         self.r[...] = r
-        # dr/dt, r' and two scratch rows for radial_velocity, with its
-        # constants; r + dt dr/dt
-        work = np.empty((5, n))
-        self.rhs = work[0]
+        # radial_velocity's work arrays and constants, whose r'' half
+        # takes dr/dt
+        stencil_work = stencil_out((n,))
+        self.rhs = stencil_work[3]
         # every view a step touches, made once and unpacked by each stage
         self._update_views = (
             padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], stencil_views(padded),
-            (*work[:4], _radial_constants(n)), self.r, extrema[1], extrema[2], work[2], extrema,
-            np.empty(3), np.array(-1.0),
+            (stencil_work, _radial_constants((n,))), self.r, extrema[1], extrema[2],
+            stencil_work[4], extrema, np.empty(3), np.array(-1.0),
         )
-        self._advance_views = (self.rhs, self.r, work[4], np.empty(n, dtype=bool))
+        # r + dt dr/dt and its finiteness mask
+        self._advance_views = (self.rhs, self.r, np.empty(n), np.empty(n, dtype=bool))
 
     def update(self) -> None:
         """dr/dt of the current profile, into ``rhs``, and the step scalars

@@ -40,8 +40,8 @@ the node counts of the flow (about 256) a step costs about one NumPy call
 per operation, whatever the arithmetic, so the layout decides the cost:
 the stencils, the chord differences and |x|^2 run as single contiguous
 calls over the flat buffer, every per-component product is a contiguous
-row, no array is allocated per step, and the eight extrema a step needs
-come from two batched reductions.  An (N, 2) array would make each
+row, no array is allocated per step, and the seven extrema a step needs
+come from three batched reductions (the chord pass adds a fourth).  An (N, 2) array would make each
 component a strided column view and each extremum its own reduction.
 
 The Python around those calls is the rest of a step's cost, so it is
@@ -51,14 +51,21 @@ constructor, and :meth:`StepWorkspace.update`, :meth:`update_velocity
 <StepWorkspace._frame_closed>` each unpack one prebuilt tuple of them; no
 per-step helper builds a view, and the pads are filled by slice
 assignment.  The stencils' one entry point, :func:`periodic_derivatives`,
-takes the shifted views of :func:`stencil_views` and the constants of
-:func:`stencil_constants`, which a stepping caller builds once: NumPy
-takes a 0-d float64 array as an operand without the conversion that a
-Python float costs on every call, and the floats are the same.  The
-step scalars ``cap``, ``r2_min``, ``spacing``, ``max_weight`` and
-``kmax`` are plain attributes, read only as such.  The views stay valid
-because the buffers are never replaced: a caller writes new nodes into
-``nodes`` in place.
+writes d1 and d2 as the two halves of one contiguous output, so the
+scaling by 8 and 16, the subtraction of the far pair and the division by
+12 h and 12 h h each take one call for both; the operations of each
+element and their order are those of two separate stencils.  It takes
+the shifted views of :func:`stencil_views`, the work arrays of
+:func:`stencil_out` and the constants of :func:`stencil_constants`, which
+a stepping caller builds once.  The stacked constants are contiguous
+arrays as long as the output: a broadcast operand costs about three
+contiguous calls.  30 is a 0-d float64 array, which NumPy takes without
+the conversion that a Python float costs on every call; the floats are
+the same.  The step scalars ``cap``, ``r2_min``, ``spacing``,
+``max_weight``, ``kmax``, ``vmax`` and ``chord_floor`` are plain
+attributes, read only as such.  The views stay valid because the
+buffers are never replaced: a caller writes new nodes into ``nodes`` in
+place.
 
 Aliasing rule: the workspace's arrays are overwritten by its next update,
 so they are valid only until then; a caller that keeps one copies it.
@@ -90,6 +97,21 @@ computes the diameter.  :func:`compute_frame` and :func:`enclosed_area`
 test the exact diameter, taken from coordinates centred on the node
 centroid, and never square the raw coordinates, so a small curve far
 from the origin does not overflow there.
+
+The spacing guard of a closed curve applies the same rule to the
+smallest chord, from below.  A caller may hand one update a lower bound
+on it, ``carried_floor``, which that update consumes.  While the floor
+clears the guard's threshold (DEGENERACY_FACTOR times the diameter bound
+the update computes), the smallest chord clears it too, and the chord
+pass and the spacing test are skipped; otherwise they run as without a
+floor.  So the guard fires on exactly the inputs, and with the message,
+of the chord pass.  After an update ``chord_floor`` is the smallest chord
+or the floor handed in, and :meth:`StepWorkspace.chord_floor_after`
+gives a floor for the nodes after Euler's step nodes + dt velocity: each
+chord shrinks by at most 2 dt vmax, less a rounding slack (CHORD_SLACK).
+The flow loop carries that floor from step to step.  A caller that
+writes its own nodes and calls update() hands none, and gets the chord
+pass.
 
 The Gaussian density's Bessel factor, the exponentially scaled modified
 Bessel function I0e, is a NumPy port of Cephes ``i0e`` (:func:`_i0e`):
@@ -126,6 +148,9 @@ __all__ = [
 # Node pairs closer than this fraction of the diameter make differentiation
 # meaningless and raise DegenerateCurveError.
 DEGENERACY_FACTOR = 1e-12
+# The rounding slack of StepWorkspace.chord_floor_after, relative to the
+# lengths it rounds: about 9 float64 epsilons suffice, and this is 450.
+CHORD_SLACK = 1e-13
 # On open polylines, a chord longer than GAP_FACTOR times the median chord is
 # treated as a jump between disjoint components, not as curve.
 GAP_FACTOR = 8.0
@@ -309,40 +334,53 @@ def stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
     return p[3 : n + 3], p[1 : n + 1], p[4:], p[:n], p[2 : n + 2]
 
 
-def stencil_constants(h: float) -> tuple[np.ndarray, ...]:
-    """The constants of :func:`periodic_derivatives` at grid spacing h,
-    8, 16, 30, 12 h and 12 h h, as 0-d float64 arrays."""
-    return tuple(np.array(c) for c in (8.0, 16.0, 30.0, 12.0 * h, 12.0 * h * h))
+def stencil_constants(h: float, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The constants of :func:`periodic_derivatives` at grid spacing h, for
+    samples shaped ``shape`` (one unpadded sample set): the scales 8 and
+    16 and the divisors 12 h and 12 h h, each pair stacked as a contiguous
+    (2, *shape) array as the output is, and 30 as a 0-d float64 array."""
+    scales, divisors = np.empty((2, 2, *shape))
+    scales[0], scales[1] = 8.0, 16.0
+    divisors[0], divisors[1] = 12.0 * h, 12.0 * h * h
+    return scales, np.array(30.0), divisors
+
+
+def stencil_out(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The arrays :func:`periodic_derivatives` works in, for samples shaped
+    ``shape``: the stacked output [d1, d2] and a stacked scratch pair, each
+    a contiguous (2, *shape) array, then d1, d2 and the two scratch halves
+    as views of them."""
+    out, scratch = np.empty((2, 2, *shape))
+    return (out, scratch, *out, *scratch)
 
 
 def periodic_derivatives(
     views: tuple[np.ndarray, ...],
     constants: tuple[np.ndarray, ...],
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: tuple[np.ndarray, ...] | None = None,
+) -> np.ndarray:
     """4th-order first and second derivatives, at the grid spacing h of
-    ``constants`` (``stencil_constants(h)``), from the shifted samples
-    ``views`` of :func:`stencil_views`.  ``out`` gives the arrays (d1, d2,
-    scratch), shaped like one unpadded sample set, to work in; by default
-    they are new."""
+    ``constants`` (``stencil_constants(h, shape)``), from the shifted
+    samples ``views`` of :func:`stencil_views`, as the two halves of one
+    contiguous (2, *shape) array [d1, d2].  ``out`` gives the arrays of
+    :func:`stencil_out` to work in; by default they are new.
+
+    A step that scales, subtracts or divides both derivatives runs as one
+    call over the stacked halves, against constants as long as they are:
+    a broadcast operand would cost about three contiguous calls."""
     fwd, back, far, near, here = views
-    eight, sixteen, thirty, twelve_h, twelve_h2 = constants
-    if out is None:
-        out = (np.empty_like(here), np.empty_like(here), np.empty_like(here))
-    d1, d2, tmp = out
+    scales, thirty, divisors = constants
+    stacked, scratch, d1, d2, odd, even = stencil_out(here.shape) if out is None else out
     np.subtract(fwd, back, d1)
-    d1 *= eight
-    np.subtract(far, near, tmp)
-    d1 -= tmp
-    d1 /= twelve_h
     np.add(fwd, back, d2)
-    d2 *= sixteen
-    np.add(far, near, tmp)
-    d2 -= tmp
-    np.multiply(here, thirty, tmp)
-    d2 -= tmp
-    d2 /= twelve_h2
-    return d1, d2
+    stacked *= scales
+    np.subtract(far, near, odd)
+    np.add(far, near, even)
+    stacked -= scratch
+    np.multiply(here, thirty, even)
+    d2 -= even
+    stacked /= divisors
+    return stacked
 
 
 def chord_weights(pts: np.ndarray) -> np.ndarray:
@@ -369,13 +407,14 @@ class StepWorkspace:
     ``curvature``, ``r2`` (|x|^2) and ``dots`` (<x, n>) as length-N
     arrays; the smallest arclength spacing ``spacing`` (the smallest
     weight on a closed curve, taken as min |gamma'| times the index step;
-    the smallest within-piece chord on an open one), ``r2_min`` and the
-    largest arclength weight ``max_weight``; :meth:`frame`; and, after
-    :meth:`update`, the step cap ``cap`` (the stable step before its
-    safety factor) and ``kmax`` (max |kappa|); the step scalars are
-    attributes only.  :meth:`area` gives the enclosed area of a closed
-    curve.  The comments give each result as the expression whose float
-    it is.  A closed curve's frame comes from :meth:`_frame_closed`,
+    the smallest within-piece chord on an open one), ``r2_min``, the
+    largest arclength weight ``max_weight`` and ``chord_floor``, a lower
+    bound on the smallest chord (see the module docstring); :meth:`frame`;
+    and, after :meth:`update`, the step cap ``cap`` (the stable step
+    before its safety factor), ``kmax`` (max |kappa|) and ``vmax`` (max
+    |v|); the step scalars are attributes only.  :meth:`area` gives the
+    enclosed area of a closed curve.  The comments give each result as
+    the expression whose float it is.  A closed curve's frame comes from :meth:`_frame_closed`,
     an open one's from :meth:`_frame_open`, and the rest is shared.
     """
 
@@ -383,23 +422,24 @@ class StepWorkspace:
         n = len(points)
         h = 2.0 * np.pi / n
         self.n, self.closed, self._h = n, closed, h
-        # three blocks: the padded nodes, d1, d2 and a work array; the
-        # (2, N) rows; the length-N arrays, which the extrema reduce as
-        # rows [|x|^2, chord^2, speed] and [|<x, n>|, |kappa|, |v|^2]
-        padded = np.empty((4, 2, n + 4))
+        # a lower bound on the smallest chord of the nodes that the next
+        # update sees, which that update consumes (see the module docstring)
+        self.carried_floor = None
+        # two blocks: the padded nodes and a work array; the (2, N) rows;
+        # the length-N arrays, which the extrema reduce as rows
+        # [|x|^2, speed], [chord^2] and [|<x, n>|, |kappa|, |v|^2]
+        buf, work = np.empty((2, 2, n + 4))
         rows = np.empty((3, 2, n))
         lines = np.empty((8, n))
-        buf, d1p, d2p, work = padded
         self.nodes = buf[:, 2 : n + 2]
         self.nodes[...] = points.T
         self.tangent, self.velocity, sq = rows
-        self.r2, chord2, self.speed, self.dots, self.curvature = lines[:5]
+        self.r2, self.speed, chord2, self.dots, self.curvature = lines[:5]
         # a closed curve's weights are speed h; an open one's are chords
         self._weight = None if closed else np.empty(n)
         # Every view a step touches is made here, once: a view costs about
         # what a small ufunc call does.  Each stage unpacks its own tuple.
         x, y = buf[0, 2 : n + 2], buf[1, 2 : n + 2]
-        d1x, d1y, d2x, d2y = d1p[0, :n], d1p[1, :n], d2p[0, :n], d2p[1, :n]
         (tx, ty), (vx, vy), (sq0, sq1) = self.tangent, self.velocity, sq
         w0, w1 = work[0, :n], work[1, :n]
         # Flat, a padded array is one contiguous run, which the stencils
@@ -410,11 +450,15 @@ class StepWorkspace:
         # scale with the coordinates, not with the curve's size.
         flat, work_flat = buf.reshape(-1), work.reshape(-1)
         m = len(flat) - 4
+        stencil_work = stencil_out((m,))
+        d1, d2 = stencil_work[2:4]
+        d1x, d1y, d2x, d2y = d1[:n], d1[n + 4 : 2 * n + 4], d2[:n], d2[n + 4 : 2 * n + 4]
         # the reductions' results: the minima and maxima of the spread
-        # rows [|x|^2, chord^2, speed], and the maxima of the peaks; with
-        # an exact diameter, |x|^2 is left out
-        spread, peaks = lines[0:3], lines[5:8]
-        lows, highs, peak_max = np.empty((3, 3))
+        # rows [|x|^2, speed], and the maxima of the peaks; with an exact
+        # diameter, |x|^2 is left out
+        spread, peaks = lines[0:2], lines[5:8]
+        lows, highs = np.empty((2, 2))
+        peak_max = np.empty(3)
         self._closed_views = (
             # each pad and the samples it copies
             buf[:, :2], buf[:, n : n + 2], buf[:, n + 2 :], buf[:, 2:4],
@@ -422,9 +466,8 @@ class StepWorkspace:
             flat, work_flat, work[0, 2 : n + 2], work[1, 2 : n + 2], self.r2,
             # chord^2: the flat difference, then its rows
             flat[3:], flat[2:-1], work_flat[: m + 1], w0, w1, chord2,
-            # the flat stencils' inputs, outputs and constants
-            stencil_views(flat), (d1p.reshape(-1)[:m], d2p.reshape(-1)[:m], work_flat[:m]),
-            stencil_constants(h), h, np.array(3.0),
+            # the flat stencils' inputs, work arrays and constants
+            stencil_views(flat), stencil_work, stencil_constants(h, (m,)), h, np.array(3.0),
             d1x, d1y, d2x, d2y, self.speed, tx, ty, self.curvature,
             (spread, lows, highs), (spread[1:], lows[1:], highs[1:]),
         )
@@ -436,24 +479,20 @@ class StepWorkspace:
         """The nodes as a new (N, 2) array."""
         return np.ascontiguousarray(self.nodes.T)
 
-    def _check_spacing_within(self, min_chord: float, bound: float) -> None:
-        """_check_spacing against the diameter of the nodes, which is
-        computed only when min_chord fails against ``bound``, an upper
-        bound on it."""
-        if min_chord < DEGENERACY_FACTOR * max(bound, 1e-300):
-            _check_spacing(min_chord, _diameter(self.points()))
-
     def _frame_closed(self, diameter: float | None = None) -> tuple[float, float | None]:
         """Spacing guard, frame and vanishing-speed guard of a closed curve,
         and |x|^2 unless its exact ``diameter`` is given.  The guards test
         ``diameter``, or else the bound 8 max|x| on it; returns the value
         they tested and min |x|^2 (None when ``diameter`` is given, where
-        the curve's coordinates are never squared)."""
+        the curve's coordinates are never squared).  The chords are
+        computed only when ``carried_floor`` is None or fails the spacing
+        guard's threshold; either way ``chord_floor`` is set."""
         (
             lo_pad, lo_src, hi_pad, hi_src, flat, work_flat, wx, wy, r2,
-            fwd, here, chords, w0, w1, chord2, stencil, stencil_out, constants, h, three,
+            fwd, here, chords, w0, w1, chord2, stencil, stencil_work, constants, h, three,
             d1x, d1y, d2x, d2y, speed, tx, ty, kappa, with_r2, without_r2,
         ) = self._closed_views
+        floor, self.carried_floor = self.carried_floor, None
         lo_pad[...] = lo_src
         hi_pad[...] = hi_src
         if diameter is None:
@@ -464,12 +503,7 @@ class StepWorkspace:
             spread, lows, highs = with_r2
         else:
             spread, lows, highs = without_r2
-        # chord^2 = |f_{i+1} - f_i|^2, squared a row at a time
-        np.subtract(fwd, here, chords)
-        np.multiply(w0, w0, w0)
-        np.multiply(w1, w1, w1)
-        np.add(w0, w1, chord2)
-        periodic_derivatives(stencil, constants, stencil_out)
+        periodic_derivatives(stencil, constants, stencil_work)
         # speed = sqrt(d1x d1x + d1y d1y)
         np.multiply(d1x, d1x, w0)
         np.multiply(d1y, d1y, w1)
@@ -477,12 +511,23 @@ class StepWorkspace:
         np.sqrt(speed, speed)
         lows = np.minimum.reduce(spread, 1, out=lows).tolist()
         highs = np.maximum.reduce(spread, 1, out=highs).tolist()
-        chord2_min, speed_min, speed_max = lows[-2], lows[-1], highs[-1]
+        speed_min, speed_max = lows[-1], highs[-1]
         if diameter is None:
             r2_min, bound = lows[0], _diameter_bound(highs[0])
         else:
             r2_min, bound = None, diameter
-        self._check_spacing_within(math.sqrt(chord2_min), bound)
+        threshold = DEGENERACY_FACTOR * max(bound, 1e-300)
+        # not floor >= threshold, so that a nan floor takes the chord pass
+        if floor is None or not floor >= threshold:
+            # chord^2 = |f_{i+1} - f_i|^2, squared a row at a time
+            np.subtract(fwd, here, chords)
+            np.multiply(w0, w0, w0)
+            np.multiply(w1, w1, w1)
+            np.add(w0, w1, chord2)
+            floor = math.sqrt(np.minimum.reduce(chord2))
+            if floor < threshold:
+                _check_spacing(floor, _diameter(self.points()))
+        self.chord_floor = floor
         if speed_min <= 0.0:
             raise DegenerateCurveError("vanishing parametric speed")
         # tangent = d1 / speed
@@ -507,7 +552,9 @@ class StepWorkspace:
         :meth:`_frame_closed`.  Each piece of :func:`curve_pieces` is
         differentiated with ``np.gradient`` (one-sided at its ends) and
         weighted by chord trapezoids, and only within-piece chords count
-        for the spacing: jumps in open fixtures are legitimate."""
+        for the spacing: jumps in open fixtures are legitimate.  A
+        ``carried_floor`` is dropped unread: the chords are always taken."""
+        self.carried_floor = None
         pts = self.points()
         if diameter is None:
             (x, y), r2 = self.nodes, self.r2
@@ -520,7 +567,9 @@ class StepWorkspace:
         self.spacing = float(
             min((_open_chords(pts[p]).min() for p in pieces if len(p) >= 2), default=np.inf)
         )
-        self._check_spacing_within(self.spacing, bound)
+        if self.spacing < DEGENERACY_FACTOR * max(bound, 1e-300):
+            _check_spacing(self.spacing, _diameter(pts))
+        self.chord_floor = self.spacing
         (tx, ty), kappa, weight = self.tangent, self.curvature, self._weight
         for p in pieces:
             if len(p) < 2:
@@ -554,10 +603,20 @@ class StepWorkspace:
         cap = h * h
         if dmax > 0.0:
             cap = min(cap, h * self.r2_min / (2.0 * dmax))
-        vmax = math.sqrt(v2max)
+        self.vmax = vmax = math.sqrt(v2max)
         if vmax > 0.0:
             cap = min(cap, h / (2.0 * vmax))
         self.cap = cap
+
+    def chord_floor_after(self, dt: float) -> float:
+        """A lower bound on the smallest chord of the nodes after Euler's
+        step nodes + dt velocity, from the last :meth:`update`: each chord
+        shrinks by at most 2 dt vmax, and the step's and the chords'
+        rounding by a few ulps of the chord, of max|x| (an eighth of the
+        diameter bound at most) and of dt vmax, which CHORD_SLACK covers
+        many times over."""
+        floor, drift = self.chord_floor, dt * self.vmax
+        return floor - 2.0 * drift - CHORD_SLACK * (floor + self._guard_scale + drift)
 
     def update_velocity(self) -> None:
         """The guards, the frame, |x|^2, <x, n> and the velocity at the
@@ -566,11 +625,13 @@ class StepWorkspace:
         OriginContactError when a node is within ORIGIN_GUARD_FACTOR x
         diameter of the origin, where the velocity is singular.  Both
         guards are tested against the bound 8 max|x| on the diameter, and
-        the exact diameter is computed only when one fails against it."""
+        the exact diameter is computed only when one fails against it;
+        the spacing guard of a closed curve first tests ``carried_floor``,
+        a lower bound on the smallest chord, when one was handed in."""
         bound, r2_min = self._frame_closed() if self.closed else self._frame_open()
         if r2_min <= (ORIGIN_GUARD_FACTOR * bound) ** 2:
             _check_origin(r2_min, _diameter(self.points()))
-        self.r2_min = r2_min
+        self.r2_min, self._guard_scale = r2_min, bound
         x, y, tx, ty, vx, vy, sq0, dots, kappa, r2 = self._velocity_views
         # <x, n> = x nx + y ny with n = (-ty, tx), as y tx - x ty (see the
         # module docstring)
@@ -651,10 +712,12 @@ def closed_weights(points: np.ndarray) -> np.ndarray:
     nb, n = points.shape[:2]
     h = 2.0 * np.pi / n
     # padded along the nodes, (B, N + 4, 2); the stencil runs along axis 0
-    # of its transpose, for every curve at once, and its output is laid
-    # out as the input, so d1 is a (B, N, 2) array again (d2 goes unused)
+    # of its transpose, for every curve at once, and each half of its
+    # output is laid out as that, so d1 is a (B, N, 2) array again (d2
+    # goes unused)
     p = np.concatenate((points[:, -2:], points, points[:, :2]), axis=1)
-    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), stencil_constants(h))[0]
+    constants = stencil_constants(h, (n, nb, 2))
+    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), constants)[0]
     d1 = d1.transpose(1, 0, 2)
     speed = _squared_norms(d1.reshape(-1, 2)).reshape(nb, n)
     np.sqrt(speed, out=speed)

@@ -1,6 +1,9 @@
 """Initial-curve builders for the standard runs and analysis fixtures.
 
-Closed scenarios take any node count.  Their curves are symmetric under
+A builder takes node counts from MIN_NODES (32 for the open fixtures)
+up to MAX_RESOLUTION, and refuses a size parameter that puts the curve
+beyond flow.COORDINATE_SCALE, with :func:`flow.check_scale`'s message;
+both before it builds a node array.  Closed curves are symmetric under
 x -> -x only as far as the sampling and the resampling keep it; nothing
 projects them onto that symmetry.  Open fixtures are unions of straight
 lines through the origin sampled on half-offset grids, so no node ever
@@ -11,12 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import math
+
 import numpy as np
 
+from .flow import check_scale
 from .geometry import MIN_NODES, CurveConfigError, PlaneCurve, resample
 
 __all__ = [
     "SEMI_MINOR",
+    "MAX_RESOLUTION",
     "Scenario",
     "SCENARIOS",
     "build_scenario",
@@ -30,12 +37,16 @@ __all__ = [
 
 SEMI_MINOR = 2.0
 CASSINI_SAMPLES = 8192
+# The largest node count a builder accepts, far above the 2,048 of the
+# deepest studies: a count of 1e8 exhausted memory before any message.
+MAX_RESOLUTION = 2**16
 
 
 def circle_curve(resolution: int, rho: float = 2.0) -> PlaneCurve:
     """Origin-centered circle of radius rho; shrinks self-similarly."""
     if rho <= 0.0:
         raise CurveConfigError("circle radius must be positive")
+    check_scale(rho)
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = rho * np.column_stack([np.cos(u), np.sin(u)])
@@ -47,6 +58,7 @@ def ellipse_curve(resolution: int, a: float = 3.0) -> PlaneCurve:
     resampled to uniform arclength with node 0 at (a, 0)."""
     if a < SEMI_MINOR:
         raise CurveConfigError(f"semi-major axis must be >= {SEMI_MINOR}")
+    check_scale(a)
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(resolution) / resolution
     pts = np.column_stack([a * np.cos(u), SEMI_MINOR * np.sin(u)])
@@ -62,6 +74,9 @@ def cassini_curve(resolution: int, b: float = 1.05) -> PlaneCurve:
     """
     if not b > 1.0:
         raise CurveConfigError("cassini parameter b must be greater than 1")
+    # the largest radius, at theta = 0, is sqrt(1 + b^2); b**4 below
+    # overflows from b ~ 1e77
+    check_scale(math.hypot(1.0, b))
     _check_resolution(resolution)
     u = 2.0 * np.pi * np.arange(CASSINI_SAMPLES) / CASSINI_SAMPLES
     r = np.sqrt(np.cos(2.0 * u) + np.sqrt(b**4 - np.sin(2.0 * u) ** 2))
@@ -78,6 +93,7 @@ def line_pair_curve(resolution: int, phi: float = 0.3, truncation: float = 10.0)
     """
     if truncation <= 0.0:
         raise CurveConfigError("truncation half-width must be positive")
+    check_scale(truncation)
     _check_resolution(resolution, minimum=32)
     half = resolution // 2
     first = _line_nodes(phi, truncation, half)
@@ -101,6 +117,8 @@ def _line_nodes(angle: float, half_width: float, count: int) -> np.ndarray:
 def _check_resolution(resolution: int, minimum: int = MIN_NODES) -> None:
     if resolution < minimum:
         raise CurveConfigError(f"resolution must be at least {minimum}")
+    if resolution > MAX_RESOLUTION:
+        raise CurveConfigError(f"resolution {resolution} is above the largest, {MAX_RESOLUTION}")
 
 
 @dataclass(frozen=True)

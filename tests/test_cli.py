@@ -29,7 +29,7 @@ from lagflow.flow import (
 )
 from lagflow.geometry import PlaneCurve
 from lagflow.runio import load_trajectory, read_snapshot, write_json, write_snapshot
-from lagflow.scenarios import SCENARIOS, circle_curve, ellipse_curve
+from lagflow.scenarios import MAX_RESOLUTION, SCENARIOS, circle_curve, ellipse_curve
 
 
 def write_config(path, **overrides):
@@ -571,6 +571,51 @@ class TestCustomScenario:
         err = capsys.readouterr().err
         assert err.startswith("bad config:")
         assert f"beyond the coordinate scale {flow.COORDINATE_SCALE:g}" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, normalize, reach",
+        [
+            ({"name": "cassini", "params": {"b": 1e300}}, False, 1e300),
+            ({"name": "cassini", "params": {"b": 1e77}}, False, 1e77),
+            ({"name": "ellipse", "params": {"a": 1e160}}, False, 1e160),
+            ({"name": "ellipse", "params": {"a": 1e300}}, True, 1e300),
+            ({"name": "x_cone", "params": {"truncation": 1e300}}, False, 1e300),
+        ],
+        ids=["cassini", "cassini_b4_overflow", "ellipse", "normalized_ellipse", "x_cone"],
+    )
+    def test_scenario_size_beyond_coordinate_scale_is_refused_before_building(
+        self, tmp_path, capsys, scenario, normalize, reach
+    ):
+        # cassini's b**4 overflowed with a traceback from b ~ 1e77, and the
+        # ellipse's resample overflowed with four RuntimeWarnings, then
+        # blamed non-finite points
+        cfg = write_config(tmp_path / "c.json", scenario=scenario, normalize=normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            f"bad config: curve coordinates reach {reach:.3e}, beyond the coordinate scale "
+            f"{flow.COORDINATE_SCALE:g}\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10**12])
+    @pytest.mark.parametrize("name", ["circle", "custom"])
+    def test_resolution_above_the_bound_is_bad_config(self, tmp_path, capsys, name, resolution):
+        # a circle at 1e8 nodes got the process killed while its scenario
+        # was built, with no message
+        params = {}
+        if name == "custom":
+            write_snapshot(str(tmp_path / "seed.json"), circle_curve(64, rho=1.0), 0.0)
+            params = {"path": str(tmp_path / "seed.json")}
+        cfg = write_config(
+            tmp_path / "c.json", scenario={"name": name, "params": params}, resolution=resolution
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            f"bad config: 'resolution' must be an integer from 16 to {MAX_RESOLUTION}\n"
+        )
         assert not (tmp_path / "r").exists()
 
     def test_large_curve_inside_the_scale_scales_the_bracket(self, tmp_path, capsys):

@@ -49,6 +49,7 @@ from lagflow.geometry import (
     stencil_views,
 )
 from lagflow.scenarios import (
+    MAX_RESOLUTION,
     cassini_curve,
     circle_curve,
     ellipse_curve,
@@ -515,7 +516,7 @@ class TestLoopSemantics:
     # again by evolve, whose state may be built without it; the edge
     # itself is accepted
     def test_curve_beyond_coordinate_scale_rejected(self):
-        big = circle_curve(64, rho=1e60)
+        big = PlaneCurve(circle_curve(64, rho=1.0).points * 1e60)
         scale = r"reach 1\.000e\+60, beyond the coordinate scale 1e\+50"
         with pytest.raises(CurveConfigError, match=scale):
             make_state(big)
@@ -586,10 +587,10 @@ class TestStepCallBudget:
     back unseen."""
 
     # A steady-state Euler step of a closed curve calls StepWorkspace's
-    # update, update_velocity, _frame_closed, geometry's
-    # periodic_derivatives and its two guard helpers, the clock's on_grid
-    # and shorten, _at_end and _advance; a step that takes the tail check
-    # also calls area.
+    # update, update_velocity, _frame_closed and chord_floor_after,
+    # geometry's periodic_derivatives and _diameter_bound, the clock's
+    # on_grid and shorten, _at_end and _advance, whether or not it takes
+    # the chord pass; a step that takes the tail check also calls area.
     CALLS_PER_STEP = 11
     # A steady-state radial step calls _RadialWorkspace's update and
     # advance, radial_velocity, geometry's periodic_derivatives, the
@@ -839,7 +840,7 @@ def _radial_oracle(r, t, t_end, snapshot_dt):
     steps = []
     while True:
         r_min = float(r.min())
-        d1, d2 = periodic_derivatives(stencil_views(pad_periodic(r)), stencil_constants(h))
+        d1, d2 = periodic_derivatives(stencil_views(pad_periodic(r)), stencil_constants(h, r.shape))
         rhs = (r * d2 - 2.0 * r * r - 3.0 * d1 * d1) / (r * d1 * d1 + r**3)
         caps = [h * h * float((r * r + d1 * d1).min())]
         rate = float(np.abs(rhs).max())
@@ -929,6 +930,12 @@ class TestScenarioBuilders:
     def test_cassini_without_a_neck_rejected(self, b):
         with pytest.raises(CurveConfigError, match="greater than 1"):
             cassini_curve(64, b=b)
+
+    @pytest.mark.parametrize("resolution", [MAX_RESOLUTION + 1, 10**12])
+    @pytest.mark.parametrize("builder", [circle_curve, ellipse_curve, cassini_curve, line_pair_curve])
+    def test_resolution_above_the_bound_rejected(self, builder, resolution):
+        with pytest.raises(CurveConfigError, match=f"above the largest, {MAX_RESOLUTION}$"):
+            builder(resolution)
 
     def test_line_pair_avoids_origin(self):
         c = line_pair_curve(128, phi=0.3)

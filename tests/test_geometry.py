@@ -618,6 +618,132 @@ class TestWorkspaceLoopOracle:
             assert redistributions > 0
 
 
+def _exact_chord(pts):
+    """The smallest chord of the closed node set ``pts`` (2, N), as the
+    spacing guard's chord pass computes it."""
+    ws = geometry.StepWorkspace(pts.T)
+    ws._frame_closed()
+    return ws.chord_floor
+
+
+def _guard_threshold(pts):
+    """The spacing guard's threshold on the closed node set ``pts`` (N, 2):
+    DEGENERACY_FACTOR times the bound 8 max|x| on its diameter."""
+    r2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    return DEGENERACY_FACTOR * geometry._diameter_bound(float(r2.max()))
+
+
+@st.composite
+def stepped_curves(draw):
+    """A random closed curve (star-shaped, of random size, node count and
+    distance from the origin) and a step of up to SAFETY times its cap."""
+    n = draw(st.integers(16, 300))
+    curve = draw(star_curves(n))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = 10.0 ** draw(st.floats(-3.0, 4.0)) * np.array([draw(st.floats(-1.0, 1.0)), 0.3])
+    return scale * (curve.points + offset), draw(st.floats(1e-6, 1.0))
+
+
+class TestCarriedChordFloor:
+    """An update handed a lower bound on the smallest chord (carried_floor)
+    skips the chord pass while the bound clears the spacing guard's
+    threshold; the guard fires on exactly the inputs of the chord pass."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("name", list(TestWorkspaceLoopOracle.CURVES))
+    def test_floor_never_above_the_exact_chord_along_runs(self, monkeypatch, name, scheme):
+        floors, skips, resampled = {}, [], []
+        update_velocity, resample_curve = geometry.StepWorkspace.update_velocity, flow.resample
+
+        def checked(ws):
+            floor = ws.carried_floor
+            exact = _exact_chord(ws.nodes)
+            update_velocity(ws)
+            if floor is not None:
+                assert floor <= exact
+                skip = floor >= _guard_threshold(ws.points())
+                assert ws.chord_floor == (floor if skip else exact)
+                skips.append(skip)
+            floors.setdefault(ws, []).append(floor)
+
+        monkeypatch.setattr(geometry.StepWorkspace, "update_velocity", checked)
+        monkeypatch.setattr(flow, "resample", lambda c, n: resampled.append(1) or resample_curve(c, n))
+        monkeypatch.setattr(flow, "MAX_STEPS", 300)
+        start = flow.make_state(TestWorkspaceLoopOracle.CURVES[name]())
+        with pytest.raises(flow.IntegrationError, match="step budget 300"):
+            flow.evolve(start, flow.FlowConfig(scheme), recording=flow.RecordingConfig(0.02))
+        loop, *predictor = floors.values()
+        assert len(loop) == 301 and loop[0] is None
+        if scheme == "euler":
+            # every update after an Euler step gets a floor, except after
+            # a redistribution
+            assert sum(floor is not None for floor in loop) == 300 - len(resampled)
+        else:
+            # the corrector's nodes get the chord pass, the predictor's a floor
+            assert loop == [None] * 301
+            assert len(predictor) == 1 and None not in predictor[0]
+        if name == "ellipse":
+            assert resampled
+        # most floors clear the threshold, and their update skips the pass
+        assert sum(skips) > 0.8 * len(skips)
+
+    @pytest.mark.parametrize("handed", [None, math.nan, -1.0, 0.0, 0.5], ids=str)
+    def test_floor_below_the_threshold_runs_the_chord_pass(self, handed):
+        # a floor is handed as a multiple of the guard's threshold, each
+        # below it, or none is
+        pts = circle(64).points
+        threshold = _guard_threshold(pts)
+        ws = geometry.StepWorkspace(pts)
+        ws.carried_floor = None if handed is None else handed * threshold
+        ws.update()
+        assert ws.chord_floor == _exact_chord(pts.T) > 0.01
+        # the same floor on coincident nodes: the chord pass raises, with
+        # the message of an update handed nothing
+        want = _raised(lambda: curve_terms(_close_pair(64, 0.0)))
+        ws.nodes[...] = _close_pair(64, 0.0).T
+        ws.carried_floor = None if handed is None else handed * threshold
+        got = _raised(ws.update)
+        assert type(got) is DegenerateCurveError and str(got) == str(want)
+
+    def test_floor_above_the_threshold_skips_the_chord_pass(self):
+        pts = circle(64).points
+        floor = 2.0 * _guard_threshold(pts)
+        ws = geometry.StepWorkspace(pts)
+        ws.carried_floor = floor
+        ws.update()
+        assert ws.chord_floor == floor and ws.carried_floor is None
+        fresh = curve_terms(pts)
+        for name in ("velocity", "curvature", "r2", "dots"):
+            assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
+        for name in ("cap", "spacing", "max_weight", "r2_min", "kmax", "vmax"):
+            assert getattr(ws, name) == getattr(fresh, name), name
+
+    def test_a_floor_serves_one_update(self):
+        # a caller that writes its own nodes and updates gets the chord
+        # pass, whatever floor the previous update was handed
+        pts = circle(64).points
+        ws = geometry.StepWorkspace(pts)
+        ws.carried_floor = _exact_chord(pts.T)
+        ws.update()
+        assert ws.carried_floor is None
+        ws.nodes[...] = _close_pair(64, 0.0).T
+        with pytest.raises(DegenerateCurveError, match=r"spacing 0\.000e\+00"):
+            ws.update()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stepped_curves())
+    def test_chord_floor_after_bounds_the_stepped_chords(self, case):
+        pts, fraction = case
+        ws = curve_terms(pts)
+        dt = fraction * flow.SAFETY * ws.cap
+        floor = ws.chord_floor_after(dt)
+        # nodes + dt velocity, in the floats of flow._advance
+        stepped = np.multiply(ws.velocity, dt)
+        stepped += ws.nodes
+        assert _exact_chord(stepped) >= floor
+        assert floor < ws.chord_floor
+
+
 class TestWorkspaceResults:
     """What a workspace hands out is a copy; its one-shot uses square no
     coordinates that they do not need."""

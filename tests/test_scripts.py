@@ -185,8 +185,43 @@ def _check_perf_record(doc, lower):
 )
 def test_committed_perf_records_are_consistent(path):
     # a BENCH_*.json holds perfbench's pairs of parent and change records;
-    # its summary must be what those records give
-    _check_perf_record(json.loads(path.read_text()), _end_to_end_lower())
+    # its summary must be what those records give, and its command names
+    # the seed that every record ran
+    doc = json.loads(path.read_text())
+    _check_perf_record(doc, _end_to_end_lower())
+    seed = re.fullmatch(
+        r"python3 perfbench/run\.py --workload <workload> --seed (\d+) --seconds 20 --trace 0",
+        doc["command"],
+    ).group(1)
+    for workload, entry in doc["workloads"].items():
+        for pair in entry["pairs"]:
+            for side in ("parent", "change"):
+                assert pair[side]["notes"][0].startswith(f"workload {workload} seed={seed} trace=0 ")
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--workload", "no-such-workload"], "unknown workload(s) no-such-workload; choices: "),
+        (["--seed", "-1"], "--seed must be a non-negative integer"),
+    ],
+    ids=["workload", "seed"],
+)
+def test_pair_runner_refuses_bad_options_before_running(options, message, monkeypatch, capsys):
+    # an unknown workload or a negative seed exits 2 before any git or
+    # perfbench command
+    module = load_script("perf_pairs")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"ran {args}")
+
+    monkeypatch.setattr(module.subprocess, "run", refuse)
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--pairs", "2", "--tag", "refused", *options]
+    with pytest.raises(SystemExit) as info:
+        module.main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (SCRIPTS.parent / "BENCH_refused.json").exists()
 
 
 def test_pair_runner_summary_follows_the_record_rules():
