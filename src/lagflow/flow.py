@@ -348,11 +348,12 @@ class Trajectory:
 
 
 def check_scale(coords: np.ndarray) -> None:
-    """Refuse an initial curve, given by its node coordinates (or radii),
-    with a coordinate beyond COORDINATE_SCALE in magnitude, with
-    CurveConfigError.  A caller that transforms a curve before making its
-    state (such as normalizing it) checks the curve first, since the
-    transform's own arithmetic may overflow beyond the scale."""
+    """Refuse an initial curve, given by its node coordinates, its radii
+    or its reach, with a coordinate beyond COORDINATE_SCALE in magnitude,
+    with CurveConfigError.  A caller that transforms a curve before making
+    its state (such as normalizing it) checks the curve first, since the
+    transform's own arithmetic may overflow beyond the scale; a scenario
+    builder checks its reach before it builds the curve."""
     reach = float(np.abs(coords).max())
     if not reach <= COORDINATE_SCALE:
         raise CurveConfigError(
@@ -875,12 +876,11 @@ class RadialTrajectory:
         return np.array([p.t for p in self.profiles])
 
 
-def _radial_constants(shape: tuple[int, ...]) -> tuple:
-    """The constants of :func:`radial_velocity` for profiles shaped
-    ``shape``, whose axis 0 is the angle grid: the
-    :func:`stencil_constants` of the spacing 2 pi / shape[0], then 2 and
-    3 as 0-d float64 arrays."""
-    return stencil_constants(2.0 * np.pi / shape[0], shape), np.array(2.0), np.array(3.0)
+def _radial_constants(n: int, shape: tuple[int, ...]) -> tuple:
+    """The constants of :func:`radial_velocity` on n angles: the
+    :func:`stencil_constants` of the spacing 2 pi / n, shaped ``shape``,
+    then 2 and 3 as 0-d float64 arrays."""
+    return stencil_constants(2.0 * np.pi / n, shape), np.array(2.0), np.array(3.0)
 
 
 def radial_velocity(
@@ -890,12 +890,13 @@ def radial_velocity(
     by :func:`pad_periodic` along axis 0 (the uniform angle grid), from
     their :func:`stencil_views` ``views``.  ``out`` gives the arrays to
     work in, the :func:`stencil_out` of one unpadded profile set, and the
-    :func:`_radial_constants` of its shape; by default they are new.
+    :func:`_radial_constants` of its angle count; by default they are
+    new, and the stencil's constants broadcast.
     Both results are views of the stencil's output: r' is its d1 half,
     and dr/dt is worked in place of r''."""
     r = views[4]
     if out is None:
-        out = (stencil_out(r.shape), _radial_constants(r.shape))
+        out = (stencil_out(r.shape), _radial_constants(len(r), (1,) * r.ndim))
     stencil_work, (constants, two, three) = out
     periodic_derivatives(views, constants, stencil_work)
     # the stencil's scratch halves are free once it returns
@@ -942,7 +943,7 @@ class _RadialWorkspace:
         # every view a step touches, made once and unpacked by each stage
         self._update_views = (
             padded[:2], padded[n : n + 2], padded[n + 2 :], padded[2:4], stencil_views(padded),
-            (stencil_work, _radial_constants((n,))), self.r, extrema[1], extrema[2],
+            (stencil_work, _radial_constants(n, (n,))), self.r, extrema[1], extrema[2],
             stencil_work[4], extrema, np.empty(3), np.array(-1.0),
         )
         # r + dt dr/dt and its finiteness mask

@@ -57,9 +57,10 @@ scaling by 8 and 16, the subtraction of the far pair and the division by
 element and their order are those of two separate stencils.  It takes
 the shifted views of :func:`stencil_views`, the work arrays of
 :func:`stencil_out` and the constants of :func:`stencil_constants`, which
-a stepping caller builds once.  The stacked constants are contiguous
-arrays as long as the output: a broadcast operand costs about three
-contiguous calls.  30 is a 0-d float64 array, which NumPy takes without
+a stepping caller builds once.  Its stacked constants are contiguous
+arrays as long as the output, as a broadcast operand costs about three
+contiguous calls; a one-shot caller's broadcast, as building them at
+the size of a block of records costs more.  30 is a 0-d float64 array, which NumPy takes without
 the conversion that a Python float costs on every call; the floats are
 the same.  The step scalars ``cap``, ``r2_min``, ``spacing``,
 ``max_weight``, ``kmax``, ``vmax`` and ``chord_floor`` are plain
@@ -335,10 +336,16 @@ def stencil_views(p: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def stencil_constants(h: float, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The constants of :func:`periodic_derivatives` at grid spacing h, for
-    samples shaped ``shape`` (one unpadded sample set): the scales 8 and
-    16 and the divisors 12 h and 12 h h, each pair stacked as a contiguous
-    (2, *shape) array as the output is, and 30 as a 0-d float64 array."""
+    """The constants of :func:`periodic_derivatives` at grid spacing h: the
+    scales 8 and 16 and the divisors 12 h and 12 h h, each pair stacked as
+    a contiguous (2, *shape) array, and 30 as a 0-d float64 array.
+
+    A caller that steps one buffer builds them once, shaped as one
+    unpadded sample set, so that they are as long as the stacked output:
+    there a broadcast operand costs about three contiguous calls.  A
+    one-shot caller passes ones of that rank instead, and the constants
+    broadcast: on a block of records, building them at full size costs
+    more than broadcasting does."""
     scales, divisors = np.empty((2, 2, *shape))
     scales[0], scales[1] = 8.0, 16.0
     divisors[0], divisors[1] = 12.0 * h, 12.0 * h * h
@@ -363,11 +370,9 @@ def periodic_derivatives(
     ``constants`` (``stencil_constants(h, shape)``), from the shifted
     samples ``views`` of :func:`stencil_views`, as the two halves of one
     contiguous (2, *shape) array [d1, d2].  ``out`` gives the arrays of
-    :func:`stencil_out` to work in; by default they are new.
-
-    A step that scales, subtracts or divides both derivatives runs as one
-    call over the stacked halves, against constants as long as they are:
-    a broadcast operand would cost about three contiguous calls."""
+    :func:`stencil_out` to work in; by default they are new.  Each step
+    that scales, subtracts or divides both derivatives is one call over
+    the stacked halves."""
     fwd, back, far, near, here = views
     scales, thirty, divisors = constants
     stacked, scratch, d1, d2, odd, even = stencil_out(here.shape) if out is None else out
@@ -711,25 +716,23 @@ def closed_weights(points: np.ndarray) -> np.ndarray:
     """
     nb, n = points.shape[:2]
     h = 2.0 * np.pi / n
-    # padded along the nodes, (B, N + 4, 2); the stencil runs along axis 0
-    # of its transpose, for every curve at once, and each half of its
-    # output is laid out as that, so d1 is a (B, N, 2) array again (d2
-    # goes unused)
-    p = np.concatenate((points[:, -2:], points, points[:, :2]), axis=1)
-    constants = stencil_constants(h, (n, nb, 2))
-    d1 = periodic_derivatives(stencil_views(p.transpose(1, 0, 2)), constants)[0]
-    d1 = d1.transpose(1, 0, 2)
-    speed = _squared_norms(d1.reshape(-1, 2)).reshape(nb, n)
+    # padded along the nodes in a contiguous node-major (N + 4, B, 2)
+    # array, so that the stencil runs along axis 0 for every curve at once
+    # on views laid out as its output (d2 goes unused); the per-node rows
+    # are (N, B) until the end
+    p = pad_periodic(np.ascontiguousarray(points.transpose(1, 0, 2)))
+    d1 = periodic_derivatives(stencil_views(p), stencil_constants(h, (1, 1, 1)))[0]
+    speed = _squared_norms(d1.reshape(-1, 2)).reshape(n, nb)
     np.sqrt(speed, out=speed)
-    chords = p[:, 3 : n + 3] - p[:, 2 : n + 2]
-    min_chord = np.sqrt(_squared_norms(chords.reshape(-1, 2)).reshape(nb, n).min(axis=1))
+    chords = p[3 : n + 3] - p[2 : n + 2]
+    min_chord = np.sqrt(_squared_norms(chords.reshape(-1, 2)).reshape(n, nb).min(axis=0))
     r2_max = _squared_norms(points.reshape(-1, 2)).reshape(nb, n).max(axis=1)
     bound = np.maximum(8.0 * np.sqrt(r2_max), 1e-150)  # _diameter_bound per curve
-    suspect = (min_chord < DEGENERACY_FACTOR * bound) | (speed.min(axis=1) <= 0.0)
+    suspect = (min_chord < DEGENERACY_FACTOR * bound) | (speed.min(axis=0) <= 0.0)
     for k in np.flatnonzero(suspect):
         compute_frame(PlaneCurve(points[k]))
     speed *= h
-    return speed
+    return np.ascontiguousarray(speed.T)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ sits exactly at the origin where the angle field is undefined.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import math
 
 import numpy as np
 
