@@ -73,9 +73,9 @@ to the next update, which skips its chord pass while the floor clears
 the guard's threshold.  The Heun predictor gets the same floor; the
 chord pass runs on the first update, after each redistribution, after
 each Heun corrector (whose predictor's peak speed is not computed) and
-whenever the floor falls below the threshold.  The radial twin keeps r in a
-buffer padded by two periodic samples per end (_RadialWorkspace), whose
-stencil views and work arrays it makes once for
+whenever the floor falls below the threshold.  The radial twin keeps r
+in a buffer padded by two periodic samples per end (_RadialWorkspace),
+whose stencil views and work arrays it makes once for
 :func:`radial_velocity`; one reduction over the rows
 [r, r r + r' r', -|dr/dt|] gives min r and the step cap.  Both
 workspaces' updates take no argument and leave the step scalars as
